@@ -6,8 +6,11 @@ GOFMT ?= gofmt
 build:
 	$(GO) build ./...
 
+# benchmark/ is a module of its own, outside ./...: test and race reach
+# its generator, statistics and smoke tests with a second invocation.
 test:
 	$(GO) test ./...
+	$(GO) test -C benchmark ./...
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +23,7 @@ fmt-check:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -C benchmark ./...
 
 # check is the CI gate: formatting, static analysis, then the full suite
 # under the race detector.

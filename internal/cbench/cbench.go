@@ -177,10 +177,14 @@ func (fs *FakeSwitch) SendPortStatus(port uint16, up bool) error {
 
 // WaitResponse blocks for the next flow-mod or packet-out, up to timeout.
 func (fs *FakeSwitch) WaitResponse(timeout time.Duration) (of.Message, error) {
+	// Stopped on return: a time.After timer would stay on the heap until
+	// it fired, one per response waited for.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case msg := <-fs.responses:
 		return msg, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, ErrTimeout
 	}
 }

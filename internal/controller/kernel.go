@@ -628,7 +628,7 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 	if spec.Match == nil {
 		spec.Match = of.NewMatch()
 	}
-	if err := shadow.Add(flowtable.Entry{
+	displaced, replaced, err := shadow.Swap(flowtable.Entry{
 		Match:       spec.Match,
 		Priority:    spec.Priority,
 		Actions:     spec.Actions,
@@ -636,7 +636,8 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 		Owner:       owner,
 		IdleTimeout: spec.IdleTimeout,
 		HardTimeout: spec.HardTimeout,
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if err := h.conn.Send(&of.FlowMod{
@@ -650,9 +651,14 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 		Cookie:      spec.Cookie,
 		Actions:     spec.Actions,
 	}); err != nil {
-		// The rule never reached the switch; un-shadow it so ownership
-		// state stays truthful across the disconnect.
-		shadow.Delete(spec.Match, spec.Priority, true)
+		// The rule never reached the switch; un-shadow it — putting back
+		// the rule it displaced, if any — so ownership state stays
+		// truthful across the disconnect.
+		if replaced {
+			_ = shadow.Add(displaced) // a replace: cannot hit capacity
+		} else {
+			shadow.Delete(spec.Match, spec.Priority, true)
+		}
 		auditWire(audit.KindFlowMod, org, "add", dpid, err)
 		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
 	}

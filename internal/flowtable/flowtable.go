@@ -3,10 +3,17 @@
 // strict and non-strict semantics, per-entry counters, idle/hard
 // timeouts, and per-app ownership tags. Ownership is the substrate for
 // SDNShield's OWN_FLOWS filter and table-size accounting.
+//
+// The priority-sorted slice is the single source of table order. Three
+// secondary indexes (index.go), maintained under the same mutex by every
+// mutator, answer the questions a mediated call asks without walking it:
+// which rule has exactly this (priority, match), how many rules an owner
+// holds, and which rules overlap a match.
 package flowtable
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,6 +41,11 @@ type Entry struct {
 
 	installedAt time.Time
 	lastHit     time.Time
+
+	// Index linkage, meaningful only while the entry is resident (index.go).
+	seq       uint64 // insertion stamp: (Priority desc, seq asc) is table order
+	exactNext *Entry // next rule whose (priority, match) hash collides
+	tupleNext *Entry // next rule in the same tuple-group bucket
 }
 
 // Clone deep-copies the entry (match and actions included).
@@ -43,6 +55,7 @@ func (e *Entry) Clone() *Entry {
 		c.Match = e.Match.Clone()
 	}
 	c.Actions = of.CloneActions(e.Actions)
+	c.exactNext, c.tupleNext = nil, nil
 	return &c
 }
 
@@ -52,6 +65,11 @@ type Table struct {
 	entries  []*Entry // sorted by priority descending, stable insertion order
 	capacity int
 	now      func() time.Time
+
+	seq    uint64                // last Entry.seq issued
+	exact  map[uint64]*Entry     // hash(priority, match) -> chain via exactNext
+	owners map[string]int        // owner -> resident rule count
+	tuples map[tuple]*tupleGroup // mask tuple -> the rules carrying exactly those masks
 }
 
 // Option configures a Table.
@@ -65,7 +83,13 @@ func WithClock(now func() time.Time) Option {
 
 // New builds a flow table; capacity <= 0 means unbounded.
 func New(capacity int, opts ...Option) *Table {
-	t := &Table{capacity: capacity, now: time.Now}
+	t := &Table{
+		capacity: capacity,
+		now:      time.Now,
+		exact:    make(map[uint64]*Entry),
+		owners:   make(map[string]int),
+		tuples:   make(map[tuple]*tupleGroup),
+	}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -86,34 +110,55 @@ func (t *Table) Capacity() int { return t.capacity }
 // match and priority is replaced (counters reset). Returns ErrTableFull
 // when at capacity.
 func (t *Table) Add(e Entry) error {
+	_, _, err := t.Swap(e)
+	return err
+}
+
+// Swap is Add that also hands back the rule it displaced, so a caller
+// whose follow-up step fails can put that rule back with Add. replaced is
+// false when e was a new rule. A replacement keeps the resident rule's
+// match and table position and allocates only the copy of the actions.
+func (t *Table) Swap(e Entry) (prev Entry, replaced bool, err error) {
 	if e.Match == nil {
 		e.Match = of.NewMatch()
 	}
+	values, masks := unpack(e.Match)
+	key := exactKey(e.Priority, &values, &masks)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
 	e.installedAt, e.lastHit = now, now
-	e.Match = e.Match.Clone()
 	e.Actions = of.CloneActions(e.Actions)
 
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
-			t.entries[i] = &e
-			return nil
+	if old := t.findExact(key, e.Priority, e.Match); old != nil {
+		prev = *old
+		prev.Match, prev.exactNext, prev.tupleNext = e.Match, nil, nil
+		if old.Owner != e.Owner {
+			t.disown(old.Owner)
+			t.owners[e.Owner]++
 		}
+		e.Match, e.seq, e.exactNext, e.tupleNext = old.Match, old.seq, old.exactNext, old.tupleNext
+		*old = e
+		return prev, true, nil
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
-		return ErrTableFull
+		return Entry{}, false, ErrTableFull
 	}
+	ne := new(Entry)
+	*ne = e
+	ne.Match = e.Match.Clone()
+	t.seq++
+	ne.seq = t.seq
 	// Insert keeping priority-descending order, after equal priorities
 	// (stable).
 	idx := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].Priority < e.Priority
+		return t.entries[i].Priority < ne.Priority
 	})
 	t.entries = append(t.entries, nil)
 	copy(t.entries[idx+1:], t.entries[idx:])
-	t.entries[idx] = &e
-	return nil
+	t.entries[idx] = ne
+	t.link(ne, key, &values, &masks)
+	return Entry{}, false, nil
 }
 
 // Modify rewrites the actions of matching rules. Non-strict modifies
@@ -125,9 +170,17 @@ func (t *Table) Modify(m *of.Match, priority uint16, strict bool, actions []of.A
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if strict {
+		e := t.lookupExact(priority, m)
+		if e == nil {
+			return 0
+		}
+		e.Actions = of.CloneActions(actions)
+		return 1
+	}
 	count := 0
 	for _, e := range t.entries {
-		if matchesForEdit(e, m, priority, strict) {
+		if m.Subsumes(e.Match) {
 			e.Actions = of.CloneActions(actions)
 			count++
 		}
@@ -143,24 +196,41 @@ func (t *Table) Delete(m *of.Match, priority uint16, strict bool) []*Entry {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if strict {
+		e := t.lookupExact(priority, m)
+		if e == nil {
+			return nil
+		}
+		i := sort.Search(len(t.entries), func(i int) bool { return !before(t.entries[i], e) })
+		t.entries = slices.Delete(t.entries, i, i+1) // clears the vacated slot
+		t.unlink(e)
+		return []*Entry{e}
+	}
 	var removed []*Entry
+	t.filter(func(e *Entry) bool {
+		if !m.Subsumes(e.Match) {
+			return false
+		}
+		removed = append(removed, e)
+		return true
+	})
+	return removed
+}
+
+// filter removes every entry drop reports true for, unlinks it from the
+// indexes and clears the vacated tail of the slice so the removed rules
+// (match and actions) are collectable.
+func (t *Table) filter(drop func(*Entry) bool) {
 	kept := t.entries[:0]
 	for _, e := range t.entries {
-		if matchesForEdit(e, m, priority, strict) {
-			removed = append(removed, e)
+		if drop(e) {
+			t.unlink(e)
 		} else {
 			kept = append(kept, e)
 		}
 	}
+	clear(t.entries[len(kept):])
 	t.entries = kept
-	return removed
-}
-
-func matchesForEdit(e *Entry, m *of.Match, priority uint16, strict bool) bool {
-	if strict {
-		return e.Priority == priority && e.Match.Equal(m)
-	}
-	return m.Subsumes(e.Match)
 }
 
 // Lookup finds the highest-priority entry matching the packet and bumps
@@ -201,13 +271,7 @@ func (t *Table) Entries(m *of.Match) []*Entry {
 func (t *Table) CountByOwner(owner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, e := range t.entries {
-		if e.Owner == owner {
-			n++
-		}
-	}
-	return n
+	return t.owners[owner]
 }
 
 // OwnerOf returns the owner of the highest-priority rule equal to or
@@ -220,17 +284,19 @@ func (t *Table) OwnerOf(m *of.Match, priority uint16) (string, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.Priority == priority && e.Match.Equal(m) {
-			return e.Owner, true
-		}
+	if e := t.lookupExact(priority, m); e != nil {
+		return e.Owner, true
 	}
-	for _, e := range t.entries {
-		if e.Match.Overlaps(m) {
-			return e.Owner, true
+	var first *Entry
+	t.eachOverlap(m, func(e *Entry) {
+		if first == nil || before(e, first) {
+			first = e
 		}
+	})
+	if first == nil {
+		return "", false
 	}
-	return "", false
+	return first.Owner, true
 }
 
 // ForeignOverlapOwner returns the owner of the first rule overlapping m
@@ -243,15 +309,16 @@ func (t *Table) ForeignOverlapOwner(app string, m *of.Match, maxPriority uint16)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.Owner == app || e.Priority > maxPriority {
-			continue
+	var first *Entry
+	t.eachOverlap(m, func(e *Entry) {
+		if e.Owner != app && e.Priority <= maxPriority && (first == nil || before(e, first)) {
+			first = e
 		}
-		if e.Match.Overlaps(m) {
-			return e.Owner, true
-		}
+	})
+	if first == nil {
+		return "", false
 	}
-	return "", false
+	return first.Owner, true
 }
 
 // Owners returns the distinct owners of rules overlapping the match, in
@@ -262,14 +329,18 @@ func (t *Table) Owners(m *of.Match) []string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	seen := make(map[string]bool)
+	first := make(map[string]*Entry)
 	var out []string
-	for _, e := range t.entries {
-		if e.Match.Overlaps(m) && !seen[e.Owner] {
-			seen[e.Owner] = true
+	t.eachOverlap(m, func(e *Entry) {
+		f, seen := first[e.Owner]
+		if !seen {
 			out = append(out, e.Owner)
 		}
-	}
+		if !seen || before(e, f) {
+			first[e.Owner] = e
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return before(first[out[i]], first[out[j]]) })
 	return out
 }
 
@@ -280,18 +351,17 @@ func (t *Table) Expire() []Expired {
 	defer t.mu.Unlock()
 	now := t.now()
 	var out []Expired
-	kept := t.entries[:0]
-	for _, e := range t.entries {
+	t.filter(func(e *Entry) bool {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.installedAt) >= time.Duration(e.HardTimeout)*time.Second:
 			out = append(out, Expired{Entry: e, Reason: of.RemovedHardTimeout})
 		case e.IdleTimeout > 0 && now.Sub(e.lastHit) >= time.Duration(e.IdleTimeout)*time.Second:
 			out = append(out, Expired{Entry: e, Reason: of.RemovedIdleTimeout})
 		default:
-			kept = append(kept, e)
+			return false
 		}
-	}
-	t.entries = kept
+		return true
+	})
 	return out
 }
 

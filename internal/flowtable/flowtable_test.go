@@ -303,4 +303,7 @@ func TestModelAgainstReference(t *testing.T) {
 			}
 		}
 	}
+	// The same over the whole API: the indexed table against the linear
+	// implementation it replaced (reference_test.go).
+	t.Run("ops", testOpsAgainstReference)
 }

@@ -574,3 +574,17 @@ func (a *shieldedAPI) HasPermission(token core.Token) bool {
 func (a *shieldedAPI) Transaction() *Tx {
 	return &Tx{api: a}
 }
+
+// residentFlows and restoreFlow are the transaction's rollback log
+// (txAPI). The snapshot is empty where the kernel knows no such switch,
+// which includes the virtual big switch.
+func (a *shieldedAPI) residentFlows(dpid of.DPID, match *of.Match) []*flowtable.Entry {
+	entries, _ := a.shield.kernel.Flows(dpid, match)
+	return entries
+}
+
+func (a *shieldedAPI) restoreFlow(dpid of.DPID, e *flowtable.Entry) error {
+	return a.do(opInsertFlow, func(corr uint64) error {
+		return a.shield.kernel.InsertFlowAs(controller.Origin{App: e.Owner, Corr: corr}, dpid, restoreSpec(e))
+	})
+}

@@ -27,14 +27,65 @@ type prechecker interface {
 	checkDeleteFlow(corr uint64, dpid of.DPID, match *of.Match, priority uint16) error
 }
 
+// txAPI is what a transaction needs of the API variant that opened it:
+// the app's own calls, plus the kernel-side rollback log — the rules a
+// call is about to displace, as the shadow table holds them rather than
+// as the app may see them, and a way to put one back under the owner it
+// had. Restoring the pre-transaction state grants nothing new, so it is
+// not permission-checked, and it must not hand the rule to the caller.
+type txAPI interface {
+	API
+	residentFlows(dpid of.DPID, match *of.Match) []*flowtable.Entry
+	restoreFlow(dpid of.DPID, e *flowtable.Entry) error
+}
+
 // Tx is an atomic group of flow operations. Build it with the fluent
 // Insert/Delete methods and Commit once; the entire group executes only
 // if every call passes permission checking, and a mid-apply failure rolls
-// back the already-applied prefix.
+// back the already-applied prefix: every shadow table ends with the rules,
+// owners and actions it started with. A reinstalled rule goes to the end
+// of its priority run, as it does on the switch.
 type Tx struct {
-	api   API
+	api   txAPI
 	inner permengine.Tx
 	corr  uint64
+}
+
+// restoreSpec is the insertion that reinstalls a logged rule.
+func restoreSpec(e *flowtable.Entry) controller.FlowSpec {
+	return controller.FlowSpec{
+		Match: e.Match, Priority: e.Priority, Actions: e.Actions,
+		IdleTimeout: e.IdleTimeout, HardTimeout: e.HardTimeout,
+		Cookie: e.Cookie,
+	}
+}
+
+// exactRule narrows a snapshot to the rule with exactly this match and
+// priority: the one an insert replaces or a strict delete removes.
+func exactRule(entries []*flowtable.Entry, match *of.Match, priority uint16) []*flowtable.Entry {
+	if match == nil {
+		match = of.NewMatch()
+	}
+	for i, e := range entries {
+		if e.Priority == priority && e.Match.Equal(match) {
+			return entries[i : i+1]
+		}
+	}
+	return nil
+}
+
+// restore reinstalls logged rules; a switch that is gone took its rules
+// with it, which ends the undo for that switch without an error.
+func (t *Tx) restore(dpid of.DPID, entries []*flowtable.Entry) error {
+	for _, e := range entries {
+		if err := t.api.restoreFlow(dpid, e); err != nil {
+			if switchGone(err) {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // ensureOrigin mints the transaction's correlation ID on the first
@@ -56,11 +107,18 @@ func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
 	if pc, ok := t.api.(prechecker); ok {
 		check = func() error { return pc.checkInsertFlow(corr, dpid, spec) }
 	}
+	var displaced []*flowtable.Entry // the rule this insert replaces, if any
 	t.inner.Add(permengine.PlannedCall{
 		Call:  txDesc{fmt: "insert-flow"},
 		Check: check,
-		Apply: func() error { return t.api.InsertFlow(dpid, spec) },
+		Apply: func() error {
+			displaced = exactRule(t.api.residentFlows(dpid, spec.Match), spec.Match, spec.Priority)
+			return t.api.InsertFlow(dpid, spec)
+		},
 		Revert: func() error {
+			if len(displaced) > 0 {
+				return t.restore(dpid, displaced)
+			}
 			if err := t.api.DeleteFlow(dpid, spec.Match, spec.Priority, true); err != nil && !switchGone(err) {
 				return err
 			}
@@ -70,8 +128,8 @@ func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
 	return t
 }
 
-// DeleteFlow plans a flow deletion. On rollback the removed rules (as
-// visible to the app) are reinstalled.
+// DeleteFlow plans a flow deletion. On rollback the removed rules are
+// reinstalled under the owners they had.
 func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) *Tx {
 	corr := t.ensureOrigin()
 	var check func() error
@@ -83,32 +141,15 @@ func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict b
 		Call:  txDesc{fmt: "delete-flow"},
 		Check: check,
 		Apply: func() error {
-			entries, err := t.api.Flows(dpid, match)
-			if err == nil {
-				for _, e := range entries {
-					if !strict || e.Priority == priority {
-						removed = append(removed, e)
-					}
-				}
+			// The rules match subsumes are what a non-strict delete
+			// removes; a strict one removes the equal rule among them.
+			removed = t.api.residentFlows(dpid, match)
+			if strict {
+				removed = exactRule(removed, match, priority)
 			}
 			return t.api.DeleteFlow(dpid, match, priority, strict)
 		},
-		Revert: func() error {
-			for _, e := range removed {
-				err := t.api.InsertFlow(dpid, controller.FlowSpec{
-					Match: e.Match, Priority: e.Priority, Actions: e.Actions,
-					IdleTimeout: e.IdleTimeout, HardTimeout: e.HardTimeout,
-					Cookie: e.Cookie,
-				})
-				if err != nil {
-					if switchGone(err) {
-						return nil
-					}
-					return err
-				}
-			}
-			return nil
-		},
+		Revert: func() error { return t.restore(dpid, removed) },
 	})
 	return t
 }

@@ -71,7 +71,8 @@ type Bundle struct {
 	Audit []audit.Event `json:"audit"`
 	// Health is every registered obs health provider.
 	Health map[string]interface{} `json:"health"`
-	// Metrics is the default registry's full series snapshot.
+	// Metrics is the default registry's full series snapshot; automatic
+	// captures within a second of each other share one (read-only).
 	Metrics []obs.SeriesSnapshot `json:"metrics"`
 	// Runtime is the Go runtime's state.
 	Runtime RuntimeStats `json:"runtime"`
@@ -105,6 +106,13 @@ const bundleRetain = 16
 // a flapping detector must not turn the bundler into the overhead.
 const defaultCooldown = 30 * time.Second
 
+// metricsShareWindow is how long automatic captures keep sharing one
+// registry snapshot. A storm that trips a trigger for every hosted
+// tenant at once builds a bundle per tenant inside a second or two, and
+// the registry snapshot — most of a bundle, and the same for all of them
+// — would otherwise sit in the ring once per bundle.
+const metricsShareWindow = time.Second
+
 // Bundler captures and retains diagnostic bundles.
 type Bundler struct {
 	mu       sync.Mutex
@@ -112,6 +120,10 @@ type Bundler struct {
 	last     map[string]time.Time
 	cooldown time.Duration
 	seq      atomic.Uint64
+	// metrics is the registry snapshot of the last capture, taken at
+	// metricsAt; see metricsShareWindow. Never mutated once taken.
+	metrics   []obs.SeriesSnapshot
+	metricsAt time.Time
 
 	dirMu sync.Mutex
 	dir   string
@@ -212,7 +224,7 @@ func (b *Bundler) build(id string, now time.Time, trigger Trigger, app string, c
 		Frames:  def.Snapshot(FrameFilter{App: app, Limit: bundleFrameLimit}),
 		Usage:   usageSnapshots(),
 		Health:  obs.HealthSnapshots(),
-		Metrics: obs.Default().Snapshot(),
+		Metrics: b.metricsSnapshot(now, trigger),
 	}
 	if fn := profilesProvider.Load(); fn != nil {
 		bundle.Profiles = (*fn)()
@@ -237,6 +249,23 @@ func (b *Bundler) build(id string, now time.Time, trigger Trigger, app string, c
 		GCPauseTotal: time.Duration(ms.PauseTotalNs),
 	}
 	return bundle
+}
+
+// metricsSnapshot returns the default registry's series: fresh for a
+// manual capture, and for an automatic one unless another capture took
+// one within metricsShareWindow.
+func (b *Bundler) metricsSnapshot(now time.Time, trigger Trigger) []obs.SeriesSnapshot {
+	b.mu.Lock()
+	shared, at := b.metrics, b.metricsAt
+	b.mu.Unlock()
+	if trigger != TriggerManual && shared != nil && now.Sub(at) < metricsShareWindow {
+		return shared
+	}
+	fresh := obs.Default().Snapshot()
+	b.mu.Lock()
+	b.metrics, b.metricsAt = fresh, now
+	b.mu.Unlock()
+	return fresh
 }
 
 func (b *Bundler) writeFile(dir string, bundle *Bundle) error {

@@ -101,6 +101,22 @@ func TestCaptureCooldownSuppressesBursts(t *testing.T) {
 	}
 }
 
+// A trigger that fires for many apps at once builds a bundle per app; the
+// registry snapshot, the same for all of them, is held once.
+func TestStormCapturesShareMetricsSnapshot(t *testing.T) {
+	obs.Default().Counter("storm_probe_total", "").Inc()
+	b := &Bundler{last: make(map[string]time.Time), cooldown: time.Hour}
+	first := b.Capture(TriggerAnomaly, "t1/app", 0, "")
+	second := b.Capture(TriggerAnomaly, "t2/app", 0, "")
+	manual := b.Capture(TriggerManual, "t2/app", 0, "")
+	if len(first.Metrics) == 0 || &first.Metrics[0] != &second.Metrics[0] {
+		t.Fatal("automatic captures in one burst do not share the metrics snapshot")
+	}
+	if &manual.Metrics[0] == &first.Metrics[0] {
+		t.Fatal("a manual capture must take a fresh metrics snapshot")
+	}
+}
+
 func TestCaptureWritesBundleDir(t *testing.T) {
 	dir := t.TempDir()
 	b := &Bundler{last: make(map[string]time.Time)}

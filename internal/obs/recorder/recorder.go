@@ -190,8 +190,8 @@ type rshard struct {
 }
 
 // Recorder is the sharded bounded frame ring. Memory is fixed at
-// construction: shards × perShard × sizeof(Frame), regardless of how
-// long the process runs.
+// construction: the capacity New was given × sizeof(Frame), regardless
+// of how long the process runs.
 type Recorder struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64
@@ -220,16 +220,26 @@ func shardCount() int {
 	return p
 }
 
-// New builds a recorder retaining up to perShard frames on each of
-// shardCount() stripes. perShard <= 0 selects the default (2048).
-func New(perShard int) *Recorder {
-	if perShard <= 0 {
-		perShard = 2048
-	}
+// defaultPerShard sizes the default recorder: it scales with the stripe
+// set, so every core keeps this much history of its own.
+const defaultPerShard = 2048
+
+// New builds a recorder retaining the newest n frames in total, whatever
+// the core count: the stripe set is shardCount() halved until it divides
+// n, so the stripes hold n/stripes frames each and, Record being
+// round-robin by sequence number, together exactly the last n. n <= 0
+// selects the default, defaultPerShard frames per stripe.
+func New(n int) *Recorder {
 	ns := shardCount()
+	if n <= 0 {
+		n = defaultPerShard * ns
+	}
+	for n%ns != 0 {
+		ns >>= 1
+	}
 	r := &Recorder{shards: make([]rshard, ns), mask: uint64(ns - 1)}
 	for i := range r.shards {
-		r.shards[i].frames = make([]Frame, perShard)
+		r.shards[i].frames = make([]Frame, n/ns)
 	}
 	r.enabled.Store(true)
 	return r

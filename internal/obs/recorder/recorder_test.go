@@ -74,7 +74,7 @@ func TestRecorderRetainsAndFilters(t *testing.T) {
 }
 
 func TestRecorderRingOverwritesOldest(t *testing.T) {
-	r := New(8) // per shard; a single goroutine lands on one shard
+	r := New(8) // in total, across however many stripes this machine has
 	app := Intern("churn")
 	for i := 0; i < 100; i++ {
 		r.Record(Frame{Kind: KindMediatedCall, App: app})
