@@ -14,10 +14,7 @@ import (
 
 	"sdnshield/internal/bench"
 	"sdnshield/internal/faults"
-	"sdnshield/internal/jobs"
-	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
-	"sdnshield/internal/tenant"
 )
 
 func main() {
@@ -34,63 +31,15 @@ func run(args []string) error {
 	faultDup := fs.Float64("fault-dup", 0, "per-message duplication probability on switch connections")
 	faultDelayMS := fs.Int("fault-delay-ms", 0, "max injected per-message delay (enables delay faults at p=0.2)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault schedule (same seed, same schedule)")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve the telemetry endpoint (/metrics, /health, /audit, /traces, pprof) on this address, e.g. 127.0.0.1:9090")
-	auditFile := fs.String("audit-file", "", "append audit events as JSONL to this file (rotated at 64 MiB)")
-	traceFile := fs.String("trace-file", "", "append finished trace spans as JSONL to this file (rotated at 64 MiB)")
-	sloOn := fs.Bool("slo", false, "evaluate the built-in SLOs and serve them at /slo")
-	bundleDir := fs.String("bundle-dir", "", "write diagnostic bundles (anomaly/quota/quarantine captures) to this directory as <id>.json")
-	profDir := fs.String("prof-dir", "", "run the continuous profiler: delta CPU/heap/mutex/block pprof captures land here in a bounded ring, surfaced at /prof and inside diagnostic bundles")
-	tenantID := fs.String("tenant", "", "stamp all audit events of this run with a tenant ID (so a shared journal sink can be filtered per tenant)")
+	telemetry := bench.RegisterTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tenantID != "" {
-		if _, err := tenant.ParseID(*tenantID); err != nil {
-			return err
-		}
-		audit.SetDefaultTenant(*tenantID)
-	}
-
-	stopTelemetry, bound, err := bench.StartTelemetry(*telemetryAddr)
+	stopTelemetry, err := telemetry.Start()
 	if err != nil {
 		return err
 	}
-	if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry endpoint on http://%s/\n", bound)
-	}
-	stopAudit, err := bench.StartAuditSink(*auditFile)
-	if err != nil {
-		stopTelemetry()
-		return err
-	}
-	stopTrace, err := bench.StartTraceSink(*traceFile)
-	if err != nil {
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	stopSLO := bench.StartSLO(*sloOn)
-	stopBundles, err := bench.StartBundleDir(*bundleDir)
-	if err != nil {
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	stopProf, err := bench.StartProfiler(*profDir)
-	if err != nil {
-		stopBundles()
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	// Flush the audit sink and close the telemetry server on SIGINT/
-	// SIGTERM too, so an interrupted run loses no events.
-	cancelShutdown := bench.OnShutdown(jobs.DrainAll, stopProf, stopBundles, stopSLO, stopTrace, stopAudit, stopTelemetry)
-	defer cancelShutdown()
+	defer stopTelemetry()
 	defer func() { fmt.Println(bench.TelemetrySummary()) }()
 
 	var wrap bench.FaultWrap

@@ -19,9 +19,6 @@ import (
 	"time"
 
 	"sdnshield/internal/bench"
-	"sdnshield/internal/jobs"
-	"sdnshield/internal/obs/audit"
-	"sdnshield/internal/tenant"
 )
 
 func main() {
@@ -53,63 +50,15 @@ func run(args []string) error {
 	duration := fs.Duration("duration", time.Second, "flood duration per cell (fig7)")
 	appsList := fs.String("apps", "1,2,4,8,16,32", "concurrent app counts for fig8")
 	callsList := fs.String("calls", "1,4,16,64", "API calls per event for fig8")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve the telemetry endpoint (/metrics, /health, /audit, /traces, pprof) on this address, e.g. 127.0.0.1:9090")
-	auditFile := fs.String("audit-file", "", "append audit events as JSONL to this file (rotated at 64 MiB)")
-	traceFile := fs.String("trace-file", "", "append finished trace spans as JSONL to this file (rotated at 64 MiB)")
-	sloOn := fs.Bool("slo", false, "evaluate the built-in SLOs and serve them at /slo")
-	bundleDir := fs.String("bundle-dir", "", "write diagnostic bundles (anomaly/quota/quarantine captures) to this directory as <id>.json")
-	profDir := fs.String("prof-dir", "", "run the continuous profiler: delta CPU/heap/mutex/block pprof captures land here in a bounded ring, surfaced at /prof and inside diagnostic bundles")
-	tenantID := fs.String("tenant", "", "stamp all audit events of this run with a tenant ID (so a shared journal sink can be filtered per tenant)")
+	telemetry := bench.RegisterTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tenantID != "" {
-		if _, err := tenant.ParseID(*tenantID); err != nil {
-			return err
-		}
-		audit.SetDefaultTenant(*tenantID)
-	}
-
-	stopTelemetry, bound, err := bench.StartTelemetry(*telemetryAddr)
+	stopTelemetry, err := telemetry.Start()
 	if err != nil {
 		return err
 	}
-	if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry endpoint on http://%s/\n", bound)
-	}
-	stopAudit, err := bench.StartAuditSink(*auditFile)
-	if err != nil {
-		stopTelemetry()
-		return err
-	}
-	stopTrace, err := bench.StartTraceSink(*traceFile)
-	if err != nil {
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	stopSLO := bench.StartSLO(*sloOn)
-	stopBundles, err := bench.StartBundleDir(*bundleDir)
-	if err != nil {
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	stopProf, err := bench.StartProfiler(*profDir)
-	if err != nil {
-		stopBundles()
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return err
-	}
-	// Flush the audit sink and close the telemetry server on SIGINT/
-	// SIGTERM too, so an interrupted run loses no events.
-	cancelShutdown := bench.OnShutdown(jobs.DrainAll, stopProf, stopBundles, stopSLO, stopTrace, stopAudit, stopTelemetry)
-	defer cancelShutdown()
+	defer stopTelemetry()
 	defer func() { fmt.Println(bench.TelemetrySummary()) }()
 
 	switches, err := parseInts(*switchList)

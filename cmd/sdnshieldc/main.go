@@ -70,7 +70,6 @@ import (
 	"sdnshield/internal/bench"
 	"sdnshield/internal/jobs"
 	"sdnshield/internal/market"
-	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
 	"sdnshield/internal/tenant"
 )
@@ -91,12 +90,7 @@ func run(args []string) (int, error) {
 	policyPath := fs.String("policy", "", "path to the security policy (optional)")
 	strict := fs.Bool("strict", false, "exit with status 2 on any policy violation")
 	quiet := fs.Bool("quiet", false, "print only the reconciled permissions")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve the telemetry endpoint (/metrics, /health, /audit, pprof) on this address, e.g. 127.0.0.1:9090")
-	auditFile := fs.String("audit-file", "", "append audit events as JSONL to this file (rotated at 64 MiB)")
-	traceFile := fs.String("trace-file", "", "append finished trace spans as JSONL to this file (rotated at 64 MiB)")
-	sloOn := fs.Bool("slo", false, "evaluate the built-in SLOs (install latency, queue wait, mediated calls, cache hits, dead letters) and serve them at /slo")
-	bundleDir := fs.String("bundle-dir", "", "write diagnostic bundles (anomaly/quota/quarantine captures) to this directory as <id>.json")
-	profDir := fs.String("prof-dir", "", "run the continuous profiler: delta CPU/heap/mutex/block pprof captures land here in a bounded ring, surfaced at /prof and inside diagnostic bundles")
+	telemetry := bench.RegisterTelemetryFlags(fs)
 	marketDir := fs.String("market-dir", "", "market mode: operate on this app-market directory (keys/ + releases/)")
 	marketKeygen := fs.String("market-keygen", "", "market mode: generate a keypair for this vendor under the market dir, print the public key, and exit")
 	marketSign := fs.Bool("market-sign", false, "market mode: package -app/-manifest as a signed release (needs -market-vendor, -market-version)")
@@ -110,7 +104,6 @@ func run(args []string) (int, error) {
 	marketSyncInterval := fs.Duration("market-sync-interval", 2*time.Second, "follower mode: upstream poll cadence")
 	tenantsDir := fs.String("tenants-dir", "", "multi-tenant serve mode: host isolated tenants over this store; serves /t/<tenant>/market/..., /t/<tenant>/{audit,trace,apps,jobs} and the /tenants admin surface (pair with -telemetry-addr)")
 	tenantsAdminToken := fs.String("tenants-admin-token", "", "require this bearer token on the /tenants admin API (empty leaves it open — only acceptable behind a trusted network boundary)")
-	tenantID := fs.String("tenant", "", "stamp this tenant on audit events of a single-tenant run (multi-tenant serve mode derives the tenant per request instead)")
 	if err := fs.Parse(args); err != nil {
 		return 1, err
 	}
@@ -118,13 +111,6 @@ func run(args []string) (int, error) {
 		fs.Usage()
 		return 1, fmt.Errorf("-manifest is required")
 	}
-	if *tenantID != "" {
-		if _, err := tenant.ParseID(*tenantID); err != nil {
-			return 1, err
-		}
-		audit.SetDefaultTenant(*tenantID)
-	}
-
 	// Key generation needs no policy, telemetry or audit plumbing.
 	if *marketDir != "" && *marketKeygen != "" {
 		pub, err := market.Keygen(*marketDir, *marketKeygen)
@@ -224,52 +210,15 @@ func run(args []string) (int, error) {
 		}
 	}
 
-	stopTelemetry, bound, err := bench.StartTelemetry(*telemetryAddr)
-	if err != nil {
-		return 1, err
-	}
-	if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry endpoint on http://%s/\n", bound)
-	}
-	stopAudit, err := bench.StartAuditSink(*auditFile)
-	if err != nil {
-		stopTelemetry()
-		return 1, err
-	}
 	if *marketNode != "" {
 		span.SetNode(*marketNode)
 	}
-	stopTrace, err := bench.StartTraceSink(*traceFile)
+	stopTelemetry, err := telemetry.Start()
 	if err != nil {
-		stopAudit()
-		stopTelemetry()
 		return 1, err
 	}
-	stopSLO := bench.StartSLO(*sloOn)
-	stopBundles, err := bench.StartBundleDir(*bundleDir)
-	if err != nil {
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return 1, err
-	}
-	stopProf, err := bench.StartProfiler(*profDir)
-	if err != nil {
-		stopBundles()
-		stopSLO()
-		stopTrace()
-		stopAudit()
-		stopTelemetry()
-		return 1, err
-	}
-	// Flush the audit sink and close the telemetry server on SIGINT/
-	// SIGTERM too, so an interrupted run loses no events. Job queues
-	// drain first: in-flight installs finish and the WAL is fsynced
-	// before the audit trail is sealed.
-	cancelShutdown := bench.OnShutdown(jobs.DrainAll, stopProf, stopBundles, stopSLO, stopTrace, stopAudit, stopTelemetry)
-	defer cancelShutdown()
-	defer jobs.DrainAll()
+	defer stopTelemetry()
+	bound := telemetry.Bound
 	// The reconciled permissions go to stdout; the digest must not mix in.
 	defer func() { fmt.Fprintln(os.Stderr, bench.TelemetrySummary()) }()
 

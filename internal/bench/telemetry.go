@@ -1,15 +1,92 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"time"
 
+	"sdnshield/internal/jobs"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/prof"
 	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/tenant"
 )
+
+// TelemetryFlags is the telemetry flag block the CLIs share: where to
+// serve the introspection endpoint, which sinks to attach, and the tenant
+// to stamp on the run's audit events.
+type TelemetryFlags struct {
+	addr, auditFile, traceFile, bundleDir, profDir *string
+	slo                                            *bool
+
+	// Bound is the address the telemetry endpoint listens on once Start
+	// has returned ("" when -telemetry-addr was not given).
+	Bound string
+}
+
+// RegisterTelemetryFlags defines the shared telemetry flags on fs.
+// -tenant takes effect as it is parsed, so that everything a CLI does
+// after fs.Parse — loading a market store included — is already
+// attributed; the rest take effect in Start.
+func RegisterTelemetryFlags(fs *flag.FlagSet) *TelemetryFlags {
+	fs.Func("tenant", "stamp all audit events of this run with this tenant `id`, so a shared journal sink can be filtered per tenant (sdnshieldc's multi-tenant serve mode derives the tenant per request instead)",
+		func(id string) error {
+			if id == "" {
+				return nil
+			}
+			if _, err := tenant.ParseID(id); err != nil {
+				return err
+			}
+			audit.SetDefaultTenant(id)
+			return nil
+		})
+	return &TelemetryFlags{
+		addr:      fs.String("telemetry-addr", "", "serve the telemetry endpoint (/metrics, /health, /audit, /traces, pprof) on this address, e.g. 127.0.0.1:9090"),
+		auditFile: fs.String("audit-file", "", "append audit events as JSONL to this file (rotated at 64 MiB)"),
+		traceFile: fs.String("trace-file", "", "append finished trace spans as JSONL to this file (rotated at 64 MiB)"),
+		slo:       fs.Bool("slo", false, "evaluate the built-in SLOs (install latency, queue wait, mediated calls, cache hits, dead letters) and serve them at /slo"),
+		bundleDir: fs.String("bundle-dir", "", "write diagnostic bundles (anomaly/quota/quarantine captures) to this directory as <id>.json"),
+		profDir:   fs.String("prof-dir", "", "run the continuous profiler: delta CPU/heap/mutex/block pprof captures land here in a bounded ring, surfaced at /prof and inside diagnostic bundles"),
+	}
+}
+
+// Start brings up what the parsed flags ask for — endpoint, audit sink,
+// trace sink, SLO engine, bundle directory, profiler, in that order — and
+// unwinds whatever already started if a later one fails. The returned
+// stop drains the job queues (in-flight installs finish and the WAL is
+// fsynced before the audit trail is sealed) and then stops everything in
+// reverse order; it also runs on SIGINT/SIGTERM, so an interrupted run
+// loses no events.
+func (f *TelemetryFlags) Start() (stop func(), err error) {
+	stopTelemetry, bound, err := StartTelemetry(*f.addr)
+	if err != nil {
+		return nil, err
+	}
+	if f.Bound = bound; bound != "" {
+		fmt.Fprintf(os.Stderr, "telemetry endpoint on http://%s/\n", bound)
+	}
+	stops := []func(){stopTelemetry} // newest first
+	for _, start := range []func() (func(), error){
+		func() (func(), error) { return StartAuditSink(*f.auditFile) },
+		func() (func(), error) { return StartTraceSink(*f.traceFile) },
+		func() (func(), error) { return StartSLO(*f.slo), nil },
+		func() (func(), error) { return StartBundleDir(*f.bundleDir) },
+		func() (func(), error) { return StartProfiler(*f.profDir) },
+	} {
+		s, err := start()
+		if err != nil {
+			for _, s := range stops {
+				s()
+			}
+			return nil, err
+		}
+		stops = append([]func(){s}, stops...)
+	}
+	return OnShutdown(append([]func(){jobs.DrainAll}, stops...)...), nil
+}
 
 // StartTelemetry serves the obs introspection endpoint on addr ("" means
 // off). It returns a stop function (never nil) and the bound address.

@@ -2,6 +2,7 @@ package isolation
 
 import (
 	"fmt"
+	"strings"
 
 	"sdnshield/internal/controller"
 	"sdnshield/internal/core"
@@ -25,18 +26,10 @@ var modelTokens = map[string]struct{ read, write core.Token }{
 }
 
 func modelTokenFor(path string, write bool) core.Token {
-	root := path
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			root = path[:i]
-			break
-		}
-	}
+	root, _, _ := strings.Cut(path, "/")
 	entry, ok := modelTokens[root]
 	if !ok {
-		entry = struct{ read, write core.Token }{
-			read: core.TokenVisibleTopology, write: core.TokenModifyTopology,
-		}
+		entry = modelTokens["topology"]
 	}
 	if write {
 		return entry.write
@@ -127,6 +120,35 @@ func apiValue[T any](a *shieldedAPI, op *mediatedOp, fn func(corr uint64) (T, er
 	return doValue(a.shield, a.container, op, corr, func() (T, error) { return fn(corr) })
 }
 
+// visible keeps the rows of a listing that the app's grant for token
+// admits (§IV-B: filters restrict what an app sees rather than deny the
+// listing outright). describe fills in the call attributes one row
+// presents to the filters. Row filtering is not a mediated decision: the
+// listing's op-level check is, so nothing here is counted, logged or
+// audited.
+func visible[T any](a *shieldedAPI, token core.Token, rows []T, describe func(T, *core.Call)) []T {
+	allows := a.engine().Filter(a.name, token)
+	kept := rows[:0]
+	var row core.Call // one per listing, reset per row
+	for _, r := range rows {
+		row = core.Call{App: a.name, Token: token}
+		describe(r, &row)
+		if allows(&row) {
+			kept = append(kept, r)
+		}
+	}
+	return kept
+}
+
+// orAny stands the match-everything match in for a nil one: the filters
+// see every call that names flows with a match to test.
+func orAny(m *of.Match) *of.Match {
+	if m == nil {
+		return of.NewMatch()
+	}
+	return m
+}
+
 // foreignOwner finds the owner of a foreign flow the operation would
 // affect: any rule overlapping the match whose owner differs from the
 // caller and which the new rule could shadow (equal or lower priority).
@@ -138,10 +160,7 @@ func (a *shieldedAPI) foreignOwner(dpid of.DPID, match *of.Match, priority uint1
 
 // checkInsertFlow builds and checks the insert_flow call.
 func (a *shieldedAPI) checkInsertFlow(corr uint64, dpid of.DPID, spec controller.FlowSpec) error {
-	match := spec.Match
-	if match == nil {
-		match = of.NewMatch()
-	}
+	match := orAny(spec.Match)
 	actions := spec.Actions
 	if actions == nil {
 		actions = []of.Action{}
@@ -189,21 +208,14 @@ func (a *shieldedAPI) modifyToken() core.Token {
 // checkAffected checks token against every existing rule the match
 // subsumes, so a single call cannot touch another app's flows unnoticed.
 func (a *shieldedAPI) checkAffected(corr uint64, token core.Token, dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	if match == nil {
-		match = of.NewMatch()
-	}
+	match = orAny(match)
 	entries, err := a.shield.kernel.Flows(dpid, match)
 	if err != nil {
 		return err
 	}
 	if len(entries) == 0 {
-		call := &core.Call{
-			App: a.name, Token: token, Corr: corr, DPID: dpid, HasDPID: true,
-			Match: match, Actions: actions,
-			Priority: priority, HasPriority: true,
-			HasFlowOwner: true,
-		}
-		return a.engine().Check(call)
+		// Nothing resident to affect: check the call as issued, unowned.
+		entries = []*flowtable.Entry{{Match: match, Priority: priority}}
 	}
 	for _, e := range entries {
 		call := &core.Call{
@@ -238,12 +250,9 @@ func (a *shieldedAPI) checkDeleteFlow(corr uint64, dpid of.DPID, match *of.Match
 // virtualDeleteCall builds the delete_flow check for the virtual view
 // (translated deletes only ever touch the app's own physical rules).
 func (a *shieldedAPI) virtualDeleteCall(corr uint64, match *of.Match, priority uint16) *core.Call {
-	if match == nil {
-		match = of.NewMatch()
-	}
 	return &core.Call{
 		App: a.name, Token: core.TokenDeleteFlow, Corr: corr, DPID: bigSwitchDPID, HasDPID: true,
-		Match: match, Priority: priority, HasPriority: true, HasFlowOwner: true,
+		Match: orAny(match), Priority: priority, HasPriority: true, HasFlowOwner: true,
 	}
 }
 
@@ -264,10 +273,7 @@ func (a *shieldedAPI) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, 
 		// Audit-visible check of the operation itself.
 		opCall := &core.Call{
 			App: a.name, Token: core.TokenReadFlowTable, Corr: corr, DPID: dpid, HasDPID: true,
-			Match: match, HasFlowOwner: true,
-		}
-		if opCall.Match == nil {
-			opCall.Match = of.NewMatch()
+			Match: orAny(match), HasFlowOwner: true,
 		}
 		if !a.engine().HasToken(a.name, core.TokenReadFlowTable) {
 			return nil, a.engine().Check(opCall)
@@ -276,22 +282,12 @@ func (a *shieldedAPI) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, 
 		if err != nil {
 			return nil, err
 		}
-		// Per-entry visibility filtering (§IV-B: filters restrict apps'
-		// visibility of flow table entries).
-		set, _ := a.engine().Permissions(a.name)
-		visible := entries[:0]
-		for _, e := range entries {
-			call := &core.Call{
-				App: a.name, Token: core.TokenReadFlowTable, DPID: dpid, HasDPID: true,
-				Match: e.Match, Actions: e.Actions,
-				Priority: e.Priority, HasPriority: true,
-				FlowOwner: e.Owner, HasFlowOwner: true,
-			}
-			if set.Allows(call) {
-				visible = append(visible, e)
-			}
-		}
-		return visible, nil
+		return visible(a, core.TokenReadFlowTable, entries, func(e *flowtable.Entry, row *core.Call) {
+			row.DPID, row.HasDPID = dpid, true
+			row.Match, row.Actions = e.Match, e.Actions
+			row.Priority, row.HasPriority = e.Priority, true
+			row.FlowOwner, row.HasFlowOwner = e.Owner, true
+		}), nil
 	})
 }
 
@@ -324,10 +320,7 @@ func (a *shieldedAPI) FlowStats(dpid of.DPID, match *of.Match) ([]of.FlowStatsEn
 	return apiValue(a, opFlowStats, func(corr uint64) ([]of.FlowStatsEntry, error) {
 		call := &core.Call{
 			App: a.name, Token: core.TokenReadStatistics, Corr: corr, DPID: dpid, HasDPID: true,
-			StatsLevel: of.StatsFlow, Match: match,
-		}
-		if call.Match == nil {
-			call.Match = of.NewMatch()
+			StatsLevel: of.StatsFlow, Match: orAny(match),
 		}
 		if err := a.engine().Check(call); err != nil {
 			return nil, err
@@ -339,19 +332,11 @@ func (a *shieldedAPI) FlowStats(dpid of.DPID, match *of.Match) ([]of.FlowStatsEn
 		if err != nil {
 			return nil, err
 		}
-		set, _ := a.engine().Permissions(a.name)
-		visible := rows[:0]
-		for _, row := range rows {
-			rowCall := &core.Call{
-				App: a.name, Token: core.TokenReadStatistics, DPID: dpid, HasDPID: true,
-				StatsLevel: of.StatsFlow, Match: row.Match,
-				Priority: row.Priority, HasPriority: true,
-			}
-			if set.Allows(rowCall) {
-				visible = append(visible, row)
-			}
-		}
-		return visible, nil
+		return visible(a, core.TokenReadStatistics, rows, func(r of.FlowStatsEntry, row *core.Call) {
+			row.DPID, row.HasDPID = dpid, true
+			row.StatsLevel, row.Match = of.StatsFlow, r.Match
+			row.Priority, row.HasPriority = r.Priority, true
+		}), nil
 	})
 }
 
@@ -390,75 +375,40 @@ func (a *shieldedAPI) SwitchStats(dpid of.DPID) (of.SwitchStats, error) {
 // ---------------------------------------------------------------------------
 // Topology
 
-func (a *shieldedAPI) Switches() ([]topology.SwitchInfo, error) {
-	return apiValue(a, opSwitches, func(corr uint64) ([]topology.SwitchInfo, error) {
-		all := a.shield.kernel.Topology().Switches()
-		ids := make([]of.DPID, len(all))
-		for i, s := range all {
-			ids[i] = s.DPID
-		}
-		call := &core.Call{App: a.name, Token: core.TokenVisibleTopology, Corr: corr, Switches: ids}
+// listTopology is the shape Switches, Links and Hosts share. Without
+// visible_topology the listing is denied outright, as one audited
+// decision; an app on the virtual big switch gets the translator's view;
+// anyone else gets the physical rows its filter admits.
+func listTopology[T any](a *shieldedAPI, op *mediatedOp, virtual func(*translator) []T,
+	physical func(*topology.Topology) []T, describe func(T, *core.Call)) ([]T, error) {
+	return apiValue(a, op, func(corr uint64) ([]T, error) {
 		if !a.engine().HasToken(a.name, core.TokenVisibleTopology) {
-			return nil, a.engine().Check(call)
+			return nil, a.engine().Check(&core.Call{App: a.name, Token: core.TokenVisibleTopology, Corr: corr})
 		}
 		if a.virt != nil {
-			return a.virt.switches(), nil
+			return virtual(a.virt), nil
 		}
-		// Filter to the visible subset rather than denying outright.
-		set, _ := a.engine().Permissions(a.name)
-		visible := all[:0]
-		for _, s := range all {
-			c := &core.Call{App: a.name, Token: core.TokenVisibleTopology, Switches: []of.DPID{s.DPID}}
-			if set.Allows(c) {
-				visible = append(visible, s)
-			}
-		}
-		return visible, nil
+		return visible(a, core.TokenVisibleTopology, physical(a.shield.kernel.Topology()), describe), nil
 	})
+}
+
+func (a *shieldedAPI) Switches() ([]topology.SwitchInfo, error) {
+	return listTopology(a, opSwitches, (*translator).switches, (*topology.Topology).Switches,
+		func(s topology.SwitchInfo, row *core.Call) { row.Switches = []of.DPID{s.DPID} })
 }
 
 func (a *shieldedAPI) Links() ([]topology.Link, error) {
-	return apiValue(a, opLinks, func(corr uint64) ([]topology.Link, error) {
-		if !a.engine().HasToken(a.name, core.TokenVisibleTopology) {
-			return nil, a.engine().Check(&core.Call{App: a.name, Token: core.TokenVisibleTopology, Corr: corr})
-		}
-		if a.virt != nil {
-			return nil, nil // a single big switch has no internal links
-		}
-		set, _ := a.engine().Permissions(a.name)
-		all := a.shield.kernel.Topology().Links()
-		visible := all[:0]
-		for _, l := range all {
-			c := &core.Call{App: a.name, Token: core.TokenVisibleTopology,
-				Switches: []of.DPID{l.A, l.B},
-				Links:    []core.LinkID{l.ID()}}
-			if set.Allows(c) {
-				visible = append(visible, l)
-			}
-		}
-		return visible, nil
-	})
+	// A single big switch has no internal links.
+	return listTopology(a, opLinks, func(*translator) []topology.Link { return nil }, (*topology.Topology).Links,
+		func(l topology.Link, row *core.Call) {
+			row.Switches = []of.DPID{l.A, l.B}
+			row.Links = []core.LinkID{l.ID()}
+		})
 }
 
 func (a *shieldedAPI) Hosts() ([]topology.Host, error) {
-	return apiValue(a, opHosts, func(corr uint64) ([]topology.Host, error) {
-		if !a.engine().HasToken(a.name, core.TokenVisibleTopology) {
-			return nil, a.engine().Check(&core.Call{App: a.name, Token: core.TokenVisibleTopology, Corr: corr})
-		}
-		if a.virt != nil {
-			return a.virt.hosts(), nil
-		}
-		set, _ := a.engine().Permissions(a.name)
-		all := a.shield.kernel.Topology().Hosts()
-		visible := all[:0]
-		for _, h := range all {
-			c := &core.Call{App: a.name, Token: core.TokenVisibleTopology, Switches: []of.DPID{h.Switch}}
-			if set.Allows(c) {
-				visible = append(visible, h)
-			}
-		}
-		return visible, nil
-	})
+	return listTopology(a, opHosts, (*translator).hosts, (*topology.Topology).Hosts,
+		func(h topology.Host, row *core.Call) { row.Switches = []of.DPID{h.Switch} })
 }
 
 func (a *shieldedAPI) AddLink(l topology.Link) error {

@@ -159,26 +159,31 @@ func TestReconcileReleaseMemoizes(t *testing.T) {
 func TestCacheHitSpeedup(t *testing.T) {
 	m, sr := heavyMarket(t, 16)
 	const rounds = 50
-
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		m.cache = NewVerdictCache() // force the full pipeline
-		if _, hit, err := m.reconcileRelease(sr); err != nil || hit {
-			t.Fatalf("miss round: hit=%v err=%v", hit, err)
+	// Each side is its fastest round: a mean over 50 rounds turns one
+	// preemption of a few milliseconds into a 5x "slowdown" of the
+	// microsecond-scale hit path.
+	fastest := func(wantHit bool) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < rounds; i++ {
+			if !wantHit {
+				m.cache = NewVerdictCache() // force the full pipeline
+			}
+			start := time.Now()
+			_, hit, err := m.reconcileRelease(sr)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			if err != nil || hit != wantHit {
+				t.Fatalf("round %d: hit=%v (want %v) err=%v", i, hit, wantHit, err)
+			}
 		}
+		return best
 	}
-	missPer := time.Since(start) / rounds
-
+	missPer := fastest(false)
 	if _, _, err := m.reconcileRelease(sr); err != nil { // warm
 		t.Fatal(err)
 	}
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, hit, err := m.reconcileRelease(sr); err != nil || !hit {
-			t.Fatalf("hit round: hit=%v err=%v", hit, err)
-		}
-	}
-	hitPer := time.Since(start) / rounds
+	hitPer := fastest(true)
 
 	if hitPer <= 0 {
 		hitPer = 1

@@ -419,14 +419,13 @@ func (m *Market) InstallTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 		return result, nil
 	default: // approved
 		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, cv), corr, false)
+		m.activate(sr.Name, refOf(sr, cv), corr, false, "install", audit.VerdictInstall,
+			fmt.Sprintf("release %s@%s approved and activated", sr.Name, sr.Version))
 		dAct := time.Since(tAct)
 		observeStage("activate", dAct)
 		span.Add(ot.Span, "stage:activate", tAct, dAct)
 		result.Status = StatusActive
 		countLifecycle("install")
-		m.emit("install", audit.VerdictInstall, sr.Name, corr,
-			fmt.Sprintf("release %s@%s approved and activated", sr.Name, sr.Version))
 		return result, nil
 	}
 }
@@ -490,14 +489,13 @@ func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 		return result, nil
 	default: // approved
 		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, cv), corr, true)
+		m.activate(sr.Name, refOf(sr, cv), corr, true, "upgrade", audit.VerdictUpgrade,
+			fmt.Sprintf("upgrade to %s@%s activated, probation %v", sr.Name, sr.Version, m.cfg.Probation))
 		dAct := time.Since(tAct)
 		observeStage("activate", dAct)
 		span.Add(ot.Span, "stage:activate", tAct, dAct)
 		result.Status = StatusProbation
 		countLifecycle("upgrade")
-		m.emit("upgrade", audit.VerdictUpgrade, sr.Name, corr,
-			fmt.Sprintf("upgrade to %s@%s activated, probation %v", sr.Name, sr.Version, m.cfg.Probation))
 		return result, nil
 	}
 }
@@ -517,14 +515,13 @@ func (m *Market) Approve(app string) (*InstallResult, error) {
 	m.mu.Unlock()
 
 	corr := audit.NextCorr()
-	m.activate(app, pending, corr, isUpgrade)
-	countLifecycle("approve")
 	status := StatusActive
 	if isUpgrade {
 		status = StatusProbation
 	}
-	m.emit("approve", audit.VerdictApprove, app, corr,
+	m.activate(app, pending, corr, isUpgrade, "approve", audit.VerdictApprove,
 		fmt.Sprintf("signed off %s@%s (%s); now %s", app, pending.version, pending.verdict, status))
+	countLifecycle("approve")
 
 	sr, err := m.reg.Release(pending.digest)
 	if err != nil {
@@ -558,6 +555,7 @@ func (m *Market) Revoke(app string) error {
 	st.prev = nil
 	corr := audit.NextCorr()
 	st.corr = corr
+	m.emit("revoke", audit.VerdictRevoke, app, corr, "permissions revoked")
 	m.mu.Unlock()
 
 	if m.runtime != nil {
@@ -567,7 +565,6 @@ func (m *Market) Revoke(app string) error {
 	}
 	countLifecycle("revoke")
 	gActiveApps.Add(-1)
-	m.emit("revoke", audit.VerdictRevoke, app, corr, "permissions revoked")
 	return nil
 }
 
@@ -607,8 +604,11 @@ func (m *Market) pushProvenance(app string, notes []string) {
 
 // activate installs a release's effective permissions atomically and,
 // for upgrades, arms the probation monitor with the previous release as
-// the rollback target.
-func (m *Market) activate(app string, ref *releaseRef, corr uint64, probated bool) {
+// the rollback target. op, v and detail are the transition's journal
+// event, emitted like every lifecycle event inside the critical section
+// that changes the app's state: a reader of Status or ActivePermissions
+// never sees a transition that is not yet journaled (emit never blocks).
+func (m *Market) activate(app string, ref *releaseRef, corr uint64, probated bool, op string, v audit.Verdict, detail string) {
 	m.mu.Lock()
 	st := m.stateLocked(app)
 	if st.probationStop != nil {
@@ -639,6 +639,7 @@ func (m *Market) activate(app string, ref *releaseRef, corr uint64, probated boo
 	} else {
 		st.status = StatusActive
 	}
+	m.emit(op, v, app, corr, detail)
 	m.mu.Unlock()
 
 	if m.runtime != nil {
@@ -695,11 +696,11 @@ func (m *Market) commitUpgrade(app string, ref *releaseRef, stop chan struct{}, 
 	st.probationStop = nil
 	st.prev = nil
 	st.status = StatusActive
+	m.emit("commit", audit.VerdictApprove, app, corr,
+		fmt.Sprintf("upgrade to %s@%s survived probation; committed", app, ref.version))
 	m.mu.Unlock()
 	gProbations.Add(-1)
 	countLifecycle("commit")
-	m.emit("commit", audit.VerdictApprove, app, corr,
-		fmt.Sprintf("upgrade to %s@%s survived probation; committed", app, ref.version))
 }
 
 // rollback reverts a probated upgrade to the previous release's
@@ -716,6 +717,8 @@ func (m *Market) rollback(app string, ref *releaseRef, stop chan struct{}, corr 
 	st.prev = nil
 	st.active = prev
 	st.status = StatusActive
+	m.emit("rollback", audit.VerdictRollback, app, corr,
+		fmt.Sprintf("app %s during probation of %s@%s; rolled back to %s", h, app, ref.version, prev.version))
 	m.mu.Unlock()
 
 	if m.runtime != nil {
@@ -725,8 +728,6 @@ func (m *Market) rollback(app string, ref *releaseRef, stop chan struct{}, corr 
 	}
 	gProbations.Add(-1)
 	countLifecycle("rollback")
-	m.emit("rollback", audit.VerdictRollback, app, corr,
-		fmt.Sprintf("app %s during probation of %s@%s; rolled back to %s", h, app, ref.version, prev.version))
 }
 
 func (m *Market) stateLocked(app string) *appState {

@@ -44,16 +44,19 @@ func TestLeaderLeaseEpochs(t *testing.T) {
 }
 
 // TestHeartbeatKeepsLeaseAlive: the leader's heartbeat renews inside
-// the TTL; stopping it lets the lease expire on schedule.
+// the TTL; stopping it lets the lease expire on schedule. The TTL leaves
+// the heartbeat goroutine two missed ticks (160ms) of scheduling slack:
+// under -race on a loaded machine a 60ms lease expired between beats.
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	l := NewLeaderLease("node-a", 60*time.Millisecond)
+	const ttl = 240 * time.Millisecond
+	l := NewLeaderLease("node-a", ttl)
 	stop := l.Heartbeat()
-	time.Sleep(150 * time.Millisecond)
+	time.Sleep(5 * ttl / 2)
 	if v := l.View(); v.Expired || v.Epoch != 1 {
 		t.Fatalf("heartbeated lease = %+v, want live at epoch 1", v)
 	}
 	stop()
-	time.Sleep(80 * time.Millisecond)
+	time.Sleep(ttl + 20*time.Millisecond)
 	if v := l.View(); !v.Expired {
 		t.Fatalf("lease after heartbeat stop = %+v, want expired", v)
 	}

@@ -234,5 +234,11 @@ func Serve(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
 // Addr returns the endpoint's bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the endpoint down.
-func (s *Server) Close() error { return s.srv.Close() }
+// Close shuts the endpoint down. The listener is closed here as well as
+// through the http.Server, which does not know of it yet when Close
+// overtakes the Serve goroutine.
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	_ = s.ln.Close()
+	return err
+}

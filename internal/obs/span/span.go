@@ -202,22 +202,25 @@ func Add(parent Context, name string, start time.Time, d time.Duration) {
 }
 
 // RecordTrace folds a finished mediated-call trace (the obs.Tracer's
-// sampled view of one call) into the span layer under the call's
-// correlation ID: one parent span for the call, one child per tracer
-// stage. The isolation layer calls it only for the traced subset, so
-// the unsampled mediated-call path never reaches this code.
-func RecordTrace(traceID uint64, snap obs.TraceSnapshot) {
+// sampled view of one call) into the process-wide collector under the
+// call's correlation ID. The isolation layer calls it only for the traced
+// subset, so the unsampled mediated-call path never reaches this code.
+func RecordTrace(traceID uint64, snap obs.TraceSnapshot) { def.RecordTrace(traceID, snap) }
+
+// RecordTrace collects one parent span for the call and one child per
+// tracer stage.
+func (c *Collector) RecordTrace(traceID uint64, snap obs.TraceSnapshot) {
 	if traceID == 0 || !enabled.Load() {
 		return
 	}
 	parent := nextSpanID()
 	n := node()
-	def.Collect(Record{
+	c.Collect(Record{
 		TraceID: traceID, SpanID: parent, Name: "mediated:" + snap.Op,
 		Node: n, Start: snap.Start, Duration: snap.Duration,
 	})
 	for _, sp := range snap.Spans {
-		def.Collect(Record{
+		c.Collect(Record{
 			TraceID: traceID, SpanID: nextSpanID(), Parent: parent, Name: sp.Name,
 			Node: n, Start: snap.Start.Add(sp.Offset), Duration: sp.Duration,
 		})

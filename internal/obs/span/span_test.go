@@ -200,14 +200,17 @@ func TestFileSinkJSONLAndRotation(t *testing.T) {
 func TestRecordTraceConversion(t *testing.T) {
 	const traceID = uint64(1)<<52 + 991
 	start := time.Now().Add(-time.Second)
-	RecordTrace(traceID, obs.TraceSnapshot{
+	// A collector of its own: the process-wide one keeps the spans of an
+	// earlier -count iteration under the same trace ID.
+	c := NewCollector(0, 0)
+	c.RecordTrace(traceID, obs.TraceSnapshot{
 		Op: "flow_mod", Start: start, Duration: 3 * time.Millisecond,
 		Spans: []obs.SpanRecord{
 			{Name: "permission_check", Offset: 0, Duration: time.Millisecond},
 			{Name: "kernel", Offset: time.Millisecond, Duration: 2 * time.Millisecond},
 		},
 	})
-	spans := DefaultCollector().Trace(traceID)
+	spans := c.Trace(traceID)
 	if len(spans) != 3 {
 		t.Fatalf("RecordTrace retained %d spans, want 3: %+v", len(spans), spans)
 	}
@@ -225,8 +228,8 @@ func TestRecordTraceConversion(t *testing.T) {
 	}
 
 	// Zero correlation (unsampled path) records nothing.
-	RecordTrace(0, obs.TraceSnapshot{Op: "ignored"})
-	if got := DefaultCollector().Trace(0); got != nil {
+	c.RecordTrace(0, obs.TraceSnapshot{Op: "ignored"})
+	if got := c.Trace(0); got != nil {
 		t.Fatalf("RecordTrace(0, ...) recorded %+v", got)
 	}
 }

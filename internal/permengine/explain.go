@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdnshield/internal/core"
@@ -80,12 +79,12 @@ type Explanation struct {
 	DecidingRepair string `json:"deciding_repair,omitempty"`
 }
 
-// Explain re-evaluates the call against the app's compiled permission
-// set with full bookkeeping. The verdict is produced by the same
-// compiled clause closures the hot path runs, so Explanation.Allowed
-// cannot disagree with Check; the per-leaf detail rides a parallel
-// interpretive walk. Explain resolves stateful attributes like Check
-// does and is safe to call concurrently with live traffic.
+// Explain re-evaluates the call with full bookkeeping. It runs the
+// engine's one decision routine under a recording probe, so the verdict
+// and the clause walk are Check's own; only the side effects are off and
+// the leaves inside a clause all report instead of short-circuiting.
+// Explain resolves stateful attributes like Check does and is safe to
+// call concurrently with live traffic.
 func (e *Engine) Explain(call *core.Call) Explanation {
 	ex := Explanation{
 		App:        call.App,
@@ -93,107 +92,30 @@ func (e *Engine) Explain(call *core.Call) Explanation {
 		Corr:       call.Corr,
 		Provenance: e.Provenance(call.App),
 	}
-	e.mu.RLock()
-	c, ok := e.apps[call.App]
-	e.mu.RUnlock()
-	if !ok {
-		ex.Call = call.String()
-		ex.Reason = ReasonNoManifest
-		ex.Detail = "app has no permission manifest"
-		return ex
-	}
-	th := c.heat[call.Token]
-	if th == nil {
-		ex.Call = call.String()
-		ex.Reason = ReasonTokenUngranted
-		ex.Detail = "token not granted"
-		for tok := range c.checkers {
-			ex.Granted = append(ex.Granted, tok.String())
-		}
-		sort.Strings(ex.Granted)
-		return ex
-	}
-	e.Resolve(call)
+	ex.Reason, ex.Detail = e.decide(call, &probe{ex: &ex})
 	ex.Call = call.String()
-	failed := false
-	for i := range th.clauses {
-		cl := &th.clauses[i]
-		ce := ClauseExplain{Index: i, Expr: cl.expr, Dimensions: cl.dims}
-		if failed {
-			ce.ShortCircuited = true
-			ex.Clauses = append(ex.Clauses, ce)
-			continue
+	ex.Allowed = ex.Reason == ReasonAllowed
+	switch ex.Reason {
+	case ReasonTokenUngranted:
+		if set, ok := e.Permissions(call.App); ok {
+			for _, p := range set.Permissions() {
+				ex.Granted = append(ex.Granted, p.Token.String())
+			}
+			sort.Strings(ex.Granted)
 		}
-		ce.Evaluated = true
-		ce.Passed = cl.check(call)
-		explainLeaves(cl.raw, call, false, &ce.Leaves)
-		if !ce.Passed {
-			failed = true
-			ex.FailingClauses = append(ex.FailingClauses, i)
-		}
-		ex.Clauses = append(ex.Clauses, ce)
-	}
-	if failed {
-		ex.Reason = ReasonFilterRejected
-		ex.Detail = "filter rejected call " + call.String()
+	case ReasonFilterRejected:
 		ex.DecidingRepair = decidingRepair(&ex)
-		return ex
 	}
-	ex.Allowed = true
-	ex.Reason = ReasonAllowed
 	return ex
 }
 
-// explainLeaves walks an expression with negation pushed to the leaves
-// (mirroring compile/evalExpr), appending one LeafExplain per filter.
-// Unlike the compiled closures it does not short-circuit: forensics
-// wants every leaf's verdict, and off the hot path the extra tests are
-// free. The returned value equals the expression's verdict.
-func explainLeaves(e core.Expr, call *core.Call, neg bool, out *[]LeafExplain) bool {
-	switch v := e.(type) {
-	case nil:
-		return true
-	case *core.Leaf:
-		matched, applicable := v.F.Test(call)
-		eff := !applicable || (matched != neg)
-		*out = append(*out, LeafExplain{
-			Filter:     v.F.String(),
-			Dimension:  v.F.Dimension(),
-			Negated:    neg,
-			Applicable: applicable,
-			Matched:    matched,
-			Effective:  eff,
-		})
-		return eff
-	case *core.Not:
-		return explainLeaves(v.X, call, !neg, out)
-	case *core.And:
-		l := explainLeaves(v.L, call, neg, out)
-		r := explainLeaves(v.R, call, neg, out)
-		if neg { // ¬(L∧R) = ¬L ∨ ¬R
-			return l || r
-		}
-		return l && r
-	case *core.Or:
-		l := explainLeaves(v.L, call, neg, out)
-		r := explainLeaves(v.R, call, neg, out)
-		if neg { // ¬(L∨R) = ¬L ∧ ¬R
-			return l && r
-		}
-		return l || r
-	case *core.MacroRef:
-		*out = append(*out, LeafExplain{
-			Filter:     v.Name,
-			Dimension:  "macro",
-			Negated:    neg,
-			Applicable: true,
-			Matched:    false,
-			Effective:  false,
-		})
-		return false
-	default:
-		return false
+// addClause appends the next clause's record, in walk order.
+func (ex *Explanation) addClause(cl *clause, ce ClauseExplain) {
+	ce.Index, ce.Expr, ce.Dimensions = len(ex.Clauses), cl.expr, cl.dims
+	if ce.Evaluated && !ce.Passed {
+		ex.FailingClauses = append(ex.FailingClauses, ce.Index)
 	}
+	ex.Clauses = append(ex.Clauses, ce)
 }
 
 // decidingRepair scans the provenance notes for the first one mentioning
@@ -256,16 +178,6 @@ func (e *Engine) Provenance(app string) []string {
 // denialRingSize bounds the retained-denial ring.
 const denialRingSize = 256
 
-// explainRetention gates denial retention (default on). Retention costs
-// one mutexed copy per denial — nothing on the allowed path.
-var explainRetention atomic.Bool
-
-func init() { explainRetention.Store(true) }
-
-// SetExplainRetention flips denial retention for /explain?corr= lookups
-// and returns the previous state.
-func SetExplainRetention(v bool) bool { return explainRetention.Swap(v) }
-
 type retainedDenial struct {
 	call core.Call
 	at   time.Time
@@ -277,11 +189,12 @@ type denialRing struct {
 	n   uint64
 }
 
-// retainDenial copies the denied call into the forensic ring. Calls
-// without a correlation ID (kernel-internal probes, micro-benchmarks)
-// are not retained — nothing could look them up.
+// retainDenial copies the denied call into the forensic ring: one
+// mutexed copy per denial, nothing on the allowed path. Calls without a
+// correlation ID (kernel-internal probes, micro-benchmarks) are not
+// retained — nothing could look them up.
 func (e *Engine) retainDenial(call *core.Call) {
-	if call.Corr == 0 || !explainRetention.Load() {
+	if call.Corr == 0 {
 		return
 	}
 	cp := *call
@@ -304,25 +217,29 @@ func (e *Engine) retainDenial(call *core.Call) {
 	r.mu.Unlock()
 }
 
-// RetainedDenial looks a denied call up by its correlation ID, newest
-// first, returning a private copy.
-func (e *Engine) RetainedDenial(corr uint64) (*core.Call, bool) {
-	r := &e.denialRing
+// newestFirst calls fn on the retained denials, newest first, until fn
+// returns false.
+func (r *denialRing) newestFirst(fn func(*retainedDenial) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.n
-	span := uint64(denialRingSize)
-	if n < span {
-		span = n
-	}
-	for i := uint64(1); i <= span; i++ {
-		rd := &r.buf[(n-i)%denialRingSize]
-		if rd.call.Corr == corr {
-			cp := rd.call
-			return &cp, true
+	for i := uint64(1); i <= min(r.n, denialRingSize); i++ {
+		if !fn(&r.buf[(r.n-i)%denialRingSize]) {
+			return
 		}
 	}
-	return nil, false
+}
+
+// RetainedDenial looks a denied call up by its correlation ID, newest
+// first, returning a private copy.
+func (e *Engine) RetainedDenial(corr uint64) (call *core.Call, ok bool) {
+	e.denialRing.newestFirst(func(rd *retainedDenial) bool {
+		if ok = rd.call.Corr == corr; ok {
+			cp := rd.call
+			call = &cp
+		}
+		return !ok
+	})
+	return call, ok
 }
 
 // RetainedDenialInfo summarizes one retained denial for the /explain
@@ -338,20 +255,8 @@ type RetainedDenialInfo struct {
 // RetainedDenials lists the retained denials, newest first, capped at
 // limit (0 means all).
 func (e *Engine) RetainedDenials(limit int) []RetainedDenialInfo {
-	r := &e.denialRing
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.n
-	span := uint64(denialRingSize)
-	if n < span {
-		span = n
-	}
-	out := make([]RetainedDenialInfo, 0, span)
-	for i := uint64(1); i <= span; i++ {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		rd := &r.buf[(n-i)%denialRingSize]
+	out := []RetainedDenialInfo{}
+	e.denialRing.newestFirst(func(rd *retainedDenial) bool {
 		out = append(out, RetainedDenialInfo{
 			Corr:  rd.call.Corr,
 			App:   rd.call.App,
@@ -359,7 +264,8 @@ func (e *Engine) RetainedDenials(limit int) []RetainedDenialInfo {
 			Call:  rd.call.String(),
 			Time:  rd.at,
 		})
-	}
+		return len(out) != limit
+	})
 	return out
 }
 

@@ -10,11 +10,10 @@ package permengine
 // fast path.
 //
 // Cost model: the unsampled majority of checks pays exactly one atomic
-// add (the sampler tick) on top of the existing fused-closure path. One
-// check in N (SetHeatSampling, default 64) takes the instrumented route:
-// the same clause conjunction evaluated clause-by-clause with per-clause
-// timing. Both routes produce identical verdicts, denial detail strings,
-// activity-log records and audit events.
+// add (the sampler tick). One check in N (SetHeatSampling, default 64)
+// carries a heat probe through the engine's one decision routine
+// (permengine.go): the same clause walk, with each clause timed and
+// counted into the grant's slab.
 
 import (
 	"sort"
@@ -65,89 +64,10 @@ type heatPad struct {
 	_ [56]byte
 }
 
-// heatClause is one top-level conjunct of a token's filter expression,
-// compiled to its own closure. The conjunction of the clause closures is
-// semantically identical to the token's fused checker (both lower via
-// compile with left-to-right && evaluation), so the instrumented path
-// cannot disagree with the fast path.
-type heatClause struct {
-	expr  string
-	dims  []string
-	raw   core.Expr
-	check checker
-}
-
-// tokenHeat carries one (app, token)'s heat counters: a pointer-free
-// shard-major slab of atomic cells, heatCells per clause, plus padded
-// allow/deny totals. Allocated once at compile time; writers only ever
-// atomically add.
-type tokenHeat struct {
-	clauses []heatClause
-	allow   [heatShards]heatPad
-	deny    [heatShards]heatPad
-	cells   []atomic.Uint64 // heatShards × len(clauses) × heatCells, shard-major
-}
-
-func newTokenHeat(filter core.Expr) *tokenHeat {
-	var cls []heatClause
-	for _, c := range conjuncts(filter) {
-		cls = append(cls, heatClause{
-			expr:  core.ExprString(c),
-			dims:  leafDims(c),
-			raw:   c,
-			check: compileExpr(c),
-		})
-	}
-	return &tokenHeat{
-		clauses: cls,
-		cells:   make([]atomic.Uint64, heatShards*len(cls)*heatCells),
-	}
-}
-
 // cell indexes the slab: shard-major so one sampled check touches a
 // contiguous region owned by its stripe.
-func (th *tokenHeat) cell(shard, clause, slot int) *atomic.Uint64 {
-	return &th.cells[(shard*len(th.clauses)+clause)*heatCells+slot]
-}
-
-// conjuncts flattens a top-level AND chain into its clause list,
-// preserving the left-to-right order the fused closure evaluates in.
-// Non-AND roots (Or, Not, Leaf, MacroRef, nil) are a single clause.
-func conjuncts(e core.Expr) []core.Expr {
-	if a, ok := e.(*core.And); ok {
-		return append(conjuncts(a.L), conjuncts(a.R)...)
-	}
-	return []core.Expr{e}
-}
-
-// leafDims collects the distinct filter dimensions a clause touches,
-// sorted for stable output. Unresolved macros surface as "macro".
-func leafDims(e core.Expr) []string {
-	seen := make(map[string]bool)
-	var walk func(core.Expr)
-	walk = func(e core.Expr) {
-		switch v := e.(type) {
-		case *core.Leaf:
-			seen[v.F.Dimension()] = true
-		case *core.Not:
-			walk(v.X)
-		case *core.And:
-			walk(v.L)
-			walk(v.R)
-		case *core.Or:
-			walk(v.L)
-			walk(v.R)
-		case *core.MacroRef:
-			seen["macro"] = true
-		}
-	}
-	walk(e)
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
+func (g *grant) cell(shard, clause, slot int) *atomic.Uint64 {
+	return &g.cells[(shard*len(g.clauses)+clause)*heatCells+slot]
 }
 
 // ---------------------------------------------------------------------------
@@ -212,73 +132,42 @@ func heatShard() int {
 }
 
 // ---------------------------------------------------------------------------
-// Instrumented check path
+// Recording
 
-// checkProfiled is the sampled twin of Check: same verdict, same
-// counters, same audit surface, plus per-clause heat recording.
-func (e *Engine) checkProfiled(call *core.Call) error {
-	heatSampled.Add(1)
-	var t obs.Timer
-	if checkSampler.Hit() {
-		t = obs.StartTimer()
+// heatProbe is the probe of every sampled check. It carries nothing: the
+// counters live in the grant the decision reaches, striped by caller.
+var heatProbe probe
+
+// heatClause counts one clause of a sampled walk: evaluated (with its
+// verdict and latency bracket) or short-circuited.
+func (g *grant) heatClause(i int, evaluated, pass bool, took time.Duration) {
+	shard := heatShard()
+	switch {
+	case !evaluated:
+		g.cell(shard, i, heatCellShort).Add(1)
+		return
+	case pass:
+		g.cell(shard, i, heatCellPass).Add(1)
+	default:
+		g.cell(shard, i, heatCellFail).Add(1)
 	}
-	err := e.evaluateProfiled(call)
-	mCheckSeconds.ObserveTimer(t)
-	countCheck(call.Token, err == nil)
-	return err
+	g.cell(shard, i, heatCellEvals).Add(1)
+	g.cell(shard, i, heatCellBracket0+heatBracketIdx(took.Nanoseconds())).Add(1)
 }
 
-func (e *Engine) evaluateProfiled(call *core.Call) error {
-	e.checks.Add(1)
-	e.mu.RLock()
-	c, ok := e.apps[call.App]
-	e.mu.RUnlock()
-	if !ok {
+// heatVerdict counts a sampled decision's outcome: against the grant it
+// reached, or in the engine-wide buckets of the denials that reach none.
+func (e *Engine) heatVerdict(g *grant, reason string) {
+	switch reason {
+	case ReasonNoManifest:
 		e.heatNoManifest.Add(1)
-		e.denials.Add(1)
-		e.retainDenial(call)
-		e.logDecision(call, false, "app has no permission manifest")
-		return &DeniedError{App: call.App, Token: call.Token, Detail: "app has no permission manifest"}
-	}
-	th := c.heat[call.Token]
-	if th == nil {
+	case ReasonTokenUngranted:
 		e.heatUngranted.Add(1)
-		e.denials.Add(1)
-		e.retainDenial(call)
-		e.logDecision(call, false, "token not granted")
-		return &DeniedError{App: call.App, Token: call.Token, Detail: "token not granted"}
+	case ReasonAllowed:
+		g.allow[heatShard()].v.Add(1)
+	default:
+		g.deny[heatShard()].v.Add(1)
 	}
-	e.Resolve(call)
-	shard := heatShard()
-	failed := false
-	for i := range th.clauses {
-		if failed {
-			th.cell(shard, i, heatCellShort).Add(1)
-			continue
-		}
-		start := time.Now()
-		pass := th.clauses[i].check(call)
-		ns := time.Since(start).Nanoseconds()
-		th.cell(shard, i, heatCellEvals).Add(1)
-		th.cell(shard, i, heatCellBracket0+heatBracketIdx(ns)).Add(1)
-		if pass {
-			th.cell(shard, i, heatCellPass).Add(1)
-		} else {
-			th.cell(shard, i, heatCellFail).Add(1)
-			failed = true
-		}
-	}
-	if failed {
-		th.deny[shard].v.Add(1)
-		detail := "filter rejected call " + call.String()
-		e.denials.Add(1)
-		e.retainDenial(call)
-		e.logDecision(call, false, detail)
-		return &DeniedError{App: call.App, Token: call.Token, Detail: detail}
-	}
-	th.allow[shard].v.Add(1)
-	e.logDecision(call, true, "")
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +240,8 @@ func (e *Engine) HeatSnapshot() HeatProfile {
 	e.mu.RUnlock()
 	for name, c := range apps {
 		ah := AppHeat{App: name}
-		for tok, th := range c.heat {
-			ah.Tokens = append(ah.Tokens, th.snapshot(tok))
+		for tok, g := range c.grants {
+			ah.Tokens = append(ah.Tokens, g.snapshot(tok))
 		}
 		sort.Slice(ah.Tokens, func(i, j int) bool { return ah.Tokens[i].Token < ah.Tokens[j].Token })
 		p.Apps = append(p.Apps, ah)
@@ -361,22 +250,22 @@ func (e *Engine) HeatSnapshot() HeatProfile {
 	return p
 }
 
-func (th *tokenHeat) snapshot(tok core.Token) TokenHeat {
+func (g *grant) snapshot(tok core.Token) TokenHeat {
 	out := TokenHeat{Token: tok.String()}
 	for s := 0; s < heatShards; s++ {
-		out.Allow += th.allow[s].v.Load()
-		out.Deny += th.deny[s].v.Load()
+		out.Allow += g.allow[s].v.Load()
+		out.Deny += g.deny[s].v.Load()
 	}
-	for i, cl := range th.clauses {
+	for i, cl := range g.clauses {
 		ch := ClauseHeat{Index: i, Expr: cl.expr, Dimensions: cl.dims}
 		var brackets [heatBracketCount]uint64
 		for s := 0; s < heatShards; s++ {
-			ch.Evals += th.cell(s, i, heatCellEvals).Load()
-			ch.Pass += th.cell(s, i, heatCellPass).Load()
-			ch.Fail += th.cell(s, i, heatCellFail).Load()
-			ch.ShortCircuits += th.cell(s, i, heatCellShort).Load()
+			ch.Evals += g.cell(s, i, heatCellEvals).Load()
+			ch.Pass += g.cell(s, i, heatCellPass).Load()
+			ch.Fail += g.cell(s, i, heatCellFail).Load()
+			ch.ShortCircuits += g.cell(s, i, heatCellShort).Load()
 			for b := 0; b < heatBracketCount; b++ {
-				brackets[b] += th.cell(s, i, heatCellBracket0+b).Load()
+				brackets[b] += g.cell(s, i, heatCellBracket0+b).Load()
 			}
 		}
 		ch.Latency = HeatBrackets{

@@ -45,6 +45,16 @@ func selectEngines(name string) (map[string]*Engine, error) {
 	return map[string]*Engine{name: e}, nil
 }
 
+// sortedNames lists the selected engines in name order, for stable output.
+func sortedNames(engines map[string]*Engine) []string {
+	names := make([]string, 0, len(engines))
+	for n := range engines {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func handleHeat(w http.ResponseWriter, r *http.Request) {
 	engines, err := selectEngines(r.URL.Query().Get("engine"))
 	if err != nil {
@@ -109,17 +119,8 @@ func handleExplainGet(w http.ResponseWriter, r *http.Request) {
 		out := struct {
 			Engines []engineDenials `json:"engines"`
 		}{}
-		names := make([]string, 0, len(engines))
-		for n := range engines {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			d := engines[n].RetainedDenials(64)
-			if d == nil {
-				d = []RetainedDenialInfo{}
-			}
-			out.Engines = append(out.Engines, engineDenials{Engine: n, Denials: d})
+		for _, n := range sortedNames(engines) {
+			out.Engines = append(out.Engines, engineDenials{Engine: n, Denials: engines[n].RetainedDenials(64)})
 		}
 		writeJSON(w, out)
 		return
@@ -129,12 +130,7 @@ func handleExplainGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad corr")
 		return
 	}
-	names := make([]string, 0, len(engines))
-	for n := range engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(engines) {
 		e := engines[n]
 		call, ok := e.RetainedDenial(corr)
 		if !ok {
@@ -193,12 +189,7 @@ func handleExplainPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Ambiguous: several engines and none named.
-		names := make([]string, 0, len(engines))
-		for n := range engines {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		httpError(w, http.StatusBadRequest, "several engines registered; set \"engine\" to one of: "+strings.Join(names, ", "))
+		httpError(w, http.StatusBadRequest, "several engines registered; set \"engine\" to one of: "+strings.Join(sortedNames(engines), ", "))
 		return
 	}
 	call, err := spec.toCall()

@@ -8,8 +8,11 @@ package permengine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sdnshield/internal/core"
 	"sdnshield/internal/obs"
@@ -50,86 +53,190 @@ type nopState struct{}
 func (nopState) FlowOwner(of.DPID, *of.Match, uint16) (string, bool) { return "", false }
 func (nopState) RuleCount(string, of.DPID) int                       { return 0 }
 
-// checker is one compiled permission check.
-type checker func(*core.Call) bool
+// checker is one compiled filter expression. Its second argument is nil
+// on every path but Explain's, which passes the list to record each leaf
+// into; recording also turns off short-circuiting, so that every leaf of
+// the expression reports.
+type checker func(*core.Call, *[]LeafExplain) bool
 
-// compiled is an app's permission set lowered into closures, one per
-// granted token. The compilation happens once at app load time (§III:
-// "the permission engine compiles the permission manifest into the
-// runtime checking code"), so the per-call hot path is a map lookup plus
-// a closure call.
+// clause describes one top-level conjunct of a granted token's filter.
+type clause struct {
+	expr string
+	dims []string
+}
+
+// grant is everything the engine holds for one granted token: the
+// ordered clause list every decision walks and the heat slab a sampled
+// walk counts into (heat.go).
+type grant struct {
+	// checks[i] evaluates clauses[i]; a slice of their own so the walk
+	// reads them densely (hosted_churn p50 +2–3 % otherwise, CHANGES.md).
+	checks  []checker
+	clauses []clause
+	allows  func(*core.Call) bool // walk without a probe, bound once
+	allow   [heatShards]heatPad
+	deny    [heatShards]heatPad
+	cells   []atomic.Uint64 // heatShards × len(clauses) × heatCells, shard-major
+}
+
+// compiled is an app's permission set lowered into one grant per token.
+// The compilation happens once at app load time (§III: "the permission
+// engine compiles the permission manifest into the runtime checking
+// code"), so the per-call hot path is a map lookup plus a closure call
+// per clause.
 type compiled struct {
-	set      *core.Set
-	checkers map[core.Token]checker
-	// heat carries the per-token clause decomposition and decision-heat
-	// counters (heat.go); built once with the checkers so the sampled
-	// profiled path needs no extra locking or lookups.
-	heat map[core.Token]*tokenHeat
+	set    *core.Set
+	grants map[core.Token]*grant
 }
 
-// compileSet lowers a permission set.
-func compileSet(set *core.Set) *compiled {
-	c := &compiled{
-		set:      set,
-		checkers: make(map[core.Token]checker, set.Len()),
-		heat:     make(map[core.Token]*tokenHeat, set.Len()),
+// newGrant lowers one token's filter.
+func newGrant(filter core.Expr) *grant {
+	cs := conjuncts(filter)
+	g := &grant{clauses: make([]clause, 0, len(cs))}
+	for _, c := range cs {
+		dims := []string{}
+		g.checks = append(g.checks, compile(c, false, &dims))
+		sort.Strings(dims)
+		g.clauses = append(g.clauses, clause{expr: core.ExprString(c), dims: slices.Compact(dims)})
 	}
-	for _, p := range set.Permissions() {
-		c.checkers[p.Token] = compileExpr(p.Filter)
-		c.heat[p.Token] = newTokenHeat(p.Filter)
-	}
-	return c
+	g.cells = make([]atomic.Uint64, heatShards*len(g.clauses)*heatCells)
+	g.allows = func(call *core.Call) bool { return g.walk(call, nil) }
+	return g
 }
 
-// compileExpr lowers a filter expression into a closure with negation
-// pushed to the leaves (mirroring core's evaluation semantics, including
-// vacuous truth for inapplicable filters).
-func compileExpr(e core.Expr) checker {
-	return compile(e, false)
+// conjuncts flattens a top-level AND chain into its clause list,
+// preserving left-to-right evaluation order. Non-AND roots (Or, Not,
+// Leaf, MacroRef, nil) are a single clause.
+func conjuncts(e core.Expr) []core.Expr {
+	if a, ok := e.(*core.And); ok {
+		return append(conjuncts(a.L), conjuncts(a.R)...)
+	}
+	return []core.Expr{e}
 }
+
+// walk evaluates the clause list left to right and stops at the first
+// failing clause. It is the only place a compiled clause is called: the
+// hot path, a heat sample, Explain and row filtering differ in the probe
+// they pass, not in what they evaluate. A probe hears of every clause,
+// the ones a failure skipped included.
+func (g *grant) walk(call *core.Call, p *probe) bool {
+	var rec *[]LeafExplain
+	if p.explaining() {
+		rec = &p.leaves
+	}
+	for i, check := range g.checks {
+		var start time.Time
+		if p != nil {
+			start = time.Now()
+		}
+		pass := check(call, rec)
+		if p != nil {
+			p.clause(g, i, true, pass, time.Since(start))
+		}
+		if !pass {
+			for j := i + 1; p != nil && j < len(g.clauses); j++ {
+				p.clause(g, j, false, false, 0)
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// compileExpr lowers a filter expression into the predicate the live
+// path runs: its clause list, walked without a probe.
+func compileExpr(e core.Expr) func(*core.Call) bool { return newGrant(e).allows }
 
 // CompileFilter exposes the expression-to-closure lowering for ablation
 // benchmarks comparing compiled checking against interpreted evaluation.
-func CompileFilter(e core.Expr) func(*core.Call) bool {
-	return compileExpr(e)
-}
+func CompileFilter(e core.Expr) func(*core.Call) bool { return compileExpr(e) }
 
-func compile(e core.Expr, neg bool) checker {
+// compile lowers an expression into a closure with negation pushed to
+// the leaves (mirroring core's evaluation semantics, including vacuous
+// truth for inapplicable filters), appending to dims the dimension of
+// every leaf it lowers.
+func compile(e core.Expr, neg bool, dims *[]string) checker {
 	switch v := e.(type) {
 	case nil:
-		return func(*core.Call) bool { return true }
+		return func(*core.Call, *[]LeafExplain) bool { return true }
 	case *core.Leaf:
 		f := v.F
-		if neg {
-			return func(call *core.Call) bool {
-				matched, applicable := f.Test(call)
-				return !applicable || !matched
-			}
-		}
-		return func(call *core.Call) bool {
+		*dims = append(*dims, f.Dimension())
+		return func(call *core.Call, rec *[]LeafExplain) bool {
 			matched, applicable := f.Test(call)
-			return !applicable || matched
+			effective := !applicable || matched != neg
+			if rec != nil {
+				*rec = append(*rec, LeafExplain{
+					Filter: f.String(), Dimension: f.Dimension(), Negated: neg,
+					Applicable: applicable, Matched: matched, Effective: effective,
+				})
+			}
+			return effective
 		}
 	case *core.Not:
-		return compile(v.X, !neg)
-	case *core.And:
-		l, r := compile(v.L, neg), compile(v.R, neg)
-		if neg { // ¬(L∧R) = ¬L ∨ ¬R
-			return func(call *core.Call) bool { return l(call) || r(call) }
-		}
-		return func(call *core.Call) bool { return l(call) && r(call) }
-	case *core.Or:
-		l, r := compile(v.L, neg), compile(v.R, neg)
-		if neg {
-			return func(call *core.Call) bool { return l(call) && r(call) }
-		}
-		return func(call *core.Call) bool { return l(call) || r(call) }
+		return compile(v.X, !neg, dims)
+	case *core.And: // ¬(L∧R) = ¬L ∨ ¬R
+		return binary(!neg, compile(v.L, neg, dims), compile(v.R, neg, dims))
+	case *core.Or: // ¬(L∨R) = ¬L ∧ ¬R
+		return binary(neg, compile(v.L, neg, dims), compile(v.R, neg, dims))
 	case *core.MacroRef:
 		// Unresolved stubs deny.
-		return func(*core.Call) bool { return false }
+		name := v.Name
+		*dims = append(*dims, "macro")
+		return func(_ *core.Call, rec *[]LeafExplain) bool {
+			if rec != nil {
+				*rec = append(*rec, LeafExplain{
+					Filter: name, Dimension: "macro", Negated: neg, Applicable: true,
+				})
+			}
+			return false
+		}
 	default:
-		return func(*core.Call) bool { return false }
+		return func(*core.Call, *[]LeafExplain) bool { return false }
 	}
+}
+
+// binary joins two checkers with && (and) or ||, left to right and
+// short-circuiting — except when recording, where the right side is
+// evaluated regardless so that its leaves report too.
+func binary(and bool, l, r checker) checker {
+	return func(call *core.Call, rec *[]LeafExplain) bool {
+		lv := l(call, rec)
+		if lv != and && rec == nil {
+			return lv // false && _, true || _
+		}
+		rv := r(call, rec)
+		if and {
+			return lv && rv
+		}
+		return lv || rv
+	}
+}
+
+// probe is the optional observer of one decision. The hot path and row
+// filtering pass nil. A heat sample passes heatProbe: the walk counts and
+// times each clause into the grant's slab. Explain passes a probe
+// carrying the Explanation under construction: the walk records every
+// clause and leaf into it, and decide leaves no other trace of the call.
+type probe struct {
+	ex     *Explanation  // Explain: the decision path being recorded
+	leaves []LeafExplain // Explain: leaves of the clause being evaluated
+}
+
+func (p *probe) explaining() bool { return p != nil && p.ex != nil }
+
+// clause reports clause i of the walk to the probe's observer: evaluated
+// with the given verdict and cost, or skipped because an earlier clause
+// already failed.
+func (p *probe) clause(g *grant, i int, evaluated, pass bool, took time.Duration) {
+	if p.ex == nil {
+		g.heatClause(i, evaluated, pass, took)
+		return
+	}
+	p.ex.addClause(&g.clauses[i], ClauseExplain{
+		Evaluated: evaluated, Passed: pass, ShortCircuited: !evaluated, Leaves: p.leaves,
+	})
+	p.leaves = nil
 }
 
 // Engine enforces per-app permissions. Checks are stateless with respect
@@ -183,9 +290,13 @@ func New(state StateProvider, opts ...Option) *Engine {
 }
 
 // SetPermissions installs (or replaces) an app's permission set,
-// compiling it to checking code. The set must not be mutated afterwards.
+// compiling it to checking code: each filter expression is lowered once,
+// outside the lock. The set must not be mutated afterwards.
 func (e *Engine) SetPermissions(app string, set *core.Set) {
-	c := compileSet(set)
+	c := &compiled{set: set, grants: make(map[core.Token]*grant, set.Len())}
+	for _, p := range set.Permissions() {
+		c.grants[p.Token] = newGrant(p.Filter)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.apps[app] = c
@@ -247,57 +358,88 @@ func (e *Engine) Resolve(call *core.Call) {
 // the app's compiled permission, logs the decision, and returns a
 // *DeniedError on denial. Decision counters are exact; check latency is
 // sampled (obs.SetLatencySampling) so the unsampled majority of calls
-// pays no clock reads.
+// pays no clock reads, and one check in N (SetHeatSampling) carries the
+// heat probe.
 func (e *Engine) Check(call *core.Call) error {
+	var p *probe
 	if heatHit() {
-		return e.checkProfiled(call)
+		heatSampled.Add(1)
+		p = &heatProbe
 	}
 	var t obs.Timer
 	if checkSampler.Hit() {
 		t = obs.StartTimer()
 	}
-	err := e.evaluate(call)
+	reason, detail := e.decide(call, p)
 	mCheckSeconds.ObserveTimer(t)
-	countCheck(call.Token, err == nil)
-	return err
-}
-
-// evaluate is the uninstrumented check body.
-func (e *Engine) evaluate(call *core.Call) error {
-	e.checks.Add(1)
-	e.mu.RLock()
-	c, ok := e.apps[call.App]
-	e.mu.RUnlock()
-	if !ok {
-		e.denials.Add(1)
-		e.retainDenial(call)
-		e.logDecision(call, false, "app has no permission manifest")
-		return &DeniedError{App: call.App, Token: call.Token, Detail: "app has no permission manifest"}
-	}
-	chk, granted := c.checkers[call.Token]
-	if !granted {
-		e.denials.Add(1)
-		e.retainDenial(call)
-		e.logDecision(call, false, "token not granted")
-		return &DeniedError{App: call.App, Token: call.Token, Detail: "token not granted"}
-	}
-	e.Resolve(call)
-	if !chk(call) {
-		detail := "filter rejected call " + call.String()
-		e.logDecision(call, false, detail)
-		e.denials.Add(1)
-		e.retainDenial(call)
+	countCheck(call.Token, reason == ReasonAllowed)
+	if reason != ReasonAllowed {
 		return &DeniedError{App: call.App, Token: call.Token, Detail: detail}
 	}
-	e.logDecision(call, true, "")
 	return nil
 }
 
-func (e *Engine) logDecision(call *core.Call, allowed bool, detail string) {
+// decide is the engine's one decision routine. It finds the app's grant
+// for the call's token, resolves the stateful attributes and walks the
+// clause list; then, unless the probe is Explain's, it counts the
+// decision, retains a denial for /explain?corr=, and writes the activity
+// log and the audit journal. The reason is one of the Reason constants;
+// detail is empty when the call is allowed.
+func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
+	c, g := e.grantFor(call.App, call.Token)
+	reason = ReasonAllowed
+	switch {
+	case c == nil:
+		reason, detail = ReasonNoManifest, "app has no permission manifest"
+	case g == nil:
+		reason, detail = ReasonTokenUngranted, "token not granted"
+	default:
+		e.Resolve(call)
+		if !g.walk(call, p) {
+			reason, detail = ReasonFilterRejected, "filter rejected call "+call.String()
+		}
+	}
+	if p.explaining() {
+		return reason, detail
+	}
+	if p != nil {
+		e.heatVerdict(g, reason)
+	}
+	e.checks.Add(1)
+	allowed := reason == ReasonAllowed
+	if !allowed {
+		e.denials.Add(1)
+		e.retainDenial(call)
+	}
 	if e.log != nil {
 		e.log.Record(call, allowed)
 	}
 	auditDecision(call, allowed, detail)
+	return reason, detail
+}
+
+// Filter returns the app's grant for one token as a pure predicate, for
+// keeping the visible rows of a listing. It is taken once per listing and
+// runs the same clause walk as Check with none of its effects: no
+// Resolve, no counters, no heat, no retained denial, no log or audit
+// record. An app that does not hold the token sees nothing.
+func (e *Engine) Filter(app string, token core.Token) func(*core.Call) bool {
+	if _, g := e.grantFor(app, token); g != nil {
+		return g.allows
+	}
+	return func(*core.Call) bool { return false }
+}
+
+// grantFor finds the app's compiled set and, in it, the grant for the
+// token. Either is nil when missing.
+func (e *Engine) grantFor(app string, token core.Token) (c *compiled, g *grant) {
+	e.mu.RLock()
+	c = e.apps[app]
+	e.mu.RUnlock()
+	if c != nil {
+		g = c.grants[token]
+	}
+	return c, g
 }
 
 // auditDecision forwards a permission decision into the forensic journal.
