@@ -3,6 +3,7 @@ package isolation
 import (
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -14,6 +15,12 @@ import (
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/recorder"
 )
+
+// telemetryHandler builds the introspection endpoint the tests of this
+// package query.
+func telemetryHandler(reg *obs.Registry) http.Handler {
+	return obs.NewHandler(reg, nil)
+}
 
 // noQuotaLoop disables the background sweep so tests drive CheckQuotas
 // with controlled clocks.
@@ -231,7 +238,7 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 	}
 	audit.Default().Flush()
 
-	h := obs.NewHandler(obs.NewRegistry(), nil)
+	h := telemetryHandler(obs.NewRegistry())
 
 	// /apps reports the app's live usage.
 	rec := httptest.NewRecorder()
