@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race race-matrix vet fmt-check check bench bench-obs bench-audit bench-recorder bench-market bench-trace bench-tenants bench-heat bench-all attacksim fuzz-smoke
+.PHONY: build test race race-matrix vet fmt-check check bench bench-obs bench-audit bench-recorder bench-market bench-trace bench-tenants bench-heat bench-all bench-compare attacksim fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ race:
 # the race detector three times over — a flake that shows once in four
 # runs does not get past it. flowtable runs with -short, which shrinks
 # its model test's seed range instead of skipping it.
-RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/span
+RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs
 race-matrix:
 	for procs in 1 2 4 8; do \
 		GOMAXPROCS=$$procs $(GO) test -count=1 ./... || exit 1; \
@@ -100,6 +100,18 @@ bench-heat:
 # bench-all runs every bench gate in one pass, refreshing every
 # BENCH_*.json trajectory file. SHORT=1 propagates to each gate.
 bench-all: bench-recorder bench-trace bench-heat bench-market bench-tenants
+
+# bench-compare runs the protocol of benchmark/README.md between BASE and
+# the working tree: PAIRS interleaved parent/change runs per workload
+# (alternating order, one seed per pair), then per workload and metric the
+# medians with quartiles, pairs won, the gap against the parent's IQR and
+# the bound from BENCHMARK.json. TRACE=1 adds the per-layer metrics.
+# Ten pairs of all five workloads take about half an hour.
+PAIRS ?= 10
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [PAIRS=10] [WORKLOADS=a,b] [TRACE=1]"; exit 2; }
+	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS) \
+		$(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(TRACE),-trace $(TRACE))
 
 attacksim:
 	$(GO) run ./cmd/attacksim -v

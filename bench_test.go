@@ -368,8 +368,7 @@ func TestRecorderOverheadBudget(t *testing.T) {
 // delta isolates causal tracing). The unsampled majority of calls never
 // reaches span code — their whole tracing cost is the measurement
 // sampler's one atomic add, which both variants pay — and the traced
-// subset's RecordTrace conversion is amortized across the sampling
-// period. The budget is 5% on the On/Off ratio; `make bench-trace`
+// subset's span writes are amortized across the sampling period. The budget is 5% on the On/Off ratio; `make bench-trace`
 // enforces it.
 func benchmarkMediatedCallSpan(b *testing.B, spanOn bool) {
 	call, cleanup := setupSpanBench(b, spanOn)

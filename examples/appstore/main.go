@@ -297,7 +297,7 @@ func main() {
 	// re-verify every signature locally — the wire carries only claims.
 	fmt.Println("\n==== replication & federation ====")
 	market.MountHTTP(m)
-	leader := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	leader := httptest.NewServer(obs.NewHandler(obs.Default()))
 	defer leader.Close()
 
 	replica := market.NewRegistry()
@@ -365,7 +365,7 @@ func main() {
 	}
 
 	tenant.MountHTTP(tmgr)
-	ts := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	ts := httptest.NewServer(obs.NewHandler(obs.Default()))
 	defer ts.Close()
 	// Scoped routes require the tenant header (production fronts this
 	// with a proxy that injects it after authenticating the caller).

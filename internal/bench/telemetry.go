@@ -94,7 +94,7 @@ func StartTelemetry(addr string) (stop func(), bound string, err error) {
 	if addr == "" {
 		return func() {}, "", nil
 	}
-	srv, err := obs.Serve(addr, nil, nil)
+	srv, err := obs.Serve(addr, nil)
 	if err != nil {
 		return nil, "", fmt.Errorf("telemetry endpoint: %w", err)
 	}
@@ -108,7 +108,7 @@ func StartAuditSink(path string) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
 	}
-	sink, err := audit.NewFileSink(path, 0)
+	sink, err := obs.NewFileSink[audit.Event](path, 0)
 	if err != nil {
 		return nil, fmt.Errorf("audit sink: %w", err)
 	}
@@ -143,7 +143,7 @@ func StartTraceSink(path string) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
 	}
-	sink, err := span.NewFileSink(path, 0)
+	sink, err := obs.NewFileSink[span.Record](path, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trace sink: %w", err)
 	}

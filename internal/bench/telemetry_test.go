@@ -27,7 +27,7 @@ import (
 func TestStartSLOServesObjectives(t *testing.T) {
 	stop := StartSLO(true)
 	defer stop()
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/slo")

@@ -17,9 +17,14 @@ var (
 		"Mediated calls rejected because the app is quarantined.")
 
 	// mediatedSampler picks the 1-in-N mediated calls whose latency is
-	// measured; trace sampling further decimates the sampled subset.
+	// measured; every traceOneIn-th of those also leaves its spans.
 	mediatedSampler obs.Sampler
 )
+
+// traceOneIn cuts the traced subset from the measured calls: one call in
+// 128 at the default latency sampling of 8 — cheap enough to leave on,
+// frequent enough that a second of traffic populates /traces.
+const traceOneIn = 16
 
 const mediatedCallHelp = "End-to-end mediated API call latency: queue wait, permission check and kernel execution."
 

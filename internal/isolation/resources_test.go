@@ -19,7 +19,7 @@ import (
 // telemetryHandler builds the introspection endpoint the tests of this
 // package query.
 func telemetryHandler(reg *obs.Registry) http.Handler {
-	return obs.NewHandler(reg, nil)
+	return obs.NewHandler(reg)
 }
 
 // noQuotaLoop disables the background sweep so tests drive CheckQuotas
@@ -77,11 +77,14 @@ func TestAccountingTracksMediatedCalls(t *testing.T) {
 		t.Fatal("health snapshot lacks meter's usage")
 	}
 
-	// Every call left a flight-recorder frame carrying its correlation ID.
-	frames := recorder.Default().Snapshot(recorder.FrameFilter{App: "meter", Kind: recorder.KindMediatedCall})
-	if len(frames) < calls {
-		t.Fatalf("recorded %d mediated-call frames, want >= %d", len(frames), calls)
-	}
+	// Every call left a flight-recorder frame carrying its correlation
+	// ID. The deputy appends it after the reply, so the last call's frame
+	// may trail the call's return.
+	var frames []recorder.FrameSnapshot
+	waitCond(t, time.Second, "a frame per mediated call", func() bool {
+		frames = recorder.Default().Snapshot(recorder.FrameFilter{App: "meter", Kind: recorder.KindMediatedCall})
+		return len(frames) >= calls
+	})
 	for _, f := range frames {
 		if f.Corr == 0 || f.Op != "switches" || f.Code != "ok" {
 			t.Fatalf("frame = %+v", f)

@@ -133,7 +133,7 @@ func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 		containers:     make(map[string]*Container),
 		pendingBudgets: make(map[string]core.Budget),
 	}
-	s.replyPool.New = func() interface{} { return make(chan error, 1) }
+	s.replyPool.New = func() interface{} { return make(chan reply, 1) }
 	s.unregisterHealth = registerHealth(s)
 	for i := 0; i < cfg.KSDWorkers; i++ {
 		s.workers.Add(1)
@@ -176,13 +176,22 @@ func (s *Shield) ksdLoop() {
 	}
 }
 
+// reply is what a deputy hands back for one mediated call: the call's
+// error and, for the traced subset, the two stage durations the caller
+// records as spans.
+type reply struct {
+	err        error
+	wait, exec time.Duration
+}
+
 // do routes a closure through the KSD pool and waits for its completion —
 // the inter-thread hop whose cost the paper's end-to-end overhead
 // measurements capture. op names the mediated operation for the per-op
-// latency histogram and the call-path trace. One sampler decision gates
-// the aggregate measurement: unsampled calls pay a single atomic add,
-// sampled ones share their timestamps between the hop histogram, the
-// per-op histogram and (for the traced subset) the trace spans.
+// latency histogram and the call-path trace. One sampler decision, taken
+// before the enqueue, gates all measurement: unsampled calls pay a single
+// atomic add, measured ones share their timestamps between the hop
+// histogram, the per-op histogram and — for every traceOneIn-th of them
+// — the call's spans in the span collector (/trace/<corr>, /traces).
 //
 // c is the calling app's container; corr is the call's correlation ID.
 // Durations and queue residency ride the same sampler decision:
@@ -198,19 +207,16 @@ func (s *Shield) do(c *Container, op *mediatedOp, corr uint64, fn func() error) 
 	if s.stopped.Load() {
 		return ErrShieldStopped
 	}
-	var t obs.Timer
-	var tr *obs.Trace
 	var enq time.Time
 	var weight int64
-	if mediatedSampler.Hit() {
-		t = obs.StartTimer()
-		tr = obs.DefaultTracer().Start(op.name)
-		tr.SetCorr(corr)
+	var traced bool
+	if nth := mediatedSampler.Tick(); nth != 0 {
+		traced = nth%traceOneIn == 0
 		mKSDQueueDepth.Set(int64(len(s.reqCh)))
-		enq = time.Now()
 		if weight = int64(obs.LatencySampling()); weight < 1 {
 			weight = 1
 		}
+		enq = time.Now()
 	}
 	rec := recorder.On()
 	if c != nil {
@@ -218,34 +224,32 @@ func (s *Shield) do(c *Container, op *mediatedOp, corr uint64, fn func() error) 
 		c.res.goroutines.Add(1)
 		defer c.res.goroutines.Add(-1)
 	}
-	done, _ := s.replyPool.Get().(chan error)
+	done, _ := s.replyPool.Get().(chan reply)
 	s.reqCh <- func() {
 		var pickup time.Time
-		var wait time.Duration
+		var wait, exec time.Duration
 		if !enq.IsZero() {
 			pickup = time.Now()
 			wait = pickup.Sub(enq)
 			mKSDHopSeconds.Observe(wait)
-			if tr != nil {
-				tr.AddSpan("ksd_queue", tr.Start, wait)
-			}
 		}
-		sp := tr.StartSpan("exec")
 		sampleAlloc := c != nil && c.res.sampleAlloc()
 		var allocBefore int64
 		if sampleAlloc {
 			allocBefore = heapAllocBytes()
 		}
 		err := s.protect(fn)
-		sp.End()
-		done <- err
-		// Accounting and frame recording happen after the reply: the
-		// deputy does the bookkeeping — clock reads included — off the
-		// caller's critical path. exec therefore includes the reply
-		// handoff: tens of nanoseconds against microsecond calls, a fair
-		// trade for keeping the measured path clock-free.
-		var exec time.Duration
-		if !pickup.IsZero() {
+		// A traced call's execution time travels back with the reply, so
+		// its clock read comes first. Every other call is accounted after
+		// the reply: the deputy does the bookkeeping — clock reads
+		// included — off the caller's critical path. exec then includes
+		// the reply handoff: tens of nanoseconds against microsecond
+		// calls, a fair trade for keeping the measured path clock-free.
+		if traced {
+			exec = time.Since(pickup)
+		}
+		done <- reply{err, wait, exec}
+		if !traced && !pickup.IsZero() {
 			exec = time.Since(pickup)
 		}
 		if sampleAlloc {
@@ -286,21 +290,24 @@ func (s *Shield) do(c *Container, op *mediatedOp, corr uint64, fn func() error) 
 			})
 		}
 	}
-	err := <-done
+	r := <-done
 	s.replyPool.Put(done)
-	if t.Active() {
-		op.hist.ObserveTraced(t.Elapsed(), tr)
+	if traced {
+		// The call's spans are in the collector before it returns, under
+		// the corr its audit events carry; the exemplar names the same ID.
+		d := time.Since(enq)
+		op.hist.ObserveTraced(d, corr, enq)
+		var tenant string
+		if c != nil {
+			tenant = audit.TenantOf(c.name)
+		}
+		root := span.Mediated(corr, op.name, tenant, enq, d)
+		span.Add(root, "ksd_queue", enq, r.wait)
+		span.Add(root, "exec", enq.Add(r.wait), r.exec)
+	} else if !enq.IsZero() {
+		op.hist.Observe(time.Since(enq))
 	}
-	tr.Finish()
-	// The traced subset (already sampled twice: the measurement sampler
-	// above, then the tracer's own rate) additionally lands in the span
-	// layer under the call's corr, unifying mediated-call traces with the
-	// operation traces at /trace/<corr>. Unsampled calls never reach this
-	// branch — their only tracing cost is the sampler's atomic add.
-	if tr != nil {
-		span.RecordTrace(corr, tr.Snapshot())
-	}
-	return err
+	return r.err
 }
 
 // protect shields a deputy from the closure it runs on an app's behalf: a

@@ -44,7 +44,7 @@ func TestAsyncMarketEndToEnd(t *testing.T) {
 	t.Cleanup(func() { _ = jm.Close() })
 	m.AttachJobs(jm, 2)
 	MountHTTP(m)
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	t.Cleanup(srv.Close)
 
 	// 1: install over HTTP is asynchronous.

@@ -142,7 +142,7 @@ func TestHTTPAsyncStatusCodes(t *testing.T) {
 	m.jobsMgr = jm
 	m.mu.Unlock()
 	MountHTTP(m)
-	h := obs.NewHandler(obs.Default(), nil)
+	h := obs.NewHandler(obs.Default())
 
 	sr := sign(Release{Name: "mon", Vendor: "acme", Version: "1.0.0", Manifest: "PERM read_statistics"})
 	if _, err := reg.Submit(sr); err != nil {

@@ -28,7 +28,7 @@ func newHTTPEnv(t *testing.T) (http.Handler, *Market, func(r Release) *SignedRel
 	}
 	t.Cleanup(m.Close)
 	MountHTTP(m)
-	h := obs.NewHandler(obs.Default(), nil)
+	h := obs.NewHandler(obs.Default())
 	return h, m, sign
 }
 

@@ -79,7 +79,7 @@ func TestReadsDoNotRenewLease(t *testing.T) {
 	lease := NewLeaderLease("old-leader", 50*time.Millisecond)
 	m.SetLeaderLease(lease) // no heartbeat: the "leader" is effectively dead
 	MountHTTP(m)
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	t.Cleanup(srv.Close)
 
 	// Poll well past the TTL; each read must leave the expiry untouched.
@@ -123,7 +123,7 @@ func leaderEnv(t *testing.T) (*Market, *httptest.Server, func(r Release) *Signed
 	t.Cleanup(m.Close)
 	m.SetLeaderLease(NewLeaderLease("leader-1", time.Minute))
 	MountHTTP(m)
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	t.Cleanup(srv.Close)
 	return m, srv, sign
 }

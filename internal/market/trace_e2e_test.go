@@ -37,7 +37,7 @@ func TestInstallTraceEndToEnd(t *testing.T) {
 	t.Cleanup(func() { _ = jm.Close() })
 	m.AttachJobs(jm, 2)
 	MountHTTP(m)
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	t.Cleanup(srv.Close)
 
 	sr := sign(Release{Name: "mon", Vendor: "acme", Version: "1.0.0",
@@ -152,7 +152,7 @@ func TestTraceHeaderContinuesCallerTrace(t *testing.T) {
 	t.Cleanup(m.Close)
 	m.SetLeaderLease(NewLeaderLease("leader-hdr", time.Minute))
 	MountHTTP(m)
-	srv := httptest.NewServer(obs.NewHandler(obs.Default(), nil))
+	srv := httptest.NewServer(obs.NewHandler(obs.Default()))
 	t.Cleanup(srv.Close)
 
 	caller := span.Root(4_441_777, "client:op")

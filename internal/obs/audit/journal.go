@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"sdnshield/internal/obs"
 )
@@ -95,7 +94,7 @@ type Journal struct {
 	cmu       sync.Mutex
 	consumers []func(Event)
 
-	sink atomic.Pointer[FileSink]
+	sink atomic.Pointer[obs.FileSink[Event]]
 	// sinkErrs counts sink writes that failed (rotation or I/O errors);
 	// the pipeline keeps going.
 	sinkErrs atomic.Uint64
@@ -161,15 +160,20 @@ func (j *Journal) SinkErrors() uint64 { return j.sinkErrs.Load() }
 // (drained or not). Stream clients use it as their initial cursor.
 func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
 
-// shard picks the caller's stripe off a stack-address hash, the same
-// trick obs uses: no goroutine ID exists, but distinct goroutines live
-// on distinct stacks.
+// shard picks the caller's stripe off obs's stack-address hash.
 func (j *Journal) shard() *jshard {
-	var b byte
-	h := uint64(uintptr(unsafe.Pointer(&b)))
-	h ^= h >> 12
-	h *= 0x9e3779b97f4a7c15
-	return &j.shards[(h>>56)&j.mask]
+	return &j.shards[(obs.StackHash()>>56)&j.mask]
+}
+
+// TenantOf attributes an app to its tenant. Multi-tenant managers
+// namespace app names "tenant/app" (market app names themselves cannot
+// contain '/'), so the prefix is an unambiguous attribution; otherwise it
+// falls back to the process-wide tenant identity.
+func TenantOf(app string) string {
+	if i := strings.IndexByte(app, '/'); i > 0 {
+		return app[:i]
+	}
+	return DefaultTenant()
 }
 
 // Emit appends an event. It never blocks: a full shard increments the
@@ -183,15 +187,7 @@ func (j *Journal) Emit(ev Event) {
 		ev.Time = time.Now()
 	}
 	if ev.Tenant == "" {
-		// Multi-tenant managers namespace app names "tenant/app" (market
-		// app names themselves cannot contain '/'), so the prefix is an
-		// unambiguous attribution; otherwise fall back to the process-wide
-		// tenant identity.
-		if i := strings.IndexByte(ev.App, '/'); i > 0 {
-			ev.Tenant = ev.App[:i]
-		} else {
-			ev.Tenant = DefaultTenant()
-		}
+		ev.Tenant = TenantOf(ev.App)
 	}
 	ev.Seq = j.seq.Add(1)
 	sh := j.shard()
@@ -224,7 +220,7 @@ func (j *Journal) AddConsumer(fn func(Event)) {
 }
 
 // AttachSink routes every drained event into a JSONL file sink.
-func (j *Journal) AttachSink(s *FileSink) { j.sink.Store(s) }
+func (j *Journal) AttachSink(s *obs.FileSink[Event]) { j.sink.Store(s) }
 
 // DetachSink stops writing to the attached sink (without closing it).
 func (j *Journal) DetachSink() { j.sink.Store(nil) }

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sdnshield/internal/obs"
 )
 
 func TestFileSinkWritesJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
-	s, err := NewFileSink(path, 0)
+	s, err := obs.NewFileSink[Event](path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestFileSinkWritesJSONL(t *testing.T) {
 
 func TestFileSinkRotatesAtSizeBound(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
-	s, err := NewFileSink(path, 256)
+	s, err := obs.NewFileSink[Event](path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestFileSinkRotatesAtSizeBound(t *testing.T) {
 
 func TestFileSinkWriteAfterCloseFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
-	s, err := NewFileSink(path, 0)
+	s, err := obs.NewFileSink[Event](path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestFileSinkWriteAfterCloseFails(t *testing.T) {
 
 func TestJournalSinkIntegration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
-	s, err := NewFileSink(path, 0)
+	s, err := obs.NewFileSink[Event](path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,12 +62,12 @@ func BenchmarkTimerObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTracerUnsampledStart(b *testing.B) {
-	tr := NewTracer(64, 1<<30) // effectively never samples
+// BenchmarkSamplerTick is the whole tracing cost of an unsampled call:
+// the one decision hot paths take before measuring anything.
+func BenchmarkSamplerTick(b *testing.B) {
+	var s Sampler
 	for i := 0; i < b.N; i++ {
-		t := tr.Start("op")
-		t.StartSpan("exec").End()
-		t.Finish()
+		s.Tick()
 	}
 }
 
@@ -77,11 +77,11 @@ func BenchmarkTracerUnsampledStart(b *testing.B) {
 // Observe — no allocation, no clock read.
 func BenchmarkHistogramObserveTraced(b *testing.B) {
 	h := NewRegistry().Histogram("bench_seconds", "h")
-	tr := &Trace{ID: "bench-1", Op: "op", Start: time.Now()}
+	start := time.Now()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			h.ObserveTraced(3*time.Microsecond, tr)
+			h.ObserveTraced(3*time.Microsecond, 1, start)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -98,8 +99,10 @@ var defBoundsNanos = func() []int64 {
 
 // Exemplar links a histogram bucket to a concrete trace that landed in
 // it, so a slow bucket on the dashboard leads straight to the call-path
-// breakdown that produced it. Time is the trace's start timestamp — the
-// hot path never reads the clock just to stamp an exemplar.
+// breakdown that produced it: TraceID is the decimal trace ID, the one
+// /trace/<id> and /audit?corr=<id> take. Time is the trace's start
+// timestamp — the hot path never reads the clock just to stamp an
+// exemplar.
 type Exemplar struct {
 	TraceID string        `json:"trace_id"`
 	Value   time.Duration `json:"value"`
@@ -155,13 +158,7 @@ func (h *Histogram) bucketIndex(ns int64) int {
 
 // Observe records one latency.
 func (h *Histogram) Observe(d time.Duration) {
-	h.observe(d, nil)
-}
-
-// ObserveTraced records one latency and, when the observation belongs to
-// a sampled trace, publishes the trace id as the bucket's exemplar.
-func (h *Histogram) ObserveTraced(d time.Duration, tr *Trace) {
-	h.observe(d, tr)
+	h.ObserveTraced(d, 0, time.Time{})
 }
 
 // ObserveTimer records the elapsed time of an active timer; inactive
@@ -170,10 +167,13 @@ func (h *Histogram) ObserveTimer(t Timer) {
 	if h == nil || t.start.IsZero() {
 		return
 	}
-	h.observe(time.Since(t.start), nil)
+	h.ObserveTraced(time.Since(t.start), 0, time.Time{})
 }
 
-func (h *Histogram) observe(d time.Duration, tr *Trace) {
+// ObserveTraced records one latency and, when the observation belongs to
+// a trace (traceID != 0, started at start), publishes the trace as the
+// bucket's exemplar. The trace ID is the one /trace/<id> serves.
+func (h *Histogram) ObserveTraced(d time.Duration, traceID uint64, start time.Time) {
 	if h == nil || !enabled.Load() {
 		return
 	}
@@ -185,23 +185,23 @@ func (h *Histogram) observe(d time.Duration, tr *Trace) {
 	sh := &h.shards[shardIndex()]
 	sh.counts[idx].Add(1)
 	sh.sumNanos.Add(ns)
-	if tr != nil {
-		h.updateExemplar(idx, d, tr)
+	if traceID != 0 {
+		h.updateExemplar(idx, d, traceID, start)
 	}
 }
 
-// updateExemplar publishes tr as bucket idx's exemplar unless the
+// updateExemplar publishes the trace as bucket idx's exemplar unless the
 // current exemplar is still fresh. The timestamp is the trace's start
-// time, already captured when the trace was sampled, so the steady
+// time, already captured when the call was sampled, so the steady
 // state inside exemplarMinAge does no allocation and no clock read.
 // The CompareAndSwap means a lost race simply keeps the racer's equally
 // fresh exemplar.
-func (h *Histogram) updateExemplar(idx int, d time.Duration, tr *Trace) {
+func (h *Histogram) updateExemplar(idx int, d time.Duration, traceID uint64, start time.Time) {
 	cur := h.exemplars[idx].Load()
-	if cur != nil && tr.Start.Sub(cur.Time) < exemplarMinAge {
+	if cur != nil && start.Sub(cur.Time) < exemplarMinAge {
 		return
 	}
-	h.exemplars[idx].CompareAndSwap(cur, &Exemplar{TraceID: tr.ID, Value: d, Time: tr.Start})
+	h.exemplars[idx].CompareAndSwap(cur, &Exemplar{TraceID: strconv.FormatUint(traceID, 10), Value: d, Time: start})
 }
 
 // HistogramBucket is one merged bucket of a histogram snapshot.

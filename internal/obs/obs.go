@@ -1,18 +1,17 @@
 // Package obs is the SDNShield telemetry subsystem: a dependency-free,
 // sharded metrics registry (atomic counters, gauges and fixed-bucket
-// latency histograms built for the per-call hot path), lightweight
-// call-path tracing that follows one mediated call across the isolation
-// boundary (app container → KSD deputy → permission check → kernel →
-// wire), and an HTTP introspection endpoint serving Prometheus text
-// exposition, JSON snapshots, per-app health and pprof.
+// latency histograms built for the per-call hot path), the sampling
+// decision the hot paths share, a rotating JSONL file sink, and an HTTP
+// introspection endpoint serving Prometheus text exposition, JSON
+// snapshots, per-app health and pprof. Tracing lives in obs/span.
 //
 // The paper's evaluation (§IX, Figures 5–8) is entirely about overhead on
 // the mediated call path, so the instrumentation is designed to be cheap
 // enough to leave on in production: increments are lock-free atomic adds
 // striped across cache-line-padded shards (per-CPU-ish striping keyed off
 // the caller's goroutine stack), histograms use fixed exponential bucket
-// bounds compared as integer nanoseconds, and tracing is sampled with
-// bounded in-memory retention. A single process-wide switch
+// bounds compared as integer nanoseconds, and clock reads are sampled. A
+// single process-wide switch
 // (SetEnabled(false)) turns every instrument into a near-free no-op; the
 // `make bench` target compares the two modes to bound the overhead.
 //
@@ -79,18 +78,22 @@ type pad64 struct {
 	_ [56]byte
 }
 
-// shardIndex picks the caller's stripe. Go exposes no goroutine or CPU
-// id, so the hint is the address of a stack variable: distinct goroutines
-// live on distinct stacks, and a fibonacci-style multiply spreads the
-// high bits across the shard space. The same goroutine keeps hitting the
-// same shard (good locality); different goroutines spread out.
-func shardIndex() uint64 {
+// StackHash is the stripe hint of every sharded structure in the repo.
+// Go exposes no goroutine or CPU id, so the hint is the address of a
+// stack variable: distinct goroutines live on distinct stacks, and a
+// fibonacci-style multiply spreads the entropy into the high bits, which
+// is where callers take their shard index from (shift, then mask). The
+// same goroutine keeps hitting the same shard (good locality); different
+// goroutines spread out.
+func StackHash() uint64 {
 	var b byte
 	h := uint64(uintptr(unsafe.Pointer(&b)))
 	h ^= h >> 12
-	h *= 0x9e3779b97f4a7c15
-	return (h >> 56) & shardMask
+	return h * 0x9e3779b97f4a7c15
 }
+
+// shardIndex picks the caller's stripe of an obs instrument.
+func shardIndex() uint64 { return (StackHash() >> 56) & shardMask }
 
 // ---------------------------------------------------------------------------
 // Timers
@@ -106,18 +109,6 @@ func StartTimer() Timer {
 		return Timer{}
 	}
 	return Timer{start: time.Now()}
-}
-
-// Active reports whether the timer is measuring.
-func (t Timer) Active() bool { return !t.start.IsZero() }
-
-// Elapsed returns the time since the timer started, or 0 for an inactive
-// timer.
-func (t Timer) Elapsed() time.Duration {
-	if t.start.IsZero() {
-		return 0
-	}
-	return time.Since(t.start)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,13 +141,20 @@ type Sampler struct{ n atomic.Uint64 }
 // Hit reports whether this call should be measured: false while
 // instrumentation is disabled, one call in SetLatencySampling's N
 // otherwise. Cost on the unsampled path is one atomic add.
-func (s *Sampler) Hit() bool {
+func (s *Sampler) Hit() bool { return s.Tick() != 0 }
+
+// Tick is Hit that also numbers the measured calls: 0 for a call that is
+// not measured, otherwise the call's 1-based position among the calls
+// this sampler has measured. A site that keeps more for a fraction of
+// its measured calls (isolation traces every 16th) cuts that fraction
+// from the position and needs no second counter.
+func (s *Sampler) Tick() uint64 {
 	if !enabled.Load() {
-		return false
+		return 0
 	}
-	every := latEvery.Load()
-	if every <= 1 {
-		return true
+	every := uint64(max(latEvery.Load(), 1))
+	if n := s.n.Add(1); n%every == 0 {
+		return n / every
 	}
-	return s.n.Add(1)%uint64(every) == 0
+	return 0
 }

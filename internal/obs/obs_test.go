@@ -80,17 +80,42 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "h")
-	tracer := NewTracer(8, 1)
-	tr := tracer.Start("op")
-	if tr == nil {
-		t.Fatal("1-in-1 sampling returned nil trace")
-	}
-	h.ObserveTraced(3*time.Microsecond, tr)
-	tr.Finish()
+	h.ObserveTraced(3*time.Microsecond, 42, time.Now())
+	h.ObserveTraced(100*time.Microsecond, 0, time.Now()) // no trace, no exemplar
 	snap := h.Snapshot()
 	ex := snap.Buckets[2].Exemplar // le=4µs bucket
-	if ex == nil || ex.TraceID != tr.ID {
-		t.Fatalf("exemplar = %+v, want trace %s", ex, tr.ID)
+	if ex == nil || ex.TraceID != "42" {
+		t.Fatalf("exemplar = %+v, want trace 42", ex)
+	}
+	for i, b := range snap.Buckets {
+		if i != 2 && b.Exemplar != nil {
+			t.Fatalf("bucket %d carries exemplar %+v of an untraced observation", i, b.Exemplar)
+		}
+	}
+}
+
+// TestSamplerTickNumbersMeasuredCalls pins what a site that keeps more
+// for a fraction of its measured calls relies on: one call in N is
+// measured, and the measured calls are numbered consecutively.
+func TestSamplerTickNumbersMeasuredCalls(t *testing.T) {
+	for _, every := range []int{1, 4} {
+		prev := SetLatencySampling(every)
+		var s Sampler
+		var got []uint64
+		for i := 0; i < 8*every; i++ {
+			if n := s.Tick(); n != 0 {
+				got = append(got, n)
+			}
+		}
+		SetLatencySampling(prev)
+		if len(got) != 8 {
+			t.Fatalf("sampling %d: %d of %d calls measured, want 8", every, len(got), 8*every)
+		}
+		for i, n := range got {
+			if n != uint64(i+1) {
+				t.Fatalf("sampling %d: measured calls numbered %v, want 1..8", every, got)
+			}
+		}
 	}
 }
 
@@ -105,15 +130,16 @@ func TestDisabledInstrumentsAreNoops(t *testing.T) {
 	h.Observe(time.Millisecond)
 	g.Set(9)
 	tm := StartTimer()
-	if tm.Active() {
-		t.Fatal("timer active while disabled")
+	if tm != (Timer{}) {
+		t.Fatal("timer started while disabled")
 	}
 	h.ObserveTimer(tm)
 	if c.Value() != 0 || h.Count() != 0 || g.Value() != 0 {
 		t.Fatalf("disabled instruments recorded: c=%d h=%d g=%d", c.Value(), h.Count(), g.Value())
 	}
-	if tr := NewTracer(8, 1).Start("op"); tr != nil {
-		t.Fatal("tracer sampled while disabled")
+	var s Sampler
+	if s.Hit() || s.Tick() != 0 {
+		t.Fatal("sampler measured a call while disabled")
 	}
 }
 
@@ -233,8 +259,7 @@ func TestMetricKindMismatchPanics(t *testing.T) {
 func TestExemplarPublishAndRefreshGate(t *testing.T) {
 	h := NewRegistry().Histogram("exemplar_seconds", "h")
 	base := time.Now()
-	tr1 := &Trace{ID: "tr-1", Op: "op", Start: base}
-	h.ObserveTraced(2*time.Microsecond, tr1)
+	h.ObserveTraced(2*time.Microsecond, 1, base)
 
 	bucketExemplar := func() *Exemplar {
 		for _, b := range h.Snapshot().Buckets {
@@ -245,32 +270,32 @@ func TestExemplarPublishAndRefreshGate(t *testing.T) {
 		return nil
 	}
 	ex := bucketExemplar()
-	if ex == nil || ex.TraceID != "tr-1" {
-		t.Fatalf("exemplar = %+v, want trace tr-1", ex)
+	if ex == nil || ex.TraceID != "1" {
+		t.Fatalf("exemplar = %+v, want trace 1", ex)
 	}
 	if !ex.Time.Equal(base) {
 		t.Errorf("exemplar time = %v, want the trace start %v", ex.Time, base)
 	}
 
 	// A trace starting inside the refresh window must not replace it.
-	h.ObserveTraced(2*time.Microsecond, &Trace{ID: "tr-2", Op: "op", Start: base.Add(exemplarMinAge / 2)})
-	if ex = bucketExemplar(); ex == nil || ex.TraceID != "tr-1" {
+	h.ObserveTraced(2*time.Microsecond, 2, base.Add(exemplarMinAge/2))
+	if ex = bucketExemplar(); ex == nil || ex.TraceID != "1" {
 		t.Fatalf("fresh exemplar was replaced: %+v", ex)
 	}
 
 	// One starting after the window replaces it.
-	h.ObserveTraced(2*time.Microsecond, &Trace{ID: "tr-3", Op: "op", Start: base.Add(2 * exemplarMinAge)})
-	if ex = bucketExemplar(); ex == nil || ex.TraceID != "tr-3" {
+	h.ObserveTraced(2*time.Microsecond, 3, base.Add(2*exemplarMinAge))
+	if ex = bucketExemplar(); ex == nil || ex.TraceID != "3" {
 		t.Fatalf("stale exemplar not replaced: %+v", ex)
 	}
 }
 
 func TestExemplarSteadyStateDoesNotAllocate(t *testing.T) {
 	h := NewRegistry().Histogram("exemplar_alloc_seconds", "h")
-	tr := &Trace{ID: "tr-alloc", Op: "op", Start: time.Now()}
-	h.ObserveTraced(2*time.Microsecond, tr) // prime the exemplar
+	start := time.Now()
+	h.ObserveTraced(2*time.Microsecond, 7, start) // prime the exemplar
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.ObserveTraced(2*time.Microsecond, tr)
+		h.ObserveTraced(2*time.Microsecond, 7, start)
 	})
 	if allocs != 0 {
 		t.Fatalf("traced observation allocates %v per call in steady state", allocs)

@@ -8,7 +8,6 @@
 package prof
 
 import (
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -37,7 +36,7 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	p := Default()
 	if p == nil {
-		writeJSON(w, indexView{Enabled: false, Captures: []Capture{}})
+		obs.WriteJSON(w, indexView{Enabled: false, Captures: []Capture{}})
 		return
 	}
 	if r.URL.Query().Get("capture") == "1" {
@@ -45,11 +44,11 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		} else {
-			writeJSON(w, c)
+			obs.WriteJSON(w, c)
 			return
 		}
 	}
-	writeJSON(w, indexView{
+	obs.WriteJSON(w, indexView{
 		Enabled:  true,
 		Dir:      p.Dir(),
 		Skipped:  p.Skipped(),
@@ -72,7 +71,7 @@ func handleCapture(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(parts) == 1 {
-		writeJSON(w, c)
+		obs.WriteJSON(w, c)
 		return
 	}
 	file := parts[1]
@@ -89,11 +88,4 @@ func handleCapture(w http.ResponseWriter, r *http.Request) {
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	http.ServeContent(w, r, file, c.Time, f)
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -151,7 +151,7 @@ func TestAppsAndBundleEndpoints(t *testing.T) {
 	})
 	defer unreg()
 
-	h := obs.NewHandler(obs.NewRegistry(), nil)
+	h := obs.NewHandler(obs.NewRegistry())
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/apps", nil))

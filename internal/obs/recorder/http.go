@@ -1,7 +1,6 @@
 package recorder
 
 import (
-	"encoding/json"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -24,7 +23,7 @@ func serveApps(w http.ResponseWriter, r *http.Request) {
 	if tenant := r.URL.Query().Get("tenant"); tenant != "" {
 		snaps = filterUsageByTenant(snaps, tenant)
 	}
-	writeJSON(w, snaps)
+	obs.WriteJSON(w, snaps)
 }
 
 // Apps returns the /apps handler for embedding in tenant-scoped muxes.
@@ -70,7 +69,7 @@ func serveBundle(w http.ResponseWriter, r *http.Request) {
 			corr = v
 		}
 		bundle := defBundler.Capture(TriggerManual, q.Get("app"), corr, q.Get("detail"))
-		writeJSON(w, bundle)
+		obs.WriteJSON(w, bundle)
 		return
 	}
 	if id := q.Get("id"); id != "" {
@@ -79,20 +78,13 @@ func serveBundle(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no such bundle (evicted or never captured)", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, bundle)
+		obs.WriteJSON(w, bundle)
 		return
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Bundles     []BundleInfo `json:"bundles"`
 		WriteErrors uint64       `json:"write_errors,omitempty"`
 	}{defBundler.Recent(), defBundler.WriteErrors()})
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 func init() {

@@ -1,8 +1,8 @@
 // Package recorder is SDNShield's black-box flight recorder: an
 // always-on, lock-sharded, bounded ring of compact binary frames — one
 // per mediated call, kernel op, supervisor transition, quota breach and
-// audit anomaly. Where obs aggregates (counters, histograms) and the
-// obs tracer samples (1 in N), the recorder keeps the recent past
+// audit anomaly. Where obs aggregates (counters, histograms) and
+// obs/span traces a sample (1 in N), the recorder keeps the recent past
 // *unsampled*: when something fires, the frames leading up to it are
 // already in memory, and a diagnostic bundle (bundle.go) snapshots them
 // together with metrics, health, per-app resource usage and the audit

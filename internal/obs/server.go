@@ -7,7 +7,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -62,10 +61,11 @@ func healthSnapshot() map[string]interface{} {
 // ---------------------------------------------------------------------------
 // Extension handlers
 
-// extHandlers lets packages layered above obs (notably obs/audit) mount
-// extra routes on every introspection endpoint without obs importing
-// them. Handlers registered before NewHandler runs are included; the
-// index page lists their patterns.
+// extHandlers lets packages layered above obs (obs/audit's /audit,
+// obs/span's /trace and /traces) mount extra routes on every
+// introspection endpoint without obs importing them. Handlers registered
+// before NewHandler runs are included; the index page lists their
+// patterns.
 var (
 	extMu       sync.Mutex
 	extHandlers = make(map[string]http.Handler)
@@ -92,21 +92,20 @@ func extensionRoutes() map[string]http.Handler {
 // ---------------------------------------------------------------------------
 // HTTP endpoint
 
-// NewHandler builds the introspection mux over a registry and tracer
-// (either may be the process defaults):
+// NewHandler builds the introspection mux over a registry (nil for the
+// process default):
 //
 //	/            — plain-text index of the routes below
 //	/metrics     — Prometheus text exposition
 //	/metrics.json— JSON snapshot of every series (with exemplars)
 //	/health      — per-component health (shield containers, quarantine…)
-//	/traces      — recent sampled call-path traces, newest first
+//	/slo         — SLO objectives and burn rates
 //	/debug/pprof — the standard Go profiler surface
-func NewHandler(reg *Registry, tracer *Tracer) http.Handler {
+//
+// plus every extension route registered so far.
+func NewHandler(reg *Registry) http.Handler {
 	if reg == nil {
 		reg = Default()
-	}
-	if tracer == nil {
-		tracer = DefaultTracer()
 	}
 	reg.GaugeFunc("sdnshield_goroutines", "Live goroutines in the controller process.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
@@ -127,40 +126,15 @@ func NewHandler(reg *Registry, tracer *Tracer) http.Handler {
 		_ = reg.WritePrometheus(w)
 	}))
 	listed("/metrics.json", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, reg.Snapshot())
+		WriteJSON(w, reg.Snapshot())
 	}))
 	listed("/health", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, healthSnapshot())
-	}))
-	listed("/traces", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		traces := tracer.Recent()
-		// ?corr=<id> and ?op=<name> narrow the ring to the sampled
-		// trace(s) matching an audit event, instead of making the
-		// operator scan all 256 entries by eye.
-		q := r.URL.Query()
-		if corrStr := q.Get("corr"); corrStr != "" {
-			corr, err := strconv.ParseUint(corrStr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad corr", http.StatusBadRequest)
-				return
-			}
-			traces = filterTraces(traces, func(t TraceSnapshot) bool { return t.Corr == corr })
-		}
-		if op := q.Get("op"); op != "" {
-			traces = filterTraces(traces, func(t TraceSnapshot) bool { return t.Op == op })
-		}
-		if tenant := q.Get("tenant"); tenant != "" {
-			traces = filterTraces(traces, func(t TraceSnapshot) bool { return t.Tenant == tenant })
-		}
-		if traces == nil {
-			traces = []TraceSnapshot{}
-		}
-		writeJSON(w, traces)
+		WriteJSON(w, healthSnapshot())
 	}))
 	listed("/slo", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		e := DefaultSLO()
 		if e == nil {
-			writeJSON(w, struct {
+			WriteJSON(w, struct {
 				Enabled bool `json:"enabled"`
 			}{false})
 			return
@@ -169,7 +143,7 @@ func NewHandler(reg *Registry, tracer *Tracer) http.Handler {
 		if st == nil {
 			st = e.Evaluate(time.Now())
 		}
-		writeJSON(w, struct {
+		WriteJSON(w, struct {
 			Enabled    bool              `json:"enabled"`
 			Objectives []ObjectiveStatus `json:"objectives"`
 		}{true, st})
@@ -194,17 +168,9 @@ func NewHandler(reg *Registry, tracer *Tracer) http.Handler {
 	return mux
 }
 
-func filterTraces(in []TraceSnapshot, keep func(TraceSnapshot) bool) []TraceSnapshot {
-	out := in[:0:0]
-	for _, t := range in {
-		if keep(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// WriteJSON renders v the way every route of the endpoint does —
+// indented, as application/json — extension routes included.
+func WriteJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -218,14 +184,13 @@ type Server struct {
 }
 
 // Serve starts the introspection endpoint on addr (e.g. "127.0.0.1:9090";
-// port 0 picks a free port, see Addr). Pass nil reg/tracer for the
-// process defaults.
-func Serve(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
+// port 0 picks a free port, see Addr). A nil reg is the process default.
+func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewHandler(reg, tracer), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewHandler(reg), ReadHeaderTimeout: 5 * time.Second}
 	s := &Server{ln: ln, srv: srv}
 	go func() { _ = srv.Serve(ln) }()
 	return s, nil

@@ -1,20 +1,27 @@
-package obs
+// The endpoint tests live outside package obs so they can link obs/span,
+// which mounts /trace and /traces through the extension registry.
+package obs_test
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"sdnshield/internal/obs"
+	"sdnshield/internal/obs/span"
 )
 
-// newTestServer builds a handler over a private registry/tracer so the
-// assertions do not depend on whatever the process-wide defaults have
+// newTestServer builds a handler over a private registry so the
+// assertions do not depend on whatever the process-wide default has
 // accumulated.
-func newTestServer(t *testing.T) (*httptest.Server, *Registry) {
+func newTestServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	reg := NewRegistry()
-	srv := httptest.NewServer(NewHandler(reg, NewTracer(16, 1)))
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(obs.NewHandler(reg))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -54,7 +61,7 @@ func TestServerIndex(t *testing.T) {
 		t.Errorf("index Content-Type = %q", ct)
 	}
 	idx := body(t, resp)
-	for _, route := range []string{"/metrics", "/metrics.json", "/health", "/traces", "/debug/pprof/"} {
+	for _, route := range []string{"/metrics", "/metrics.json", "/health", "/slo", "/trace", "/traces", "/debug/pprof/"} {
 		if !strings.Contains(idx, route) {
 			t.Errorf("index missing route %s", route)
 		}
@@ -90,7 +97,7 @@ func TestServerMetricsContentTypes(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("/metrics.json Content-Type = %q", ct)
 	}
-	var series []SeriesSnapshot
+	var series []obs.SeriesSnapshot
 	if err := json.Unmarshal([]byte(body(t, resp)), &series); err != nil {
 		t.Fatalf("/metrics.json is not valid JSON: %v", err)
 	}
@@ -115,7 +122,7 @@ func TestServerHealthReflectsQuarantine(t *testing.T) {
 		State            string `json:"state"`
 		QuarantineReason string `json:"quarantine_reason,omitempty"`
 	}
-	unregister := RegisterHealth("server-test-shield", func() interface{} {
+	unregister := obs.RegisterHealth("server-test-shield", func() interface{} {
 		return map[string]interface{}{
 			"apps": []appHealth{{
 				App:              "crashy",
@@ -159,19 +166,94 @@ func TestServerHealthReflectsQuarantine(t *testing.T) {
 	}
 }
 
-// TestServerTraces asserts /traces serves a JSON array even when empty.
+// TestServerTraces asserts /traces serves a JSON array even when no call
+// matches, and that its id is the correlation ID /trace/<id> resolves.
 func TestServerTraces(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp := get(t, srv.URL+"/traces")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /traces status = %d", resp.StatusCode)
+	decode := func(query string) []span.MediatedCall {
+		t.Helper()
+		resp := get(t, srv.URL+"/traces"+query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /traces%s status = %d", query, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("/traces Content-Type = %q", ct)
+		}
+		text := body(t, resp)
+		if !strings.HasPrefix(text, "[") {
+			t.Fatalf("/traces%s is not a JSON array: %s", query, text)
+		}
+		var calls []span.MediatedCall
+		if err := json.Unmarshal([]byte(text), &calls); err != nil {
+			t.Fatalf("/traces%s is not valid JSON: %v", query, err)
+		}
+		return calls
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/traces Content-Type = %q", ct)
+	if calls := decode("?op=no-such-op"); len(calls) != 0 {
+		t.Fatalf("/traces?op=no-such-op = %+v", calls)
 	}
-	var traces []TraceSnapshot
-	if err := json.Unmarshal([]byte(body(t, resp)), &traces); err != nil {
-		t.Fatalf("/traces is not valid JSON array: %v", err)
+	corr := uint64(time.Now().UnixNano())
+	span.Mediated(corr, "server_test", "", time.Now(), time.Millisecond)
+	calls := decode("?corr=" + strconv.FormatUint(corr, 10))
+	if len(calls) != 1 || calls[0].Op != "server_test" || calls[0].ID != strconv.FormatUint(corr, 10) {
+		t.Fatalf("/traces?corr=%d = %+v, want that one call with id = corr", corr, calls)
+	}
+	if resp := get(t, srv.URL+"/trace/"+calls[0].ID); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /trace/<id of /traces> status = %d", resp.StatusCode)
+	}
+}
+
+// TestServerEndpoints walks every route of one handler once.
+func TestServerEndpoints(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("sdnshield_demo_total", "Demo.").Add(42)
+	span.Mediated(uint64(time.Now().UnixNano()), "demo", "", time.Now(), time.Millisecond)
+	unreg := obs.RegisterHealth("test-shield", func() interface{} {
+		return map[string]string{"state": "running"}
+	})
+	defer unreg()
+
+	h := obs.NewHandler(reg)
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	if body := get("/metrics"); !strings.Contains(body, "sdnshield_demo_total 42") {
+		t.Errorf("/metrics missing counter:\n%s", body)
+	}
+	if body := get("/metrics.json"); !strings.Contains(body, `"sdnshield_demo_total"`) {
+		t.Errorf("/metrics.json missing counter:\n%s", body)
+	}
+	if body := get("/health"); !strings.Contains(body, `"test-shield"`) || !strings.Contains(body, `"running"`) {
+		t.Errorf("/health missing provider:\n%s", body)
+	}
+	if body := get("/traces"); !strings.Contains(body, `"demo"`) {
+		t.Errorf("/traces missing trace:\n%s", body)
+	}
+	if body := get("/"); !strings.Contains(body, "/debug/pprof/") {
+		t.Errorf("index missing pprof route:\n%s", body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rec.Code != 200 {
+		t.Errorf("pprof index = %d", rec.Code)
+	}
+}
+
+func TestServeListensAndCloses(t *testing.T) {
+	s, err := obs.Serve("127.0.0.1:0", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Addr() == "" {
+		t.Fatal("no bound address")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -179,7 +261,7 @@ func TestServerTraces(t *testing.T) {
 // (the hook obs/audit mounts /audit through) are served and listed on the
 // index of handlers built afterwards.
 func TestServerExtensionRoutes(t *testing.T) {
-	RegisterHandler("/server-test-ext", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	obs.RegisterHandler("/server-test-ext", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))
 	srv, _ := newTestServer(t)

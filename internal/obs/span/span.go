@@ -1,7 +1,8 @@
-// Package span is SDNShield's causal tracing layer: where obs.Tracer
-// follows one mediated call inside one process, span follows one
+// Package span is SDNShield's tracer, the only one: it follows one
 // *operation* — an async install, a replication round — across
-// goroutines, WAL-persisted job executions and HTTP node boundaries.
+// goroutines, WAL-persisted job executions and HTTP node boundaries, and
+// it holds the queue-wait/execution breakdown of the sampled mediated
+// calls (Mediated), which /traces lists.
 //
 // The unification that makes it forensic rather than merely diagnostic:
 // a span's trace ID IS the audit correlation ID minted at the operation
@@ -16,8 +17,8 @@
 // collector served at /trace/<traceID>, and optionally in a rotating
 // JSONL file sink alongside the audit journal.
 //
-// Layering: span imports only obs (for TraceSnapshot conversion and the
-// extension-route registry); everything above — jobs, market,
+// Layering: span imports only obs (for the file sink, the drop metrics
+// and the extension-route registry); everything above — jobs, market,
 // isolation, the CLIs — imports span, never the reverse.
 package span
 
@@ -189,48 +190,44 @@ func (s *Span) End() {
 
 // Add records an externally timed child span — used when the start and
 // duration already exist for metric purposes (job queue wait, the
-// tracer's mediated-call stages), so tracing adds no clock reads of its
-// own. No-op on an invalid parent or a disabled layer.
-func Add(parent Context, name string, start time.Time, d time.Duration) {
+// stages of a mediated call), so tracing adds no clock reads of its
+// own. It returns the recorded span's context — zero, having recorded
+// nothing, on an invalid parent or a disabled layer.
+func Add(parent Context, name string, start time.Time, d time.Duration) Context {
 	if !parent.Valid() || !enabled.Load() {
-		return
+		return Context{}
 	}
+	c := Context{TraceID: parent.TraceID, SpanID: nextSpanID(), Parent: parent.SpanID}
 	def.Collect(Record{
-		TraceID: parent.TraceID, SpanID: nextSpanID(), Parent: parent.SpanID,
+		TraceID: c.TraceID, SpanID: c.SpanID, Parent: c.Parent,
 		Name: name, Node: node(), Start: start, Duration: d,
 	})
+	return c
 }
 
-// RecordTrace folds a finished mediated-call trace (the obs.Tracer's
-// sampled view of one call) into the process-wide collector under the
-// call's correlation ID. The isolation layer calls it only for the traced
-// subset, so the unsampled mediated-call path never reaches this code.
-func RecordTrace(traceID uint64, snap obs.TraceSnapshot) { def.RecordTrace(traceID, snap) }
+// mediatedPrefix starts the name of a traced mediated call's root span;
+// the rest is the op.
+const mediatedPrefix = "mediated:"
 
-// RecordTrace collects one parent span for the call and one child per
-// tracer stage.
-func (c *Collector) RecordTrace(traceID uint64, snap obs.TraceSnapshot) {
-	if traceID == 0 || !enabled.Load() {
-		return
+// Mediated records the root span of one traced mediated call —
+// "mediated:<op>" over [start, start+d), its trace ID the call's
+// correlation ID, tagged with the tenant when the call belongs to one —
+// and returns its context for Add to hang the call's stages from. These
+// roots are what /traces lists. The isolation layer calls it only for the
+// traced subset, with timestamps it took for the latency histograms.
+func Mediated(corr uint64, op, tenant string, start time.Time, d time.Duration) Context {
+	root := Add(Context{TraceID: corr}, mediatedPrefix+op, start, d)
+	if root.Valid() {
+		def.Tag(corr, tenant)
 	}
-	parent := nextSpanID()
-	n := node()
-	c.Collect(Record{
-		TraceID: traceID, SpanID: parent, Name: "mediated:" + snap.Op,
-		Node: n, Start: snap.Start, Duration: snap.Duration,
-	})
-	for _, sp := range snap.Spans {
-		c.Collect(Record{
-			TraceID: traceID, SpanID: nextSpanID(), Parent: parent, Name: sp.Name,
-			Node: n, Start: snap.Start.Add(sp.Offset), Duration: sp.Duration,
-		})
-	}
+	return root
 }
 
 // ---------------------------------------------------------------------------
 // Collector
 
-// Sink receives every collected span record — the JSONL file export.
+// Sink receives every collected span record — the JSONL file export,
+// obs.FileSink[Record].
 type Sink interface {
 	Write(Record) error
 }
@@ -291,17 +288,7 @@ func DefaultCollector() *Collector { return def }
 // attached.
 func (c *Collector) Collect(rec Record) {
 	c.mu.Lock()
-	e, ok := c.traces[rec.TraceID]
-	if !ok {
-		if len(c.order) >= c.maxTraces {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			delete(c.traces, oldest)
-		}
-		e = &traceEntry{}
-		c.traces[rec.TraceID] = e
-		c.order = append(c.order, rec.TraceID)
-	}
+	e := c.entryLocked(rec.TraceID)
 	if len(e.spans) >= c.maxSpans {
 		c.dropped++
 		c.mu.Unlock()
@@ -333,19 +320,24 @@ func (c *Collector) Tag(traceID uint64, tenant string) {
 		return
 	}
 	c.mu.Lock()
+	c.entryLocked(traceID).tenant = tenant
+	c.mu.Unlock()
+}
+
+// entryLocked returns the trace's entry, creating it — and evicting the
+// oldest trace when the store is full — if it is new.
+func (c *Collector) entryLocked(traceID uint64) *traceEntry {
 	e, ok := c.traces[traceID]
 	if !ok {
 		if len(c.order) >= c.maxTraces {
-			oldest := c.order[0]
+			delete(c.traces, c.order[0])
 			c.order = c.order[1:]
-			delete(c.traces, oldest)
 		}
 		e = &traceEntry{}
 		c.traces[traceID] = e
 		c.order = append(c.order, traceID)
 	}
-	e.tenant = tenant
-	c.mu.Unlock()
+	return e
 }
 
 // TenantOf returns the tenant tagged on a retained trace ("" when the

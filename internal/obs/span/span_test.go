@@ -142,7 +142,7 @@ func TestCollectorForwardsToSink(t *testing.T) {
 func TestFileSinkJSONLAndRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spans.jsonl")
-	s, err := NewFileSink(path, 256)
+	s, err := obs.NewFileSink[Record](path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,45 +191,5 @@ func TestFileSinkJSONLAndRotation(t *testing.T) {
 	}
 	if lastID != 5 {
 		t.Fatalf("live sink file ends at span %d, want the newest write 5", lastID)
-	}
-}
-
-// TestRecordTraceConversion checks the obs.Tracer bridge: a finished
-// mediated-call snapshot becomes one parent span plus one child per
-// tracer stage, all under the call's correlation ID.
-func TestRecordTraceConversion(t *testing.T) {
-	const traceID = uint64(1)<<52 + 991
-	start := time.Now().Add(-time.Second)
-	// A collector of its own: the process-wide one keeps the spans of an
-	// earlier -count iteration under the same trace ID.
-	c := NewCollector(0, 0)
-	c.RecordTrace(traceID, obs.TraceSnapshot{
-		Op: "flow_mod", Start: start, Duration: 3 * time.Millisecond,
-		Spans: []obs.SpanRecord{
-			{Name: "permission_check", Offset: 0, Duration: time.Millisecond},
-			{Name: "kernel", Offset: time.Millisecond, Duration: 2 * time.Millisecond},
-		},
-	})
-	spans := c.Trace(traceID)
-	if len(spans) != 3 {
-		t.Fatalf("RecordTrace retained %d spans, want 3: %+v", len(spans), spans)
-	}
-	parent := spans[0]
-	if parent.Name != "mediated:flow_mod" || parent.Parent != 0 {
-		t.Fatalf("parent span = %+v", parent)
-	}
-	for _, child := range spans[1:] {
-		if child.Parent != parent.SpanID {
-			t.Fatalf("stage %q not parented to the call span: %+v", child.Name, child)
-		}
-	}
-	if spans[2].Name != "kernel" || !spans[2].Start.Equal(start.Add(time.Millisecond)) {
-		t.Fatalf("stage offset lost: %+v", spans[2])
-	}
-
-	// Zero correlation (unsampled path) records nothing.
-	c.RecordTrace(0, obs.TraceSnapshot{Op: "ignored"})
-	if got := c.Trace(0); got != nil {
-		t.Fatalf("RecordTrace(0, ...) recorded %+v", got)
 	}
 }

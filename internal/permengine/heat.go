@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"sdnshield/internal/core"
 	"sdnshield/internal/obs"
@@ -121,14 +120,9 @@ func heatHit() bool {
 	return heatTick.Add(1)%uint64(every) == 0
 }
 
-// heatShard picks the caller's stripe off a stack-address hash, the same
-// trick obs uses: distinct goroutines live on distinct stacks.
+// heatShard picks the caller's stripe off obs's stack-address hash.
 func heatShard() int {
-	var b byte
-	h := uint64(uintptr(unsafe.Pointer(&b)))
-	h ^= h >> 12
-	h *= 0x9e3779b97f4a7c15
-	return int(h>>62) & (heatShards - 1)
+	return int(obs.StackHash()>>62) & (heatShards - 1)
 }
 
 // ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ func handleHeat(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Engines[name] = p
 	}
-	writeJSON(w, out)
+	obs.WriteJSON(w, out)
 }
 
 func handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +122,7 @@ func handleExplainGet(w http.ResponseWriter, r *http.Request) {
 		for _, n := range sortedNames(engines) {
 			out.Engines = append(out.Engines, engineDenials{Engine: n, Denials: engines[n].RetainedDenials(64)})
 		}
-		writeJSON(w, out)
+		obs.WriteJSON(w, out)
 		return
 	}
 	corr, err := strconv.ParseUint(corrStr, 10, 64)
@@ -136,7 +136,7 @@ func handleExplainGet(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		writeJSON(w, explainResponse{
+		obs.WriteJSON(w, explainResponse{
 			Engine:      n,
 			Explanation: e.Explain(call),
 			AuditTrail:  audit.Default().Query(audit.Filter{Corr: corr}),
@@ -202,7 +202,7 @@ func handleExplainPost(w http.ResponseWriter, r *http.Request) {
 		if call.Corr != 0 {
 			resp.AuditTrail = audit.Default().Query(audit.Filter{Corr: call.Corr})
 		}
-		writeJSON(w, resp)
+		obs.WriteJSON(w, resp)
 	}
 }
 
@@ -389,11 +389,4 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(struct {
 		Error string `json:"error"`
 	}{msg})
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
