@@ -26,15 +26,18 @@ race:
 	$(GO) test -race -C benchmark ./...
 
 # race-matrix is the concurrency gate: tier-1 (both modules) at four core
-# counts, then the packages whose state several goroutines reach under
-# the race detector three times over — a flake that shows once in four
-# runs does not get past it. flowtable runs with -short, which shrinks
-# its model test's seed range instead of skipping it.
+# counts in shuffled test order — a test that leans on what an earlier
+# one left in a process-wide collector fails, and go test prints the
+# -shuffle seed that reproduces it — then the packages whose state
+# several goroutines reach under the race detector three times over — a
+# flake that shows once in four runs does not get past it. flowtable
+# runs with -short, which shrinks its model test's seed range instead of
+# skipping it.
 RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs
 race-matrix:
 	for procs in 1 2 4 8; do \
-		GOMAXPROCS=$$procs $(GO) test -count=1 ./... || exit 1; \
-		GOMAXPROCS=$$procs $(GO) test -C benchmark -count=1 ./... || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -count=1 -shuffle=on ./... || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -C benchmark -count=1 -shuffle=on ./... || exit 1; \
 	done
 	$(GO) test -race -count=3 $(RACE_PKGS)
 	$(GO) test -race -short -count=3 ./internal/flowtable

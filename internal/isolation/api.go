@@ -116,22 +116,3 @@ type API interface {
 	// Transaction opens an atomic API-call transaction (§VI-B2).
 	Transaction() *Tx
 }
-
-// eventToken maps an event kind to the permission token guarding its
-// delivery.
-func eventToken(kind controller.EventKind) (core.Token, bool) {
-	switch kind {
-	case controller.EventPacketIn:
-		return core.TokenPktInEvent, true
-	case controller.EventFlowRemoved:
-		return core.TokenFlowEvent, true
-	case controller.EventPortStatus, controller.EventTopology:
-		return core.TokenTopologyEvent, true
-	case controller.EventError:
-		return core.TokenErrorEvent, true
-	case controller.EventDataModel:
-		return core.TokenVisibleTopology, true
-	default:
-		return 0, false
-	}
-}

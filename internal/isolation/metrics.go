@@ -1,9 +1,6 @@
 package isolation
 
-import (
-	"sdnshield/internal/obs"
-	"sdnshield/internal/obs/recorder"
-)
+import "sdnshield/internal/obs"
 
 // Isolation-layer instrumentation: the KSD boundary (the inter-goroutine
 // hop whose cost the paper's end-to-end figures measure) and per-app
@@ -25,53 +22,6 @@ var (
 // 128 at the default latency sampling of 8 — cheap enough to leave on,
 // frequent enough that a second of traffic populates /traces.
 const traceOneIn = 16
-
-const mediatedCallHelp = "End-to-end mediated API call latency: queue wait, permission check and kernel execution."
-
-// mediatedOp is one mediated API operation's precomputed hot-path
-// state: its name, its per-op latency histogram and its interned
-// flight-recorder symbol. The API wrappers in context.go reference
-// package-level descriptors, so neither the deputy's post-reply frame
-// append nor the caller's latency observation does a map lookup.
-type mediatedOp struct {
-	name string
-	hist *obs.Histogram
-	sym  recorder.Sym
-}
-
-// newMediatedOp resolves an op's histogram and symbol once. Package
-// init builds the descriptor for every mediated API operation; tests
-// may mint ad-hoc ops the same way.
-func newMediatedOp(name string) *mediatedOp {
-	return &mediatedOp{
-		name: name,
-		hist: obs.Default().Histogram("sdnshield_mediated_call_seconds", mediatedCallHelp, "op", name),
-		sym:  recorder.Intern(name),
-	}
-}
-
-// Per-op descriptors for the mediated API surface.
-var (
-	opInsertFlow    = newMediatedOp("insert_flow")
-	opModifyFlow    = newMediatedOp("modify_flow")
-	opDeleteFlow    = newMediatedOp("delete_flow")
-	opFlows         = newMediatedOp("flows")
-	opPacketOut     = newMediatedOp("packet_out")
-	opFlowStats     = newMediatedOp("flow_stats")
-	opPortStats     = newMediatedOp("port_stats")
-	opSwitchStats   = newMediatedOp("switch_stats")
-	opSwitches      = newMediatedOp("switches")
-	opLinks         = newMediatedOp("links")
-	opHosts         = newMediatedOp("hosts")
-	opAddLink       = newMediatedOp("add_link")
-	opRemoveLink    = newMediatedOp("remove_link")
-	opPublish       = newMediatedOp("publish")
-	opReadModel     = newMediatedOp("read_model")
-	opHostConnect   = newMediatedOp("host_connect")
-	opHostReadFile  = newMediatedOp("host_read_file")
-	opHostWriteFile = newMediatedOp("host_write_file")
-	opHostExec      = newMediatedOp("host_exec")
-)
 
 // appCounters is the set of per-container lifecycle counters, created
 // once per app name at Launch and cached on the container.

@@ -147,14 +147,5 @@ func (a *directAPI) HasPermission(core.Token) bool {
 }
 
 func (a *directAPI) Transaction() *Tx {
-	return &Tx{api: a}
-}
-
-func (a *directAPI) residentFlows(dpid of.DPID, match *of.Match) []*flowtable.Entry {
-	entries, _ := a.kernel.Flows(dpid, match)
-	return entries
-}
-
-func (a *directAPI) restoreFlow(dpid of.DPID, e *flowtable.Entry) error {
-	return a.kernel.InsertFlow(e.Owner, dpid, restoreSpec(e))
+	return &Tx{api: a, kernel: a.kernel}
 }

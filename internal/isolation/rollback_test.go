@@ -77,28 +77,37 @@ func snapshotShadow(t *testing.T, k *controller.Kernel, dpids []of.DPID, probes 
 }
 
 func TestTxRollbackRestoresShadowExactly(t *testing.T) {
-	variants := map[string]func(t *testing.T, env *testEnv) API{
-		"shield": func(t *testing.T, env *testEnv) API {
-			grant(t, env.shield, "mover", "PERM insert_flow\nPERM delete_flow")
+	shield := func(manifest string) func(t *testing.T, env *testEnv) API {
+		return func(t *testing.T, env *testEnv) API {
+			grant(t, env.shield, "mover", manifest)
 			var api API
 			if err := env.shield.Launch(app("mover", func(a API) error { api = a; return nil })); err != nil {
 				t.Fatal(err)
 			}
 			return api
-		},
-		"monolith": func(t *testing.T, env *testEnv) API {
+		}
+	}
+	// insertOnly variants plan inserts alone: the undo of an insert must
+	// not need delete_flow, since it is not a call the app makes.
+	variants := map[string]struct {
+		launch     func(t *testing.T, env *testEnv) API
+		insertOnly bool
+	}{
+		"shield":             {launch: shield("PERM insert_flow\nPERM delete_flow")},
+		"shield_insert_only": {launch: shield("PERM insert_flow"), insertOnly: true},
+		"monolith": {launch: func(t *testing.T, env *testEnv) API {
 			var api API
 			if err := NewMonolith(env.kernel).Launch(app("mover", func(a API) error { api = a; return nil })); err != nil {
 				t.Fatal(err)
 			}
 			return api
-		},
+		}},
 	}
 	dpids := []of.DPID{1, 2}
-	for name, launch := range variants {
+	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
 			env := newEnv(t, 2)
-			api := launch(t, env)
+			api := v.launch(t, env)
 			for seed := int64(0); seed < 12; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				// Start every seed from empty tables, then a random resident
@@ -130,7 +139,11 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 					dpid := dpids[r.Intn(2)]
 					m := rollbackMatch(r)
 					prio := rollbackPriority(r, r.Intn(len(rollbackOwners)))
-					switch r.Intn(4) {
+					op := r.Intn(4)
+					if v.insertOnly {
+						op = 2
+					}
+					switch op {
 					case 0:
 						tx.DeleteFlow(dpid, m, prio, true)
 					case 1:

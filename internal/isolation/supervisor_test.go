@@ -184,7 +184,7 @@ func TestSupervisorRecoversOneOffPanic(t *testing.T) {
 // and leave the KSD pool fully operational.
 func TestKSDSurvivesPanicInMediatedCall(t *testing.T) {
 	env := newEnv(t, 1)
-	err := env.shield.do(nil, newMediatedOp("test_panic"), 0, func() error { panic("kaboom") })
+	err := env.shield.do(nil, newMediatedOp("test_panic"), controller.Origin{}, func(controller.Origin) error { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "panic in mediated API call") {
 		t.Fatalf("err = %v, want mediated-call panic error", err)
 	}
@@ -193,7 +193,7 @@ func TestKSDSurvivesPanicInMediatedCall(t *testing.T) {
 	}
 	// The pool still serves requests — every worker, not just one.
 	for i := 0; i < 8; i++ {
-		if err := env.shield.do(nil, newMediatedOp("test_noop"), 0, func() error { return nil }); err != nil {
+		if err := env.shield.do(nil, newMediatedOp("test_noop"), controller.Origin{}, func(controller.Origin) error { return nil }); err != nil {
 			t.Fatalf("KSD pool broken after panic: %v", err)
 		}
 	}

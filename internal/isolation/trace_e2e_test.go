@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"sdnshield/internal/controller"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
@@ -69,7 +70,7 @@ func newTraceProbe(t *testing.T, sampling int) *traceProbe {
 // correlation ID and returns that ID.
 func (p *traceProbe) call() uint64 {
 	corr := audit.NextCorr()
-	if err := p.shield.do(p.c, p.op, corr, func() error { return nil }); err != nil {
+	if err := p.shield.do(p.c, p.op, controller.Origin{Corr: corr}, func(controller.Origin) error { return nil }); err != nil {
 		p.t.Errorf("mediated call: %v", err)
 	}
 	return corr

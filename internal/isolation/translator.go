@@ -47,42 +47,70 @@ func (t *translator) hosts() []topology.Host {
 	return out
 }
 
-// insertFlow expands one virtual rule. The virtual match may pin IN_PORT
-// to a virtual port; Output actions address virtual ports; SetField
-// actions are applied at the egress switch.
-func (t *translator) insertFlow(api *shieldedAPI, corr uint64, dpid of.DPID, spec controller.FlowSpec) error {
-	if dpid != bigSwitchDPID {
-		return fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
-	}
-	// Check the virtual call itself (token + filters on the virtual view).
-	if err := api.checkInsertFlow(corr, bigSwitchDPID, spec); err != nil {
+// outside is the refusal of a DPID-addressed call to any switch but the
+// big switch.
+func (t *translator) outside() error {
+	return fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
+}
+
+// insertFlow installs the expansion of one virtual rule, already decided
+// on the virtual view, under org.
+func (t *translator) insertFlow(org controller.Origin, spec controller.FlowSpec) error {
+	rules, err := t.expand(spec)
+	if err != nil {
 		return err
 	}
-	m := t.mapping()
-
-	match := spec.Match
-	if match == nil {
-		match = of.NewMatch()
-	}
-	// Pull the virtual ingress, if constrained.
-	var ingress *topology.AttachPoint
-	if v, mask := match.Get(of.FieldInPort); mask != 0 {
-		ap, err := m.Physical(uint16(v))
-		if err != nil {
+	for _, r := range rules {
+		phys := spec
+		phys.Match, phys.Actions = r.match, r.actions
+		if err := t.kernel.InsertFlowAs(org, r.dpid, phys); err != nil {
 			return err
 		}
-		ingress = &ap
 	}
-	physMatch := match.Clone()
-	physMatch.SetMasked(of.FieldInPort, 0, 0) // ports are remapped physically
+	return nil
+}
+
+// physRule is one per-switch rule of a virtual rule's expansion.
+type physRule struct {
+	dpid    of.DPID
+	match   *of.Match
+	actions []of.Action
+}
+
+// expand translates one virtual rule. The virtual match may pin IN_PORT
+// to a virtual port, which confines the expansion to the rules reached
+// from that ingress; Output actions address virtual ports; SetField
+// actions are applied at the egress switch. A drop rule goes on every
+// member switch; a forwarding rule is laid along the shortest paths
+// toward each egress, one rule per switch.
+func (t *translator) expand(spec controller.FlowSpec) ([]physRule, error) {
+	m, topo := t.mapping(), t.kernel.Topology()
+	vmatch := orAny(spec.Match)
+	sources := topo.SwitchIDs()
+	var ingress *topology.AttachPoint
+	if v, mask := vmatch.Get(of.FieldInPort); mask != 0 {
+		ap, err := m.Physical(uint16(v))
+		if err != nil {
+			return nil, err
+		}
+		ingress, sources = &ap, []of.DPID{ap.Switch}
+	}
+	rule := func(dpid of.DPID, actions ...of.Action) physRule {
+		phys := vmatch.Clone()
+		phys.SetMasked(of.FieldInPort, 0, 0) // ports are remapped physically
+		if ingress != nil && dpid == ingress.Switch {
+			phys.Set(of.FieldInPort, uint64(ingress.Port))
+		}
+		return physRule{dpid, phys, actions}
+	}
 
 	var rewrites []of.Action
 	var egress []uint16
-	dropRule := len(spec.Actions) == 0
+	drop := len(spec.Actions) == 0
 	for _, a := range spec.Actions {
 		switch a.Type {
 		case of.ActionDrop:
-			dropRule = true
+			drop = true
 		case of.ActionSetField:
 			rewrites = append(rewrites, a)
 		case of.ActionOutput:
@@ -93,108 +121,44 @@ func (t *translator) insertFlow(api *shieldedAPI, corr uint64, dpid of.DPID, spe
 			}
 		}
 	}
-
-	if dropRule {
-		return t.installDropEverywhere(corr, physMatch, ingress, spec)
+	var rules []physRule
+	if drop {
+		for _, dpid := range sources {
+			rules = append(rules, rule(dpid, of.Drop()))
+		}
+		return rules, nil
 	}
 	for _, vport := range egress {
-		ap, err := m.Physical(vport)
+		out, err := m.Physical(vport)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := t.installPathRules(corr, physMatch, ingress, ap, rewrites, spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// installDropEverywhere installs a drop rule on every member switch (or
-// only the ingress switch when the virtual rule pins IN_PORT).
-func (t *translator) installDropEverywhere(corr uint64, match *of.Match, ingress *topology.AttachPoint, spec controller.FlowSpec) error {
-	topo := t.kernel.Topology()
-	targets := topo.SwitchIDs()
-	if ingress != nil {
-		targets = []of.DPID{ingress.Switch}
-	}
-	for _, dpid := range targets {
-		phys := match.Clone()
-		if ingress != nil {
-			phys.Set(of.FieldInPort, uint64(ingress.Port))
-		}
-		err := t.kernel.InsertFlowAs(controller.Origin{App: t.app, Corr: corr}, dpid, controller.FlowSpec{
-			Match: phys, Priority: spec.Priority,
-			Actions:     []of.Action{of.Drop()},
-			IdleTimeout: spec.IdleTimeout, HardTimeout: spec.HardTimeout,
-			Cookie: spec.Cookie,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// installPathRules lays rules along shortest paths toward the egress
-// attachment point. With a pinned ingress only that path is installed;
-// otherwise every switch gets a rule forwarding toward the egress.
-func (t *translator) installPathRules(corr uint64, match *of.Match, ingress *topology.AttachPoint, egressAP topology.AttachPoint, rewrites []of.Action, spec controller.FlowSpec) error {
-	topo := t.kernel.Topology()
-	sources := topo.SwitchIDs()
-	if ingress != nil {
-		sources = []of.DPID{ingress.Switch}
-	}
-	// installed dedups per-switch rules when multiple sources share path
-	// suffixes.
-	installed := make(map[of.DPID]bool)
-	for _, src := range sources {
-		path, ok := topo.ShortestPath(src, egressAP.Switch)
-		if !ok {
-			return fmt.Errorf("isolation: egress switch %v unreachable from %v", egressAP.Switch, src)
-		}
-		for i, hop := range path {
-			if installed[hop.DPID] {
-				continue
+		laid := make(map[of.DPID]bool) // sources sharing a path suffix share its rules
+		for _, src := range sources {
+			path, ok := topo.ShortestPath(src, out.Switch)
+			if !ok {
+				return nil, fmt.Errorf("isolation: egress switch %v unreachable from %v", out.Switch, src)
 			}
-			installed[hop.DPID] = true
-			phys := match.Clone()
-			if ingress != nil && hop.DPID == ingress.Switch && i == 0 {
-				phys.Set(of.FieldInPort, uint64(ingress.Port))
-			}
-			var actions []of.Action
-			if hop.DPID == egressAP.Switch {
-				actions = append(actions, rewrites...)
-				actions = append(actions, of.Output(egressAP.Port))
-			} else {
-				actions = append(actions, of.Output(hop.OutPort))
-			}
-			err := t.kernel.InsertFlowAs(controller.Origin{App: t.app, Corr: corr}, hop.DPID, controller.FlowSpec{
-				Match: phys, Priority: spec.Priority, Actions: actions,
-				IdleTimeout: spec.IdleTimeout, HardTimeout: spec.HardTimeout,
-				Cookie: spec.Cookie,
-			})
-			if err != nil {
-				return err
+			for _, hop := range path {
+				switch {
+				case laid[hop.DPID]:
+				case hop.DPID == out.Switch:
+					rules = append(rules, rule(hop.DPID, append(append([]of.Action(nil), rewrites...), of.Output(out.Port))...))
+				default:
+					rules = append(rules, rule(hop.DPID, of.Output(hop.OutPort)))
+				}
+				laid[hop.DPID] = true
 			}
 		}
 	}
-	return nil
+	return rules, nil
 }
 
 // deleteFlow removes the app's translated rules matching the virtual
-// match from every member switch.
-func (t *translator) deleteFlow(api *shieldedAPI, corr uint64, dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
-	if dpid != bigSwitchDPID {
-		return fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
-	}
-	call := api.virtualDeleteCall(corr, match, priority)
-	if err := api.engine().Check(call); err != nil {
-		return err
-	}
-	if match == nil {
-		match = of.NewMatch()
-	}
-	physMatch := match.Clone()
+// match from every member switch, under org: the delete the app was
+// allowed, or a transaction's undo of a translated insert.
+func (t *translator) deleteFlow(org controller.Origin, match *of.Match, priority uint16, strict bool) error {
+	physMatch := orAny(match).Clone()
 	physMatch.SetMasked(of.FieldInPort, 0, 0)
 	for _, sw := range t.kernel.Topology().SwitchIDs() {
 		entries, err := t.kernel.Flows(sw, physMatch)
@@ -208,7 +172,7 @@ func (t *translator) deleteFlow(api *shieldedAPI, corr uint64, dpid of.DPID, mat
 			if strict && e.Priority != priority {
 				continue
 			}
-			if err := t.kernel.DeleteFlowAs(controller.Origin{App: t.app, Corr: corr}, sw, e.Match, e.Priority, true); err != nil {
+			if err := t.kernel.DeleteFlowAs(org, sw, e.Match, e.Priority, true); err != nil {
 				return err
 			}
 		}
@@ -218,14 +182,8 @@ func (t *translator) deleteFlow(api *shieldedAPI, corr uint64, dpid of.DPID, mat
 
 // flowStats aggregates the app's translated rules across member
 // switches, grouped by physical match.
-func (t *translator) flowStats(dpid of.DPID, match *of.Match) ([]of.FlowStatsEntry, error) {
-	if dpid != bigSwitchDPID {
-		return nil, fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
-	}
-	if match == nil {
-		match = of.NewMatch()
-	}
-	physMatch := match.Clone()
+func (t *translator) flowStats(match *of.Match) ([]of.FlowStatsEntry, error) {
+	physMatch := orAny(match).Clone()
 	physMatch.SetMasked(of.FieldInPort, 0, 0)
 	agg := make(map[string]*of.FlowStatsEntry)
 	var order []string
@@ -276,10 +234,7 @@ func (t *translator) flowStats(dpid of.DPID, match *of.Match) ([]of.FlowStatsEnt
 
 // portStats maps virtual ports to physical attachment points and queries
 // each.
-func (t *translator) portStats(dpid of.DPID, vport uint16) ([]of.PortStatsEntry, error) {
-	if dpid != bigSwitchDPID {
-		return nil, fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
-	}
+func (t *translator) portStats(vport uint16) ([]of.PortStatsEntry, error) {
 	m := t.mapping()
 	var vports []uint16
 	if vport == of.PortNone {

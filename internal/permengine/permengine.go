@@ -38,9 +38,11 @@ func (e *DeniedError) Error() string {
 // app holds on a switch. The controller kernel's shadow flow tables
 // implement it.
 type StateProvider interface {
-	// FlowOwner resolves the owner of the flow a call affects; ok is
-	// false when no matching flow exists (a fresh insert).
+	// FlowOwner resolves the owner of the rule a call names, and
+	// ForeignFlowOwner the owner of another app's rule that an insert by
+	// app would shadow; ok is false when there is no such rule.
 	FlowOwner(dpid of.DPID, match *of.Match, priority uint16) (owner string, ok bool)
+	ForeignFlowOwner(app string, dpid of.DPID, match *of.Match, priority uint16) (owner string, ok bool)
 	// RuleCount returns how many rules the app currently holds on the
 	// switch.
 	RuleCount(app string, dpid of.DPID) int
@@ -50,8 +52,9 @@ type StateProvider interface {
 // micro-benchmarks of the checking path).
 type nopState struct{}
 
-func (nopState) FlowOwner(of.DPID, *of.Match, uint16) (string, bool) { return "", false }
-func (nopState) RuleCount(string, of.DPID) int                       { return 0 }
+func (nopState) FlowOwner(of.DPID, *of.Match, uint16) (string, bool)                { return "", false }
+func (nopState) ForeignFlowOwner(string, of.DPID, *of.Match, uint16) (string, bool) { return "", false }
+func (nopState) RuleCount(string, of.DPID) int                                      { return 0 }
 
 // checker is one compiled filter expression. Its second argument is nil
 // on every path but Explain's, which passes the list to record each leaf
@@ -143,13 +146,10 @@ func (g *grant) walk(call *core.Call, p *probe) bool {
 	return true
 }
 
-// compileExpr lowers a filter expression into the predicate the live
-// path runs: its clause list, walked without a probe.
-func compileExpr(e core.Expr) func(*core.Call) bool { return newGrant(e).allows }
-
-// CompileFilter exposes the expression-to-closure lowering for ablation
+// CompileFilter lowers a filter expression into the predicate the live
+// path runs — its clause list, walked without a probe — for ablation
 // benchmarks comparing compiled checking against interpreted evaluation.
-func CompileFilter(e core.Expr) func(*core.Call) bool { return compileExpr(e) }
+func CompileFilter(e core.Expr) func(*core.Call) bool { return newGrant(e).allows }
 
 // compile lowers an expression into a closure with negation pushed to
 // the leaves (mirroring core's evaluation semantics, including vacuous
@@ -333,23 +333,28 @@ func (e *Engine) HasToken(app string, token core.Token) bool {
 	return ok && c.set.Has(token)
 }
 
-// Resolve fills the stateful attributes of a call (flow ownership and
-// rule count) from the state provider. It is idempotent.
+// Resolve fills the stateful attributes of a call from the state
+// provider; it is idempotent. An insert_flow call gets what the live
+// insert is checked with: the owner of a foreign rule it could shadow and
+// the caller's rule count. A modify, delete or read names one rule, so it
+// gets that rule's owner.
 func (e *Engine) Resolve(call *core.Call) {
-	if call.HasDPID && call.Match != nil {
+	if !call.HasDPID || call.Match == nil {
+		return
+	}
+	switch call.Token {
+	case core.TokenInsertFlow:
 		if !call.HasFlowOwner {
-			switch call.Token {
-			case core.TokenInsertFlow, core.TokenModifyFlow, core.TokenDeleteFlow, core.TokenReadFlowTable:
-				owner, ok := e.state.FlowOwner(call.DPID, call.Match, call.Priority)
-				if ok {
-					call.FlowOwner = owner
-				}
-				call.HasFlowOwner = true
-			}
+			call.FlowOwner, _ = e.state.ForeignFlowOwner(call.App, call.DPID, call.Match, call.Priority)
+			call.HasFlowOwner = true
 		}
-		if !call.HasRuleCount && call.Token == core.TokenInsertFlow {
-			call.RuleCount = e.state.RuleCount(call.App, call.DPID)
-			call.HasRuleCount = true
+		if !call.HasRuleCount {
+			call.RuleCount, call.HasRuleCount = e.state.RuleCount(call.App, call.DPID), true
+		}
+	case core.TokenModifyFlow, core.TokenDeleteFlow, core.TokenReadFlowTable:
+		if !call.HasFlowOwner {
+			call.FlowOwner, _ = e.state.FlowOwner(call.DPID, call.Match, call.Priority)
+			call.HasFlowOwner = true
 		}
 	}
 }

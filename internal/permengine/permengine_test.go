@@ -24,6 +24,14 @@ func (f *fakeState) FlowOwner(dpid of.DPID, match *of.Match, priority uint16) (s
 	return o, ok
 }
 
+func (f *fakeState) ForeignFlowOwner(app string, dpid of.DPID, match *of.Match, priority uint16) (string, bool) {
+	o, ok := f.FlowOwner(dpid, match, priority)
+	if !ok || o == app {
+		return "", false
+	}
+	return o, true
+}
+
 func (f *fakeState) RuleCount(app string, dpid of.DPID) int {
 	if f.counts == nil {
 		return 0
@@ -159,7 +167,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		expr := build(3)
-		compiledFn := compileExpr(expr)
+		compiledFn := CompileFilter(expr)
 		call := &core.Call{
 			App:           "me",
 			Token:         core.TokenInsertFlow,
@@ -235,7 +243,6 @@ func TestTransactionCommit(t *testing.T) {
 	plan := func(id int, prio uint16, failApply bool) PlannedCall {
 		call := mkCall(prio)
 		return PlannedCall{
-			Call:  call,
 			Check: func() error { return e.Check(call) },
 			Apply: func() error {
 				if failApply {
@@ -257,7 +264,7 @@ func TestTransactionCommit(t *testing.T) {
 	}
 
 	// All-pass transaction.
-	tx := NewTx().Add(plan(1, 10, false)).Add(plan(2, 20, false))
+	tx := new(Tx).Add(plan(1, 10, false)).Add(plan(2, 20, false))
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -268,7 +275,7 @@ func TestTransactionCommit(t *testing.T) {
 	// Check failure: nothing applied (the paper's problematic
 	// intermediate state is avoided).
 	applied = nil
-	tx = NewTx().Add(plan(1, 10, false)).Add(plan(2, 999, false))
+	tx = new(Tx).Add(plan(1, 10, false)).Add(plan(2, 999, false))
 	err := tx.Commit()
 	var txErr *TxError
 	if !errors.As(err, &txErr) || txErr.Stage != "check" || txErr.Index != 1 {
@@ -284,7 +291,7 @@ func TestTransactionCommit(t *testing.T) {
 
 	// Apply failure: rollback of the applied prefix.
 	applied = nil
-	tx = NewTx().Add(plan(1, 10, false)).Add(plan(2, 20, true)).Add(plan(3, 30, false))
+	tx = new(Tx).Add(plan(1, 10, false)).Add(plan(2, 20, true)).Add(plan(3, 30, false))
 	err = tx.Commit()
 	if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != 1 {
 		t.Fatalf("err = %v", err)
@@ -298,7 +305,7 @@ func TestTransactionCommit(t *testing.T) {
 }
 
 func TestTransactionRollbackErrorSurfaces(t *testing.T) {
-	tx := NewTx().
+	tx := new(Tx).
 		Add(PlannedCall{
 			Apply:  func() error { return nil },
 			Revert: func() error { return errors.New("revert failed") },

@@ -20,11 +20,9 @@ var (
 		"Rollback steps that themselves failed, leaving residual state.")
 )
 
-// PlannedCall is one element of an API-call transaction: the permission
-// check input plus the effect and its inverse.
+// PlannedCall is one element of an API-call transaction: its permission
+// check, its effect and the effect's inverse.
 type PlannedCall struct {
-	// Call is the permission-check view of the API call.
-	Call interface{ String() string }
 	// Check runs the permission check (typically Engine.Check bound to a
 	// *core.Call).
 	Check func() error
@@ -61,22 +59,19 @@ func (e *TxError) Unwrap() error { return e.Cause }
 
 // Tx groups semantically related API calls to be issued atomically
 // (§VI-B2): the transaction executes only if every call passes permission
-// checking, and a mid-apply failure rolls back the applied prefix.
+// checking, and a mid-apply failure rolls back the applied prefix. The
+// zero value is an empty transaction.
 type Tx struct {
 	calls []PlannedCall
 	app   string
 	corr  uint64
 }
 
-// NewTx returns an empty transaction.
-func NewTx() *Tx { return &Tx{} }
-
 // SetOrigin attributes the transaction's audit events to an app and the
 // correlation ID of the mediated call that opened it.
-func (t *Tx) SetOrigin(app string, corr uint64) *Tx {
+func (t *Tx) SetOrigin(app string, corr uint64) {
 	t.app = app
 	t.corr = corr
-	return t
 }
 
 // auditTx records a transaction outcome in the forensic journal.
