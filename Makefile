@@ -32,7 +32,9 @@ race:
 # several goroutines reach under the race detector three times over — a
 # flake that shows once in four runs does not get past it. flowtable
 # runs with -short, which shrinks its model test's seed range instead of
-# skipping it.
+# skipping it. The allocation budgets (TestMediatedCallAllocs) run in
+# every core-count pass and skip under -race (the raceEnabled build-tag
+# constant), where the detector itself allocates.
 RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs
 race-matrix:
 	for procs in 1 2 4 8; do \
@@ -51,7 +53,8 @@ bench: bench-obs
 
 # bench-obs bounds the telemetry overhead: obs micro-benchmarks (each
 # instrument enabled vs disabled) plus the end-to-end mediated-call pair,
-# whose On/Off delta must stay within the 5% budget (DESIGN.md §10).
+# whose On/Off delta must stay within the 5% budget (DESIGN.md §10). The
+# mediated-call benchmarks print allocs/op too.
 bench-obs:
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ ./internal/obs/
 	$(GO) test -bench=BenchmarkMediatedCallObs -benchtime=1s -count=4 -run=^$$ .

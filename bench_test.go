@@ -176,6 +176,7 @@ func (obsProbeApp) Init(api isolation.API) error { return nil }
 // off. The two variants bound the instrumentation overhead on the hot
 // path; the budget is 5%.
 func benchmarkMediatedCall(b *testing.B, obsOn bool) {
+	b.ReportAllocs()
 	prev := obs.SetEnabled(obsOn)
 	defer obs.SetEnabled(prev)
 	k := controller.New(nil, nil)
@@ -206,6 +207,7 @@ func BenchmarkMediatedCallObsOff(b *testing.B) { benchmarkMediatedCall(b, false)
 // audit pipeline: correlation-ID mint + permission-event emit). The
 // budget is 5% on the On/Off ratio.
 func benchmarkMediatedCallAudit(b *testing.B, auditOn bool) {
+	b.ReportAllocs()
 	prevObs := obs.SetEnabled(true)
 	defer obs.SetEnabled(prevObs)
 	prevAudit := audit.On()
@@ -242,6 +244,7 @@ func BenchmarkMediatedCallAuditOff(b *testing.B) { benchmarkMediatedCallAudit(b,
 // lookups. The budget is 5% on the On/Off ratio; `make bench-recorder`
 // enforces it.
 func benchmarkMediatedCallRecorder(b *testing.B, recOn bool) {
+	b.ReportAllocs()
 	call, cleanup := setupRecorderBench(b, recOn)
 	defer cleanup()
 	b.ResetTimer()
@@ -371,6 +374,7 @@ func TestRecorderOverheadBudget(t *testing.T) {
 // subset's span writes are amortized across the sampling period. The budget is 5% on the On/Off ratio; `make bench-trace`
 // enforces it.
 func benchmarkMediatedCallSpan(b *testing.B, spanOn bool) {
+	b.ReportAllocs()
 	call, cleanup := setupSpanBench(b, spanOn)
 	defer cleanup()
 	b.ResetTimer()
@@ -487,6 +491,7 @@ func TestSpanOverheadBudget(t *testing.T) {
 // per-clause route. The budget is 5% on the On/Off ratio; `make
 // bench-heat` enforces it.
 func benchmarkMediatedCallHeat(b *testing.B, heatOn bool) {
+	b.ReportAllocs()
 	call, cleanup := setupHeatBench(b, heatOn)
 	defer cleanup()
 	b.ResetTimer()

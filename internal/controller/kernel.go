@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -133,6 +134,12 @@ func removalKey(m *of.Match, priority uint16) string {
 	return m.Key() + "|" + strconv.Itoa(int(priority))
 }
 
+// subscription is one registered event handler.
+type subscription struct {
+	id int
+	fn Handler
+}
+
 // Kernel is the trusted controller core.
 type Kernel struct {
 	topo *topology.Topology
@@ -146,8 +153,10 @@ type Kernel struct {
 	switches map[of.DPID]*swHandle
 	shadow   map[of.DPID]*flowtable.Table
 
+	// subs is copy-on-write: Subscribe and Unsubscribe publish a new
+	// slice under subMu, so emit iterates the one it read without copying.
 	subMu   sync.RWMutex
-	subs    map[EventKind]map[int]Handler
+	subs    map[EventKind][]subscription
 	nextSub int
 
 	modelMu sync.RWMutex
@@ -179,7 +188,7 @@ func New(topo *topology.Topology, host *hostsim.HostOS, cfg ...KernelConfig) *Ke
 		jrand:    rand.New(rand.NewSource(c.Seed)),
 		switches: make(map[of.DPID]*swHandle),
 		shadow:   make(map[of.DPID]*flowtable.Table),
-		subs:     make(map[EventKind]map[int]Handler),
+		subs:     make(map[EventKind][]subscription),
 		model:    make(map[string]interface{}),
 	}
 }
@@ -469,16 +478,13 @@ func (k *Kernel) dispatch(h *swHandle, msg of.Message) {
 	}
 }
 
-// emit fans an event out to its subscribers.
+// emit fans an event out to its subscribers, in subscription order.
 func (k *Kernel) emit(ev Event) {
 	k.subMu.RLock()
-	handlers := make([]Handler, 0, len(k.subs[ev.Kind]))
-	for _, fn := range k.subs[ev.Kind] {
-		handlers = append(handlers, fn)
-	}
+	subs := k.subs[ev.Kind]
 	k.subMu.RUnlock()
-	for _, fn := range handlers {
-		fn(ev)
+	for _, s := range subs {
+		s.fn(ev)
 	}
 }
 
@@ -487,19 +493,15 @@ func (k *Kernel) Subscribe(kind EventKind, fn Handler) int {
 	k.subMu.Lock()
 	defer k.subMu.Unlock()
 	k.nextSub++
-	id := k.nextSub
-	if k.subs[kind] == nil {
-		k.subs[kind] = make(map[int]Handler)
-	}
-	k.subs[kind][id] = fn
-	return id
+	k.subs[kind] = append(slices.Clip(k.subs[kind]), subscription{k.nextSub, fn})
+	return k.nextSub
 }
 
 // Unsubscribe removes a handler by id.
 func (k *Kernel) Unsubscribe(kind EventKind, id int) {
 	k.subMu.Lock()
 	defer k.subMu.Unlock()
-	delete(k.subs[kind], id)
+	k.subs[kind] = slices.DeleteFunc(slices.Clone(k.subs[kind]), func(s subscription) bool { return s.id == id })
 }
 
 // request sends msg and blocks for the reply carrying the same xid,
@@ -625,10 +627,7 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 	k.mu.RLock()
 	shadow := k.shadow[dpid]
 	k.mu.RUnlock()
-	if spec.Match == nil {
-		spec.Match = of.NewMatch()
-	}
-	displaced, replaced, err := shadow.Swap(flowtable.Entry{
+	rule := flowtable.Entry{
 		Match:       spec.Match,
 		Priority:    spec.Priority,
 		Actions:     spec.Actions,
@@ -636,20 +635,24 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 		Owner:       owner,
 		IdleTimeout: spec.IdleTimeout,
 		HardTimeout: spec.HardTimeout,
-	})
+	}
+	displaced, replaced, err := shadow.Swap(&rule)
 	if err != nil {
 		return err
 	}
+	// The flow-mod outlives the call — the in-memory pipe hands the switch
+	// the message itself — so it carries the shadow rule's match and
+	// actions, which nothing mutates, rather than the caller's.
 	if err := h.conn.Send(&of.FlowMod{
 		Header:      of.Header{Xid: h.nextXID()},
 		DPID:        dpid,
 		Command:     of.FlowAdd,
-		Match:       spec.Match,
+		Match:       rule.Match,
 		Priority:    spec.Priority,
 		IdleTimeout: spec.IdleTimeout,
 		HardTimeout: spec.HardTimeout,
 		Cookie:      spec.Cookie,
-		Actions:     spec.Actions,
+		Actions:     rule.Actions,
 	}); err != nil {
 		// The rule never reached the switch; un-shadow it — putting back
 		// the rule it displaced, if any — so ownership state stays
@@ -657,7 +660,7 @@ func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 		if replaced {
 			_ = shadow.Add(displaced) // a replace: cannot hit capacity
 		} else {
-			shadow.Delete(spec.Match, spec.Priority, true)
+			shadow.Delete(rule.Match, spec.Priority, true)
 		}
 		auditWire(audit.KindFlowMod, org, "add", dpid, err)
 		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
@@ -690,9 +693,9 @@ func (k *Kernel) ModifyFlowAs(org Origin, dpid of.DPID, match *of.Match, priorit
 		Header:   of.Header{Xid: h.nextXID()},
 		DPID:     dpid,
 		Command:  of.FlowModify,
-		Match:    match,
+		Match:    ownMatch(match),
 		Priority: priority,
-		Actions:  actions,
+		Actions:  of.CloneActions(actions),
 	}); err != nil {
 		for _, e := range prior {
 			shadow.Modify(e.Match, e.Priority, true, e.Actions)
@@ -702,6 +705,16 @@ func (k *Kernel) ModifyFlowAs(org Origin, dpid of.DPID, match *of.Match, priorit
 	}
 	auditWire(audit.KindFlowMod, org, "modify", dpid, nil)
 	return nil
+}
+
+// ownMatch is the copy of a caller's match that a message sent to a switch
+// carries: the message outlives the call — the in-memory pipe hands the
+// switch the message itself — and the caller may reuse its match.
+func ownMatch(m *of.Match) *of.Match {
+	if m == nil {
+		return nil
+	}
+	return m.Clone()
 }
 
 // DeleteFlow removes rules (non-strict semantics).
@@ -739,7 +752,7 @@ func (k *Kernel) DeleteFlowAs(org Origin, dpid of.DPID, match *of.Match, priorit
 		Header:   of.Header{Xid: h.nextXID()},
 		DPID:     dpid,
 		Command:  cmd,
-		Match:    match,
+		Match:    ownMatch(match),
 		Priority: priority,
 	}); err != nil {
 		// The delete never reached the switch; restore the shadow so the
@@ -789,14 +802,22 @@ func (k *Kernel) SendPacketOutAs(org Origin, dpid of.DPID, bufferID uint32, inPo
 	if err != nil {
 		return err
 	}
-	if err := h.conn.Send(&of.PacketOut{
+	// The packet-out outlives the call (see ownMatch), so it carries its
+	// own copy of the actions, held in the message's own allocation.
+	msg := &struct {
+		of.PacketOut
+		acts [4]of.Action
+	}{PacketOut: of.PacketOut{
 		Header:   of.Header{Xid: h.nextXID()},
 		DPID:     dpid,
 		InPort:   inPort,
 		BufferID: bufferID,
-		Actions:  actions,
 		Packet:   pkt,
-	}); err != nil {
+	}}
+	if actions != nil {
+		msg.Actions = append(msg.acts[:0], actions...)
+	}
+	if err := h.conn.Send(&msg.PacketOut); err != nil {
 		auditWire(audit.KindPacketOut, org, "packet_out", dpid, err)
 		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
 	}
@@ -852,14 +873,23 @@ func (k *Kernel) statsRequest(dpid of.DPID, kind of.StatsType, match *of.Match, 
 	if err != nil {
 		return nil, err
 	}
-	msg := &of.StatsRequest{
+	// A timed-out request may still reach the switch after the call
+	// returned, so it carries its own copy of the match (see ownMatch),
+	// in the message's own allocation.
+	msg := &struct {
+		of.StatsRequest
+		match of.Match
+	}{StatsRequest: of.StatsRequest{
 		Header: of.Header{Xid: h.nextXID()},
 		DPID:   dpid,
 		Kind:   kind,
-		Match:  match,
 		Port:   port,
+	}}
+	if match != nil {
+		msg.match = *match
+		msg.Match = &msg.match
 	}
-	reply, err := k.request(h, msg)
+	reply, err := k.request(h, &msg.StatsRequest)
 	if err != nil {
 		return nil, err
 	}

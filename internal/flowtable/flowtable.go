@@ -110,15 +110,20 @@ func (t *Table) Capacity() int { return t.capacity }
 // match and priority is replaced (counters reset). Returns ErrTableFull
 // when at capacity.
 func (t *Table) Add(e Entry) error {
-	_, _, err := t.Swap(e)
+	_, _, err := t.Swap(&e)
 	return err
 }
 
 // Swap is Add that also hands back the rule it displaced, so a caller
 // whose follow-up step fails can put that rule back with Add. replaced is
-// false when e was a new rule. A replacement keeps the resident rule's
+// false when in was a new rule. A replacement keeps the resident rule's
 // match and table position and allocates only the copy of the actions.
-func (t *Table) Swap(e Entry) (prev Entry, replaced bool, err error) {
+// On success in.Match and in.Actions are the resident rule's own copies:
+// the table never mutates those in place (a replace keeps the match, a
+// modify installs a fresh action slice), so a caller may hand them to
+// something that outlives the call.
+func (t *Table) Swap(in *Entry) (prev Entry, replaced bool, err error) {
+	e := *in
 	if e.Match == nil {
 		e.Match = of.NewMatch()
 	}
@@ -139,6 +144,7 @@ func (t *Table) Swap(e Entry) (prev Entry, replaced bool, err error) {
 		}
 		e.Match, e.seq, e.exactNext, e.tupleNext = old.Match, old.seq, old.exactNext, old.tupleNext
 		*old = e
+		in.Match, in.Actions = e.Match, e.Actions
 		return prev, true, nil
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
@@ -147,6 +153,7 @@ func (t *Table) Swap(e Entry) (prev Entry, replaced bool, err error) {
 	ne := new(Entry)
 	*ne = e
 	ne.Match = e.Match.Clone()
+	in.Match, in.Actions = ne.Match, ne.Actions
 	t.seq++
 	ne.seq = t.seq
 	// Insert keeping priority-descending order, after equal priorities

@@ -37,12 +37,21 @@ func TestSwapReturnsDisplacedRule(t *testing.T) {
 	tbl := New(0)
 	m := ipDstMatch(10, 0, 0, 0, 8)
 	first := Entry{Match: m, Priority: 5, Actions: []of.Action{of.Output(1)}, Owner: "a", Cookie: 1}
-	if _, replaced, err := tbl.Swap(first); err != nil || replaced {
+	if _, replaced, err := tbl.Swap(&first); err != nil || replaced {
 		t.Fatalf("Swap of a new rule = replaced %v, err %v", replaced, err)
 	}
-	prev, replaced, err := tbl.Swap(Entry{Match: m, Priority: 5, Actions: []of.Action{of.Output(2)}, Owner: "b", Cookie: 2})
+	// The caller's entry now names the resident rule's own match and
+	// actions, not the ones it passed in.
+	if first.Match == m || !first.Match.Equal(m) || first.Actions[0].Port != 1 {
+		t.Errorf("Swap of a new rule left match %p (caller's %p), actions %v", first.Match, m, first.Actions)
+	}
+	second := Entry{Match: m, Priority: 5, Actions: []of.Action{of.Output(2)}, Owner: "b", Cookie: 2}
+	prev, replaced, err := tbl.Swap(&second)
 	if err != nil || !replaced {
 		t.Fatalf("Swap over a resident rule = replaced %v, err %v", replaced, err)
+	}
+	if second.Match != first.Match || second.Actions[0].Port != 2 {
+		t.Errorf("replace: resident match %p (want the kept %p), actions %v", second.Match, first.Match, second.Actions)
 	}
 	if prev.Owner != "a" || prev.Cookie != 1 || prev.Actions[0].Port != 1 || !prev.Match.Equal(m) {
 		t.Errorf("displaced rule = %+v", prev)

@@ -108,7 +108,8 @@ func TestTxRollsBackOnMidCommitDisconnect(t *testing.T) {
 	if entries, err := env.kernel.Flows(1, m1); err != nil || len(entries) != 0 {
 		t.Errorf("shadow after rollback: %d entries, err %v", len(entries), err)
 	}
-	if got := env.built.Net.Switches()[0].Table().Entries(m1); len(got) != 0 {
+	sw1, _ := env.built.Net.Switch(1) // Switches() is unordered
+	if got := sw1.Table().Entries(m1); len(got) != 0 {
 		t.Errorf("switch 1 data plane kept %d rolled-back rules", len(got))
 	}
 

@@ -47,12 +47,7 @@ func (s *Shield) HealthSnapshot() HealthSnapshot {
 		KSDWorkers: s.cfg.KSDWorkers,
 		QueueDepth: len(s.reqCh),
 	}
-	s.mu.Lock()
-	containers := make([]*Container, 0, len(s.containers))
-	for _, c := range s.containers {
-		containers = append(containers, c)
-	}
-	s.mu.Unlock()
+	containers := s.launched()
 	det := audit.DefaultDetector()
 	for _, c := range containers {
 		anomaly := det.Lookup(c.name)

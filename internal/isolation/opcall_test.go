@@ -79,7 +79,8 @@ func TestVirtualTxRollbackRemovesTranslatedRules(t *testing.T) {
 		if got := tables(t, env, dpid); len(got[dpid]) != 0 {
 			t.Errorf("switch %v keeps translated rules after rollback: %v", dpid, got[dpid])
 		}
-		if got := env.built.Net.Switches()[dpid-1].Table().Entries(nil); len(got) != 0 {
+		sw, _ := env.built.Net.Switch(dpid) // Switches() is unordered
+		if got := sw.Table().Entries(nil); len(got) != 0 {
 			t.Errorf("switch %v data plane keeps %d rolled-back rules", dpid, len(got))
 		}
 	}

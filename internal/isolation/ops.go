@@ -17,16 +17,16 @@ import (
 	"sdnshield/internal/topology"
 )
 
-// The op table. Every mediated API operation is described once: by its
-// descriptor (what the hot path needs of it, and whether it addresses one
-// switch), by its call builder — the permission-check view the engine
-// sees: the token, the attributes the op's filters read, and the stateful
-// ones check resolves — and by its kernel effect. The API method of an op
-// pairs the two and hands them to mediate, the one routine every op runs;
-// Tx plans its calls from the same builders, and the event table at the
-// end does the same for deliveries.
+// The op table. Every mediated API operation is described once, by its
+// row: the descriptor the hot path needs, its decision — the check of the
+// call it builds: the token, the attributes the op's filters read, the
+// stateful ones check resolves — and its kernel effect, both plain
+// functions of a pooled request (shield.go) holding the call's own
+// arguments. mediate is the one routine every op runs; Tx prechecks with
+// the same decisions, and the event table at the end does the same for
+// deliveries.
 
-// mediatedOp is one operation's descriptor. Its histogram and interned
+// mediatedOp is one operation's row. Its histogram and interned
 // flight-recorder symbol are resolved once, so neither the deputy's
 // post-reply frame append nor the caller's latency observation does a
 // map lookup.
@@ -37,13 +37,17 @@ type mediatedOp struct {
 	// onSwitch marks a DPID-addressed op: an app behind the virtual big
 	// switch may address no DPID but the big switch's.
 	onSwitch bool
+	// decide checks the call the op builds (modify and delete one per
+	// affected rule, a listing one only without its token); effect then
+	// applies it under the request's origin, leaving results in it.
+	decide, effect func(*request) error
 }
 
 const mediatedCallHelp = "End-to-end mediated API call latency: queue wait, permission check and kernel execution."
 
 // newMediatedOp resolves an op's histogram and symbol once. Package init
-// builds the descriptor of every mediated API operation; tests may mint
-// ad-hoc ops the same way.
+// builds the row of every mediated API operation; tests may mint ad-hoc
+// ops the same way.
 func newMediatedOp(name string) *mediatedOp {
 	return &mediatedOp{
 		name: name,
@@ -52,33 +56,32 @@ func newMediatedOp(name string) *mediatedOp {
 	}
 }
 
-// switchOp is newMediatedOp for a DPID-addressed op.
-func switchOp(name string) *mediatedOp {
+func opRow(name string, onSwitch bool, decide, effect func(*request) error) *mediatedOp {
 	op := newMediatedOp(name)
-	op.onSwitch = true
+	op.onSwitch, op.decide, op.effect = onSwitch, decide, effect
 	return op
 }
 
 var (
-	opInsertFlow    = switchOp("insert_flow")
-	opModifyFlow    = switchOp("modify_flow")
-	opDeleteFlow    = switchOp("delete_flow")
-	opFlows         = switchOp("flows")
-	opPacketOut     = switchOp("packet_out")
-	opFlowStats     = switchOp("flow_stats")
-	opPortStats     = switchOp("port_stats")
-	opSwitchStats   = switchOp("switch_stats")
-	opSwitches      = newMediatedOp("switches")
-	opLinks         = newMediatedOp("links")
-	opHosts         = newMediatedOp("hosts")
-	opAddLink       = newMediatedOp("add_link")
-	opRemoveLink    = newMediatedOp("remove_link")
-	opPublish       = newMediatedOp("publish")
-	opReadModel     = newMediatedOp("read_model")
-	opHostConnect   = newMediatedOp("host_connect")
-	opHostReadFile  = newMediatedOp("host_read_file")
-	opHostWriteFile = newMediatedOp("host_write_file")
-	opHostExec      = newMediatedOp("host_exec")
+	opInsertFlow    = opRow("insert_flow", true, (*request).checkInsert, (*request).insertFlow)
+	opModifyFlow    = opRow("modify_flow", true, (*request).checkModify, (*request).modifyFlow)
+	opDeleteFlow    = opRow("delete_flow", true, (*request).checkDelete, (*request).deleteFlow)
+	opFlows         = opRow("flows", true, (*request).listedFlows, (*request).listFlows)
+	opPacketOut     = opRow("packet_out", true, (*request).checkPacketOut, (*request).packetOut)
+	opFlowStats     = opRow("flow_stats", true, (*request).checkFlowStats, (*request).readFlowStats)
+	opPortStats     = opRow("port_stats", true, (*request).checkPortStats, (*request).readPortStats)
+	opSwitchStats   = opRow("switch_stats", true, (*request).checkSwitchStats, (*request).readSwitchStats)
+	opSwitches      = opRow("switches", false, (*request).listedTopology, (*request).listSwitches)
+	opLinks         = opRow("links", false, (*request).listedTopology, (*request).listLinks)
+	opHosts         = opRow("hosts", false, (*request).listedTopology, (*request).listHosts)
+	opAddLink       = opRow("add_link", false, (*request).checkLink, (*request).addLink)
+	opRemoveLink    = opRow("remove_link", false, (*request).checkLink, (*request).removeLink)
+	opPublish       = opRow("publish", false, (*request).checkPublish, (*request).publish)
+	opReadModel     = opRow("read_model", false, (*request).checkReadModel, (*request).readModel)
+	opHostConnect   = opRow("host_connect", false, (*request).checkHostConnect, (*request).hostConnect)
+	opHostReadFile  = opRow("host_read_file", false, (*request).checkFile, (*request).hostReadFile)
+	opHostWriteFile = opRow("host_write_file", false, (*request).checkFile, (*request).hostWriteFile)
+	opHostExec      = opRow("host_exec", false, (*request).checkExec, (*request).hostExec)
 )
 
 // shieldedAPI is the mediated API implementation, one op-table row per
@@ -132,67 +135,77 @@ func (a *shieldedAPI) engine() *permengine.Engine { return a.shield.engine }
 // behind the virtual big switch addresses no physical switch — both fail
 // fast without consuming a deputy. Then the call's correlation ID is
 // minted, so the permission check and every switch-side effect of this
-// one call share it, and run crosses the KSD hop: on a deputy it builds
-// and checks the op's call and, once allowed, applies the kernel effect
-// under org.
-func (a *shieldedAPI) mediate(op *mediatedOp, dpid of.DPID, run func(org controller.Origin) error) error {
+// one call share it, and the request crosses the KSD hop.
+func (a *shieldedAPI) mediate(r *request) error {
 	if a.container.Health() == Quarantined {
 		mQuarantinedCalls.Inc()
 		return fmt.Errorf("%w: %s", ErrAppQuarantined, a.name)
 	}
-	if op.onSwitch && a.virt != nil && dpid != bigSwitchDPID {
+	if r.op.onSwitch && a.virt != nil && r.dpid != bigSwitchDPID {
 		return a.virt.outside()
 	}
-	return a.shield.do(a.container, op, controller.Origin{App: a.name, Corr: audit.NextCorr()}, run)
+	r.org = controller.Origin{App: a.name, Corr: audit.NextCorr()}
+	return a.shield.hop(r)
 }
 
-// single is mediate for the ops one decision covers: the call their
-// builder made, checked on the deputy, then their effect.
-func (a *shieldedAPI) single(op *mediatedOp, dpid of.DPID, call core.Call, effect func() error) error {
-	return a.mediate(op, dpid, func(org controller.Origin) error {
-		if err := a.check(&call, org.Corr); err != nil {
-			return err
-		}
-		return effect()
-	})
+// call runs one call of an op that returns only an error.
+func (a *shieldedAPI) call(op *mediatedOp, in args) error {
+	r := a.request(op, in)
+	defer r.put()
+	return a.mediate(r)
 }
 
-// check stamps a built call with the caller and corr, resolves its
-// stateful attributes — Engine.Resolve is the one place insert_flow's
-// owner and rule count are found, for the live call and for Explain
-// alike — and hands it to the engine.
-func (a *shieldedAPI) check(call *core.Call, corr uint64) error {
-	call.App, call.Corr = a.name, corr
-	a.engine().Resolve(call)
-	return a.engine().Check(call)
+// callFor runs one call of an op with a result, which out reads out.
+func callFor[T any](a *shieldedAPI, op *mediatedOp, in args, out func(*request) T) (T, error) {
+	r := a.request(op, in)
+	defer r.put()
+	err := a.mediate(r)
+	return out(r), err
+}
+
+// precheck is a Tx's check of a planned call: the op's own decision.
+func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
+	r := a.request(op, in)
+	defer r.put()
+	r.org.Corr = corr
+	return op.decide(r)
+}
+
+// check decides a built call, held in the request: stamped with the
+// caller and corr, its stateful attributes resolved — Engine.Resolve is
+// the one place insert_flow's owner and rule count are found, for the
+// live call and for Explain alike — and handed to the engine.
+func (r *request) check(call core.Call) error {
+	r.call = call
+	r.call.App, r.call.Corr = r.a.name, r.org.Corr
+	r.a.engine().Resolve(&r.call)
+	return r.a.engine().Check(&r.call)
 }
 
 // listed is a listing's op-level decision: without the token the listing
 // is denied outright, as one audited decision; with it the app sees the
 // rows its filter admits (visible), which is no decision at all.
-func (a *shieldedAPI) listed(call core.Call, corr uint64) error {
-	if a.engine().HasToken(a.name, call.Token) {
+func (r *request) listed(call core.Call) error {
+	if r.a.engine().HasToken(r.a.name, call.Token) {
 		return nil
 	}
-	denied := call // escapes here, so the allowed path allocates nothing
-	return a.check(&denied, corr)
+	return r.check(call)
 }
 
 // visible keeps the rows of a listing that the app's grant for token
 // admits (§IV-B: filters restrict what an app sees rather than deny the
-// listing outright). describe fills in the call attributes one row
-// presents to the filters. Row filtering is not a mediated decision: the
-// listing's op-level check is, so nothing here is counted, logged or
+// listing outright). describe fills in, on the request's call, what one
+// row presents to the filters. Row filtering is not a mediated decision:
+// the listing's op-level check is, so nothing here is counted, logged or
 // audited.
-func visible[T any](a *shieldedAPI, token core.Token, rows []T, describe func(T, *core.Call)) []T {
-	allows := a.engine().Filter(a.name, token)
+func visible[T any](r *request, token core.Token, rows []T, describe func(T, *core.Call)) []T {
+	allows := r.a.engine().Filter(r.a.name, token)
 	kept := rows[:0]
-	var row core.Call // one per listing, reset per row
-	for _, r := range rows {
-		row = core.Call{App: a.name, Token: token}
-		describe(r, &row)
-		if allows(&row) {
-			kept = append(kept, r)
+	for _, x := range rows {
+		r.call = core.Call{App: r.a.name, Token: token}
+		describe(x, &r.call)
+		if allows(&r.call) {
+			kept = append(kept, x)
 		}
 	}
 	return kept
@@ -207,31 +220,33 @@ func orAny(m *of.Match) *of.Match {
 	return m
 }
 
+// orNone stands the empty action list in for a nil one.
+func orNone(actions []of.Action) []of.Action {
+	if actions == nil {
+		return []of.Action{}
+	}
+	return actions
+}
+
 // ---------------------------------------------------------------------------
 // Flow table and packet I/O
 
-// insertCall is insert_flow's call; check resolves its owner — the
-// foreign rule the new one could shadow — and the caller's rule count.
-func insertCall(dpid of.DPID, spec controller.FlowSpec) core.Call {
-	actions := spec.Actions
-	if actions == nil {
-		actions = []of.Action{}
-	}
-	return core.Call{Token: core.TokenInsertFlow, DPID: dpid, HasDPID: true, Match: orAny(spec.Match),
-		Actions: actions, Priority: spec.Priority, HasPriority: true}
+func (a *shieldedAPI) InsertFlow(dpid of.DPID, spec controller.FlowSpec) error {
+	return a.call(opInsertFlow, args{dpid: dpid, spec: spec})
 }
 
-func (a *shieldedAPI) InsertFlow(dpid of.DPID, spec controller.FlowSpec) error {
-	return a.mediate(opInsertFlow, dpid, func(org controller.Origin) error {
-		call := insertCall(dpid, spec)
-		if err := a.check(&call, org.Corr); err != nil {
-			return err
-		}
-		if a.virt != nil {
-			return a.virt.insertFlow(org, spec)
-		}
-		return a.shield.kernel.InsertFlowAs(org, dpid, spec)
-	})
+// checkInsert decides insert_flow's call; check resolves its owner — the
+// foreign rule the new one could shadow — and the caller's rule count.
+func (r *request) checkInsert() error {
+	return r.check(core.Call{Token: core.TokenInsertFlow, DPID: r.dpid, HasDPID: true, Match: r.spec.Match,
+		Actions: orNone(r.spec.Actions), Priority: r.spec.Priority, HasPriority: true})
+}
+
+func (r *request) insertFlow() error {
+	if r.a.virt != nil {
+		return r.a.virt.insertFlow(r.org, r.spec)
+	}
+	return r.a.shield.kernel.InsertFlowAs(r.org, r.dpid, r.spec)
 }
 
 // checkAffected is modify's and delete's decision: one call per resident
@@ -239,25 +254,24 @@ func (a *shieldedAPI) InsertFlow(dpid of.DPID, spec controller.FlowSpec) error {
 // flows unnoticed; with nothing resident, the call as issued, unowned. An
 // app behind the virtual big switch has nothing resident at DPID 0: its
 // translated deletes only ever touch its own physical rules.
-func (a *shieldedAPI) checkAffected(corr uint64, token core.Token, dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	match = orAny(match)
+func (r *request) checkAffected(token core.Token, actions []of.Action) error {
 	var entries []*flowtable.Entry
-	if a.virt == nil {
+	if r.a.virt == nil {
 		var err error
-		if entries, err = a.shield.kernel.Flows(dpid, match); err != nil {
+		if entries, err = r.a.shield.kernel.Flows(r.dpid, r.spec.Match); err != nil {
 			return err
 		}
 	}
 	if len(entries) == 0 {
-		entries = []*flowtable.Entry{{Match: match, Priority: priority}}
+		entries = []*flowtable.Entry{{Match: r.spec.Match, Priority: r.spec.Priority}}
 	}
 	for _, e := range entries {
-		call := core.Call{Token: token, DPID: dpid, HasDPID: true, Match: e.Match, Actions: actions,
+		call := core.Call{Token: token, DPID: r.dpid, HasDPID: true, Match: e.Match, Actions: actions,
 			Priority: e.Priority, HasPriority: true, FlowOwner: e.Owner, HasFlowOwner: true}
 		if call.Actions == nil {
 			call.Actions = e.Actions
 		}
-		if err := a.check(&call, corr); err != nil {
+		if err := r.check(call); err != nil {
 			return err
 		}
 	}
@@ -268,70 +282,73 @@ func (a *shieldedAPI) checkAffected(corr uint64, token core.Token, dpid of.DPID,
 // against insert_flow otherwise (Table II: insert_flow "including insert
 // and modify").
 func (a *shieldedAPI) ModifyFlow(dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	return a.mediate(opModifyFlow, dpid, func(org controller.Origin) error {
-		token := core.TokenModifyFlow
-		if !a.HasPermission(token) {
-			token = core.TokenInsertFlow
-		}
-		if err := a.checkAffected(org.Corr, token, dpid, match, priority, actions); err != nil {
-			return err
-		}
-		return a.shield.kernel.ModifyFlowAs(org, dpid, match, priority, actions)
-	})
+	return a.call(opModifyFlow, args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority, Actions: actions}})
+}
+
+func (r *request) checkModify() error {
+	token := core.TokenModifyFlow
+	if !r.a.HasPermission(token) {
+		token = core.TokenInsertFlow
+	}
+	return r.checkAffected(token, r.spec.Actions)
+}
+
+func (r *request) modifyFlow() error {
+	return r.a.shield.kernel.ModifyFlowAs(r.org, r.dpid, r.spec.Match, r.spec.Priority, r.spec.Actions)
 }
 
 func (a *shieldedAPI) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
-	return a.mediate(opDeleteFlow, dpid, func(org controller.Origin) error {
-		if err := a.checkAffected(org.Corr, core.TokenDeleteFlow, dpid, match, priority, nil); err != nil {
-			return err
-		}
-		if a.virt != nil {
-			return a.virt.deleteFlow(org, match, priority, strict)
-		}
-		return a.shield.kernel.DeleteFlowAs(org, dpid, match, priority, strict)
-	})
+	return a.call(opDeleteFlow, args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict})
 }
 
-func (a *shieldedAPI) Flows(dpid of.DPID, match *of.Match) (rows []*flowtable.Entry, err error) {
-	err = a.mediate(opFlows, dpid, func(org controller.Origin) error {
-		opCall := core.Call{Token: core.TokenReadFlowTable, DPID: dpid, HasDPID: true, Match: orAny(match), HasFlowOwner: true}
-		if err := a.listed(opCall, org.Corr); err != nil {
-			return err
-		}
-		entries, err := a.shield.kernel.Flows(dpid, match)
-		rows = visible(a, core.TokenReadFlowTable, entries, func(e *flowtable.Entry, row *core.Call) {
-			row.DPID, row.HasDPID = dpid, true
-			row.Match, row.Actions = e.Match, e.Actions
-			row.Priority, row.HasPriority = e.Priority, true
-			row.FlowOwner, row.HasFlowOwner = e.Owner, true
-		})
-		return err
-	})
-	return rows, err
+func (r *request) checkDelete() error { return r.checkAffected(core.TokenDeleteFlow, nil) }
+
+func (r *request) deleteFlow() error {
+	if r.a.virt != nil {
+		return r.a.virt.deleteFlow(r.org, r.spec.Match, r.spec.Priority, r.strict)
+	}
+	return r.a.shield.kernel.DeleteFlowAs(r.org, r.dpid, r.spec.Match, r.spec.Priority, r.strict)
 }
 
-// packetOutCall is send_pkt_out's call, with its provenance: whether the
-// packet is a buffered packet-in rather than one the app made up.
-func (a *shieldedAPI) packetOutCall(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) core.Call {
-	call := core.Call{Token: core.TokenSendPktOut, DPID: dpid, HasDPID: true, Actions: actions, HasProvenance: true,
-		FromPktIn: pkt == nil && bufferID != 0 && a.shield.kernel.PacketInSeen(dpid, bufferID)}
-	if call.Actions == nil {
-		call.Actions = []of.Action{}
-	}
-	if pkt != nil {
-		call.Match = of.MatchFromPacket(pkt, inPort)
-	}
-	return call
+func (a *shieldedAPI) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, error) {
+	return callFor(a, opFlows, args{dpid: dpid, spec: controller.FlowSpec{Match: match}},
+		func(r *request) []*flowtable.Entry { return r.flows })
+}
+
+func (r *request) listedFlows() error {
+	return r.listed(core.Call{Token: core.TokenReadFlowTable, DPID: r.dpid, HasDPID: true, Match: r.spec.Match,
+		HasFlowOwner: true})
+}
+
+func (r *request) listFlows() error {
+	entries, err := r.a.shield.kernel.Flows(r.dpid, r.spec.Match)
+	r.flows = visible(r, core.TokenReadFlowTable, entries, func(e *flowtable.Entry, row *core.Call) {
+		row.DPID, row.HasDPID, row.Match, row.Actions = r.dpid, true, e.Match, e.Actions
+		row.Priority, row.HasPriority, row.FlowOwner, row.HasFlowOwner = e.Priority, true, e.Owner, true
+	})
+	return err
 }
 
 func (a *shieldedAPI) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) error {
-	return a.mediate(opPacketOut, dpid, func(org controller.Origin) error {
-		call := a.packetOutCall(dpid, bufferID, inPort, actions, pkt)
-		if err := a.check(&call, org.Corr); err != nil {
-			return err
-		}
-		return a.shield.kernel.SendPacketOutAs(org, dpid, bufferID, inPort, actions, pkt)
-	})
+	return a.call(opPacketOut, args{dpid: dpid, bufferID: bufferID, port: inPort,
+		spec: controller.FlowSpec{Actions: actions}, pkt: pkt})
+}
+
+// checkPacketOut decides send_pkt_out's call, with its provenance: whether
+// the packet is a buffered packet-in rather than one the app made up.
+func (r *request) checkPacketOut() error {
+	call := core.Call{Token: core.TokenSendPktOut, DPID: r.dpid, HasDPID: true, Actions: orNone(r.spec.Actions),
+		HasProvenance: true, FromPktIn: r.pkt == nil && r.bufferID != 0 && r.a.shield.kernel.PacketInSeen(r.dpid, r.bufferID)}
+	if r.pkt != nil {
+		call.Match = r.match.FillFromPacket(r.pkt, r.port)
+	}
+	return r.check(call)
+}
+
+// packetOut sends the request's packet, its own clone: the packet-out
+// outlives the call (the kernel copies the actions into it).
+func (r *request) packetOut() error {
+	return r.a.shield.kernel.SendPacketOutAs(r.org, r.dpid, r.bufferID, r.port, r.spec.Actions, r.pkt)
 }
 
 // ---------------------------------------------------------------------------
@@ -342,107 +359,127 @@ func statsCall(dpid of.DPID, level of.StatsType, match *of.Match) core.Call {
 	return core.Call{Token: core.TokenReadStatistics, DPID: dpid, HasDPID: true, StatsLevel: level, Match: match}
 }
 
-func (a *shieldedAPI) FlowStats(dpid of.DPID, match *of.Match) (rows []of.FlowStatsEntry, err error) {
-	err = a.mediate(opFlowStats, dpid, func(org controller.Origin) (err error) {
-		call := statsCall(dpid, of.StatsFlow, orAny(match))
-		if err := a.check(&call, org.Corr); err != nil {
-			return err
-		}
-		if a.virt != nil {
-			rows, err = a.virt.flowStats(match)
-			return err
-		}
-		rows, err = a.shield.kernel.FlowStats(dpid, match)
-		rows = visible(a, core.TokenReadStatistics, rows, func(r of.FlowStatsEntry, row *core.Call) {
-			row.DPID, row.HasDPID = dpid, true
-			row.StatsLevel, row.Match = of.StatsFlow, r.Match
-			row.Priority, row.HasPriority = r.Priority, true
-		})
-		return err
-	})
-	return rows, err
+func (a *shieldedAPI) FlowStats(dpid of.DPID, match *of.Match) ([]of.FlowStatsEntry, error) {
+	return callFor(a, opFlowStats, args{dpid: dpid, spec: controller.FlowSpec{Match: match}},
+		func(r *request) []of.FlowStatsEntry { return r.flowStats })
 }
 
-func (a *shieldedAPI) PortStats(dpid of.DPID, port uint16) (rows []of.PortStatsEntry, err error) {
-	err = a.single(opPortStats, dpid, statsCall(dpid, of.StatsPort, nil), func() (err error) {
-		if a.virt != nil {
-			rows, err = a.virt.portStats(port)
-		} else {
-			rows, err = a.shield.kernel.PortStats(dpid, port)
-		}
-		return err
-	})
-	return rows, err
+func (r *request) checkFlowStats() error {
+	return r.check(statsCall(r.dpid, of.StatsFlow, r.spec.Match))
 }
 
-func (a *shieldedAPI) SwitchStats(dpid of.DPID) (stats of.SwitchStats, err error) {
-	err = a.single(opSwitchStats, dpid, statsCall(dpid, of.StatsSwitch, nil), func() (err error) {
-		if a.virt != nil {
-			stats, err = a.virt.switchStats()
-		} else {
-			stats, err = a.shield.kernel.SwitchStats(dpid)
-		}
+func (r *request) readFlowStats() (err error) {
+	if r.a.virt != nil {
+		r.flowStats, err = r.a.virt.flowStats(r.spec.Match)
 		return err
+	}
+	rows, err := r.a.shield.kernel.FlowStats(r.dpid, r.spec.Match)
+	r.flowStats = visible(r, core.TokenReadStatistics, rows, func(x of.FlowStatsEntry, row *core.Call) {
+		row.DPID, row.HasDPID, row.StatsLevel = r.dpid, true, of.StatsFlow
+		row.Match, row.Priority, row.HasPriority = x.Match, x.Priority, true
 	})
-	return stats, err
+	return err
+}
+
+func (a *shieldedAPI) PortStats(dpid of.DPID, port uint16) ([]of.PortStatsEntry, error) {
+	return callFor(a, opPortStats, args{dpid: dpid, port: port}, func(r *request) []of.PortStatsEntry { return r.portStats })
+}
+
+func (r *request) checkPortStats() error { return r.check(statsCall(r.dpid, of.StatsPort, nil)) }
+
+func (r *request) readPortStats() (err error) {
+	if r.a.virt != nil {
+		r.portStats, err = r.a.virt.portStats(r.port)
+	} else {
+		r.portStats, err = r.a.shield.kernel.PortStats(r.dpid, r.port)
+	}
+	return err
+}
+
+func (a *shieldedAPI) SwitchStats(dpid of.DPID) (of.SwitchStats, error) {
+	return callFor(a, opSwitchStats, args{dpid: dpid}, func(r *request) of.SwitchStats { return r.switchStats })
+}
+
+func (r *request) checkSwitchStats() error { return r.check(statsCall(r.dpid, of.StatsSwitch, nil)) }
+
+func (r *request) readSwitchStats() (err error) {
+	if r.a.virt != nil {
+		r.switchStats, err = r.a.virt.switchStats()
+	} else {
+		r.switchStats, err = r.a.shield.kernel.SwitchStats(r.dpid)
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------
 // Topology
 
-// listTopology is the shape Switches, Links and Hosts share: the
-// listing's op-level decision, then the translator's view for an app on
-// the virtual big switch, and for anyone else the physical rows its
-// filter admits.
-func listTopology[T any](a *shieldedAPI, op *mediatedOp, virtual func(*translator) []T,
-	physical func(*topology.Topology) []T, describe func(T, *core.Call)) (rows []T, err error) {
-	err = a.mediate(op, 0, func(org controller.Origin) error {
-		if err := a.listed(core.Call{Token: core.TokenVisibleTopology}, org.Corr); err != nil {
-			return err
-		}
-		if a.virt != nil {
-			rows = virtual(a.virt)
-		} else {
-			rows = visible(a, core.TokenVisibleTopology, physical(a.shield.kernel.Topology()), describe)
-		}
-		return nil
-	})
-	return rows, err
+// listedTopology is the op-level decision Switches, Links and Hosts share.
+func (r *request) listedTopology() error {
+	return r.listed(core.Call{Token: core.TokenVisibleTopology})
+}
+
+// topologyRows is the listing they share: the translator's view behind
+// the virtual big switch, otherwise the physical rows the filter admits.
+func topologyRows[T any](r *request, virtual func(*translator) []T,
+	physical func(*topology.Topology) []T, describe func(T, *core.Call)) []T {
+	if r.a.virt != nil {
+		return virtual(r.a.virt)
+	}
+	return visible(r, core.TokenVisibleTopology, physical(r.a.shield.kernel.Topology()), describe)
 }
 
 func (a *shieldedAPI) Switches() ([]topology.SwitchInfo, error) {
-	return listTopology(a, opSwitches, (*translator).switches, (*topology.Topology).Switches,
+	return callFor(a, opSwitches, args{}, func(r *request) []topology.SwitchInfo { return r.switches })
+}
+
+func (r *request) listSwitches() error {
+	r.switches = topologyRows(r, (*translator).switches, (*topology.Topology).Switches,
 		func(s topology.SwitchInfo, row *core.Call) { row.Switches = []of.DPID{s.DPID} })
+	return nil
 }
 
 func (a *shieldedAPI) Links() ([]topology.Link, error) {
+	return callFor(a, opLinks, args{}, func(r *request) []topology.Link { return r.links })
+}
+
+func (r *request) listLinks() error {
 	// A single big switch has no internal links.
-	return listTopology(a, opLinks, func(*translator) []topology.Link { return nil }, (*topology.Topology).Links,
+	r.links = topologyRows(r, func(*translator) []topology.Link { return nil }, (*topology.Topology).Links,
 		func(l topology.Link, row *core.Call) {
 			row.Switches = []of.DPID{l.A, l.B}
 			row.Links = []core.LinkID{l.ID()}
 		})
+	return nil
 }
 
 func (a *shieldedAPI) Hosts() ([]topology.Host, error) {
-	return listTopology(a, opHosts, (*translator).hosts, (*topology.Topology).Hosts,
+	return callFor(a, opHosts, args{}, func(r *request) []topology.Host { return r.hosts })
+}
+
+func (r *request) listHosts() error {
+	r.hosts = topologyRows(r, (*translator).hosts, (*topology.Topology).Hosts,
 		func(h topology.Host, row *core.Call) { row.Switches = []of.DPID{h.Switch} })
+	return nil
 }
 
-// linkCall is modify_topology's call for an edit of the link x–y.
-func linkCall(x, y of.DPID) core.Call {
-	return core.Call{Token: core.TokenModifyTopology, Switches: []of.DPID{x, y}, Links: []core.LinkID{core.NewLinkID(x, y)}}
+// checkLink decides modify_topology's call for an edit of the link.
+func (r *request) checkLink() error {
+	sw := []of.DPID{r.link.A, r.link.B}
+	return r.check(core.Call{Token: core.TokenModifyTopology, Switches: sw, Links: []core.LinkID{r.link.ID()}})
 }
 
-func (a *shieldedAPI) AddLink(l topology.Link) error {
-	return a.single(opAddLink, 0, linkCall(l.A, l.B), func() error { return a.shield.kernel.AddLink(l) })
-}
+func (a *shieldedAPI) AddLink(l topology.Link) error { return a.call(opAddLink, args{link: l}) }
+
+func (r *request) addLink() error { return r.a.shield.kernel.AddLink(r.link) }
 
 func (a *shieldedAPI) RemoveLink(x, y of.DPID) error {
-	return a.single(opRemoveLink, 0, linkCall(x, y), func() error {
-		a.shield.kernel.RemoveLink(x, y)
-		return nil
-	})
+	return a.call(opRemoveLink, args{link: topology.Link{A: x, B: y}})
+}
+
+func (r *request) removeLink() error {
+	r.a.shield.kernel.RemoveLink(r.link.A, r.link.B)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -475,52 +512,75 @@ func modelCall(path string, write bool) core.Call {
 }
 
 func (a *shieldedAPI) Publish(path string, value interface{}) error {
-	return a.single(opPublish, 0, modelCall(path, true), func() error {
-		a.shield.kernel.Publish(path, value)
-		return nil
-	})
+	return a.call(opPublish, args{path: path, value: value})
 }
 
-func (a *shieldedAPI) ReadModel(path string) (v interface{}, ok bool, err error) {
-	err = a.single(opReadModel, 0, modelCall(path, false), func() error {
-		v, ok = a.shield.kernel.ReadModel(path)
-		return nil
-	})
-	return v, ok, err
+func (r *request) checkPublish() error { return r.check(modelCall(r.path, true)) }
+
+func (r *request) publish() error {
+	r.a.shield.kernel.Publish(r.path, r.value)
+	return nil
+}
+
+func (a *shieldedAPI) ReadModel(path string) (interface{}, bool, error) {
+	r := a.request(opReadModel, args{path: path})
+	defer r.put()
+	err := a.mediate(r)
+	return r.value, r.ok, err
+}
+
+func (r *request) checkReadModel() error { return r.check(modelCall(r.path, false)) }
+
+func (r *request) readModel() error {
+	r.value, r.ok = r.a.shield.kernel.ReadModel(r.path)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Host system calls (the SecurityManager role)
 
-func (a *shieldedAPI) HostConnect(ip of.IPv4, port uint16) (conn *hostsim.Conn, err error) {
-	call := core.Call{Token: core.TokenHostNetwork, HostIP: ip, HostPort: port, HasHostIP: true}
-	err = a.single(opHostConnect, 0, call, func() (err error) {
-		conn, err = a.shield.kernel.HostOS().Connect(ip, port)
-		return err
-	})
-	return conn, err
+func (a *shieldedAPI) HostConnect(ip of.IPv4, port uint16) (*hostsim.Conn, error) {
+	return callFor(a, opHostConnect, args{ip: ip, port: port}, func(r *request) *hostsim.Conn { return r.conn })
 }
 
-func (a *shieldedAPI) HostReadFile(path string) (data []byte, err error) {
-	err = a.single(opHostReadFile, 0, core.Call{Token: core.TokenFileSystem, Path: path}, func() (err error) {
-		data, err = a.shield.kernel.HostOS().ReadFile(path)
-		return err
-	})
-	return data, err
+func (r *request) checkHostConnect() error {
+	return r.check(core.Call{Token: core.TokenHostNetwork, HostIP: r.ip, HostPort: r.port, HasHostIP: true})
+}
+
+func (r *request) hostConnect() (err error) {
+	r.conn, err = r.a.shield.kernel.HostOS().Connect(r.ip, r.port)
+	return err
+}
+
+func (a *shieldedAPI) HostReadFile(path string) ([]byte, error) {
+	return callFor(a, opHostReadFile, args{path: path}, func(r *request) []byte { return r.data })
+}
+
+func (r *request) checkFile() error {
+	return r.check(core.Call{Token: core.TokenFileSystem, Path: r.path})
+}
+
+func (r *request) hostReadFile() (err error) {
+	r.data, err = r.a.shield.kernel.HostOS().ReadFile(r.path)
+	return err
 }
 
 func (a *shieldedAPI) HostWriteFile(path string, data []byte) error {
-	return a.single(opHostWriteFile, 0, core.Call{Token: core.TokenFileSystem, Path: path}, func() error {
-		a.shield.kernel.HostOS().WriteFile(path, data)
-		return nil
-	})
+	return a.call(opHostWriteFile, args{path: path, data: data})
 }
 
-func (a *shieldedAPI) HostExec(cmd string) error {
-	return a.single(opHostExec, 0, core.Call{Token: core.TokenProcessRuntime}, func() error {
-		a.shield.kernel.HostOS().Exec(cmd)
-		return nil
-	})
+func (r *request) hostWriteFile() error {
+	r.a.shield.kernel.HostOS().WriteFile(r.path, r.data)
+	return nil
+}
+
+func (a *shieldedAPI) HostExec(cmd string) error { return a.call(opHostExec, args{path: cmd}) }
+
+func (r *request) checkExec() error { return r.check(core.Call{Token: core.TokenProcessRuntime}) }
+
+func (r *request) hostExec() error {
+	r.a.shield.kernel.HostOS().Exec(r.path)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -528,24 +588,24 @@ func (a *shieldedAPI) HostExec(cmd string) error {
 
 // eventTable is the op table of deliveries: per event kind, the token
 // guarding it and what one event presents to the app's filters (nil: the
-// token alone decides).
+// token alone decides); m is scratch space for a match describe derives.
 var eventTable = [...]struct {
 	token    core.Token
-	describe func(ev controller.Event, call *core.Call)
+	describe func(ev controller.Event, call *core.Call, m *of.Match)
 }{
-	controller.EventPacketIn: {core.TokenPktInEvent, func(ev controller.Event, call *core.Call) {
+	controller.EventPacketIn: {core.TokenPktInEvent, func(ev controller.Event, call *core.Call, m *of.Match) {
 		call.DPID, call.HasDPID = ev.PacketIn.DPID, true
-		call.Match = of.MatchFromPacket(ev.PacketIn.Packet, ev.PacketIn.InPort)
+		call.Match = m.FillFromPacket(ev.PacketIn.Packet, ev.PacketIn.InPort)
 	}},
-	controller.EventFlowRemoved: {core.TokenFlowEvent, func(ev controller.Event, call *core.Call) {
+	controller.EventFlowRemoved: {core.TokenFlowEvent, func(ev controller.Event, call *core.Call, _ *of.Match) {
 		call.DPID, call.HasDPID, call.Match = ev.FlowRemoved.DPID, true, ev.FlowRemoved.Match
 		call.Priority, call.HasPriority = ev.FlowRemoved.Priority, true
 		call.FlowOwner, call.HasFlowOwner = ev.FlowOwner, true
 	}},
-	controller.EventPortStatus: {core.TokenTopologyEvent, func(ev controller.Event, call *core.Call) {
+	controller.EventPortStatus: {core.TokenTopologyEvent, func(ev controller.Event, call *core.Call, _ *of.Match) {
 		call.DPID, call.HasDPID = ev.PortStatus.DPID, true
 	}},
-	controller.EventTopology: {core.TokenTopologyEvent, func(ev controller.Event, call *core.Call) {
+	controller.EventTopology: {core.TokenTopologyEvent, func(ev controller.Event, call *core.Call, _ *of.Match) {
 		call.Switches = append(call.Switches, ev.TopoChange.DPID)
 		if peer := ev.TopoChange.Peer; peer != 0 {
 			call.Switches = append(call.Switches, peer)
@@ -565,14 +625,17 @@ func eventToken(kind controller.EventKind) (core.Token, bool) {
 }
 
 // allowEvent runs the per-event permission check; subscribe admitted the
-// event's kind.
+// event's kind. The call and the match a packet-in presents live in a
+// pooled request.
 func (s *Shield) allowEvent(app string, ev controller.Event) bool {
 	e := eventTable[ev.Kind]
-	call := &core.Call{App: app, Token: e.token, Event: core.CallbackObserve}
+	r := requests.Get().(*request)
+	defer r.put()
+	r.call = core.Call{App: app, Token: e.token, Event: core.CallbackObserve}
 	if e.describe != nil {
-		e.describe(ev, call)
+		e.describe(ev, &r.call, &r.match)
 	}
-	return s.engine.Check(call) == nil
+	return s.engine.Check(&r.call) == nil
 }
 
 func (a *shieldedAPI) Subscribe(kind controller.EventKind, fn controller.Handler) error {

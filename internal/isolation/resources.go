@@ -113,12 +113,7 @@ func (c *Container) usage() ResourceUsage {
 // UsageSnapshot reports every launched app's resource usage, keyed by
 // app name.
 func (s *Shield) UsageSnapshot() map[string]ResourceUsage {
-	s.mu.Lock()
-	containers := make([]*Container, 0, len(s.containers))
-	for _, c := range s.containers {
-		containers = append(containers, c)
-	}
-	s.mu.Unlock()
+	containers := s.launched()
 	out := make(map[string]ResourceUsage, len(containers))
 	for _, c := range containers {
 		out[c.name] = c.usage()
@@ -192,12 +187,7 @@ func (r *resourceState) sweep(now time.Time, drops uint64) ([]QuotaBreach, int) 
 // the bundler's cooldown). An app breaching on QuotaEscalateAfter
 // consecutive sweeps is quarantined.
 func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
-	s.mu.Lock()
-	containers := make([]*Container, 0, len(s.containers))
-	for _, c := range s.containers {
-		containers = append(containers, c)
-	}
-	s.mu.Unlock()
+	containers := s.launched()
 	var all []QuotaBreach
 	for _, c := range containers {
 		if c.Health() != Running || c.res.Budget().IsZero() {

@@ -3,17 +3,22 @@ package isolation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdnshield/internal/controller"
 	"sdnshield/internal/core"
+	"sdnshield/internal/flowtable"
+	"sdnshield/internal/hostsim"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/of"
 	"sdnshield/internal/permengine"
+	"sdnshield/internal/topology"
 )
 
 // Config tunes the shielded runtime.
@@ -99,10 +104,12 @@ type Shield struct {
 	engine *permengine.Engine
 	cfg    Config
 
-	reqCh     chan func()
-	replyPool sync.Pool
-	workers   sync.WaitGroup
-	stopped   atomic.Bool
+	// reqCh is the KSD queue; gate, held shared from a caller's stopped
+	// check through its send, orders enqueues before Stop's close.
+	reqCh   chan *request
+	gate    sync.RWMutex
+	workers sync.WaitGroup
+	stopped atomic.Bool
 
 	mu         sync.Mutex
 	containers map[string]*Container
@@ -128,11 +135,10 @@ func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 		kernel:         kernel,
 		engine:         permengine.New(kernel, opts...),
 		cfg:            cfg,
-		reqCh:          make(chan func(), 256),
+		reqCh:          make(chan *request, 256),
 		containers:     make(map[string]*Container),
 		pendingBudgets: make(map[string]core.Budget),
 	}
-	s.replyPool.New = func() interface{} { return make(chan reply, 1) }
 	s.unregisterHealth = registerHealth(s)
 	for i := 0; i < cfg.KSDWorkers; i++ {
 		s.workers.Add(1)
@@ -167,160 +173,221 @@ func (s *Shield) SetProvenance(app string, notes []string) {
 }
 
 // ksdLoop is one Kernel Service Deputy: it executes mediated API calls on
-// behalf of apps.
+// behalf of apps until Stop closes the queue.
 func (s *Shield) ksdLoop() {
 	defer s.workers.Done()
-	for fn := range s.reqCh {
-		fn()
+	for r := range s.reqCh {
+		s.serve(r)
 	}
 }
 
-// reply is what a deputy hands back for one mediated call: the call's
-// error and, for the traced subset, the two stage durations the caller
-// records as spans.
-type reply struct {
-	err        error
-	wait, exec time.Duration
+// request is one mediated call on its way across the KSD hop and back, in
+// one pooled record: the op and its caller, the sampling decision taken
+// at enqueue, the call's own arguments, the call the engine checks, the
+// results and the reply channel. The caller owns a request from get to
+// put and reads the results before it puts it back; the deputy owns it
+// from pickup to its reply and never touches it after.
+type request struct {
+	a   *shieldedAPI
+	op  *mediatedOp
+	org controller.Origin
+
+	enq         time.Time // zero unless the call is measured
+	weight      int64     // the sampling period measurements scale by
+	traced, rec bool
+
+	args
+	match of.Match     // what spec.Match points at
+	acts  [4]of.Action // what spec.Actions points into, unless longer
+	call  core.Call    // the call checked; a listing's rows reuse it
+
+	err         error
+	wait, exec  time.Duration // the traced subset's two stages
+	flows       []*flowtable.Entry
+	flowStats   []of.FlowStatsEntry
+	portStats   []of.PortStatsEntry
+	switchStats of.SwitchStats
+	switches    []topology.SwitchInfo
+	links       []topology.Link
+	hosts       []topology.Host
+	ok          bool
+	conn        *hostsim.Conn
+
+	done chan struct{} // the deputy's reply; kept across reuse
 }
 
-// do is the KSD hop: it runs fn(org) on a deputy and waits for its
-// completion — the inter-thread hop whose cost the paper's end-to-end
-// overhead measurements capture. op names the mediated operation for the
-// per-op latency histogram and the call-path trace. One sampler decision,
-// taken before the enqueue, gates all measurement: unsampled calls pay a
-// single atomic add, measured ones share their timestamps between the hop
-// histogram, the per-op histogram and — for every traceOneIn-th of them
-// — the call's spans in the span collector (/trace/<corr>, /traces).
+// args are one call's arguments. Decision and effect read only the
+// request's copy: what an app does with what it passed changes nothing.
+type args struct {
+	dpid     of.DPID
+	spec     controller.FlowSpec // a flow op's match, priority and actions
+	pkt      *of.Packet
+	strict   bool
+	bufferID uint32
+	port     uint16
+	ip       of.IPv4
+	link     topology.Link
+	path     string
+	value    interface{}
+	data     []byte
+}
+
+var requests = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
+
+// request takes a request for one call of op from the pool and copies the
+// arguments in, on the caller: the match by value (nil as the match-all
+// it stands for), the actions into the inline array (nil stays nil), an
+// inline packet into a clone the packet-out sent will carry.
+func (a *shieldedAPI) request(op *mediatedOp, in args) *request {
+	r := requests.Get().(*request)
+	r.a, r.op, r.args = a, op, in
+	if in.spec.Match != nil {
+		r.match = *in.spec.Match
+	}
+	r.spec.Match = &r.match
+	if in.spec.Actions != nil {
+		r.spec.Actions = append(r.acts[:0], in.spec.Actions...)
+	}
+	r.pkt = in.pkt.Clone()
+	return r
+}
+
+// put clears r, dropping every reference it holds, and pools it.
+func (r *request) put() {
+	*r = request{done: r.done}
+	requests.Put(r)
+}
+
+// hop is the KSD hop: it hands r to a deputy and waits for the reply —
+// the inter-thread hop whose cost the paper's end-to-end overhead
+// measurements capture. One sampler decision, taken before the enqueue,
+// gates all measurement: unsampled calls pay a single atomic add and no
+// clock read (time.Now() costs tens of nanoseconds against a microsecond
+// call), measured ones share their timestamps between the hop histogram,
+// r's op's latency histogram, the resource accounting (scaled back to
+// full rate by the sampling period) and — for every traceOneIn-th of them
+// — the call's spans under r.org's corr (/trace/<corr>, /traces). With
+// the flight recorder on every call leaves a frame; the sampled subset's
+// carry execution time and queue residency.
 //
-// c is the calling app's container; org names the app and carries the
-// call's correlation ID. Durations and queue residency ride the same
-// sampler decision:
-// time.Now() costs tens of nanoseconds — two on-path reads alone would
-// blow the recorder's 5% budget against a microsecond call — so the
-// unsampled majority pays no clock read, and the resource accounting
-// scales sampled measurements back to full rate by the sampling
-// period. When the flight recorder is on, every call still leaves a
-// frame (app, op, outcome, correlation ID, completion timestamp); the
-// timestamp is read after the reply is sent, and the sampled subset's
-// frames additionally carry execution time and queue residency.
-func (s *Shield) do(c *Container, op *mediatedOp, org controller.Origin, fn func(controller.Origin) error) error {
+// A call racing Stop is either enqueued before Stop closes the queue, and
+// then served, or returns ErrShieldStopped.
+func (s *Shield) hop(r *request) error {
+	s.gate.RLock()
 	if s.stopped.Load() {
+		s.gate.RUnlock()
 		return ErrShieldStopped
 	}
-	var enq time.Time
-	var weight int64
-	var traced bool
 	if nth := mediatedSampler.Tick(); nth != 0 {
-		traced = nth%traceOneIn == 0
+		r.traced = nth%traceOneIn == 0
 		mKSDQueueDepth.Set(int64(len(s.reqCh)))
-		if weight = int64(obs.LatencySampling()); weight < 1 {
-			weight = 1
-		}
-		enq = time.Now()
+		r.weight = max(int64(obs.LatencySampling()), 1)
+		r.enq = time.Now()
 	}
-	rec := recorder.On()
+	r.rec = recorder.On()
+	c := r.a.container
 	if c != nil {
 		c.res.calls.Add(1)
 		c.res.goroutines.Add(1)
 		defer c.res.goroutines.Add(-1)
 	}
-	done, _ := s.replyPool.Get().(chan reply)
-	s.reqCh <- func() {
-		var pickup time.Time
-		var wait, exec time.Duration
-		if !enq.IsZero() {
-			pickup = time.Now()
-			wait = pickup.Sub(enq)
-			mKSDHopSeconds.Observe(wait)
-		}
-		sampleAlloc := c != nil && c.res.sampleAlloc()
-		var allocBefore int64
-		if sampleAlloc {
-			allocBefore = heapAllocBytes()
-		}
-		err := s.protect(fn, org)
-		// A traced call's execution time travels back with the reply, so
-		// its clock read comes first. Every other call is accounted after
-		// the reply: the deputy does the bookkeeping — clock reads
-		// included — off the caller's critical path. exec then includes
-		// the reply handoff: tens of nanoseconds against microsecond
-		// calls, a fair trade for keeping the measured path clock-free.
-		if traced {
-			exec = time.Since(pickup)
-		}
-		done <- reply{err, wait, exec}
-		if !traced && !pickup.IsZero() {
-			exec = time.Since(pickup)
-		}
-		if sampleAlloc {
-			if delta := heapAllocBytes() - allocBefore; delta > 0 {
-				c.res.allocBytes.Add(delta * allocSamplePeriod)
-			}
-		}
-		if c == nil {
-			return
-		}
-		if !pickup.IsZero() {
-			c.res.account(exec, wait, weight)
-		}
-		if rec {
-			code := recorder.CodeOK
-			if err != nil {
-				code = recorder.CodeError
-				var denied *permengine.DeniedError
-				if errors.As(err, &denied) {
-					code = recorder.CodeDenied
-				}
-			}
-			// Unsampled frames carry TS 0: Record stamps them with the
-			// last measured timestamp instead of a fresh clock read.
-			var ts int64
-			if !pickup.IsZero() {
-				ts = pickup.Add(exec).UnixNano()
-			}
-			recorder.Record(recorder.Frame{
-				TS:   ts,
-				Kind: recorder.KindMediatedCall,
-				Code: code,
-				App:  c.sym,
-				Op:   op.sym,
-				Corr: org.Corr,
-				Dur:  int64(exec),
-				Arg:  int64(wait),
-			})
-		}
-	}
-	r := <-done
-	s.replyPool.Put(done)
-	if traced {
+	s.reqCh <- r
+	s.gate.RUnlock()
+	<-r.done
+	if r.traced {
 		// The call's spans are in the collector before it returns, under
 		// the corr its audit events carry; the exemplar names the same ID.
-		d := time.Since(enq)
-		op.hist.ObserveTraced(d, org.Corr, enq)
+		d := time.Since(r.enq)
+		r.op.hist.ObserveTraced(d, r.org.Corr, r.enq)
 		var tenant string
 		if c != nil {
 			tenant = audit.TenantOf(c.name)
 		}
-		root := span.Mediated(org.Corr, op.name, tenant, enq, d)
-		span.Add(root, "ksd_queue", enq, r.wait)
-		span.Add(root, "exec", enq.Add(r.wait), r.exec)
-	} else if !enq.IsZero() {
-		op.hist.Observe(time.Since(enq))
+		root := span.Mediated(r.org.Corr, r.op.name, tenant, r.enq, d)
+		span.Add(root, "ksd_queue", r.enq, r.wait)
+		span.Add(root, "exec", r.enq.Add(r.wait), r.exec)
+	} else if !r.enq.IsZero() {
+		r.op.hist.Observe(time.Since(r.enq))
 	}
 	return r.err
 }
 
-// protect shields a deputy from the closure it runs on an app's behalf: a
-// panic inside a mediated call is converted to an error for the caller
-// (and counted on the engine) instead of killing the KSD worker.
-func (s *Shield) protect(fn func(controller.Origin) error, org controller.Origin) (err error) {
+// serve runs one request on a deputy. What the bookkeeping after the
+// reply needs is copied out first: after it the request is the caller's.
+func (s *Shield) serve(r *request) {
+	c, op, corr, traced, rec, weight := r.a.container, r.op, r.org.Corr, r.traced, r.rec, r.weight
+	var pickup time.Time
+	var wait, exec time.Duration
+	if !r.enq.IsZero() {
+		pickup = time.Now()
+		wait = pickup.Sub(r.enq)
+		mKSDHopSeconds.Observe(wait)
+	}
+	sampleAlloc := c != nil && c.res.sampleAlloc()
+	var allocBefore int64
+	if sampleAlloc {
+		allocBefore = heapAllocBytes()
+	}
+	err := s.protect(r)
+	// A traced call's execution time travels back with the reply, so its
+	// clock read comes first. Every other call is accounted after the
+	// reply: the deputy does the bookkeeping — clock reads included — off
+	// the caller's critical path. exec then includes the reply handoff:
+	// tens of nanoseconds against microsecond calls, a fair trade for
+	// keeping the measured path clock-free.
+	if traced {
+		exec = time.Since(pickup)
+	}
+	r.err, r.wait, r.exec = err, wait, exec
+	r.done <- struct{}{}
+	if !traced && !pickup.IsZero() {
+		exec = time.Since(pickup)
+	}
+	if sampleAlloc {
+		if delta := heapAllocBytes() - allocBefore; delta > 0 {
+			c.res.allocBytes.Add(delta * allocSamplePeriod)
+		}
+	}
+	if c == nil {
+		return
+	}
+	if !pickup.IsZero() {
+		c.res.account(exec, wait, weight)
+	}
+	if rec {
+		code := recorder.CodeOK
+		if err != nil {
+			code = recorder.CodeError
+			var denied *permengine.DeniedError
+			if errors.As(err, &denied) {
+				code = recorder.CodeDenied
+			}
+		}
+		// Unsampled frames carry TS 0: Record stamps them with the last
+		// measured timestamp instead of a fresh clock read.
+		var ts int64
+		if !pickup.IsZero() {
+			ts = pickup.Add(exec).UnixNano()
+		}
+		recorder.Record(recorder.Frame{TS: ts, Kind: recorder.KindMediatedCall, Code: code,
+			App: c.sym, Op: op.sym, Corr: corr, Dur: int64(exec), Arg: int64(wait)})
+	}
+}
+
+// protect runs r's op — its decision, then its effect — shielding the
+// deputy from it: a panic inside a mediated call becomes an error for the
+// caller (and is counted on the engine) instead of killing the worker.
+func (s *Shield) protect(r *request) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			s.engine.CountAPIPanic()
-			err = fmt.Errorf("isolation: panic in mediated API call: %v", r)
+			err = fmt.Errorf("isolation: panic in mediated API call: %v", p)
 		}
 	}()
-	return fn(org)
+	if err := r.op.decide(r); err != nil {
+		return err
+	}
+	return r.op.effect(r)
 }
 
 // Launch starts an app in its own container: Init runs on the container
@@ -402,6 +469,17 @@ func (s *Shield) Container(name string) (*Container, bool) {
 	return c, ok
 }
 
+// launched lists the launched containers.
+func (s *Shield) launched() []*Container {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Container, 0, len(s.containers))
+	for _, c := range s.containers {
+		out = append(out, c)
+	}
+	return out
+}
+
 func (s *Shield) removeContainer(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,7 +505,10 @@ func (s *Shield) Stop() {
 	for _, c := range containers {
 		c.Stop()
 	}
+	// Enqueues past their stopped check finish first; all get served.
+	s.gate.Lock()
 	close(s.reqCh)
+	s.gate.Unlock()
 	s.workers.Wait()
 	if s.unregisterHealth != nil {
 		s.unregisterHealth()
@@ -451,6 +532,8 @@ type Container struct {
 
 	events chan controller.Event
 
+	// handlers' slices are copy-on-write: subscribe and unhookAll publish
+	// new ones under hmu, so deliver iterates the one it read uncopied.
 	hmu      sync.Mutex
 	handlers map[controller.EventKind][]controller.Handler
 	kernels  map[controller.EventKind]int // kernel subscription ids
@@ -548,8 +631,7 @@ func (c *Container) eventLoop() {
 // whether any of them panicked.
 func (c *Container) deliver(ev controller.Event) (panicked bool) {
 	c.hmu.Lock()
-	handlers := make([]controller.Handler, len(c.handlers[ev.Kind]))
-	copy(handlers, c.handlers[ev.Kind])
+	handlers := c.handlers[ev.Kind]
 	c.hmu.Unlock()
 	for _, fn := range handlers {
 		if c.safeHandle(fn, ev) {
@@ -586,7 +668,7 @@ func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) 
 	}
 	c.hmu.Lock()
 	defer c.hmu.Unlock()
-	c.handlers[kind] = append(c.handlers[kind], fn)
+	c.handlers[kind] = append(slices.Clip(c.handlers[kind]), fn)
 	if _, wired := c.kernels[kind]; !wired {
 		id := c.shield.kernel.Subscribe(kind, func(ev controller.Event) {
 			if !c.shield.allowEvent(c.name, ev) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"sdnshield/internal/controller"
-	"sdnshield/internal/core"
 	"sdnshield/internal/flowtable"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
@@ -26,16 +25,18 @@ func switchGone(err error) bool {
 // owners and actions it started with. A reinstalled rule goes to the end
 // of its priority run, as it does on the switch.
 //
-// Each planned call is its op's: the precheck is the op's own builder and
-// check (ops.go), the apply is the app's own call, and the undo runs on
+// Each planned call is its op's: the precheck is the op's own decision
+// (ops.go), the apply is the app's own call, and the undo runs on
 // the kernel — through the translator for an app behind the virtual big
 // switch — unchecked and ungated: putting back the pre-transaction state
 // grants nothing new, and a rule it reinstalls goes back to the owner it
-// had, not to the caller.
+// had, not to the caller. Each planned call owns its arguments: the plan
+// copies the match, actions and packet it is given, so an app reusing
+// them before Commit changes neither what is checked nor what is applied.
 type Tx struct {
 	api API
-	// shield is the handle whose builders precheck the calls; nil on the
-	// monolith, whose transactions only provide atomic rollback.
+	// shield is the handle whose op decisions precheck the calls; nil on
+	// the monolith, whose transactions only provide atomic rollback.
 	shield *shieldedAPI
 	kernel *controller.Kernel
 	inner  permengine.Tx
@@ -45,14 +46,16 @@ type Tx struct {
 // plan adds one call, minting the transaction's correlation ID on the
 // first: the inner transaction's commit/abort/rollback audit events, the
 // prechecks and the undo all carry it, so a tx abort and the denial that
-// caused it correlate. The monolith has no prechecks.
-func (t *Tx) plan(check, apply, revert func() error) *Tx {
+// caused it correlate. The precheck is op's decision on in; the monolith
+// has none.
+func (t *Tx) plan(op *mediatedOp, in args, apply, revert func() error) *Tx {
 	if t.corr == 0 {
 		t.corr = audit.NextCorr()
 		t.inner.SetOrigin(t.api.AppName(), t.corr)
 	}
-	if t.shield == nil {
-		check = nil
+	var check func() error
+	if t.shield != nil {
+		check = func() error { return t.shield.precheck(op, in, t.corr) }
 	}
 	t.inner.Add(permengine.PlannedCall{Check: check, Apply: apply, Revert: revert})
 	return t
@@ -86,7 +89,6 @@ func (t *Tx) restore(dpid of.DPID, entries []*flowtable.Entry) error {
 // exactRule narrows a snapshot to the rule with exactly this match and
 // priority: the one an insert replaces or a strict delete removes.
 func exactRule(entries []*flowtable.Entry, match *of.Match, priority uint16) []*flowtable.Entry {
-	match = orAny(match)
 	for i, e := range entries {
 		if e.Priority == priority && e.Match.Equal(match) {
 			return entries[i : i+1]
@@ -98,11 +100,9 @@ func exactRule(entries []*flowtable.Entry, match *of.Match, priority uint16) []*
 // InsertFlow plans a flow insertion. On rollback the rule it replaced is
 // reinstalled, or the new one removed.
 func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
+	spec.Match, spec.Actions = orAny(spec.Match).Clone(), of.CloneActions(spec.Actions)
 	var displaced []*flowtable.Entry // the rule this insert replaces, if any
-	return t.plan(func() error {
-		call := insertCall(dpid, spec)
-		return t.shield.check(&call, t.corr)
-	}, func() error {
+	return t.plan(opInsertFlow, args{dpid: dpid, spec: spec}, func() error {
 		displaced = exactRule(t.resident(dpid, spec.Match), spec.Match, spec.Priority)
 		return t.api.InsertFlow(dpid, spec)
 	}, func() error {
@@ -126,10 +126,10 @@ func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
 // DeleteFlow plans a flow deletion. On rollback the removed rules are
 // reinstalled under the owners they had.
 func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) *Tx {
+	match = orAny(match).Clone()
 	var removed []*flowtable.Entry
-	return t.plan(func() error {
-		return t.shield.checkAffected(t.corr, core.TokenDeleteFlow, dpid, match, priority, nil)
-	}, func() error {
+	in := args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict}
+	return t.plan(opDeleteFlow, in, func() error {
 		// The rules match subsumes are what a non-strict delete removes;
 		// a strict one removes the equal rule among them.
 		removed = t.resident(dpid, match)
@@ -143,10 +143,9 @@ func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict b
 // SendPacketOut plans a packet injection. Packet-outs cannot be undone;
 // place them last so a rollback never needs to revert one.
 func (t *Tx) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) *Tx {
-	return t.plan(func() error {
-		call := t.shield.packetOutCall(dpid, bufferID, inPort, actions, pkt)
-		return t.shield.check(&call, t.corr)
-	}, func() error { return t.api.SendPacketOut(dpid, bufferID, inPort, actions, pkt) }, nil)
+	actions, pkt = of.CloneActions(actions), pkt.Clone()
+	in := args{dpid: dpid, bufferID: bufferID, port: inPort, spec: controller.FlowSpec{Actions: actions}, pkt: pkt}
+	return t.plan(opPacketOut, in, func() error { return t.api.SendPacketOut(dpid, bufferID, inPort, actions, pkt) }, nil)
 }
 
 // Len returns the number of planned calls.

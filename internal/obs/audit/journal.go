@@ -2,6 +2,7 @@ package audit
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,8 +90,13 @@ type Journal struct {
 	history []Event // ring
 	hNext   int
 	hLen    int
-	wake    chan struct{} // closed and replaced on every publish
+	// wake is made by the first WaitQuery waiter since the last publish
+	// and closed (and cleared) by the next publish, so a drain nobody
+	// waits on allocates nothing.
+	wake chan struct{}
 
+	// consumers is copy-on-write: AddConsumer publishes a new slice under
+	// cmu, and a drain runs the one it read without copying.
 	cmu       sync.Mutex
 	consumers []func(Event)
 
@@ -114,7 +120,6 @@ func NewJournal(cfg JournalConfig) *Journal {
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		history: make([]Event, cfg.History),
-		wake:    make(chan struct{}),
 	}
 	for i := range j.shards {
 		j.shards[i].buf = make([]Event, 0, cfg.ShardBuffer)
@@ -215,7 +220,7 @@ func (j *Journal) Emit(ev Event) {
 // ones delay the whole pipeline (but never the emitters).
 func (j *Journal) AddConsumer(fn func(Event)) {
 	j.cmu.Lock()
-	j.consumers = append(j.consumers, fn)
+	j.consumers = append(slices.Clip(j.consumers), fn)
 	j.cmu.Unlock()
 }
 
@@ -290,7 +295,7 @@ func (j *Journal) drainOnce() {
 		}
 	}
 	j.cmu.Lock()
-	consumers := append([]func(Event){}, j.consumers...)
+	consumers := j.consumers
 	j.cmu.Unlock()
 	sink := j.sink.Load()
 	for _, ev := range batch {
@@ -311,8 +316,10 @@ func (j *Journal) drainOnce() {
 			j.hLen++
 		}
 	}
-	close(j.wake)
-	j.wake = make(chan struct{})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
 	j.hmu.Unlock()
 }
 
@@ -386,6 +393,9 @@ func (j *Journal) WaitQuery(f Filter, timeout time.Duration) []Event {
 	for {
 		j.hmu.Lock()
 		out := j.queryLocked(f)
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
 		wake := j.wake
 		j.hmu.Unlock()
 		if len(out) > 0 {

@@ -26,8 +26,12 @@ type Packet struct {
 	Payload []byte
 }
 
-// Clone returns a deep copy of the packet, including its payload.
+// Clone returns a deep copy of the packet, including its payload; a nil
+// packet clones to nil.
 func (p *Packet) Clone() *Packet {
+	if p == nil {
+		return nil
+	}
 	c := *p
 	if p.Payload != nil {
 		c.Payload = make([]byte, len(p.Payload))
@@ -101,8 +105,15 @@ func (p *Packet) SetFieldValue(f Field, v uint64) {
 // MatchFromPacket builds the exact-match predicate describing the packet,
 // the way an L2/L3 reactive app typically derives a flow from a packet-in.
 func MatchFromPacket(p *Packet, inPort uint16) *Match {
-	m := NewMatch().
-		Set(FieldInPort, uint64(inPort)).
+	return NewMatch().FillFromPacket(p, inPort)
+}
+
+// FillFromPacket is MatchFromPacket in place: it overwrites m with the
+// exact-match predicate describing the packet and returns m, so a caller
+// with a match of its own to reuse allocates nothing.
+func (m *Match) FillFromPacket(p *Packet, inPort uint16) *Match {
+	*m = Match{}
+	m.Set(FieldInPort, uint64(inPort)).
 		Set(FieldEthSrc, p.EthSrc.Uint64()).
 		Set(FieldEthDst, p.EthDst.Uint64()).
 		Set(FieldEthType, uint64(p.EthType))
