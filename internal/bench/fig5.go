@@ -165,7 +165,7 @@ func Fig5TraceForBench(n int, api core.Token) []*core.Call {
 func RunFig5(checksPerCell int) []Fig5Row {
 	// The figure measures the raw check path (tens of ns per check); a
 	// per-check journal emit would dominate it. The end-to-end audit cost
-	// is budgeted on the µs-scale mediated call instead (bench-audit).
+	// is budgeted on the µs-scale mediated call instead (bench-overhead).
 	wasOn := audit.On()
 	audit.SetEnabled(false)
 	defer audit.SetEnabled(wasOn)

@@ -6,8 +6,8 @@ import (
 )
 
 // The micro-benchmarks below bound the cost of each instrument in both
-// modes; `make bench` runs them next to the end-to-end mediated-call
-// benchmark at the repo root.
+// modes; `make bench` runs them after the repo root's benchmarks, the
+// end-to-end BenchmarkMediatedCall among them.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "h")

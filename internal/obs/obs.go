@@ -13,7 +13,8 @@
 // bounds compared as integer nanoseconds, and clock reads are sampled. A
 // single process-wide switch
 // (SetEnabled(false)) turns every instrument into a near-free no-op; the
-// `make bench` target compares the two modes to bound the overhead.
+// ledger's obs.call_overhead_ratio is the mediated call with every
+// instrument on over the call with all of them off.
 //
 // obs deliberately imports nothing from the rest of the repo: every other
 // layer (internal/controller, internal/permengine, internal/isolation,

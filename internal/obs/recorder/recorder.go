@@ -8,8 +8,8 @@
 // together with metrics, health, per-app resource usage and the audit
 // tail into one correlated JSON document.
 //
-// The hot path is built to the same 5% overhead budget as obs and
-// audit (BenchmarkMediatedCallRecorderOn/Off at the repo root): a
+// The hot path is built to be cheap, and the ledger's
+// obs.call_overhead_ratio tracks what it adds to a mediated call: a
 // frame is a few words, app and op names are interned up front into
 // 32-bit symbols so recording never hashes a string, the ring is
 // striped round-robin across cache-padded shards by sequence number,

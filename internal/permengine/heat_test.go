@@ -96,7 +96,7 @@ func TestHeatCountsAtSamplingOne(t *testing.T) {
 	if c0.Evals != allows+denies || c0.Pass != allows || c0.Fail != denies {
 		t.Fatalf("clause 0 = %+v", c0)
 	}
-	if c1.Evals != allows || c1.Pass != allows || c1.ShortCircuits != denies {
+	if c1.Evals != allows || c1.Pass != allows || c1.Fail != 0 || c1.ShortCircuits != denies {
 		t.Fatalf("clause 1 = %+v", c1)
 	}
 	var lat uint64
