@@ -57,8 +57,8 @@ bench:
 
 # bench-overhead enforces the 5% budget of the audit, span and heat
 # switches on the mediated call: with every instrument at its shipping
-# default, each is toggled in interleaved on/off chunk pairs on one
-# shield, and the median ratio must stay within 1.05 (DESIGN.md §10).
+# default, each is toggled in interleaved on/off chunk pairs on a shield
+# of its own, and the median ratio must stay within 1.05 (DESIGN.md §10).
 # SHORT=1 drops to 5 rounds for CI.
 bench-overhead:
 	SDNSHIELD_OVERHEAD_GUARD=1 $(GO) test $(if $(SHORT),-short) -count=1 -run=TestInstrumentOverheadBudget -v .

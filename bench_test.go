@@ -211,8 +211,8 @@ func BenchmarkMediatedCall(b *testing.B) {
 // instruments are the process-wide switches on the mediated call path
 // that TestInstrumentOverheadBudget holds to budget, one row each; every
 // setter returns the state it replaced. obs and the flight recorder
-// measure above 5% at shipping defaults, so they have no row (DESIGN.md
-// §10, §13).
+// measure at or above 5% at shipping defaults, each on a shield of its
+// own, so they have no row (DESIGN.md §10, §13).
 var instruments = []struct {
 	name string
 	set  func(bool) bool
@@ -226,9 +226,8 @@ var instruments = []struct {
 // instruments on the mediated call within 5%: with every instrument at
 // its shipping default, a row toggles only its own switch and compares
 // the call with it on and off. Benchmarks on shared CI machines are
-// noisy, so the guard only runs when asked for
-// (SDNSHIELD_OVERHEAD_GUARD=1, as `make bench-overhead` does); plain
-// `go test ./...` skips it.
+// noisy, so only SDNSHIELD_OVERHEAD_GUARD=1 (`make bench-overhead`)
+// runs the guard; plain `go test ./...` skips it.
 func TestInstrumentOverheadBudget(t *testing.T) {
 	if os.Getenv("SDNSHIELD_OVERHEAD_GUARD") != "1" {
 		t.Skip("set SDNSHIELD_OVERHEAD_GUARD=1 to run the instrument overhead guard")
@@ -236,37 +235,34 @@ func TestInstrumentOverheadBudget(t *testing.T) {
 	// The measurement has to resolve a ~30ns effect on a ~1µs call
 	// under ambient noise (scheduler migrations, load phases, heap
 	// layout) worth hundreds of nanoseconds, so three layers of
-	// de-biasing: (1) both variants run against ONE shield instance,
-	// toggling only the row's switch, so heap-layout luck cancels in
-	// the ratio; (2) within a round the variants interleave in ~10ms
-	// chunks, so load phases and CPU migrations — which persist far
-	// longer than a chunk — hit both variants near-equally; (3) the
+	// de-biasing: (1) both variants of a row run against ONE shield
+	// instance, toggling only the row's switch, so heap-layout luck
+	// cancels in the ratio; (2) within a round the variants interleave
+	// in ~10ms chunks, so load phases and CPU migrations — which persist
+	// far longer than a chunk — hit both variants near-equally; (3) the
 	// verdict is the median ratio across rounds, robust to an outlier
-	// round. A genuine regression moves every round's ratio.
+	// round. A genuine regression moves every round's ratio. Each row
+	// warms a shield of its own, free of state earlier rows left behind.
 	rounds, chunks, chunkIters := 7, 60, 10_000
 	if testing.Short() {
 		rounds = 5
 	}
-	call := newProbeCall(t)
-	runChunk := func(t *testing.T) time.Duration {
-		start := time.Now()
-		for i := 0; i < chunkIters; i++ {
-			if err := call(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	runChunk(t) // warmup
 	for _, in := range instruments {
 		t.Run(in.name, func(t *testing.T) {
-			// Restore the switch whatever the row's outcome, so no
-			// later test sees it flipped.
+			// Restore the switch whatever the outcome: no later test sees it flipped.
 			defer in.set(in.set(true))
+			call := newProbeCall(t)
 			timeChunk := func(on bool) time.Duration {
 				in.set(on)
-				return runChunk(t)
+				start := time.Now()
+				for i := 0; i < chunkIters; i++ {
+					if err := call(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return time.Since(start)
 			}
+			timeChunk(true) // warmup
 			// One ratio per adjacent off/on chunk pair; the verdict is
 			// the median over every pair of every round. Odd rounds lead
 			// with the switch on so any systematic first-vs-second-chunk
@@ -274,6 +270,7 @@ func TestInstrumentOverheadBudget(t *testing.T) {
 			ratios := make([]float64, 0, rounds*chunks/2)
 			for r := 0; r < rounds; r++ {
 				runtime.GC()
+				var offNs, onNs time.Duration
 				for c := 0; c < chunks/2; c++ {
 					var off, on time.Duration
 					if r%2 == 0 {
@@ -283,8 +280,13 @@ func TestInstrumentOverheadBudget(t *testing.T) {
 						on = timeChunk(true)
 						off = timeChunk(false)
 					}
+					offNs += off
+					onNs += on
 					ratios = append(ratios, float64(on)/float64(off))
 				}
+				perOp := float64(chunks / 2 * chunkIters)
+				t.Logf("round %d: %s off %.0f ns/op, on %.0f ns/op (%+.2f%%)",
+					r, in.name, float64(offNs)/perOp, float64(onNs)/perOp, (float64(onNs)/float64(offNs)-1)*100)
 			}
 			sort.Float64s(ratios)
 			overhead := ratios[len(ratios)/2] - 1
