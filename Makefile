@@ -23,7 +23,7 @@ fmt-check:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -C benchmark ./...
+	$(GO) test -C benchmark -race ./...
 
 # race-matrix is the concurrency gate: tier-1 (both modules) at four core
 # counts in shuffled test order — a test that leans on what an earlier

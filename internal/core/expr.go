@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Expr is a filter expression: the AND/OR/NOT composition of singleton
 // filters from the permission-language grammar (Appendix A). A nil Expr
 // denotes the unrestricted permission (every call passes).
@@ -42,9 +40,7 @@ func (*And) isExpr() {}
 func (a *And) Eval(call *Call) bool { return evalExpr(a, call, false) }
 
 // String implements Expr.
-func (a *And) String() string {
-	return fmt.Sprintf("(%s AND %s)", a.L.String(), a.R.String())
-}
+func (a *And) String() string { return string(AppendExpr(nil, a)) }
 
 // Or is the disjunction of two filter expressions.
 type Or struct {
@@ -57,9 +53,7 @@ func (*Or) isExpr() {}
 func (o *Or) Eval(call *Call) bool { return evalExpr(o, call, false) }
 
 // String implements Expr.
-func (o *Or) String() string {
-	return fmt.Sprintf("(%s OR %s)", o.L.String(), o.R.String())
-}
+func (o *Or) String() string { return string(AppendExpr(nil, o)) }
 
 // Not is the negation of a filter expression.
 type Not struct {
@@ -72,7 +66,7 @@ func (*Not) isExpr() {}
 func (n *Not) Eval(call *Call) bool { return evalExpr(n, call, false) }
 
 // String implements Expr.
-func (n *Not) String() string { return fmt.Sprintf("NOT %s", n.X.String()) }
+func (n *Not) String() string { return string(AppendExpr(nil, n)) }
 
 // MacroRef is an unresolved permission-filter stub (§V-A "permission
 // customization"): a named placeholder like AdminRange the administrator
@@ -110,7 +104,9 @@ func ContainsMacro(e Expr) bool {
 }
 
 // SubstituteMacros replaces every macro stub using the bindings map; the
-// second result lists stubs with no binding (left in place).
+// second result lists stubs with no binding (left in place). Subtrees
+// without a bound stub are returned as they are, not copied: expressions
+// are immutable, and a reconciled set then shares the manifest's nodes.
 func SubstituteMacros(e Expr, bindings map[string]Expr) (Expr, []string) {
 	switch v := e.(type) {
 	case nil:
@@ -124,14 +120,23 @@ func SubstituteMacros(e Expr, bindings map[string]Expr) (Expr, []string) {
 		return v, nil
 	case *Not:
 		x, missing := SubstituteMacros(v.X, bindings)
+		if x == v.X {
+			return v, missing
+		}
 		return &Not{X: x}, missing
 	case *And:
 		l, m1 := SubstituteMacros(v.L, bindings)
 		r, m2 := SubstituteMacros(v.R, bindings)
+		if l == v.L && r == v.R {
+			return v, append(m1, m2...)
+		}
 		return &And{L: l, R: r}, append(m1, m2...)
 	case *Or:
 		l, m1 := SubstituteMacros(v.L, bindings)
 		r, m2 := SubstituteMacros(v.R, bindings)
+		if l == v.L && r == v.R {
+			return v, append(m1, m2...)
+		}
 		return &Or{L: l, R: r}, append(m1, m2...)
 	default:
 		return e, nil
@@ -232,9 +237,35 @@ func ExprEqual(a, b Expr) bool {
 }
 
 // ExprString renders an expression, mapping nil to "*" (unrestricted).
-func ExprString(e Expr) string {
-	if e == nil {
-		return "*"
+func ExprString(e Expr) string { return string(AppendExpr(nil, e)) }
+
+// AppendExpr appends the permission-language rendering of e to dst and
+// returns the extended buffer; nil renders as "*" (unrestricted). Every
+// String of an expression, a permission or a set is a wrapper over it, so
+// a whole manifest renders into one growing buffer.
+func AppendExpr(dst []byte, e Expr) []byte {
+	switch v := e.(type) {
+	case nil:
+		return append(dst, '*')
+	case *Leaf:
+		if p, ok := v.F.(*PredFilter); ok {
+			return p.appendText(dst)
+		}
+		return append(dst, v.F.String()...)
+	case *MacroRef:
+		return append(dst, v.Name...)
+	case *Not:
+		return AppendExpr(append(dst, "NOT "...), v.X)
+	case *And:
+		return appendBinary(dst, v.L, " AND ", v.R)
+	case *Or:
+		return appendBinary(dst, v.L, " OR ", v.R)
 	}
-	return e.String()
+	return dst
+}
+
+func appendBinary(dst []byte, l Expr, op string, r Expr) []byte {
+	dst = AppendExpr(append(dst, '('), l)
+	dst = AppendExpr(append(dst, op...), r)
+	return append(dst, ')')
 }

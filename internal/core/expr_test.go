@@ -201,3 +201,21 @@ func TestNormalizationBudget(t *testing.T) {
 		t.Log("includes still decided within budget")
 	}
 }
+
+func TestSubstituteMacrosSharesUnboundSubtrees(t *testing.T) {
+	kept := &Or{L: NewLeaf(NewOwnerFilter(true)), R: &Not{X: NewLeaf(NewMaxPriorityFilter(9))}}
+	admin := NewLeaf(ipSrcFilter(10, 0, 0, 0, 8))
+	e := &And{L: kept, R: &Not{X: &MacroRef{Name: "AdminRange"}}}
+
+	got, missing := SubstituteMacros(e, map[string]Expr{"AdminRange": admin})
+	if len(missing) != 0 {
+		t.Fatalf("missing = %v", missing)
+	}
+	a, ok := got.(*And)
+	if !ok || a.L != Expr(kept) || !ExprEqual(a.R, &Not{X: admin}) {
+		t.Fatalf("substituted %s, want %s AND NOT %s with the left subtree shared", got, kept, admin)
+	}
+	if got, missing := SubstituteMacros(e, nil); got != Expr(e) || len(missing) != 1 {
+		t.Fatalf("nothing bound: got %s (copied: %v), missing %v", got, got != Expr(e), missing)
+	}
+}

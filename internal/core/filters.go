@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sdnshield/internal/of"
@@ -38,7 +39,29 @@ func (f *PredFilter) Value() uint64 { return f.value }
 func (f *PredFilter) Mask() uint64 { return f.mask }
 
 // Dimension implements Filter.
-func (f *PredFilter) Dimension() string { return "pred:" + f.field.String() }
+func (f *PredFilter) Dimension() string { return fieldDim(&predDims, "pred:", f.field) }
+
+// predDims and wildcardDims hold each match field's Dimension string, built
+// once: Algorithm 1 and the engine's compile compare dimensions per literal
+// pair, and concatenating them there allocated on every comparison.
+var (
+	predDims     = fieldDims("pred:")
+	wildcardDims = fieldDims("wildcard:")
+)
+
+func fieldDims(prefix string) (dims [int(of.FieldTPDst) + 1]string) {
+	for i := range dims {
+		dims[i] = prefix + of.Field(i).String()
+	}
+	return dims
+}
+
+func fieldDim(dims *[int(of.FieldTPDst) + 1]string, prefix string, f of.Field) string {
+	if int(f) < len(dims) {
+		return dims[f]
+	}
+	return prefix + f.String()
+}
 
 // Test implements Filter.
 func (f *PredFilter) Test(call *Call) (bool, bool) {
@@ -83,18 +106,26 @@ func (f *PredFilter) Equal(other Filter) bool {
 }
 
 // String implements Filter.
-func (f *PredFilter) String() string {
-	full := of.FullMask(f.field)
-	if f.field == of.FieldIPSrc || f.field == of.FieldIPDst {
-		if f.mask == full {
-			return fmt.Sprintf("%s %s", f.field, of.IPv4(f.value))
-		}
-		return fmt.Sprintf("%s %s MASK %s", f.field, of.IPv4(f.value), of.IPv4(f.mask))
+func (f *PredFilter) String() string { return string(f.appendText(nil)) }
+
+// appendText appends the filter's permission-language text: the field, its
+// value and, unless the mask is full, " MASK " and the mask, with IP fields
+// in dotted-quad form.
+func (f *PredFilter) appendText(dst []byte) []byte {
+	ip := f.field == of.FieldIPSrc || f.field == of.FieldIPDst
+	dst = append(dst, f.field.String()...)
+	dst = appendFieldValue(append(dst, ' '), ip, f.value)
+	if f.mask != of.FullMask(f.field) {
+		dst = appendFieldValue(append(dst, " MASK "...), ip, f.mask)
 	}
-	if f.mask == full {
-		return fmt.Sprintf("%s %d", f.field, f.value)
+	return dst
+}
+
+func appendFieldValue(dst []byte, ip bool, v uint64) []byte {
+	if ip {
+		return of.AppendIPv4(dst, of.IPv4(v))
 	}
-	return fmt.Sprintf("%s %d MASK %d", f.field, f.value, f.mask)
+	return strconv.AppendUint(dst, v, 10)
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +153,7 @@ func (f *WildcardFilter) Field() of.Field { return f.field }
 func (f *WildcardFilter) Required() uint64 { return f.required }
 
 // Dimension implements Filter.
-func (f *WildcardFilter) Dimension() string { return "wildcard:" + f.field.String() }
+func (f *WildcardFilter) Dimension() string { return fieldDim(&wildcardDims, "wildcard:", f.field) }
 
 // Test implements Filter.
 func (f *WildcardFilter) Test(call *Call) (bool, bool) {

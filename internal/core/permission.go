@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Permission is one granted privilege: a token optionally refined by a
 // filter expression. A nil Filter grants the token unconditionally.
@@ -14,11 +10,14 @@ type Permission struct {
 }
 
 // String renders the permission in permission-language syntax.
-func (p Permission) String() string {
+func (p Permission) String() string { return string(p.appendText(nil)) }
+
+func (p Permission) appendText(dst []byte) []byte {
+	dst = append(append(dst, "PERM "...), p.Token.String()...)
 	if p.Filter == nil {
-		return "PERM " + p.Token.String()
+		return dst
 	}
-	return fmt.Sprintf("PERM %s LIMITING %s", p.Token, p.Filter)
+	return AppendExpr(append(dst, " LIMITING "...), p.Filter)
 }
 
 // Set is an app's effective permissions: for each granted token, the
@@ -141,16 +140,7 @@ func (s *Set) SortedPermissions() []Permission {
 
 // SortedString renders the set as a permission manifest in canonical
 // (ascending token) order.
-func (s *Set) SortedString() string {
-	var sb strings.Builder
-	for i, p := range s.SortedPermissions() {
-		if i > 0 {
-			sb.WriteString("\n")
-		}
-		sb.WriteString(p.String())
-	}
-	return sb.String()
-}
+func (s *Set) SortedString() string { return string(s.appendManifest(nil, s.SortedTokens())) }
 
 // Permissions returns the grants in order.
 func (s *Set) Permissions() []Permission {
@@ -242,13 +232,15 @@ func (s *Set) Equal(other *Set) (bool, error) {
 }
 
 // String renders the set as a permission manifest.
-func (s *Set) String() string {
-	var sb strings.Builder
-	for i, p := range s.Permissions() {
+func (s *Set) String() string { return string(s.appendManifest(nil, s.order)) }
+
+// appendManifest renders the grants of tokens, in that order, one per line.
+func (s *Set) appendManifest(dst []byte, tokens []Token) []byte {
+	for i, t := range tokens {
 		if i > 0 {
-			sb.WriteString("\n")
+			dst = append(dst, '\n')
 		}
-		sb.WriteString(p.String())
+		dst = Permission{Token: t, Filter: s.filters[t]}.appendText(dst)
 	}
-	return sb.String()
+	return dst
 }

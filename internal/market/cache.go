@@ -46,6 +46,10 @@ type CachedVerdict struct {
 	Violations []reconcile.Violation
 	effective  *core.Set
 	requested  *core.Set
+	// budget is the manifest's BUDGET quota. It is not part of the
+	// reconciled set, but it is a function of the manifest the key covers,
+	// so activation reads it here rather than parsing the manifest again.
+	budget core.Budget
 }
 
 // Effective returns a private copy of the reconciled permission set.
@@ -87,14 +91,16 @@ func (c *VerdictCache) Get(manifest, policy Digest) (*CachedVerdict, bool) {
 	return cv, ok
 }
 
-// Put memoizes a verdict for the pair. The sets are cloned on the way
-// in, so later mutation by the caller cannot poison the cache.
-func (c *VerdictCache) Put(manifest, policy Digest, verdict Verdict, violations []reconcile.Violation, effective, requested *core.Set) *CachedVerdict {
+// Put memoizes a verdict for the pair, with the manifest's budget. The
+// sets are cloned on the way in, so later mutation by the caller cannot
+// poison the cache.
+func (c *VerdictCache) Put(manifest, policy Digest, verdict Verdict, violations []reconcile.Violation, effective, requested *core.Set, budget core.Budget) *CachedVerdict {
 	cv := &CachedVerdict{
 		Verdict:    verdict,
 		Violations: append([]reconcile.Violation(nil), violations...),
 		effective:  effective.Clone(),
 		requested:  requested.Clone(),
+		budget:     budget,
 	}
 	c.mu.Lock()
 	c.entries[verdictKey{manifest, policy}] = cv

@@ -82,7 +82,7 @@ func TestVerdictCacheHitMissCounters(t *testing.T) {
 	if _, ok := c.Get(mk, pol); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put(mk, pol, VerdictApproved, nil, core.NewSet(), core.NewSet())
+	c.Put(mk, pol, VerdictApproved, nil, core.NewSet(), core.NewSet(), core.Budget{})
 	if _, ok := c.Get(mk, pol); !ok {
 		t.Fatal("warm cache reported a miss")
 	}
@@ -103,7 +103,7 @@ func TestVerdictCacheIsolatesStoredSets(t *testing.T) {
 
 	eff := core.NewSet()
 	eff.Grant(core.TokenReadStatistics, nil)
-	c.Put(mk, pol, VerdictApproved, nil, eff, eff)
+	c.Put(mk, pol, VerdictApproved, nil, eff, eff, core.Budget{})
 
 	// Mutating the caller's set after Put must not reach the cache.
 	eff.Grant(core.TokenInsertFlow, nil)
@@ -122,7 +122,7 @@ func TestVerdictCacheIsolatesStoredSets(t *testing.T) {
 
 func TestReconcileReleaseMemoizes(t *testing.T) {
 	m, sr := heavyMarket(t, 8)
-	cv1, hit1, err := m.reconcileRelease(sr)
+	cv1, hit1, err := m.reconcileRelease(sr, sr.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestReconcileReleaseMemoizes(t *testing.T) {
 	if cv1.Verdict != VerdictRepaired {
 		t.Fatalf("verdict = %q, want repaired", cv1.Verdict)
 	}
-	cv2, hit2, err := m.reconcileRelease(sr)
+	cv2, hit2, err := m.reconcileRelease(sr, sr.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 				m.cache = NewVerdictCache() // force the full pipeline
 			}
 			start := time.Now()
-			_, hit, err := m.reconcileRelease(sr)
+			_, hit, err := m.reconcileRelease(sr, sr.Digest())
 			if d := time.Since(start); d < best {
 				best = d
 			}
@@ -180,7 +180,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 		return best
 	}
 	missPer := fastest(false)
-	if _, _, err := m.reconcileRelease(sr); err != nil { // warm
+	if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil { // warm
 		t.Fatal(err)
 	}
 	hitPer := fastest(true)
@@ -200,7 +200,7 @@ func BenchmarkReconcileVerdictMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.cache = NewVerdictCache()
-		if _, _, err := m.reconcileRelease(sr); err != nil {
+		if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,12 +208,12 @@ func BenchmarkReconcileVerdictMiss(b *testing.B) {
 
 func BenchmarkReconcileVerdictHit(b *testing.B) {
 	m, sr := heavyMarket(b, 16)
-	if _, _, err := m.reconcileRelease(sr); err != nil {
+	if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := m.reconcileRelease(sr); err != nil || !hit {
+		if _, hit, err := m.reconcileRelease(sr, sr.Digest()); err != nil || !hit {
 			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}

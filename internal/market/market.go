@@ -262,26 +262,32 @@ type InstallResult struct {
 	Corr uint64 `json:"corr"`
 }
 
-// reconcileRelease drives one release through verify → parse → reconcile
-// with the verdict cache in front of Algorithm 1.
-func (m *Market) reconcileRelease(sr *SignedRelease) (cv *CachedVerdict, hit bool, err error) {
-	return m.reconcileTraced(sr, span.Context{})
+// reconcileRelease drives one release through parse → reconcile with the
+// verdict cache in front of Algorithm 1. digest is the release's content
+// address, already verified by Registry.Release.
+func (m *Market) reconcileRelease(sr *SignedRelease, digest Digest) (cv *CachedVerdict, hit bool, err error) {
+	return m.reconcileTraced(sr, digest, span.Context{})
 }
 
 // reconcileTraced is reconcileRelease with per-stage spans and latency
 // histograms: cache_hit on the short path; parse and reconcile on the
 // miss path. One clock-read pair per stage feeds both the span and the
-// stage histogram, so tracing adds no timing of its own.
-func (m *Market) reconcileTraced(sr *SignedRelease, sc span.Context) (cv *CachedVerdict, hit bool, err error) {
-	manifestDigest := sr.Digest()
+// stage histogram, so tracing adds no timing of its own. The parse stage
+// takes the manifest Submit parsed; it parses only when that hand-off is
+// gone (a cache wipe, or another market on the same registry took it).
+func (m *Market) reconcileTraced(sr *SignedRelease, digest Digest, sc span.Context) (cv *CachedVerdict, hit bool, err error) {
 	t := time.Now()
-	if cv, ok := m.cache.Get(manifestDigest, m.policyDigest); ok {
+	if cv, ok := m.cache.Get(digest, m.policyDigest); ok {
+		m.reg.takeVetted(digest) // a replayed verdict needs no manifest
 		d := time.Since(t)
 		observeStage("cache_hit", d)
 		span.Add(sc, "stage:cache_hit", t, d)
 		return cv, true, nil
 	}
-	manifest, err := permlang.Parse(sr.Manifest)
+	manifest := m.reg.takeVetted(digest)
+	if manifest == nil {
+		manifest, err = permlang.Parse(sr.Manifest)
+	}
 	d := time.Since(t)
 	observeStage("parse", d)
 	span.Add(sc, "stage:parse", t, d)
@@ -297,7 +303,7 @@ func (m *Market) reconcileTraced(sr *SignedRelease, sc span.Context) (cv *Cached
 		return nil, false, err
 	}
 	verdict := classifyVerdict(res)
-	cv = m.cache.Put(manifestDigest, m.policyDigest, verdict, res.Violations, res.Reconciled, res.Requested)
+	cv = m.cache.Put(digest, m.policyDigest, verdict, res.Violations, res.Reconciled, res.Requested, manifest.Budget)
 	return cv, false, nil
 }
 
@@ -329,11 +335,11 @@ func (m *Market) Evaluate(d Digest) (*InstallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, hit, err := m.reconcileRelease(sr)
+	cv, hit, err := m.reconcileRelease(sr, d)
 	if err != nil {
 		return nil, err
 	}
-	return m.buildResult(sr, cv, hit, 0), nil
+	return m.buildResult(sr, d, cv, hit, 0), nil
 }
 
 // Recompute re-runs reconciliation for every stored release of app (all
@@ -357,7 +363,7 @@ func (m *Market) Recompute(app string) (int, error) {
 			if err != nil {
 				return n, err
 			}
-			m.cache.Put(sr.Digest(), m.policyDigest, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested)
+			m.cache.Put(sr.Digest(), m.policyDigest, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested, manifest.Budget)
 			n++
 		}
 	}
@@ -400,11 +406,11 @@ func (m *Market) InstallTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 	corr := ot.Corr
 	observeStage("verify", dVerify)
 	span.Add(ot.Span, "stage:verify", tVerify, dVerify)
-	cv, hit, err := m.reconcileTraced(sr, ot.Span)
+	cv, hit, err := m.reconcileTraced(sr, d, ot.Span)
 	if err != nil {
 		return nil, err
 	}
-	result := m.buildResult(sr, cv, hit, corr)
+	result := m.buildResult(sr, d, cv, hit, corr)
 
 	switch cv.Verdict {
 	case VerdictRejected:
@@ -412,14 +418,14 @@ func (m *Market) InstallTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 			fmt.Sprintf("release %s@%s rejected: %s", sr.Name, sr.Version, firstViolation(cv)))
 		return result, fmt.Errorf("%w: %s@%s", ErrRejected, sr.Name, sr.Version)
 	case VerdictRepaired:
-		m.setPending(sr, cv, corr)
+		m.setPending(sr, d, cv, corr)
 		result.Status = StatusPending
 		m.emit("install", audit.VerdictViolation, sr.Name, corr,
 			fmt.Sprintf("release %s@%s repaired, pending sign-off (%d violations)", sr.Name, sr.Version, len(cv.Violations)))
 		return result, nil
 	default: // approved
 		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, cv), corr, false, "install", audit.VerdictInstall,
+		m.activate(sr.Name, refOf(sr, d, cv), corr, false, "install", audit.VerdictInstall,
 			fmt.Sprintf("release %s@%s approved and activated", sr.Name, sr.Version))
 		dAct := time.Since(tAct)
 		observeStage("activate", dAct)
@@ -470,11 +476,11 @@ func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 	corr := ot.Corr
 	observeStage("verify", dVerify)
 	span.Add(ot.Span, "stage:verify", tVerify, dVerify)
-	cv, hit, err := m.reconcileTraced(sr, ot.Span)
+	cv, hit, err := m.reconcileTraced(sr, d, ot.Span)
 	if err != nil {
 		return nil, err
 	}
-	result := m.buildResult(sr, cv, hit, corr)
+	result := m.buildResult(sr, d, cv, hit, corr)
 
 	switch cv.Verdict {
 	case VerdictRejected:
@@ -482,14 +488,14 @@ func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 			fmt.Sprintf("upgrade to %s@%s rejected: %s", sr.Name, sr.Version, firstViolation(cv)))
 		return result, fmt.Errorf("%w: %s@%s", ErrRejected, sr.Name, sr.Version)
 	case VerdictRepaired:
-		m.setPending(sr, cv, corr)
+		m.setPending(sr, d, cv, corr)
 		result.Status = StatusPending
 		m.emit("upgrade", audit.VerdictViolation, sr.Name, corr,
 			fmt.Sprintf("upgrade to %s@%s repaired, pending sign-off (%d violations)", sr.Name, sr.Version, len(cv.Violations)))
 		return result, nil
 	default: // approved
 		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, cv), corr, true, "upgrade", audit.VerdictUpgrade,
+		m.activate(sr.Name, refOf(sr, d, cv), corr, true, "upgrade", audit.VerdictUpgrade,
 			fmt.Sprintf("upgrade to %s@%s activated, probation %v", sr.Name, sr.Version, m.cfg.Probation))
 		dAct := time.Since(tAct)
 		observeStage("activate", dAct)
@@ -527,11 +533,11 @@ func (m *Market) Approve(app string) (*InstallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, _, err := m.reconcileRelease(sr) // cache hit by construction
+	cv, _, err := m.reconcileRelease(sr, pending.digest) // cache hit by construction
 	if err != nil {
 		return nil, err
 	}
-	result := m.buildResult(sr, cv, true, corr)
+	result := m.buildResult(sr, pending.digest, cv, true, corr)
 	result.Status = status
 	return result, nil
 }
@@ -569,11 +575,11 @@ func (m *Market) Revoke(app string) error {
 }
 
 // setPending parks a repaired verdict for sign-off.
-func (m *Market) setPending(sr *SignedRelease, cv *CachedVerdict, corr uint64) {
+func (m *Market) setPending(sr *SignedRelease, d Digest, cv *CachedVerdict, corr uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.stateLocked(sr.Name)
-	st.pending = refOf(sr, cv)
+	st.pending = refOf(sr, d, cv)
 	st.corr = corr
 	if st.active == nil {
 		st.status = StatusPending
@@ -739,12 +745,12 @@ func (m *Market) stateLocked(app string) *appState {
 	return st
 }
 
-func (m *Market) buildResult(sr *SignedRelease, cv *CachedVerdict, hit bool, corr uint64) *InstallResult {
+func (m *Market) buildResult(sr *SignedRelease, d Digest, cv *CachedVerdict, hit bool, corr uint64) *InstallResult {
 	res := &InstallResult{
 		App:       sr.Name,
 		Vendor:    sr.Vendor,
 		Version:   sr.Version,
-		Digest:    sr.Digest().String(),
+		Digest:    d.String(),
 		Verdict:   cv.Verdict,
 		CacheHit:  hit,
 		Effective: cv.effective.SortedString(),
@@ -883,11 +889,11 @@ func (m *Market) DiffReleases(from, to Digest) (string, []DiffEntry, error) {
 	if fromRel.Name != toRel.Name {
 		return "", nil, fmt.Errorf("%w: diff across different apps (%s vs %s)", ErrBadRequest, fromRel.Name, toRel.Name)
 	}
-	fromCV, _, err := m.reconcileRelease(fromRel)
+	fromCV, _, err := m.reconcileRelease(fromRel, from)
 	if err != nil {
 		return "", nil, err
 	}
-	toCV, _, err := m.reconcileRelease(toRel)
+	toCV, _, err := m.reconcileRelease(toRel, to)
 	if err != nil {
 		return "", nil, err
 	}
@@ -908,22 +914,14 @@ func (m *Market) DiffLatest(app string) (string, []DiffEntry, error) {
 	return m.DiffReleases(rels[len(rels)-2].Digest(), rels[len(rels)-1].Digest())
 }
 
-func refOf(sr *SignedRelease, cv *CachedVerdict) *releaseRef {
+func refOf(sr *SignedRelease, d Digest, cv *CachedVerdict) *releaseRef {
 	ref := &releaseRef{
-		digest:    sr.Digest(),
+		digest:    d,
 		version:   sr.Version,
 		vendor:    sr.Vendor,
 		verdict:   cv.Verdict,
 		effective: cv.Effective(),
-	}
-	// The budget rides in the manifest source (so it is covered by the
-	// release signature and the verdict-cache digest) but is not part of
-	// the reconciled permission set; re-parse it here. A release that
-	// reached refOf already parsed during reconciliation, so errors only
-	// occur on cache hits of since-corrupted sources — treated as "no
-	// budget".
-	if man, err := permlang.Parse(sr.Manifest); err == nil {
-		ref.budget = man.Budget
+		budget:    cv.budget,
 	}
 	for _, v := range cv.Violations {
 		ref.provenance = append(ref.provenance, v.String())

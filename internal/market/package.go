@@ -69,13 +69,14 @@ const canonicalMagic = "sdnshield-release-v1"
 // followed by each field length-prefixed (uvarint), so no two distinct
 // releases share an encoding.
 func (r *Release) Canonical() []byte {
-	fields := []string{r.Name, r.Vendor, r.Version, r.Manifest}
-	var buf []byte
-	buf = append(buf, canonicalMagic...)
-	var tmp [binary.MaxVarintLen64]byte
+	fields := [...]string{r.Name, r.Vendor, r.Version, r.Manifest}
+	size := len(canonicalMagic)
 	for _, f := range fields {
-		n := binary.PutUvarint(tmp[:], uint64(len(f)))
-		buf = append(buf, tmp[:n]...)
+		size += binary.MaxVarintLen64 + len(f)
+	}
+	buf := append(make([]byte, 0, size), canonicalMagic...)
+	for _, f := range fields {
+		buf = binary.AppendUvarint(buf, uint64(len(f)))
 		buf = append(buf, f...)
 	}
 	return buf

@@ -44,7 +44,17 @@ type Registry struct {
 	// release, in admission order. Followers replicate by shipping the
 	// suffix after their last applied sequence number.
 	log []LogEntry
+	// vetted hands the manifest Submit parsed to the first reconciliation
+	// of that release (takeVetted), so an admitted release is parsed once.
+	// An entry lives from Submit to that reconciliation, and at most
+	// maxVetted wait at once: a store loaded at start-up submits releases
+	// nobody may install, and their parses are not worth keeping.
+	vetted map[Digest]*permlang.Manifest
 }
+
+// maxVetted bounds the parsed manifests awaiting their first
+// reconciliation; a release submitted past it is parsed again then.
+const maxVetted = 64
 
 // LogEntry is one release-log record: the replication unit the leader
 // ships to followers. The digest is the content address — the follower
@@ -68,6 +78,7 @@ func NewRegistry() *Registry {
 		keys:     make(map[string]ed25519.PublicKey),
 		byDigest: make(map[Digest]*SignedRelease),
 		byApp:    make(map[string][]*SignedRelease),
+		vetted:   make(map[Digest]*permlang.Manifest),
 	}
 }
 
@@ -116,7 +127,8 @@ func (r *Registry) Submit(sr *SignedRelease) (Digest, error) {
 // trace ID. corr 0 means untraced.
 func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) {
 	digest := sr.Digest()
-	if err := r.vet(sr); err != nil {
+	manifest, err := r.vet(sr)
+	if err != nil {
 		mSubmitRejects.Inc()
 		if audit.On() {
 			audit.Emit(audit.Event{
@@ -148,6 +160,9 @@ func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) 
 		return vi.Compare(vj) < 0
 	})
 	r.byApp[sr.Name] = releases
+	if len(r.vetted) < maxVetted {
+		r.vetted[digest] = manifest
+	}
 	r.log = append(r.log, LogEntry{
 		Seq: uint64(len(r.log)) + 1, Digest: digest.String(), App: sr.Name, Version: sr.Version,
 		Corr: corr,
@@ -163,22 +178,35 @@ func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) 
 	return digest, nil
 }
 
-// vet runs the provenance checks without touching the store.
-func (r *Registry) vet(sr *SignedRelease) error {
+// vet runs the provenance checks without touching the store and returns
+// the parsed manifest.
+func (r *Registry) vet(sr *SignedRelease) (*permlang.Manifest, error) {
 	pub, ok := r.VendorKey(sr.Vendor)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVendor, sr.Vendor)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownVendor, sr.Vendor)
 	}
 	if !sr.VerifySignature(pub) {
-		return ErrBadSignature
+		return nil, ErrBadSignature
 	}
 	if _, err := ParseVersion(sr.Version); err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := permlang.Parse(sr.Manifest); err != nil {
-		return fmt.Errorf("market: manifest does not parse: %w", err)
+	manifest, err := permlang.Parse(sr.Manifest)
+	if err != nil {
+		return nil, fmt.Errorf("market: manifest does not parse: %w", err)
 	}
-	return nil
+	return manifest, nil
+}
+
+// takeVetted returns the manifest Submit parsed for the release and
+// forgets it, so only the first caller gets it; nil when it was taken
+// already or never kept.
+func (r *Registry) takeVetted(d Digest) *permlang.Manifest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	manifest := r.vetted[d]
+	delete(r.vetted, d)
+	return manifest
 }
 
 // Release returns a stored release by digest, re-verifying its content

@@ -11,7 +11,10 @@
 // features the paper never exercises (queues, vendor extensions).
 package of
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Version is the wire protocol version emitted by this implementation.
 // It mirrors OpenFlow 1.0 (0x01).
@@ -107,8 +110,17 @@ func IPv4FromOctets(a, b, c, d byte) IPv4 {
 }
 
 // String renders the address in dotted-quad notation.
-func (ip IPv4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+func (ip IPv4) String() string { return string(AppendIPv4(make([]byte, 0, 15), ip)) }
+
+// AppendIPv4 appends ip in dotted-quad notation to dst.
+func AppendIPv4(dst []byte, ip IPv4) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		if shift < 24 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, uint64(byte(ip>>shift)), 10)
+	}
+	return dst
 }
 
 // InSubnet reports whether ip falls inside the subnet defined by base and

@@ -287,9 +287,11 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 		}
 		return Token{Kind: TokInt, Num: n, Text: text, Line: line, Col: col}, nil
 	case 3:
-		parts := strings.Split(text, ".")
 		var ip uint64
-		for _, p := range parts {
+		rest := text
+		for more := true; more; {
+			var p string
+			p, rest, more = strings.Cut(rest, ".")
 			n, err := strconv.ParseUint(p, 10, 8)
 			if err != nil {
 				return Token{}, l.errorf("bad IPv4 octet %q in %q", p, text)
