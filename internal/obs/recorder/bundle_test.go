@@ -14,9 +14,10 @@ import (
 )
 
 func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
-	def.Reset()
 	defBundler.SetCooldown(0)
 	defer defBundler.SetCooldown(defaultCooldown)
+	prevAudit := audit.SetEnabled(true)
+	defer audit.SetEnabled(prevAudit)
 
 	unreg := RegisterUsage("test-shield", func() interface{} {
 		return map[string]int{"greedy": 42}
@@ -25,11 +26,9 @@ func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
 	unregHealth := obs.RegisterHealth("test-shield", func() interface{} { return "ok" })
 	defer unregHealth()
 
-	app := Intern("greedy")
 	const corr = uint64(777777)
-	Record(Frame{Kind: KindMediatedCall, Code: CodeOK, App: app, Op: Intern("insert_flow"), Corr: corr, Dur: 2000})
-	Record(Frame{Kind: KindKernelOp, Code: CodeOK, App: app, Op: Intern("add"), Corr: corr, Arg: 3})
-	Record(Frame{Kind: KindQuota, Code: CodeBreach, App: app, Op: Intern("cpu_ms_per_sec"), Arg: 950})
+	audit.Emit(audit.Event{Kind: audit.KindPermission, Verdict: audit.VerdictAllow, App: "greedy", Corr: corr, Token: "insert_flow"})
+	audit.Emit(audit.Event{Kind: audit.KindFlowMod, Verdict: audit.VerdictSent, App: "greedy", Corr: corr, Op: "add", DPID: 3})
 	audit.Emit(audit.Event{Kind: audit.KindResource, Verdict: audit.VerdictBreach, App: "greedy", Op: "cpu_ms_per_sec"})
 	audit.Default().Flush()
 
@@ -40,16 +39,14 @@ func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
 	if bundle.Trigger != TriggerQuota || bundle.App != "greedy" || bundle.Corr != corr {
 		t.Fatalf("bundle header = %+v", bundle)
 	}
-	if len(bundle.Frames) != 3 {
-		t.Fatalf("bundle frames = %d, want 3", len(bundle.Frames))
-	}
-	if len(bundle.CorrFrames) != 2 {
-		t.Fatalf("corr frames = %d, want the 2 sharing corr %d", len(bundle.CorrFrames), corr)
-	}
-	for _, f := range bundle.CorrFrames {
-		if f.Corr != corr {
-			t.Fatalf("corr frame with corr %d", f.Corr)
+	var story []audit.Event
+	for _, ev := range bundle.Audit {
+		if ev.Corr == corr {
+			story = append(story, ev)
 		}
+	}
+	if len(story) != 2 || story[0].Kind != audit.KindPermission || story[1].Kind != audit.KindFlowMod {
+		t.Fatalf("events of corr %d = %+v, want the decision and its flow-mod", corr, story)
 	}
 	if u, ok := bundle.Usage["test-shield"].(map[string]int); !ok || u["greedy"] != 42 {
 		t.Fatalf("usage = %+v", bundle.Usage)
@@ -195,7 +192,6 @@ func TestAppsAndBundleEndpoints(t *testing.T) {
 }
 
 func TestAnomalyFlagTriggersFrameAndBundle(t *testing.T) {
-	def.Reset()
 	defBundler.SetCooldown(0)
 	defer defBundler.SetCooldown(defaultCooldown)
 	audit.DefaultDetector().Reset()
@@ -211,10 +207,6 @@ func TestAnomalyFlagTriggersFrameAndBundle(t *testing.T) {
 	}
 	audit.Default().Flush()
 
-	frames := def.Snapshot(FrameFilter{App: "deny-storm", Kind: KindAnomaly})
-	if len(frames) != 1 || frames[0].Code != "flagged" {
-		t.Fatalf("anomaly frames = %+v", frames)
-	}
 	// The bundle capture runs async off the drain goroutine.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdnshield/internal/core"
+	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permlang"
 )
@@ -196,6 +197,44 @@ func TestUnresolvedMacroDenies(t *testing.T) {
 		HostIP: of.IPv4FromOctets(10, 1, 0, 1), HasHostIP: true})
 	if err == nil {
 		t.Fatal("unresolved macro must deny at runtime")
+	}
+}
+
+// TestDecisionsLandInJournal: every decision Check takes is one
+// permission event in the audit journal, in order, the denials carrying
+// their reason.
+func TestDecisionsLandInJournal(t *testing.T) {
+	prevAudit := audit.SetEnabled(true)
+	defer audit.SetEnabled(prevAudit)
+	e := New(nil)
+	e.SetPermissions("journaled", permlang.MustParse("PERM read_statistics LIMITING PORT_LEVEL").Set())
+
+	j := audit.Default()
+	j.Flush()
+	start := j.LastSeq()
+	allow := &core.Call{App: "journaled", Token: core.TokenReadStatistics, StatsLevel: of.StatsPort, Corr: 41}
+	deny := &core.Call{App: "journaled", Token: core.TokenReadStatistics, StatsLevel: of.StatsFlow, Corr: 42}
+	e.Check(allow)
+	e.Check(deny)
+	e.Check(allow)
+	j.Flush()
+
+	events := j.Query(audit.Filter{App: "journaled", AfterSeq: start})
+	want := []audit.Verdict{audit.VerdictAllow, audit.VerdictDeny, audit.VerdictAllow}
+	if len(events) != len(want) {
+		t.Fatalf("journal holds %d events for 3 checks: %+v", len(events), events)
+	}
+	for i, ev := range events {
+		if ev.Kind != audit.KindPermission || ev.Verdict != want[i] || ev.Token != "read_statistics" {
+			t.Fatalf("event %d = %+v, want permission/%s", i, ev, want[i])
+		}
+	}
+	if events[1].Corr != 42 || events[1].Detail == "" || events[0].Detail != "" {
+		t.Fatalf("denial %+v must carry its corr and reason, allow %+v no detail", events[1], events[0])
+	}
+	denials := j.Query(audit.Filter{App: "journaled", Kind: audit.KindPermission, Verdict: audit.VerdictDeny, AfterSeq: start})
+	if len(denials) != 1 {
+		t.Fatalf("denials = %+v", denials)
 	}
 }
 
