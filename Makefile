@@ -14,6 +14,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # fmt-check fails (listing the offenders) when any file is not gofmt-clean.
 fmt-check:

@@ -210,9 +210,10 @@ func BenchmarkMediatedCall(b *testing.B) {
 
 // instruments are the process-wide switches on the mediated call path
 // that TestInstrumentOverheadBudget holds to budget, one row each; every
-// setter returns the state it replaced. obs and the flight recorder
-// measure at or above 5% at shipping defaults, each on a shield of its
-// own, so they have no row (DESIGN.md §10, §13).
+// setter returns the state it replaced. obs measures at or above 5% at
+// shipping defaults on a shield of its own, so it has no row; the
+// recorder's switch gates bundle captures, not the call (DESIGN.md §10,
+// §13).
 var instruments = []struct {
 	name string
 	set  func(bool) bool

@@ -15,6 +15,7 @@ import (
 	"sdnshield/internal/controller"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/netsim"
+	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permlang"
 )
@@ -42,7 +43,7 @@ func run() error {
 			return err
 		}
 	}
-	shield := isolation.NewShield(kernel, isolation.Config{ActivityLogSize: 4096})
+	shield := isolation.NewShield(kernel, isolation.Config{})
 	defer shield.Stop()
 
 	// A trusted firewall blocks TCP 22 across the fabric.
@@ -115,10 +116,10 @@ func run() error {
 	}
 
 	// --- forensics ---
-	time.Sleep(10 * time.Millisecond)
-	fmt.Println("\n== activity log (denials) ==")
-	for _, rec := range shield.Engine().Log().Denials() {
-		fmt.Println(" ", rec)
+	audit.Default().Flush()
+	fmt.Println("\n== audit journal (denials) ==")
+	for _, ev := range audit.Default().Query(audit.Filter{App: "router", Kind: audit.KindPermission, Verdict: audit.VerdictDeny}) {
+		fmt.Printf("  %s DENY app=%s token=%s %s\n", ev.Time.Format(time.RFC3339Nano), ev.App, ev.Token, ev.Detail)
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"sdnshield/internal/controller"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/netsim"
+	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permlang"
 	"sdnshield/internal/policylang"
@@ -46,7 +47,7 @@ func run() error {
 			return err
 		}
 	}
-	shield := isolation.NewShield(kernel, isolation.Config{ActivityLogSize: 4096})
+	shield := isolation.NewShield(kernel, isolation.Config{})
 	defer shield.Stop()
 
 	// The admin's collector and the attacker's drop box on the host net.
@@ -125,10 +126,10 @@ ASSERT EITHER { PERM network_access } OR { PERM insert_flow }
 	fmt.Printf("\nattacker's drop box received %d payload(s)\n", len(attacker.Received()))
 
 	// --- the forensic log recorded every denied attempt ---
-	time.Sleep(10 * time.Millisecond)
-	fmt.Println("\n== activity log (denials) ==")
-	for _, rec := range shield.Engine().Log().Denials() {
-		fmt.Println(" ", rec)
+	audit.Default().Flush()
+	fmt.Println("\n== audit journal (denials) ==")
+	for _, ev := range audit.Default().Query(audit.Filter{App: "monitor", Kind: audit.KindPermission, Verdict: audit.VerdictDeny}) {
+		fmt.Printf("  %s DENY app=%s token=%s %s\n", ev.Time.Format(time.RFC3339Nano), ev.App, ev.Token, ev.Detail)
 	}
 	return nil
 }

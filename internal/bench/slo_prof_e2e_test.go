@@ -51,8 +51,7 @@ func TestSLOBreachJoinsProfilerAndBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	recorder.DefaultBundler().SetCooldown(0)
-	defer recorder.DefaultBundler().SetCooldown(30 * time.Second)
+	defer recorder.SetCooldown(recorder.SetCooldown(0))
 
 	// A purpose-built engine wired through the same breach path as the
 	// production StartSLO engine, evaluated with a scripted clock.

@@ -26,7 +26,6 @@ import (
 	"sdnshield/internal/hostsim"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
-	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/of"
 	"sdnshield/internal/topology"
 )
@@ -40,25 +39,10 @@ type Origin struct {
 	Corr uint64
 }
 
-// auditWire records the outcome of a wire-level send attributed to org:
-// an audit event and, when the flight recorder is on, a kernel-op frame
-// carrying the same correlation ID, so a bundle can follow one mediated
-// call from the isolation boundary down to the wire.
+// auditWire records the outcome of a wire-level send attributed to org
+// as an audit event carrying org's correlation ID, so the journal follows
+// one mediated call from the isolation boundary down to the wire.
 func auditWire(kind audit.Kind, org Origin, op string, dpid of.DPID, sendErr error) {
-	if recorder.On() {
-		code := recorder.CodeOK
-		if sendErr != nil {
-			code = recorder.CodeError
-		}
-		recorder.Record(recorder.Frame{
-			Kind: recorder.KindKernelOp,
-			Code: code,
-			App:  recorder.Intern(org.App),
-			Op:   recorder.Intern(op),
-			Corr: org.Corr,
-			Arg:  int64(dpid),
-		})
-	}
 	if !audit.On() {
 		return
 	}

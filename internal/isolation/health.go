@@ -72,10 +72,9 @@ func (s *Shield) HealthSnapshot() HealthSnapshot {
 // stacks side by side).
 var shieldSeq atomic.Uint64
 
-// registerHealth publishes the shield's health snapshot on the
-// introspection endpoint and, when the forensic activity log is enabled,
-// registers it as the /audit endpoint's synchronous fallback source; the
-// returned function unregisters both at Stop.
+// registerHealth publishes the shield's health snapshot, its per-app
+// usage and its engine on the introspection endpoint; the returned
+// function unregisters them at Stop.
 func registerHealth(s *Shield) func() {
 	name := "shield"
 	if n := shieldSeq.Add(1); n > 1 {
@@ -84,36 +83,9 @@ func registerHealth(s *Shield) func() {
 	unregHealth := obs.RegisterHealth(name, func() interface{} { return s.HealthSnapshot() })
 	unregUsage := recorder.RegisterUsage(name, func() interface{} { return s.UsageSnapshot() })
 	unregEngine := permengine.RegisterEngine(name, s.engine)
-	unregister := func() {
+	return func() {
 		unregEngine()
 		unregUsage()
 		unregHealth()
-	}
-	log := s.engine.Log()
-	if log == nil {
-		return unregister
-	}
-	unregFallback := audit.RegisterFallback(name, func(app string, deniesOnly bool) []audit.Event {
-		recs := log.SnapshotFilter(app, deniesOnly)
-		out := make([]audit.Event, 0, len(recs))
-		for _, r := range recs {
-			ev := audit.Event{
-				Kind:    audit.KindPermission,
-				Verdict: audit.VerdictAllow,
-				Time:    r.Time,
-				App:     r.App,
-				Token:   r.Token.String(),
-				Detail:  r.Detail,
-			}
-			if !r.Allowed {
-				ev.Verdict = audit.VerdictDeny
-			}
-			out = append(out, ev)
-		}
-		return out
-	})
-	return func() {
-		unregFallback()
-		unregister()
 	}
 }

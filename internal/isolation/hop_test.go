@@ -13,7 +13,6 @@ import (
 	"sdnshield/internal/controller"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
-	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/obs/span"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permengine"
@@ -91,19 +90,18 @@ func TestCallRacingStopNeverPanics(t *testing.T) {
 
 // TestPooledRequestReuse: eight goroutines of one app share the request
 // pool — inserts, flow stats, model reads of one path per goroutine, and
-// denied calls — with every call measured, one in sixteen traced and the
-// recorder on. Every result is its own call's: the rows, the value, the
+// denied calls — with every call measured and one in sixteen traced.
+// Every result is its own call's: the rows, the value, the
 // verdict. Under -race it also proves the deputy is done with a request
 // before its caller reuses it.
 func TestPooledRequestReuse(t *testing.T) {
 	prevSampling := obs.SetLatencySampling(1)
-	prevObs, prevSpan, prevRec := obs.SetEnabled(true), span.SetEnabled(true), recorder.SetEnabled(true)
+	prevObs, prevSpan := obs.SetEnabled(true), span.SetEnabled(true)
 	t.Cleanup(func() {
 		audit.Default().Flush() // leave later tests no drain backlog
 		obs.SetLatencySampling(prevSampling)
 		obs.SetEnabled(prevObs)
 		span.SetEnabled(prevSpan)
-		recorder.SetEnabled(prevRec)
 	})
 	env := newEnvCfg(t, 1, noQuotaLoop())
 	api := launchAPI(t, env, "pool", "PERM insert_flow LIMITING ACTION FORWARD\nPERM read_statistics\nPERM visible_topology")

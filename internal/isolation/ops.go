@@ -11,7 +11,6 @@ import (
 	"sdnshield/internal/hostsim"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
-	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permengine"
 	"sdnshield/internal/topology"
@@ -26,14 +25,11 @@ import (
 // the same decisions, and the event table at the end does the same for
 // deliveries.
 
-// mediatedOp is one operation's row. Its histogram and interned
-// flight-recorder symbol are resolved once, so neither the deputy's
-// post-reply frame append nor the caller's latency observation does a
-// map lookup.
+// mediatedOp is one operation's row. Its histogram is resolved once, so
+// the caller's latency observation does no map lookup.
 type mediatedOp struct {
 	name string
 	hist *obs.Histogram
-	sym  recorder.Sym
 	// onSwitch marks a DPID-addressed op: an app behind the virtual big
 	// switch may address no DPID but the big switch's.
 	onSwitch bool
@@ -45,14 +41,13 @@ type mediatedOp struct {
 
 const mediatedCallHelp = "End-to-end mediated API call latency: queue wait, permission check and kernel execution."
 
-// newMediatedOp resolves an op's histogram and symbol once. Package init
+// newMediatedOp resolves an op's histogram once. Package init
 // builds the row of every mediated API operation; tests may mint ad-hoc
 // ops the same way.
 func newMediatedOp(name string) *mediatedOp {
 	return &mediatedOp{
 		name: name,
 		hist: obs.Default().Histogram("sdnshield_mediated_call_seconds", mediatedCallHelp, "op", name),
-		sym:  recorder.Intern(name),
 	}
 }
 

@@ -15,14 +15,14 @@ import (
 // Per-app resource accounting (§VI-A: deputies do work *on behalf of*
 // apps, so the shield — not the app — is where consumption is visible).
 // Every container carries a resourceState fed from the KSD hot path:
-// execution time and queue residency come from the clock reads the
-// flight recorder already takes, allocation is estimated by sampling,
-// and the goroutine gauge counts container-owned workers plus calls in
-// flight. Budgets declared in market manifests (BUDGET statements)
-// become soft quotas: a periodic sweep compares per-second rates
-// against them, and a breach emits an audit event, a recorder frame
-// and a diagnostic bundle — and can, configurably, escalate to
-// quarantine.
+// execution time and queue residency come from the latency sampler's
+// measured calls (1 in obs.LatencySampling, scaled back to full rate),
+// allocation is estimated by sampling, and the goroutine gauge counts
+// container-owned workers plus calls in flight. Budgets declared in
+// market manifests (BUDGET statements) become soft quotas: a periodic
+// sweep compares per-second rates against them, and a breach emits an
+// audit event and a diagnostic bundle — and can, configurably, escalate
+// to quarantine.
 
 // allocSamplePeriod is the 1-in-N rate at which mediated calls bracket
 // their execution with process-allocation reads; each sampled delta is
@@ -50,9 +50,9 @@ type resourceState struct {
 	streak    int // consecutive sweeps with at least one breach
 }
 
-// account charges one mediated call. weight scales sampled
-// measurements back to full rate (1 when the recorder measures every
-// call, the latency-sampling period otherwise).
+// account charges one measured mediated call. weight is the latency
+// sampling period, which scales the sample back to full rate (1 when
+// every call is measured).
 func (r *resourceState) account(exec, wait time.Duration, weight int64) {
 	r.cpuNanos.Add(int64(exec) * weight)
 	r.waitNanos.Add(int64(wait) * weight)
@@ -182,9 +182,9 @@ func (r *resourceState) sweep(now time.Time, drops uint64) ([]QuotaBreach, int) 
 // CheckQuotas runs one quota sweep at the given instant and returns
 // every breach. The background loop calls it once per
 // QuotaCheckInterval; tests call it directly with controlled clocks.
-// Each breach emits a resource audit event and a quota frame; the
-// first breach per app also captures a diagnostic bundle (subject to
-// the bundler's cooldown). An app breaching on QuotaEscalateAfter
+// Each breach emits a resource audit event; the first breach per app
+// also captures a diagnostic bundle (subject to the bundler's cooldown
+// and its automatic-capture gate). An app breaching on QuotaEscalateAfter
 // consecutive sweeps is quarantined.
 func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 	containers := s.launched()
@@ -197,7 +197,6 @@ func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 		if len(breaches) == 0 {
 			continue
 		}
-		rec := recorder.On()
 		for i := range breaches {
 			br := &breaches[i]
 			br.App = c.name
@@ -207,12 +206,6 @@ func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 					Kind: audit.KindResource, Verdict: audit.VerdictBreach,
 					App: c.name, Op: br.Dimension,
 					Detail: fmt.Sprintf("observed %d exceeds budget %d", br.Observed, br.Limit),
-				})
-			}
-			if rec {
-				recorder.Record(recorder.Frame{
-					TS: now.UnixNano(), Kind: recorder.KindQuota, Code: recorder.CodeBreach,
-					App: c.sym, Op: recorder.Intern(br.Dimension), Arg: br.Observed,
 				})
 			}
 		}

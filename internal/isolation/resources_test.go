@@ -94,8 +94,7 @@ func TestSetBudgetBeforeLaunchApplies(t *testing.T) {
 func TestCheckQuotasBreachEmitsAuditFrameAndBundle(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
-	recorder.DefaultBundler().SetCooldown(0)
-	defer recorder.DefaultBundler().SetCooldown(30 * time.Second)
+	defer recorder.SetCooldown(recorder.SetCooldown(0))
 
 	env := newEnvCfg(t, 1, noQuotaLoop())
 	grant(t, env.shield, "greedy", "PERM visible_topology")
@@ -140,7 +139,7 @@ func TestCheckQuotasBreachEmitsAuditFrameAndBundle(t *testing.T) {
 	}
 	// ...and a diagnostic bundle.
 	var bundled bool
-	for _, info := range recorder.DefaultBundler().Recent() {
+	for _, info := range recorder.Recent() {
 		if info.Trigger == recorder.TriggerQuota && info.App == "greedy" {
 			bundled = true
 		}
@@ -195,8 +194,7 @@ func TestQuotaEscalationQuarantines(t *testing.T) {
 func TestQuotaBreachEndToEnd(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
-	recorder.DefaultBundler().SetCooldown(0)
-	defer recorder.DefaultBundler().SetCooldown(30 * time.Second)
+	defer recorder.SetCooldown(recorder.SetCooldown(0))
 
 	env := newEnvCfg(t, 2, noQuotaLoop())
 	grant(t, env.shield, "e2e", "PERM visible_topology\nPERM read_statistics")
@@ -286,22 +284,20 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 		t.Fatalf("bundle usage lacks the app: %s (%v)", usage, err)
 	}
 
-	// A capture scoped to the stats read's correlation ID carries its
-	// decision.
+	// A capture scoped to the stats read's correlation ID carries that
+	// call's events in corr_audit.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET",
 		"/debug/bundle?capture=1&app=e2e&corr="+strconv.FormatUint(corr, 10), nil))
+	if !strings.Contains(rec.Body.String(), `"corr_audit"`) {
+		t.Fatalf("capture lacks corr_audit: %s", rec.Body.String())
+	}
 	var manual recorder.Bundle
 	if err := json.Unmarshal(rec.Body.Bytes(), &manual); err != nil {
 		t.Fatal(err)
 	}
-	var story []audit.Event
-	for _, ev := range manual.Audit {
-		if ev.Corr == corr {
-			story = append(story, ev)
-		}
-	}
-	if len(story) != 1 || story[0].Kind != audit.KindPermission || story[0].Verdict != audit.VerdictAllow {
-		t.Fatalf("corr %d in the capture = %+v, want the stats read's allow", corr, story)
+	if story := manual.CorrAudit; len(story) != 1 || story[0].Kind != audit.KindPermission ||
+		story[0].Verdict != audit.VerdictAllow || story[0].Corr != corr {
+		t.Fatalf("corr_audit = %+v, want the stats read's allow under corr %d", story, corr)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sdnshield/internal/hostsim"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
-	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/obs/span"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permengine"
@@ -36,10 +35,6 @@ type Config struct {
 	// inherit their parent's (unprivileged) principal. Default 1
 	// (strictly ordered delivery); raise it for throughput-oriented apps.
 	EventWorkers int
-	// ActivityLogSize enables the forensic activity log (§VII) with the
-	// given ring-buffer capacity. Zero disables logging; the engine's
-	// check/denial counters remain available either way.
-	ActivityLogSize int
 	// DropOnFullQueue makes event delivery non-blocking: events beyond
 	// EventQueueSize are dropped (and counted) instead of exerting
 	// backpressure on the kernel's dispatcher. The blocking default
@@ -65,8 +60,7 @@ type Config struct {
 	QuotaCheckInterval time.Duration
 	// QuotaEscalateAfter quarantines an app whose budget is breached on
 	// this many consecutive sweeps. Zero (the default) never escalates:
-	// breaches stay soft — audit events, recorder frames and diagnostic
-	// bundles only.
+	// breaches stay soft — audit events and diagnostic bundles only.
 	QuotaEscalateAfter int
 }
 
@@ -127,13 +121,9 @@ type Shield struct {
 // engine resolves stateful filters against the kernel's shadow tables.
 func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 	cfg.fill()
-	var opts []permengine.Option
-	if cfg.ActivityLogSize > 0 {
-		opts = append(opts, permengine.WithActivityLog(cfg.ActivityLogSize))
-	}
 	s := &Shield{
 		kernel:         kernel,
-		engine:         permengine.New(kernel, opts...),
+		engine:         permengine.New(kernel),
 		cfg:            cfg,
 		reqCh:          make(chan *request, 256),
 		containers:     make(map[string]*Container),
@@ -192,9 +182,9 @@ type request struct {
 	op  *mediatedOp
 	org controller.Origin
 
-	enq         time.Time // zero unless the call is measured
-	weight      int64     // the sampling period measurements scale by
-	traced, rec bool
+	enq    time.Time // zero unless the call is measured
+	weight int64     // the sampling period measurements scale by
+	traced bool
 
 	args
 	match of.Match     // what spec.Match points at
@@ -266,9 +256,9 @@ func (r *request) put() {
 // call), measured ones share their timestamps between the hop histogram,
 // r's op's latency histogram, the resource accounting (scaled back to
 // full rate by the sampling period) and — for every traceOneIn-th of them
-// — the call's spans under r.org's corr (/trace/<corr>, /traces). With
-// the flight recorder on every call leaves a frame; the sampled subset's
-// carry execution time and queue residency.
+// — the call's spans under r.org's corr (/trace/<corr>, /traces). Every
+// decided call, sampled or not, leaves its permission event in the audit
+// journal under the same corr.
 //
 // A call racing Stop is either enqueued before Stop closes the queue, and
 // then served, or returns ErrShieldStopped.
@@ -284,7 +274,6 @@ func (s *Shield) hop(r *request) error {
 		r.weight = max(int64(obs.LatencySampling()), 1)
 		r.enq = time.Now()
 	}
-	r.rec = recorder.On()
 	c := r.a.container
 	if c != nil {
 		c.res.calls.Add(1)
@@ -315,7 +304,7 @@ func (s *Shield) hop(r *request) error {
 // serve runs one request on a deputy. What the bookkeeping after the
 // reply needs is copied out first: after it the request is the caller's.
 func (s *Shield) serve(r *request) {
-	c, op, corr, traced, rec, weight := r.a.container, r.op, r.org.Corr, r.traced, r.rec, r.weight
+	c, traced, weight := r.a.container, r.traced, r.weight
 	var pickup time.Time
 	var wait, exec time.Duration
 	if !r.enq.IsZero() {
@@ -328,7 +317,7 @@ func (s *Shield) serve(r *request) {
 	if sampleAlloc {
 		allocBefore = heapAllocBytes()
 	}
-	err := s.protect(r)
+	r.err = s.protect(r)
 	// A traced call's execution time travels back with the reply, so its
 	// clock read comes first. Every other call is accounted after the
 	// reply: the deputy does the bookkeeping — clock reads included — off
@@ -338,7 +327,7 @@ func (s *Shield) serve(r *request) {
 	if traced {
 		exec = time.Since(pickup)
 	}
-	r.err, r.wait, r.exec = err, wait, exec
+	r.wait, r.exec = wait, exec
 	r.done <- struct{}{}
 	if !traced && !pickup.IsZero() {
 		exec = time.Since(pickup)
@@ -348,29 +337,8 @@ func (s *Shield) serve(r *request) {
 			c.res.allocBytes.Add(delta * allocSamplePeriod)
 		}
 	}
-	if c == nil {
-		return
-	}
-	if !pickup.IsZero() {
+	if c != nil && !pickup.IsZero() {
 		c.res.account(exec, wait, weight)
-	}
-	if rec {
-		code := recorder.CodeOK
-		if err != nil {
-			code = recorder.CodeError
-			var denied *permengine.DeniedError
-			if errors.As(err, &denied) {
-				code = recorder.CodeDenied
-			}
-		}
-		// Unsampled frames carry TS 0: Record stamps them with the last
-		// measured timestamp instead of a fresh clock read.
-		var ts int64
-		if !pickup.IsZero() {
-			ts = pickup.Add(exec).UnixNano()
-		}
-		recorder.Record(recorder.Frame{TS: ts, Kind: recorder.KindMediatedCall, Code: code,
-			App: c.sym, Op: op.sym, Corr: corr, Dur: int64(exec), Arg: int64(wait)})
 	}
 }
 
@@ -407,7 +375,6 @@ func (s *Shield) Launch(app App) error {
 		name:     name,
 		shield:   s,
 		app:      app,
-		sym:      recorder.Intern(name),
 		events:   make(chan controller.Event, s.cfg.EventQueueSize),
 		handlers: make(map[controller.EventKind][]controller.Handler),
 		kernels:  make(map[controller.EventKind]int),
@@ -527,8 +494,6 @@ type Container struct {
 	shield *Shield
 	app    App // retained so the supervisor can re-run Init
 	api    API
-	// sym is the app name interned once for the flight recorder.
-	sym recorder.Sym
 
 	events chan controller.Event
 

@@ -11,23 +11,9 @@ import (
 )
 
 // auditApp records a container lifecycle transition in the forensic
-// journal and, when the flight recorder is on, as a supervisor frame.
-// Lifecycle events have no originating mediated call, so they carry no
-// correlation ID.
+// journal. Lifecycle events have no originating mediated call, so they
+// carry no correlation ID.
 func auditApp(app string, v audit.Verdict, detail string) {
-	if recorder.On() {
-		code := recorder.CodeOK
-		switch v {
-		case audit.VerdictPanic:
-			code = recorder.CodePanic
-		case audit.VerdictRestart:
-			code = recorder.CodeRestart
-		case audit.VerdictQuarantine:
-			code = recorder.CodeQuarantine
-		}
-		recorder.Record(recorder.Frame{TS: time.Now().UnixNano(),
-			Kind: recorder.KindSupervisor, Code: code, App: recorder.Intern(app)})
-	}
 	if !audit.On() {
 		return
 	}

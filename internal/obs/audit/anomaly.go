@@ -85,7 +85,7 @@ func (d *Detector) register(j *Journal) { j.AddConsumer(d.Observe) }
 // transitions from clear to flagged, with the snapshot that tripped it.
 // The callback runs on the journal drain goroutine, outside the
 // detector lock — it may call back into the detector, but must not
-// block (the flight recorder uses it to trigger diagnostic bundles).
+// block (obs/recorder uses it to trigger diagnostic bundles).
 // Passing nil removes the callback.
 func (d *Detector) SetOnFlag(fn func(app string, snap AnomalySnapshot)) {
 	d.mu.Lock()

@@ -5,47 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"sdnshield/internal/obs"
 )
-
-// fallback providers supply events when the journal history has nothing
-// for a query — e.g. a permengine ActivityLog converted on demand. Keyed
-// by provider name so re-registration replaces.
-var (
-	fbMu        sync.Mutex
-	fbProviders = make(map[string]func(app string, deniesOnly bool) []Event)
-)
-
-// RegisterFallback registers a named provider consulted by /audit when
-// the journal query returns nothing (the journal may have been disabled
-// or its history evicted). The returned function unregisters it.
-func RegisterFallback(name string, fn func(app string, deniesOnly bool) []Event) (unregister func()) {
-	fbMu.Lock()
-	fbProviders[name] = fn
-	fbMu.Unlock()
-	return func() {
-		fbMu.Lock()
-		delete(fbProviders, name)
-		fbMu.Unlock()
-	}
-}
-
-func fallbackEvents(app string, deniesOnly bool) []Event {
-	fbMu.Lock()
-	fns := make([]func(string, bool) []Event, 0, len(fbProviders))
-	for _, fn := range fbProviders {
-		fns = append(fns, fn)
-	}
-	fbMu.Unlock()
-	var out []Event
-	for _, fn := range fns {
-		out = append(out, fn(app, deniesOnly)...)
-	}
-	return out
-}
 
 // maxStreamWait caps /audit/stream long-poll duration.
 const maxStreamWait = 30 * time.Second
@@ -53,7 +16,8 @@ const maxStreamWait = 30 * time.Second
 // Handler serves the journal over HTTP:
 //
 //	/audit        — retained events as JSON, filterable by ?app=, ?kind=,
-//	                ?verdict=, ?corr=, ?tenant=, ?limit=
+//	                ?verdict=, ?corr=, ?tenant=, ?limit=; "source" is
+//	                always "journal", the one history there is
 //	/audit/stream — long-poll JSONL tail: blocks until events newer than
 //	                ?after= (default: now) arrive or ?wait= (seconds,
 //	                default 10, max 30) elapses; the X-Audit-Cursor
@@ -74,13 +38,6 @@ func Handler(j *Journal) http.Handler {
 			f.Limit = 1000
 		}
 		events := j.Query(f)
-		source := "journal"
-		if len(events) == 0 {
-			events = fallbackEvents(f.App, f.Verdict == VerdictDeny)
-			if len(events) > 0 {
-				source = "fallback"
-			}
-		}
 		if events == nil {
 			events = []Event{}
 		}
@@ -90,7 +47,7 @@ func Handler(j *Journal) http.Handler {
 			Emitted uint64  `json:"emitted"`
 			Dropped uint64  `json:"dropped"`
 			Events  []Event `json:"events"`
-		}{source, j.Emitted(), j.Drops(), events})
+		}{"journal", j.Emitted(), j.Drops(), events})
 	})
 	mux.HandleFunc("/audit/stream", func(w http.ResponseWriter, r *http.Request) {
 		f, err := filterFromQuery(r)

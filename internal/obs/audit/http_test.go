@@ -103,30 +103,6 @@ func TestAuditEndpointUnmatchedFiltersAnswerEmpty(t *testing.T) {
 	}
 }
 
-func TestAuditEndpointFallback(t *testing.T) {
-	j := NewJournal(JournalConfig{})
-	unregister := RegisterFallback("test-activity-log", func(app string, deniesOnly bool) []Event {
-		if app != "" && app != "mal" {
-			return nil
-		}
-		return []Event{{Kind: KindPermission, Verdict: VerdictDeny, App: "mal", Detail: "from ring"}}
-	})
-	defer unregister()
-	srv := httptest.NewServer(Handler(j))
-	defer srv.Close()
-
-	got := getAudit(t, srv, "?app=mal")
-	if got.Source != "fallback" || len(got.Events) != 1 || got.Events[0].Detail != "from ring" {
-		t.Fatalf("fallback response: %+v", got)
-	}
-	// Once the journal has matching events, it wins.
-	j.Emit(Event{Kind: KindPermission, Verdict: VerdictDeny, App: "mal"})
-	j.DrainNow()
-	if got := getAudit(t, srv, "?app=mal"); got.Source != "journal" {
-		t.Fatalf("journal should take precedence: %+v", got)
-	}
-}
-
 func TestAuditStreamTailsNewEvents(t *testing.T) {
 	j := NewJournal(JournalConfig{})
 	j.Start()

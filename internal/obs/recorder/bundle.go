@@ -16,14 +16,13 @@ import (
 	"sdnshield/internal/obs/audit"
 )
 
-// A diagnostic bundle is the payoff of the always-on recorder: when
-// the anomaly detector, a quota breach or a quarantine fires, Capture
-// freezes everything an investigation needs — the flight-recorder
-// frames around the event, the frames sharing its correlation ID, the
-// per-app resource usage, a metrics snapshot, component health, the
-// audit tail and Go runtime stats — into one JSON document, retained
-// in memory (/debug/bundle) and optionally written to a directory
-// (-bundle-dir on the CLIs).
+// A diagnostic bundle is a capture over the audit journal: when the
+// anomaly detector, a quota breach or a quarantine fires, Capture
+// freezes everything an investigation needs — the app's journal tail,
+// every event sharing the triggering call's correlation ID, the per-app
+// resource usage, a metrics snapshot, component health and Go runtime
+// stats — into one JSON document, retained in memory (/debug/bundle)
+// and optionally written to a directory (-bundle-dir on the CLIs).
 
 // Trigger names what fired a bundle capture.
 type Trigger string
@@ -57,18 +56,16 @@ type Bundle struct {
 	App     string    `json:"app,omitempty"`
 	Corr    uint64    `json:"corr,omitempty"`
 	Detail  string    `json:"detail,omitempty"`
-	// Frames is the recorder tail for the app (all apps when App is
-	// empty), oldest first.
-	Frames []FrameSnapshot `json:"frames"`
-	// CorrFrames is every retained frame sharing Corr — the full story
-	// of the triggering mediated call across layers.
-	CorrFrames []FrameSnapshot `json:"corr_frames,omitempty"`
 	// Usage is each registered usage provider's per-app resource view.
 	Usage map[string]interface{} `json:"usage,omitempty"`
 	// Anomaly is the denial-rate detector's state for App.
 	Anomaly *audit.AnomalySnapshot `json:"anomaly,omitempty"`
 	// Audit is the journal tail for App (global when App is empty).
 	Audit []audit.Event `json:"audit"`
+	// CorrAudit is every retained event sharing Corr, of any app and any
+	// layer — the triggering call's decision, its wire sends, its
+	// transaction outcome — oldest first.
+	CorrAudit []audit.Event `json:"corr_audit,omitempty"`
 	// Health is every registered obs health provider.
 	Health map[string]interface{} `json:"health"`
 	// Metrics is the default registry's full series snapshot; automatic
@@ -90,11 +87,7 @@ type BundleInfo struct {
 	App     string    `json:"app,omitempty"`
 	Corr    uint64    `json:"corr,omitempty"`
 	Detail  string    `json:"detail,omitempty"`
-	Frames  int       `json:"frames"`
 }
-
-// bundleFrameLimit bounds the frame tail a bundle carries.
-const bundleFrameLimit = 512
 
 // bundleAuditLimit bounds the audit tail a bundle carries.
 const bundleAuditLimit = 256
@@ -135,9 +128,6 @@ type Bundler struct {
 // package-level Capture.
 var defBundler = &Bundler{last: make(map[string]time.Time), cooldown: defaultCooldown}
 
-// DefaultBundler returns the process-wide bundler.
-func DefaultBundler() *Bundler { return defBundler }
-
 // SetBundleDir sets the directory automatic and manual captures are
 // written to as <id>.json ("" disables writing, the default). The
 // directory is created if missing.
@@ -156,12 +146,18 @@ func (b *Bundler) SetDir(dir string) error {
 	return nil
 }
 
-// SetCooldown adjusts the per-(app,trigger) capture rate limit; d <= 0
-// disables rate limiting (tests).
-func (b *Bundler) SetCooldown(d time.Duration) {
+// SetCooldown adjusts the default bundler's per-(app,trigger) capture
+// rate limit and returns the previous one; d <= 0 disables rate limiting
+// (tests).
+func SetCooldown(d time.Duration) (prev time.Duration) { return defBundler.SetCooldown(d) }
+
+// SetCooldown adjusts the bundler's capture rate limit and returns the
+// previous one.
+func (b *Bundler) SetCooldown(d time.Duration) (prev time.Duration) {
 	b.mu.Lock()
-	b.cooldown = d
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	prev, b.cooldown = b.cooldown, d
+	return prev
 }
 
 // WriteErrors reports failed bundle-file writes.
@@ -175,8 +171,12 @@ func Capture(trigger Trigger, app string, corr uint64, detail string) *Bundle {
 }
 
 // Capture builds, retains and (when a directory is set) persists one
-// bundle. Manual captures bypass the cooldown.
+// bundle. An automatic capture returns nil while SetEnabled(false) holds;
+// manual captures bypass that gate and the cooldown.
 func (b *Bundler) Capture(trigger Trigger, app string, corr uint64, detail string) *Bundle {
+	if trigger != TriggerManual && !On() {
+		return nil
+	}
 	now := time.Now()
 	key := app + "\x00" + string(trigger)
 	b.mu.Lock()
@@ -221,7 +221,6 @@ func (b *Bundler) build(id string, now time.Time, trigger Trigger, app string, c
 		App:     app,
 		Corr:    corr,
 		Detail:  detail,
-		Frames:  def.Snapshot(FrameFilter{App: app, Limit: bundleFrameLimit}),
 		Usage:   usageSnapshots(),
 		Health:  obs.HealthSnapshots(),
 		Metrics: b.metricsSnapshot(now, trigger),
@@ -230,7 +229,7 @@ func (b *Bundler) build(id string, now time.Time, trigger Trigger, app string, c
 		bundle.Profiles = (*fn)()
 	}
 	if corr != 0 {
-		bundle.CorrFrames = def.Snapshot(FrameFilter{Corr: corr})
+		bundle.CorrAudit = audit.Default().Query(audit.Filter{Corr: corr})
 	}
 	if app != "" {
 		snap := audit.DefaultDetector().Lookup(app)
@@ -276,6 +275,9 @@ func (b *Bundler) writeFile(dir string, bundle *Bundle) error {
 	return os.WriteFile(filepath.Join(dir, bundle.ID+".json"), data, 0o644)
 }
 
+// Recent lists the default bundler's retained bundles, newest first.
+func Recent() []BundleInfo { return defBundler.Recent() }
+
 // Recent lists retained bundles, newest first.
 func (b *Bundler) Recent() []BundleInfo {
 	b.mu.Lock()
@@ -285,7 +287,7 @@ func (b *Bundler) Recent() []BundleInfo {
 		bu := b.recent[i]
 		out = append(out, BundleInfo{
 			ID: bu.ID, Time: bu.Time, Trigger: bu.Trigger,
-			App: bu.App, Corr: bu.Corr, Detail: bu.Detail, Frames: len(bu.Frames),
+			App: bu.App, Corr: bu.Corr, Detail: bu.Detail,
 		})
 	}
 	return out
@@ -410,13 +412,6 @@ func notifyCapture(trigger Trigger, app string, corr uint64, detail string) {
 // Wiring it here keeps audit free of any recorder dependency.
 func init() {
 	audit.DefaultDetector().SetOnFlag(func(app string, snap audit.AnomalySnapshot) {
-		Record(Frame{
-			TS:   time.Now().UnixNano(),
-			Kind: KindAnomaly,
-			Code: CodeFlagged,
-			App:  Intern(app),
-			Arg:  int64(snap.EWMA),
-		})
 		detail := fmt.Sprintf("denial-rate anomaly: ewma=%.1f window=%d total=%d",
 			snap.EWMA, snap.WindowDenies, snap.TotalDenies)
 		// The callback runs on the journal drain goroutine and must

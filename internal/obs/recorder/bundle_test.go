@@ -14,8 +14,7 @@ import (
 )
 
 func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
-	defBundler.SetCooldown(0)
-	defer defBundler.SetCooldown(defaultCooldown)
+	defer SetCooldown(SetCooldown(0))
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
 
@@ -26,7 +25,7 @@ func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
 	unregHealth := obs.RegisterHealth("test-shield", func() interface{} { return "ok" })
 	defer unregHealth()
 
-	const corr = uint64(777777)
+	corr := audit.NextCorr()
 	audit.Emit(audit.Event{Kind: audit.KindPermission, Verdict: audit.VerdictAllow, App: "greedy", Corr: corr, Token: "insert_flow"})
 	audit.Emit(audit.Event{Kind: audit.KindFlowMod, Verdict: audit.VerdictSent, App: "greedy", Corr: corr, Op: "add", DPID: 3})
 	audit.Emit(audit.Event{Kind: audit.KindResource, Verdict: audit.VerdictBreach, App: "greedy", Op: "cpu_ms_per_sec"})
@@ -39,14 +38,8 @@ func TestCaptureCorrelatesFramesUsageAndAudit(t *testing.T) {
 	if bundle.Trigger != TriggerQuota || bundle.App != "greedy" || bundle.Corr != corr {
 		t.Fatalf("bundle header = %+v", bundle)
 	}
-	var story []audit.Event
-	for _, ev := range bundle.Audit {
-		if ev.Corr == corr {
-			story = append(story, ev)
-		}
-	}
-	if len(story) != 2 || story[0].Kind != audit.KindPermission || story[1].Kind != audit.KindFlowMod {
-		t.Fatalf("events of corr %d = %+v, want the decision and its flow-mod", corr, story)
+	if story := bundle.CorrAudit; len(story) != 2 || story[0].Kind != audit.KindPermission || story[1].Kind != audit.KindFlowMod {
+		t.Fatalf("corr_audit = %+v, want the decision and its flow-mod", story)
 	}
 	if u, ok := bundle.Usage["test-shield"].(map[string]int); !ok || u["greedy"] != 42 {
 		t.Fatalf("usage = %+v", bundle.Usage)
@@ -141,8 +134,7 @@ func TestCaptureWritesBundleDir(t *testing.T) {
 }
 
 func TestAppsAndBundleEndpoints(t *testing.T) {
-	defBundler.SetCooldown(0)
-	defer defBundler.SetCooldown(defaultCooldown)
+	defer SetCooldown(SetCooldown(0))
 	unreg := RegisterUsage("ep-shield", func() interface{} {
 		return map[string]string{"appx": "usage"}
 	})
@@ -192,8 +184,7 @@ func TestAppsAndBundleEndpoints(t *testing.T) {
 }
 
 func TestAnomalyFlagTriggersFrameAndBundle(t *testing.T) {
-	defBundler.SetCooldown(0)
-	defer defBundler.SetCooldown(defaultCooldown)
+	defer SetCooldown(SetCooldown(0))
 	audit.DefaultDetector().Reset()
 
 	prevEnabled := audit.SetEnabled(true)

@@ -6,8 +6,8 @@
 //
 // The unification that makes it forensic rather than merely diagnostic:
 // a span's trace ID IS the audit correlation ID minted at the operation
-// boundary (audit.NextCorr()). Every audit event, recorder frame and
-// span of one install therefore share one number, so /trace/<corr>
+// boundary (audit.NextCorr()). Every audit event and span of one
+// install therefore share one number, so /trace/<corr>
 // answers "where did the install behind this audit event spend its
 // time" with no join table.
 //

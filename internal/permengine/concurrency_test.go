@@ -13,7 +13,7 @@ import (
 // while permissions are replaced and revoked — the "permission engine
 // scales out with parallelism" property plus live permission updates.
 func TestConcurrentChecksAndUpdates(t *testing.T) {
-	e := New(nil, WithActivityLog(1024))
+	e := New(nil)
 	narrow := permlang.MustParse("PERM insert_flow LIMITING ACTION FORWARD").Set()
 	wide := permlang.MustParse("PERM insert_flow").Set()
 	e.SetPermissions("app", narrow)
@@ -74,9 +74,6 @@ func TestConcurrentChecksAndUpdates(t *testing.T) {
 	checks, denials := e.Stats()
 	if checks == 0 || denials == 0 {
 		t.Errorf("stats = (%d, %d)", checks, denials)
-	}
-	if e.Log().Total() != checks {
-		t.Errorf("log total %d != checks %d", e.Log().Total(), checks)
 	}
 }
 

@@ -127,9 +127,8 @@ var sideArms = []struct {
 type diffHistory struct {
 	Details         []string // DeniedError.Detail per call, "" when allowed
 	Checks, Denials uint64
-	Activity        []ActivityRecord // Time zeroed
-	Audit           []audit.Event    // Seq and Time zeroed
-	CheckedTotal    uint64           // sdnshield_permengine_checks_total delta, all series
+	Audit           []audit.Event // Seq and Time zeroed
+	CheckedTotal    uint64        // sdnshield_permengine_checks_total delta, all series
 	Retained        []RetainedDenialInfo
 }
 
@@ -154,7 +153,7 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 		SetHeatEnabled(prevEnabled)
 		SetHeatSampling(prevEvery)
 	}()
-	e := New(nil, WithActivityLog(len(calls)))
+	e := New(nil)
 	for app, set := range policy {
 		e.SetPermissions(app, set)
 	}
@@ -197,10 +196,6 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 	if got := heatSampled.Load() - startSampled; got != wantSampled {
 		t.Fatalf("heat=%v took the sampled route %d times, want %d", heat, got, wantSampled)
 	}
-	for _, rec := range e.Log().Records() {
-		rec.Time = time.Time{}
-		h.Activity = append(h.Activity, rec)
-	}
 	j.Flush()
 	for _, ev := range j.Query(audit.Filter{Kind: audit.KindPermission, AfterSeq: startSeq}) {
 		if strings.HasPrefix(ev.App, "diff-") {
@@ -220,8 +215,8 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 // seeded random policy × call corpora, the oracle core.Set.Allows, Check
 // with heat sampling off, Check at sampling 1 and every side-effect-free
 // entry point return the same verdict for every call, and the two Check
-// histories are indistinguishable — same denial details, Stats, activity
-// log, audit events, retained denials and checks_total.
+// histories are indistinguishable — same denial details, Stats, audit
+// events, retained denials and checks_total.
 func TestDifferentialOneSemantics(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
@@ -239,9 +234,9 @@ func TestDifferentialOneSemantics(t *testing.T) {
 
 		off := runDiffHistory(t, false, policy, calls)
 		on := runDiffHistory(t, true, policy, calls)
-		if len(off.Audit) != callsPerSeed || off.CheckedTotal != callsPerSeed || len(off.Activity) != callsPerSeed {
-			t.Fatalf("seed %d: history has %d audit events, %d activity records, checks_total +%d; want %d each",
-				seed, len(off.Audit), len(off.Activity), off.CheckedTotal, callsPerSeed)
+		if len(off.Audit) != callsPerSeed || off.CheckedTotal != callsPerSeed {
+			t.Fatalf("seed %d: history has %d audit events, checks_total +%d; want %d each",
+				seed, len(off.Audit), off.CheckedTotal, callsPerSeed)
 		}
 		if off.Denials == 0 || off.Denials == off.Checks {
 			t.Fatalf("seed %d: degenerate corpus, %d denials of %d checks", seed, off.Denials, off.Checks)

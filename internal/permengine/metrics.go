@@ -13,8 +13,6 @@ var (
 		"Permission check latency (compile-once closure evaluation plus stateful attribute resolution).")
 	mAPIPanics = obs.Default().Counter("sdnshield_permengine_api_panics_total",
 		"Panics absorbed inside mediated API calls.")
-	mActivityRecords = obs.Default().Counter("sdnshield_permengine_activity_records_total",
-		"Decisions appended to the forensic activity log.")
 
 	mChecksAllow [maxTokenSlots]*obs.Counter
 	mChecksDeny  [maxTokenSlots]*obs.Counter

@@ -1,9 +1,9 @@
 // Package permengine implements SDNShield's runtime permission engine
 // (§VI-B): it compiles permission sets into per-token checking closures,
 // resolves the stateful attributes of each mediated API call (flow
-// ownership, per-app rule counts), enforces the checks, keeps the
-// forensic activity log mentioned in §VII, and provides the transactional
-// API-call facility (§VI-B2).
+// ownership, per-app rule counts), enforces the checks, records every
+// decision in the audit journal — the forensic activity log of §VII — and
+// provides the transactional API-call facility (§VI-B2).
 package permengine
 
 import (
@@ -265,28 +265,14 @@ type Engine struct {
 	// /explain cross-references (explain.go).
 	provMu sync.Mutex
 	prov   map[string][]string
-
-	log *ActivityLog
-}
-
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithActivityLog installs a forensic activity log of the given capacity.
-func WithActivityLog(capacity int) Option {
-	return func(e *Engine) { e.log = NewActivityLog(capacity) }
 }
 
 // New builds an engine. state may be nil for stateless micro-benchmarks.
-func New(state StateProvider, opts ...Option) *Engine {
+func New(state StateProvider) *Engine {
 	if state == nil {
 		state = nopState{}
 	}
-	e := &Engine{state: state, apps: make(map[string]*compiled)}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+	return &Engine{state: state, apps: make(map[string]*compiled)}
 }
 
 // SetPermissions installs (or replaces) an app's permission set,
@@ -360,7 +346,7 @@ func (e *Engine) Resolve(call *core.Call) {
 }
 
 // Check mediates one API call: resolves stateful attributes, evaluates
-// the app's compiled permission, logs the decision, and returns a
+// the app's compiled permission, journals the decision, and returns a
 // *DeniedError on denial. Decision counters are exact; check latency is
 // sampled (obs.SetLatencySampling) so the unsampled majority of calls
 // pays no clock reads, and one check in N (SetHeatSampling) carries the
@@ -387,8 +373,8 @@ func (e *Engine) Check(call *core.Call) error {
 // decide is the engine's one decision routine. It finds the app's grant
 // for the call's token, resolves the stateful attributes and walks the
 // clause list; then, unless the probe is Explain's, it counts the
-// decision, retains a denial for /explain?corr=, and writes the activity
-// log and the audit journal. The reason is one of the Reason constants;
+// decision, retains a denial for /explain?corr=, and writes the audit
+// journal. The reason is one of the Reason constants;
 // detail is empty when the call is allowed.
 func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	c, g := e.grantFor(call.App, call.Token)
@@ -416,9 +402,6 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 		e.denials.Add(1)
 		e.retainDenial(call)
 	}
-	if e.log != nil {
-		e.log.Record(call, allowed)
-	}
 	auditDecision(call, allowed, detail)
 	return reason, detail
 }
@@ -426,8 +409,7 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 // Filter returns the app's grant for one token as a pure predicate, for
 // keeping the visible rows of a listing. It is taken once per listing and
 // runs the same clause walk as Check with none of its effects: no
-// Resolve, no counters, no heat, no retained denial, no log or audit
-// record. An app that does not hold the token sees nothing.
+// Resolve, no counters, no heat, no retained denial, no audit record. An app that does not hold the token sees nothing.
 func (e *Engine) Filter(app string, token core.Token) func(*core.Call) bool {
 	if _, g := e.grantFor(app, token); g != nil {
 		return g.allows
@@ -486,6 +468,3 @@ func (e *Engine) CountAPIPanic() {
 
 // APIPanics reports how many mediated-call panics were absorbed.
 func (e *Engine) APIPanics() uint64 { return e.apiPanics.Load() }
-
-// Log returns the forensic activity log (nil when not configured).
-func (e *Engine) Log() *ActivityLog { return e.log }

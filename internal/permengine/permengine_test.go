@@ -238,37 +238,6 @@ func TestDecisionsLandInJournal(t *testing.T) {
 	}
 }
 
-func TestActivityLog(t *testing.T) {
-	e := New(nil, WithActivityLog(3))
-	e.SetPermissions("m", permlang.MustParse("PERM read_statistics LIMITING PORT_LEVEL").Set())
-
-	allow := &core.Call{App: "m", Token: core.TokenReadStatistics, StatsLevel: of.StatsPort}
-	deny := &core.Call{App: "m", Token: core.TokenReadStatistics, StatsLevel: of.StatsFlow}
-	e.Check(allow)
-	e.Check(deny)
-	e.Check(allow)
-	e.Check(deny) // 4 records into capacity 3: oldest evicted
-
-	log := e.Log()
-	if log.Total() != 4 {
-		t.Errorf("Total = %d", log.Total())
-	}
-	recs := log.Records()
-	if len(recs) != 3 {
-		t.Fatalf("retained %d", len(recs))
-	}
-	// Oldest-first: deny, allow, deny.
-	if recs[0].Allowed || !recs[1].Allowed || recs[2].Allowed {
-		t.Errorf("order wrong: %v", recs)
-	}
-	if len(log.Denials()) != 2 {
-		t.Errorf("denials = %v", log.Denials())
-	}
-	if recs[0].String() == "" {
-		t.Error("empty record rendering")
-	}
-}
-
 func TestTransactionCommit(t *testing.T) {
 	e := New(nil)
 	e.SetPermissions("app", permlang.MustParse("PERM insert_flow LIMITING MAX_PRIORITY 100").Set())
