@@ -184,8 +184,8 @@ func (r *resourceState) sweep(now time.Time, drops uint64) ([]QuotaBreach, int) 
 // QuotaCheckInterval; tests call it directly with controlled clocks.
 // Each breach emits a resource audit event; the first breach per app
 // also captures a diagnostic bundle (subject to the bundler's cooldown
-// and its automatic-capture gate). An app breaching on QuotaEscalateAfter
-// consecutive sweeps is quarantined.
+// and its automatic-capture gate). An app breaching on
+// QuotaEscalateAfter consecutive sweeps is quarantined.
 func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 	containers := s.launched()
 	var all []QuotaBreach

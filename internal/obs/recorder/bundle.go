@@ -149,14 +149,10 @@ func (b *Bundler) SetDir(dir string) error {
 // SetCooldown adjusts the default bundler's per-(app,trigger) capture
 // rate limit and returns the previous one; d <= 0 disables rate limiting
 // (tests).
-func SetCooldown(d time.Duration) (prev time.Duration) { return defBundler.SetCooldown(d) }
-
-// SetCooldown adjusts the bundler's capture rate limit and returns the
-// previous one.
-func (b *Bundler) SetCooldown(d time.Duration) (prev time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	prev, b.cooldown = b.cooldown, d
+func SetCooldown(d time.Duration) (prev time.Duration) {
+	defBundler.mu.Lock()
+	defer defBundler.mu.Unlock()
+	prev, defBundler.cooldown = defBundler.cooldown, d
 	return prev
 }
 
