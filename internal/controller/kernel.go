@@ -31,12 +31,31 @@ import (
 )
 
 // Origin attributes a kernel request to the mediated app call that
-// caused it: the calling app and the correlation ID minted at the
-// isolation boundary. The zero Origin means "no call provenance"
-// (kernel-internal or legacy callers).
+// caused it: the calling app, the correlation ID minted at the isolation
+// boundary and the call's sampling decision, which the kernel's op
+// latencies follow. The zero Origin means "no call provenance"
+// (kernel-internal or legacy callers) and is never measured.
 type Origin struct {
-	App  string
-	Corr uint64
+	App    string
+	Corr   uint64
+	Sample obs.Sample
+}
+
+// start is when a kernel op on org's behalf began: now for a measured
+// call, zero otherwise.
+func (org Origin) start() time.Time {
+	if org.Sample.Measured() == 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeSince records the latency of a measurement begun at start; a
+// zero start is an unmeasured one.
+func observeSince(h *obs.Histogram, start time.Time) {
+	if !start.IsZero() {
+		h.Observe(time.Since(start))
+	}
 }
 
 // auditWire records the outcome of a wire-level send attributed to org
@@ -493,19 +512,26 @@ func (k *Kernel) Unsubscribe(kind EventKind, id int) {
 // MaxRetries times. Disconnects are never retried: the session is gone
 // and the caller should fail fast.
 func (k *Kernel) request(h *swHandle, msg of.Message) (of.Message, error) {
-	t := obs.StartTimer()
+	var start time.Time
+	if obs.On() {
+		start = time.Now()
+	}
 	reply, err := k.requestOnce(h, msg, k.cfg.RequestTimeout)
 	for attempt := 1; attempt <= k.cfg.MaxRetries && errors.Is(err, ErrTimeout); attempt++ {
 		mRetries.Inc()
+		// A stopped timer, not time.After: a disconnect mid-backoff must
+		// not leave the wait's timer live until it fires.
+		backoff := time.NewTimer(k.backoff(attempt))
 		select {
-		case <-time.After(k.backoff(attempt)):
+		case <-backoff.C:
 		case <-h.closed:
+			backoff.Stop()
 			mRequestDisconnects.Inc()
 			return nil, ErrSwitchDisconnected
 		}
 		reply, err = k.requestOnce(h, msg, k.cfg.RequestTimeout)
 	}
-	mRequestSeconds.ObserveTimer(t)
+	observeSince(mRequestSeconds, start)
 	switch {
 	case errors.Is(err, ErrTimeout):
 		mRequestTimeouts.Inc()
@@ -602,8 +628,7 @@ func (k *Kernel) InsertFlow(owner string, dpid of.DPID, spec FlowSpec) error {
 // that produced it.
 func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
 	owner := org.App
-	t := obs.StartTimer()
-	defer mOpInsert.ObserveTimer(t)
+	defer observeSince(mOpInsert, org.start())
 	h, err := k.handle(dpid)
 	if err != nil {
 		return err
@@ -661,8 +686,7 @@ func (k *Kernel) ModifyFlow(dpid of.DPID, match *of.Match, priority uint16, acti
 // ModifyFlowAs is ModifyFlow carrying call provenance for the flow-mod
 // audit event.
 func (k *Kernel) ModifyFlowAs(org Origin, dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	t := obs.StartTimer()
-	defer mOpModify.ObserveTimer(t)
+	defer observeSince(mOpModify, org.start())
 	h, err := k.handle(dpid)
 	if err != nil {
 		return err
@@ -709,8 +733,7 @@ func (k *Kernel) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, stri
 // DeleteFlowAs is DeleteFlow carrying call provenance for the flow-mod
 // audit event.
 func (k *Kernel) DeleteFlowAs(org Origin, dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
-	t := obs.StartTimer()
-	defer mOpDelete.ObserveTimer(t)
+	defer observeSince(mOpDelete, org.start())
 	h, err := k.handle(dpid)
 	if err != nil {
 		return err
@@ -780,8 +803,7 @@ func (k *Kernel) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, act
 // SendPacketOutAs is SendPacketOut carrying call provenance for the
 // packet-out audit event.
 func (k *Kernel) SendPacketOutAs(org Origin, dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) error {
-	t := obs.StartTimer()
-	defer mOpPacketOut.ObserveTimer(t)
+	defer observeSince(mOpPacketOut, org.start())
 	h, err := k.handle(dpid)
 	if err != nil {
 		return err

@@ -194,6 +194,40 @@ func TestRetriesExhaustedSurfacesTimeout(t *testing.T) {
 	}
 }
 
+// TestDisconnectDuringBackoffFailsPromptly: a switch whose session dies
+// while a timed-out request waits out its retry backoff fails the request
+// with ErrSwitchDisconnected at once, not when the hour-long backoff ends.
+func TestDisconnectDuringBackoffFailsPromptly(t *testing.T) {
+	k := New(nil, nil, KernelConfig{
+		RequestTimeout: 20 * time.Millisecond,
+		MaxRetries:     3,
+		RetryBackoff:   time.Hour,
+		BackoffJitter:  -1,
+	})
+	defer k.Stop()
+	sw := acceptFake(t, k, 11) // never answers the stats request
+	retries := mRetries.Value()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := k.SwitchStats(11)
+		errCh <- err
+	}()
+	waitFor(t, 2*time.Second, "the first retry's backoff", func() bool { return mRetries.Value() > retries })
+	closed := time.Now()
+	sw.Close()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrSwitchDisconnected) {
+			t.Fatalf("err = %v, want ErrSwitchDisconnected", err)
+		}
+		if elapsed := time.Since(closed); elapsed > time.Second {
+			t.Fatalf("request took %v after the disconnect to fail", elapsed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request still backing off 5s after the disconnect")
+	}
+}
+
 // TestProbeDeclaresDeadSwitch: a switch that handshakes and then goes
 // silent (without closing its connection) is declared dead after
 // ProbeMisses missed echoes and torn down.

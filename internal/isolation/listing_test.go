@@ -4,15 +4,17 @@ import (
 	"testing"
 
 	"sdnshield/internal/controller"
+	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 )
 
 // TestListingIsOneDecision pins what a listing costs the engine: at most
 // the one op-level decision, and nothing per row. Filtering rows to the
-// visible subset must not move Engine.Stats or emit permission events,
-// however many rows there are — an app paging through a big table would
-// otherwise flood the journal and skew the denial-rate detector.
+// visible subset must not move the decision counters or emit permission
+// events, however many rows there are — an app paging through a big
+// table would otherwise flood the journal and skew the denial-rate
+// detector.
 func TestListingIsOneDecision(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
@@ -60,12 +62,16 @@ func TestListingIsOneDecision(t *testing.T) {
 		{"Hosts", func(a API) (int, error) { r, err := a.Hosts(); return len(r), err }, 0, 1, 2},
 	}
 	j := audit.Default()
+	const decided = "sdnshield_permengine_checks_total"
+	engineStats := func() (checks, denials uint64) {
+		return uint64(obs.Default().TotalOf(decided)), uint64(obs.Default().TotalOfLabeled(decided, "decision", "deny"))
+	}
 	measure := func(appName string, list func(API) (int, error)) (rows int, checks, denials uint64, events int, err error) {
-		c0, d0 := env.shield.Engine().Stats()
+		c0, d0 := engineStats()
 		j.Flush()
 		seq := j.LastSeq()
 		rows, err = list(apis[appName])
-		c1, d1 := env.shield.Engine().Stats()
+		c1, d1 := engineStats()
 		j.Flush()
 		events = len(j.Query(audit.Filter{Kind: audit.KindPermission, App: appName, AfterSeq: seq}))
 		return rows, c1 - c0, d1 - d0, events, err

@@ -12,15 +12,11 @@ var (
 		"Mediated calls waiting in the KSD request channel (sampled at enqueue).")
 	mQuarantinedCalls = obs.Default().Counter("sdnshield_ksd_quarantined_calls_total",
 		"Mediated calls rejected because the app is quarantined.")
-
-	// mediatedSampler picks the 1-in-N mediated calls whose latency is
-	// measured; every traceOneIn-th of those also leaves its spans.
-	mediatedSampler obs.Sampler
 )
 
-// traceOneIn cuts the traced subset from the measured calls: one call in
-// 128 at the default latency sampling of 8 — cheap enough to leave on,
-// frequent enough that a second of traffic populates /traces.
+// traceOneIn cuts the traced subset from an app's measured calls: one
+// call in 128 at the default latency sampling of 8 — cheap enough to
+// leave on, frequent enough that a second of traffic populates /traces.
 const traceOneIn = 16
 
 // appCounters is the set of per-container lifecycle counters, created

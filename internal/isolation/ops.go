@@ -158,7 +158,8 @@ func callFor[T any](a *shieldedAPI, op *mediatedOp, in args, out func(*request) 
 	return out(r), err
 }
 
-// precheck is a Tx's check of a planned call: the op's own decision.
+// precheck is a Tx's check of a planned call: the op's own decision,
+// unnumbered, so neither measured nor heat-walked — the committed call is.
 func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
 	r := a.request(op, in)
 	defer r.put()
@@ -169,12 +170,13 @@ func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
 // check decides a built call, held in the request: stamped with the
 // caller and corr, its stateful attributes resolved — Engine.Resolve is
 // the one place insert_flow's owner and rule count are found, for the
-// live call and for Explain alike — and handed to the engine.
+// live call and for Explain alike — and handed to the engine under the
+// call's sampling decision, which every check of one call shares.
 func (r *request) check(call core.Call) error {
 	r.call = call
 	r.call.App, r.call.Corr = r.a.name, r.org.Corr
 	r.a.engine().Resolve(&r.call)
-	return r.a.engine().Check(&r.call)
+	return r.a.engine().CheckSampled(&r.call, r.org.Sample)
 }
 
 // listed is a listing's op-level decision: without the token the listing
@@ -619,18 +621,19 @@ func eventToken(kind controller.EventKind) (core.Token, bool) {
 	return eventTable[kind].token, true
 }
 
-// allowEvent runs the per-event permission check; subscribe admitted the
-// event's kind. The call and the match a packet-in presents live in a
-// pooled request.
-func (s *Shield) allowEvent(app string, ev controller.Event) bool {
+// allowEvent runs the per-event permission check of c's delivery;
+// subscribe admitted the event's kind. The delivery is numbered among
+// c's own, so each subscribed app's check is sampled at the same rates.
+// The call and the match a packet-in presents live in a pooled request.
+func (s *Shield) allowEvent(c *Container, ev controller.Event) bool {
 	e := eventTable[ev.Kind]
 	r := requests.Get().(*request)
 	defer r.put()
-	r.call = core.Call{App: app, Token: e.token, Event: core.CallbackObserve}
+	r.call = core.Call{App: c.name, Token: e.token, Event: core.CallbackObserve}
 	if e.describe != nil {
 		e.describe(ev, &r.call, &r.match)
 	}
-	return s.engine.Check(&r.call) == nil
+	return s.engine.CheckSampled(&r.call, obs.NewSample(c.deliveries.Add(1))) == nil
 }
 
 func (a *shieldedAPI) Subscribe(kind controller.EventKind, fn controller.Handler) error {

@@ -15,8 +15,8 @@ import (
 // Per-app resource accounting (§VI-A: deputies do work *on behalf of*
 // apps, so the shield — not the app — is where consumption is visible).
 // Every container carries a resourceState fed from the KSD hot path:
-// execution time and queue residency come from the latency sampler's
-// measured calls (1 in obs.LatencySampling, scaled back to full rate),
+// execution time and queue residency come from the app's measured calls
+// (1 in obs.LatencySampling of its own calls, scaled back to full rate),
 // allocation is estimated by sampling, and the goroutine gauge counts
 // container-owned workers plus calls in flight. Budgets declared in
 // market manifests (BUDGET statements) become soft quotas: a periodic
@@ -24,22 +24,23 @@ import (
 // audit event and a diagnostic bundle — and can, configurably, escalate
 // to quarantine.
 
-// allocSamplePeriod is the 1-in-N rate at which mediated calls bracket
-// their execution with process-allocation reads; each sampled delta is
-// scaled by N. Per-app attribution is an estimate — concurrent
-// goroutines' allocations land in whichever sample is open — but the
-// sustained rate converges on the app's share.
-const allocSamplePeriod = 64
+// allocOneIn is the 1-in-N side cut (obs.Sample.OneIn) of an app's
+// mediated calls that bracket their execution with process-allocation
+// reads; each sampled delta is scaled by N. Per-app attribution is an
+// estimate — concurrent goroutines' allocations land in whichever sample
+// is open — but the sustained rate converges on the app's share.
+const allocOneIn = 64
 
 // resourceState is one container's live consumption and its budget.
 type resourceState struct {
 	cpuNanos   atomic.Int64 // cumulative mediated-call execution time
 	waitNanos  atomic.Int64 // cumulative KSD queue residency
 	allocBytes atomic.Int64 // sampled allocation estimate
+	// calls counts the app's mediated calls and numbers each one for its
+	// sampling decision.
 	calls      atomic.Uint64
 	goroutines atomic.Int64 // container workers + calls in flight
 	breaches   atomic.Uint64
-	allocTick  atomic.Uint64
 
 	mu        sync.Mutex
 	budget    core.Budget
@@ -50,18 +51,12 @@ type resourceState struct {
 	streak    int // consecutive sweeps with at least one breach
 }
 
-// account charges one measured mediated call. weight is the latency
-// sampling period, which scales the sample back to full rate (1 when
-// every call is measured).
-func (r *resourceState) account(exec, wait time.Duration, weight int64) {
-	r.cpuNanos.Add(int64(exec) * weight)
-	r.waitNanos.Add(int64(wait) * weight)
-}
-
-// sampleAlloc reports whether this call should bracket its execution
-// with allocation reads.
-func (r *resourceState) sampleAlloc() bool {
-	return r.allocTick.Add(1)%allocSamplePeriod == 0
+// account charges one measured mediated call. every is the latency
+// sampling period the call was numbered under, which scales the sample
+// back to full rate (1 when every call is measured).
+func (r *resourceState) account(exec, wait time.Duration, every uint64) {
+	r.cpuNanos.Add(int64(exec) * int64(every))
+	r.waitNanos.Add(int64(wait) * int64(every))
 }
 
 func (r *resourceState) setBudget(b core.Budget) {

@@ -172,18 +172,17 @@ func (s *Shield) ksdLoop() {
 }
 
 // request is one mediated call on its way across the KSD hop and back, in
-// one pooled record: the op and its caller, the sampling decision taken
-// at enqueue, the call's own arguments, the call the engine checks, the
-// results and the reply channel. The caller owns a request from get to
-// put and reads the results before it puts it back; the deputy owns it
-// from pickup to its reply and never touches it after.
+// one pooled record: the op and its caller, whose origin carries the
+// sampling decision taken at enqueue, the call's own arguments, the call
+// the engine checks, the results and the reply channel. The caller owns a
+// request from get to put and reads the results before it puts it back;
+// the deputy owns it from pickup to its reply and never touches it after.
 type request struct {
 	a   *shieldedAPI
 	op  *mediatedOp
 	org controller.Origin
 
 	enq    time.Time // zero unless the call is measured
-	weight int64     // the sampling period measurements scale by
 	traced bool
 
 	args
@@ -250,15 +249,17 @@ func (r *request) put() {
 
 // hop is the KSD hop: it hands r to a deputy and waits for the reply —
 // the inter-thread hop whose cost the paper's end-to-end overhead
-// measurements capture. One sampler decision, taken before the enqueue,
-// gates all measurement: unsampled calls pay a single atomic add and no
-// clock read (time.Now() costs tens of nanoseconds against a microsecond
-// call), measured ones share their timestamps between the hop histogram,
-// r's op's latency histogram, the resource accounting (scaled back to
-// full rate by the sampling period) and — for every traceOneIn-th of them
-// — the call's spans under r.org's corr (/trace/<corr>, /traces). Every
-// decided call, sampled or not, leaves its permission event in the audit
-// journal under the same corr.
+// measurements capture. The call's one sampling decision, its ordinal
+// among its app's calls (the count /apps reports), is taken before the
+// enqueue and travels in r.org to the engine and the kernel; a request
+// without a container is not numbered and so never measured. Unsampled
+// calls read no clock (time.Now() costs tens of nanoseconds against a
+// microsecond call); measured ones share their timestamps between the
+// hop histogram, r's op's latency histogram, the resource accounting
+// (scaled back to full rate by the sampling period) and — for every
+// traceOneIn-th of them — the call's spans under r.org's corr
+// (/trace/<corr>, /traces). Every decided call, sampled or not, leaves
+// its permission event in the audit journal under the same corr.
 //
 // A call racing Stop is either enqueued before Stop closes the queue, and
 // then served, or returns ErrShieldStopped.
@@ -268,17 +269,16 @@ func (s *Shield) hop(r *request) error {
 		s.gate.RUnlock()
 		return ErrShieldStopped
 	}
-	if nth := mediatedSampler.Tick(); nth != 0 {
-		r.traced = nth%traceOneIn == 0
-		mKSDQueueDepth.Set(int64(len(s.reqCh)))
-		r.weight = max(int64(obs.LatencySampling()), 1)
-		r.enq = time.Now()
-	}
 	c := r.a.container
 	if c != nil {
-		c.res.calls.Add(1)
+		r.org.Sample = obs.NewSample(c.res.calls.Add(1))
 		c.res.goroutines.Add(1)
 		defer c.res.goroutines.Add(-1)
+	}
+	if nth := r.org.Sample.Measured(); nth != 0 {
+		r.traced = nth%traceOneIn == 0
+		mKSDQueueDepth.Set(int64(len(s.reqCh)))
+		r.enq = time.Now()
 	}
 	s.reqCh <- r
 	s.gate.RUnlock()
@@ -288,11 +288,7 @@ func (s *Shield) hop(r *request) error {
 		// the corr its audit events carry; the exemplar names the same ID.
 		d := time.Since(r.enq)
 		r.op.hist.ObserveTraced(d, r.org.Corr, r.enq)
-		var tenant string
-		if c != nil {
-			tenant = audit.TenantOf(c.name)
-		}
-		root := span.Mediated(r.org.Corr, r.op.name, tenant, r.enq, d)
+		root := span.Mediated(r.org.Corr, r.op.name, audit.TenantOf(c.name), r.enq, d)
 		span.Add(root, "ksd_queue", r.enq, r.wait)
 		span.Add(root, "exec", r.enq.Add(r.wait), r.exec)
 	} else if !r.enq.IsZero() {
@@ -304,7 +300,7 @@ func (s *Shield) hop(r *request) error {
 // serve runs one request on a deputy. What the bookkeeping after the
 // reply needs is copied out first: after it the request is the caller's.
 func (s *Shield) serve(r *request) {
-	c, traced, weight := r.a.container, r.traced, r.weight
+	c, traced, sample := r.a.container, r.traced, r.org.Sample
 	var pickup time.Time
 	var wait, exec time.Duration
 	if !r.enq.IsZero() {
@@ -312,9 +308,11 @@ func (s *Shield) serve(r *request) {
 		wait = pickup.Sub(r.enq)
 		mKSDHopSeconds.Observe(wait)
 	}
-	sampleAlloc := c != nil && c.res.sampleAlloc()
+	// Only a numbered call — one with a container — is measured or in a
+	// side cut, so c is set wherever it is used below.
+	bracket := sample.OneIn(allocOneIn)
 	var allocBefore int64
-	if sampleAlloc {
+	if bracket {
 		allocBefore = heapAllocBytes()
 	}
 	r.err = s.protect(r)
@@ -332,13 +330,13 @@ func (s *Shield) serve(r *request) {
 	if !traced && !pickup.IsZero() {
 		exec = time.Since(pickup)
 	}
-	if sampleAlloc {
+	if bracket {
 		if delta := heapAllocBytes() - allocBefore; delta > 0 {
-			c.res.allocBytes.Add(delta * allocSamplePeriod)
+			c.res.allocBytes.Add(delta * allocOneIn)
 		}
 	}
-	if c != nil && !pickup.IsZero() {
-		c.res.account(exec, wait, weight)
+	if !pickup.IsZero() {
+		c.res.account(exec, wait, sample.Every)
 	}
 }
 
@@ -519,6 +517,9 @@ type Container struct {
 
 	dropped atomic.Uint64
 	panics  atomic.Uint64
+	// deliveries numbers the events checked for delivery to the app, for
+	// each check's sampling decision.
+	deliveries atomic.Uint64
 
 	metrics appCounters
 	// res is the container's live resource accounting and soft quota
@@ -636,7 +637,7 @@ func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) 
 	c.handlers[kind] = append(slices.Clip(c.handlers[kind]), fn)
 	if _, wired := c.kernels[kind]; !wired {
 		id := c.shield.kernel.Subscribe(kind, func(ev controller.Event) {
-			if !c.shield.allowEvent(c.name, ev) {
+			if !c.shield.allowEvent(c, ev) {
 				return
 			}
 			ev = c.shield.redactEvent(c.name, ev)

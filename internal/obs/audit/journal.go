@@ -71,8 +71,7 @@ type Journal struct {
 	mask    uint64
 	shards  []jshard
 
-	emitted atomic.Uint64
-	drops   atomic.Uint64
+	drops atomic.Uint64
 
 	notify  chan struct{}
 	flushCh chan chan struct{}
@@ -152,8 +151,14 @@ func (j *Journal) Enabled() bool { return j.enabled.Load() }
 // SetEnabled flips the emit gate and returns the previous state.
 func (j *Journal) SetEnabled(v bool) bool { return j.enabled.Swap(v) }
 
-// Emitted reports how many events were accepted into the journal.
-func (j *Journal) Emitted() uint64 { return j.emitted.Load() }
+// Emitted reports how many events were accepted into the journal: every
+// event Emit numbered, less the ones a full shard dropped. Drops are read
+// first: an event is numbered before it can be dropped, so the difference
+// never goes below zero.
+func (j *Journal) Emitted() uint64 {
+	drops := j.Drops()
+	return j.LastSeq() - drops
+}
 
 // Drops reports how many events were dropped on full shards.
 func (j *Journal) Drops() uint64 { return j.drops.Load() }
@@ -207,7 +212,6 @@ func (j *Journal) Emit(ev Event) {
 	sh.buf[sh.n] = ev
 	sh.n++
 	sh.mu.Unlock()
-	j.emitted.Add(1)
 	mEmitted.Inc()
 	select {
 	case j.notify <- struct{}{}:

@@ -54,22 +54,18 @@ func BenchmarkHistogramObserveDisabled(b *testing.B) {
 	})
 }
 
-func BenchmarkTimerObserve(b *testing.B) {
-	h := NewRegistry().Histogram("bench_seconds", "h")
+// BenchmarkSampleDecision is the whole tracing cost of an unsampled
+// call: the one decision hot paths take, from an ordinal the caller
+// already counts, before measuring anything.
+func BenchmarkSampleDecision(b *testing.B) {
+	var measured uint64
 	for i := 0; i < b.N; i++ {
-		t := StartTimer()
-		h.ObserveTimer(t)
+		measured += NewSample(uint64(i) + 1).Measured()
 	}
+	sampleSink = measured
 }
 
-// BenchmarkSamplerTick is the whole tracing cost of an unsampled call:
-// the one decision hot paths take before measuring anything.
-func BenchmarkSamplerTick(b *testing.B) {
-	var s Sampler
-	for i := 0; i < b.N; i++ {
-		s.Tick()
-	}
-}
+var sampleSink uint64
 
 // BenchmarkHistogramObserveTraced is the satellite guard for the
 // exemplar hot path: a traced observation inside the exemplar refresh

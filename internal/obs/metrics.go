@@ -161,15 +161,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.ObserveTraced(d, 0, time.Time{})
 }
 
-// ObserveTimer records the elapsed time of an active timer; inactive
-// timers (obs disabled at StartTimer time) are ignored.
-func (h *Histogram) ObserveTimer(t Timer) {
-	if h == nil || t.start.IsZero() {
-		return
-	}
-	h.ObserveTraced(time.Since(t.start), 0, time.Time{})
-}
-
 // ObserveTraced records one latency and, when the observation belongs to
 // a trace (traceID != 0, started at start), publishes the trace as the
 // bucket's exemplar. The trace ID is the one /trace/<id> serves.

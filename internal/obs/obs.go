@@ -24,7 +24,6 @@ package obs
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -97,30 +96,15 @@ func StackHash() uint64 {
 func shardIndex() uint64 { return (StackHash() >> 56) & shardMask }
 
 // ---------------------------------------------------------------------------
-// Timers
-
-// Timer captures a start timestamp only when instrumentation is enabled,
-// so disabled mode skips the clock reads entirely.
-type Timer struct{ start time.Time }
-
-// StartTimer begins a latency measurement; the zero Timer (returned when
-// obs is disabled) makes every subsequent observation a no-op.
-func StartTimer() Timer {
-	if !On() {
-		return Timer{}
-	}
-	return Timer{start: time.Now()}
-}
-
-// ---------------------------------------------------------------------------
 // Latency sampling
 
 // latEvery is the process-wide 1-in-N rate for hot-path latency
 // measurements. Counters stay exact on every call; clock reads and
 // histogram observations — the expensive part of instrumenting a
 // sub-microsecond path — are taken for one call in N. The default of 8
-// keeps histograms statistically dense while holding the per-call cost to
-// a single atomic add for the unsampled majority.
+// keeps histograms statistically dense while the unsampled majority reads
+// no clock. A call reads it once, when it is numbered (NewSample), and
+// accounting scales its measurement by the N it carries.
 var latEvery atomic.Int64
 
 // SetLatencySampling sets the 1-in-N latency sampling rate; n <= 1
@@ -130,32 +114,39 @@ func SetLatencySampling(n int) int {
 	return int(latEvery.Swap(int64(n)))
 }
 
-// LatencySampling returns the current 1-in-N latency sampling rate.
-// Accounting built on sampled measurements scales them back to full
-// rate with it.
-func LatencySampling() int { return int(latEvery.Load()) }
+// Sample is a call's one sampling decision: its 1-based ordinal N among
+// the calls of whoever numbered it (a mediated call's app), and the
+// latency sampling period Every in force when it was numbered, 0 while
+// instrumentation was off. Every sampled instrument cuts its share from
+// N at a rate it keeps beside itself, so one count decides them all and
+// the decision travels with the call. The zero Sample, a call nobody
+// numbered, falls in no cut.
+type Sample struct {
+	N, Every uint64
+}
 
-// Sampler is a per-call-site tick counter deciding which calls get their
-// latency measured. The zero value is ready to use.
-type Sampler struct{ n atomic.Uint64 }
-
-// Hit reports whether this call should be measured: false while
-// instrumentation is disabled, one call in SetLatencySampling's N
-// otherwise. Cost on the unsampled path is one atomic add.
-func (s *Sampler) Hit() bool { return s.Tick() != 0 }
-
-// Tick is Hit that also numbers the measured calls: 0 for a call that is
-// not measured, otherwise the call's 1-based position among the calls
-// this sampler has measured. A site that keeps more for a fraction of
-// its measured calls (isolation traces every 16th) cuts that fraction
-// from the position and needs no second counter.
-func (s *Sampler) Tick() uint64 {
+// NewSample is the decision for the call numbered n.
+func NewSample(n uint64) Sample {
 	if !enabled.Load() {
+		return Sample{N: n}
+	}
+	return Sample{N: n, Every: uint64(max(latEvery.Load(), 1))}
+}
+
+// Measured numbers the measured calls: 0 for a call whose latency is not
+// measured, otherwise its 1-based position among the measured calls. A
+// site that keeps more for a fraction of its measured calls (isolation
+// traces every 16th) cuts that fraction from the position.
+func (s Sample) Measured() uint64 {
+	if s.Every == 0 || s.N%s.Every != 0 {
 		return 0
 	}
-	every := uint64(max(latEvery.Load(), 1))
-	if n := s.n.Add(1); n%every == 0 {
-		return n / every
-	}
-	return 0
+	return s.N / s.Every
 }
+
+// OneIn reports whether the call is the first of its block of k, the cut
+// a side instrument takes (the heat walk, the allocation bracket). The
+// measured calls end their blocks, so at the default period no measured
+// latency carries a side instrument's cost. It does not look at Every:
+// whether a side instrument follows the obs switch is its own decision.
+func (s Sample) OneIn(k uint64) bool { return s.N != 0 && (s.N-1)%k == 0 }

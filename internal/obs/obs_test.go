@@ -94,17 +94,16 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 }
 
-// TestSamplerTickNumbersMeasuredCalls pins what a site that keeps more
-// for a fraction of its measured calls relies on: one call in N is
-// measured, and the measured calls are numbered consecutively.
-func TestSamplerTickNumbersMeasuredCalls(t *testing.T) {
+// TestSampleNumbersMeasuredCalls pins what a site that keeps more for a
+// fraction of its measured calls relies on: one call in N is measured,
+// and the measured calls are numbered consecutively.
+func TestSampleNumbersMeasuredCalls(t *testing.T) {
 	for _, every := range []int{1, 4} {
 		prev := SetLatencySampling(every)
-		var s Sampler
 		var got []uint64
-		for i := 0; i < 8*every; i++ {
-			if n := s.Tick(); n != 0 {
-				got = append(got, n)
+		for n := uint64(1); n <= uint64(8*every); n++ {
+			if m := NewSample(n).Measured(); m != 0 {
+				got = append(got, m)
 			}
 		}
 		SetLatencySampling(prev)
@@ -129,17 +128,48 @@ func TestDisabledInstrumentsAreNoops(t *testing.T) {
 	c.Inc()
 	h.Observe(time.Millisecond)
 	g.Set(9)
-	tm := StartTimer()
-	if tm != (Timer{}) {
-		t.Fatal("timer started while disabled")
-	}
-	h.ObserveTimer(tm)
 	if c.Value() != 0 || h.Count() != 0 || g.Value() != 0 {
 		t.Fatalf("disabled instruments recorded: c=%d h=%d g=%d", c.Value(), h.Count(), g.Value())
 	}
-	var s Sampler
-	if s.Hit() || s.Tick() != 0 {
-		t.Fatal("sampler measured a call while disabled")
+	prevEvery := SetLatencySampling(1)
+	defer SetLatencySampling(prevEvery)
+	if s := NewSample(1); s.Measured() != 0 || !s.OneIn(1) {
+		t.Fatalf("sample %+v: measured while disabled, or dropped from a side cut that ignores the switch", s)
+	}
+}
+
+// TestSampleCutsAreDisjoint pins the shape of the one decision at the
+// default period of 8: of 10⁵ calls exactly one in 8 is measured and one
+// in 128 traced (every 16th measured one), the side cuts a heat walk or
+// an allocation bracket take (one in 64) are exact, and no measured call
+// is in a side cut. The zero Sample is in none.
+func TestSampleCutsAreDisjoint(t *testing.T) {
+	prev := SetLatencySampling(8)
+	defer SetLatencySampling(prev)
+	const calls, side = 100000, 64
+	var measured, traced, cut int
+	for n := uint64(1); n <= calls; n++ {
+		s := NewSample(n)
+		m := s.Measured()
+		if m != 0 {
+			measured++
+			if m%16 == 0 {
+				traced++
+			}
+		}
+		if s.OneIn(side) {
+			cut++
+			if m != 0 {
+				t.Fatalf("call %d is both measured and in the 1-in-%d side cut", n, side)
+			}
+		}
+	}
+	if measured != calls/8 || traced != calls/128 || cut != (calls+side-1)/side {
+		t.Fatalf("measured %d, traced %d, side cut %d of %d calls; want %d, %d, %d",
+			measured, traced, cut, calls, calls/8, calls/128, (calls+side-1)/side)
+	}
+	if z := (Sample{}); z.Measured() != 0 || z.OneIn(1) {
+		t.Fatal("an unnumbered call fell in a cut")
 	}
 }
 

@@ -17,6 +17,7 @@ func TestConcurrentChecksAndUpdates(t *testing.T) {
 	narrow := permlang.MustParse("PERM insert_flow LIMITING ACTION FORWARD").Set()
 	wide := permlang.MustParse("PERM insert_flow").Set()
 	e.SetPermissions("app", narrow)
+	checks0, denials0 := decisions()
 
 	forward := func() *core.Call {
 		return &core.Call{
@@ -71,9 +72,9 @@ func TestConcurrentChecksAndUpdates(t *testing.T) {
 	}()
 	wg.Wait()
 
-	checks, denials := e.Stats()
-	if checks == 0 || denials == 0 {
-		t.Errorf("stats = (%d, %d)", checks, denials)
+	checks, denials := decisions()
+	if checks == checks0 || denials == denials0 {
+		t.Errorf("checks_total moved by (%d, %d), want checks and denials", checks-checks0, denials-denials0)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdnshield/internal/core"
+	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 )
@@ -125,22 +126,17 @@ var sideArms = []struct {
 
 // diffHistory is everything one single-threaded run leaves behind.
 type diffHistory struct {
-	Details         []string // DeniedError.Detail per call, "" when allowed
-	Checks, Denials uint64
+	Details         []string      // DeniedError.Detail per call, "" when allowed
+	Checks, Denials uint64        // sdnshield_permengine_checks_total deltas
 	Audit           []audit.Event // Seq and Time zeroed
-	CheckedTotal    uint64        // sdnshield_permengine_checks_total delta, all series
 	Retained        []RetainedDenialInfo
 }
 
-// checksTotal sums sdnshield_permengine_checks_total over its token
-// slots (the corpus names no unknown token, so the shared catch-all
-// series never moves).
-func checksTotal() uint64 {
-	var n uint64
-	for i := range mChecksAllow {
-		n += mChecksAllow[i].Value() + mChecksDeny[i].Value()
-	}
-	return n
+// decisions reads sdnshield_permengine_checks_total: every decision the
+// engines made, and the denials among them.
+func decisions() (checks, denials uint64) {
+	const name = "sdnshield_permengine_checks_total"
+	return uint64(obs.Default().TotalOf(name)), uint64(obs.Default().TotalOfLabeled(name, "decision", "deny"))
 }
 
 // runDiffHistory replays the calls through Check on a fresh engine at
@@ -148,10 +144,10 @@ func checksTotal() uint64 {
 // each verdict with the oracle.
 func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls []*core.Call) diffHistory {
 	t.Helper()
-	prevEnabled, prevEvery := SetHeatEnabled(heat), SetHeatSampling(1)
+	prevEnabled, prevEvery := SetHeatEnabled(heat), setHeatOneIn(1)
 	defer func() {
 		SetHeatEnabled(prevEnabled)
-		SetHeatSampling(prevEvery)
+		setHeatOneIn(prevEvery)
 	}()
 	e := New(nil)
 	for app, set := range policy {
@@ -160,7 +156,8 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 	j := audit.Default()
 	// Start from drained shards: a full one drops what Check emits here.
 	j.Flush()
-	startSeq, startTotal, startSampled := j.LastSeq(), checksTotal(), heatSampled.Load()
+	startSeq, startSampled := j.LastSeq(), heatSampled.Load()
+	startChecks, startDenials := decisions()
 
 	var h diffHistory
 	for i, orig := range calls {
@@ -185,9 +182,10 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 		h.Details = append(h.Details, detail)
 	}
 
-	h.Checks, h.Denials = e.Stats()
+	checks, denials := decisions()
+	h.Checks, h.Denials = checks-startChecks, denials-startDenials
 	if h.Checks != uint64(len(calls)) {
-		t.Fatalf("Stats counted %d checks for %d Check calls: a side arm is not side-effect free", h.Checks, len(calls))
+		t.Fatalf("checks_total counted %d checks for %d Check calls: a side arm is not side-effect free", h.Checks, len(calls))
 	}
 	wantSampled := uint64(0)
 	if heat {
@@ -203,7 +201,6 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 			h.Audit = append(h.Audit, ev)
 		}
 	}
-	h.CheckedTotal = checksTotal() - startTotal
 	for _, rd := range e.RetainedDenials(0) {
 		rd.Time = time.Time{}
 		h.Retained = append(h.Retained, rd)
@@ -215,8 +212,8 @@ func runDiffHistory(t *testing.T, heat bool, policy map[string]*core.Set, calls 
 // seeded random policy × call corpora, the oracle core.Set.Allows, Check
 // with heat sampling off, Check at sampling 1 and every side-effect-free
 // entry point return the same verdict for every call, and the two Check
-// histories are indistinguishable — same denial details, Stats, audit
-// events, retained denials and checks_total.
+// histories are indistinguishable — same denial details, checks_total
+// decisions, audit events and retained denials.
 func TestDifferentialOneSemantics(t *testing.T) {
 	prevAudit := audit.SetEnabled(true)
 	defer audit.SetEnabled(prevAudit)
@@ -234,9 +231,8 @@ func TestDifferentialOneSemantics(t *testing.T) {
 
 		off := runDiffHistory(t, false, policy, calls)
 		on := runDiffHistory(t, true, policy, calls)
-		if len(off.Audit) != callsPerSeed || off.CheckedTotal != callsPerSeed {
-			t.Fatalf("seed %d: history has %d audit events, checks_total +%d; want %d each",
-				seed, len(off.Audit), off.CheckedTotal, callsPerSeed)
+		if len(off.Audit) != callsPerSeed {
+			t.Fatalf("seed %d: history has %d audit events, want %d", seed, len(off.Audit), callsPerSeed)
 		}
 		if off.Denials == 0 || off.Denials == off.Checks {
 			t.Fatalf("seed %d: degenerate corpus, %d denials of %d checks", seed, off.Denials, off.Checks)

@@ -9,11 +9,11 @@ package permengine
 // be hoisted first; a dimension that never fails can be dropped from the
 // fast path.
 //
-// Cost model: the unsampled majority of checks pays exactly one atomic
-// add (the sampler tick). One check in N (SetHeatSampling, default 64)
-// carries a heat probe through the engine's one decision routine
-// (permengine.go): the same clause walk, with each clause timed and
-// counted into the grant's slab.
+// Cost model: the unsampled majority of checks pays nothing for heat —
+// the decision is a cut of the call's sample, numbered by its caller.
+// One check in heatOneIn carries a heat probe through the engine's one
+// decision routine (permengine.go): the same clause walk, with each
+// clause timed and counted into the grant's slab.
 
 import (
 	"sort"
@@ -72,20 +72,20 @@ func (g *grant) cell(shard, clause, slot int) *atomic.Uint64 {
 // ---------------------------------------------------------------------------
 // Sampling
 
+// heatOneIn is the heat walk's rate: one check in 64, the side cut
+// (obs.Sample.OneIn) of the call's sample. It is fixed; a variable only
+// so that tests can walk every check (export_test.go).
+var heatOneIn uint64 = 64
+
 var (
 	heatEnabled atomic.Bool
-	heatEvery   atomic.Int64
-	heatTick    atomic.Uint64
 	// heatSampled counts checks that took the instrumented route;
 	// consumers scale clause counts back to full rate with
 	// total-checks / heatSampled.
 	heatSampled atomic.Uint64
 )
 
-func init() {
-	heatEnabled.Store(true)
-	heatEvery.Store(64)
-}
+func init() { heatEnabled.Store(true) }
 
 // HeatEnabled reports whether heat profiling is live.
 func HeatEnabled() bool { return heatEnabled.Load() }
@@ -94,30 +94,9 @@ func HeatEnabled() bool { return heatEnabled.Load() }
 // Counters are retained across off/on cycles.
 func SetHeatEnabled(v bool) bool { return heatEnabled.Swap(v) }
 
-// SetHeatSampling sets the 1-in-N rate at which checks take the
-// instrumented per-clause route; n <= 1 profiles every check (tests and
-// the heat bench use this for exact counts). Returns the previous rate.
-func SetHeatSampling(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(heatEvery.Swap(int64(n)))
-}
-
-// HeatSampling returns the current 1-in-N heat sampling rate.
-func HeatSampling() int { return int(heatEvery.Load()) }
-
-// heatHit decides whether this check is profiled. Cost on the unsampled
-// path: one atomic load + one atomic add.
-func heatHit() bool {
-	if !heatEnabled.Load() || !obs.On() {
-		return false
-	}
-	every := heatEvery.Load()
-	if every <= 1 {
-		return true
-	}
-	return heatTick.Add(1)%uint64(every) == 0
+// heatWalks reports whether the check of a call sampled s is profiled.
+func heatWalks(s obs.Sample) bool {
+	return s.OneIn(heatOneIn) && heatEnabled.Load() && obs.On()
 }
 
 // heatShard picks the caller's stripe off obs's stack-address hash.
@@ -221,7 +200,7 @@ type HeatProfile struct {
 func (e *Engine) HeatSnapshot() HeatProfile {
 	p := HeatProfile{
 		Enabled:       HeatEnabled(),
-		SamplingEvery: HeatSampling(),
+		SamplingEvery: int(heatOneIn),
 		SampledChecks: heatSampled.Load(),
 		NoManifest:    e.heatNoManifest.Load(),
 		Ungranted:     e.heatUngranted.Load(),

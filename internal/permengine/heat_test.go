@@ -13,10 +13,10 @@ import (
 func heatTestSampling(t *testing.T) {
 	t.Helper()
 	prevEnabled := SetHeatEnabled(true)
-	prevEvery := SetHeatSampling(1)
+	prevEvery := setHeatOneIn(1)
 	t.Cleanup(func() {
 		SetHeatEnabled(prevEnabled)
-		SetHeatSampling(prevEvery)
+		setHeatOneIn(prevEvery)
 	})
 }
 
@@ -130,10 +130,10 @@ func TestHeatDenialTaxonomy(t *testing.T) {
 // profile (a new set is a new profile).
 func TestHeatSamplingToggle(t *testing.T) {
 	prevEnabled := SetHeatEnabled(false)
-	prevEvery := SetHeatSampling(1)
+	prevEvery := setHeatOneIn(1)
 	defer func() {
 		SetHeatEnabled(prevEnabled)
-		SetHeatSampling(prevEvery)
+		setHeatOneIn(prevEvery)
 	}()
 
 	e := New(nil)

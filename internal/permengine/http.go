@@ -65,7 +65,7 @@ func handleHeat(w http.ResponseWriter, r *http.Request) {
 		Enabled       bool                   `json:"enabled"`
 		SamplingEvery int                    `json:"sampling_every"`
 		Engines       map[string]HeatProfile `json:"engines"`
-	}{HeatEnabled(), HeatSampling(), make(map[string]HeatProfile, len(engines))}
+	}{HeatEnabled(), int(heatOneIn), make(map[string]HeatProfile, len(engines))}
 	app := r.URL.Query().Get("app")
 	for name, e := range engines {
 		p := e.HeatSnapshot()

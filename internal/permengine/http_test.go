@@ -17,13 +17,13 @@ import (
 func httpTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	prevEnabled := SetHeatEnabled(true)
-	prevEvery := SetHeatSampling(1)
+	prevEvery := setHeatOneIn(1)
 	e := New(nil)
 	unreg := RegisterEngine("http-test", e)
 	t.Cleanup(func() {
 		unreg()
 		SetHeatEnabled(prevEnabled)
-		SetHeatSampling(prevEvery)
+		setHeatOneIn(prevEvery)
 	})
 	e.SetPermissions("m", permlang.MustParse(
 		"PERM insert_flow LIMITING MAX_PRIORITY 100 AND ACTION FORWARD").Set())

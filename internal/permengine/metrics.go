@@ -16,9 +16,6 @@ var (
 
 	mChecksAllow [maxTokenSlots]*obs.Counter
 	mChecksDeny  [maxTokenSlots]*obs.Counter
-
-	// checkSampler picks the 1-in-N checks whose latency is measured.
-	checkSampler obs.Sampler
 )
 
 // maxTokenSlots bounds the token-indexed counter arrays; core.Token is a

@@ -248,8 +248,9 @@ type Engine struct {
 	mu   sync.RWMutex
 	apps map[string]*compiled
 
-	checks    atomic.Uint64
-	denials   atomic.Uint64
+	// calls numbers the checks made outside a mediated call (Check), for
+	// their sampling decision.
+	calls     atomic.Uint64
 	apiPanics atomic.Uint64
 
 	// Heat-profile denial counters for calls that never reach a compiled
@@ -345,24 +346,33 @@ func (e *Engine) Resolve(call *core.Call) {
 	}
 }
 
-// Check mediates one API call: resolves stateful attributes, evaluates
-// the app's compiled permission, journals the decision, and returns a
-// *DeniedError on denial. Decision counters are exact; check latency is
-// sampled (obs.SetLatencySampling) so the unsampled majority of calls
-// pays no clock reads, and one check in N (SetHeatSampling) carries the
-// heat probe.
+// Check mediates one API call made outside a mediated call (probes,
+// tests, offline tools): CheckSampled, numbered by the engine's own count
+// of such checks.
 func (e *Engine) Check(call *core.Call) error {
+	return e.CheckSampled(call, obs.NewSample(e.calls.Add(1)))
+}
+
+// CheckSampled mediates one API call under its call's sampling decision
+// s: resolves stateful attributes, evaluates the app's compiled
+// permission, journals the decision, and returns a *DeniedError on
+// denial. Decision counters are exact; the check's latency is measured
+// when s is, so the unsampled majority pays no clock reads, and one
+// check in heatOneIn carries the heat probe.
+func (e *Engine) CheckSampled(call *core.Call, s obs.Sample) error {
 	var p *probe
-	if heatHit() {
+	if heatWalks(s) {
 		heatSampled.Add(1)
 		p = &heatProbe
 	}
-	var t obs.Timer
-	if checkSampler.Hit() {
-		t = obs.StartTimer()
+	var start time.Time
+	if s.Measured() != 0 {
+		start = time.Now()
 	}
 	reason, detail := e.decide(call, p)
-	mCheckSeconds.ObserveTimer(t)
+	if !start.IsZero() {
+		mCheckSeconds.Observe(time.Since(start))
+	}
 	countCheck(call.Token, reason == ReasonAllowed)
 	if reason != ReasonAllowed {
 		return &DeniedError{App: call.App, Token: call.Token, Detail: detail}
@@ -372,10 +382,9 @@ func (e *Engine) Check(call *core.Call) error {
 
 // decide is the engine's one decision routine. It finds the app's grant
 // for the call's token, resolves the stateful attributes and walks the
-// clause list; then, unless the probe is Explain's, it counts the
-// decision, retains a denial for /explain?corr=, and writes the audit
-// journal. The reason is one of the Reason constants;
-// detail is empty when the call is allowed.
+// clause list; then, unless the probe is Explain's, it retains a denial
+// for /explain?corr= and writes the audit journal. The reason is one of
+// the Reason constants; detail is empty when the call is allowed.
 func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	c, g := e.grantFor(call.App, call.Token)
 	reason = ReasonAllowed
@@ -396,10 +405,8 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	if p != nil {
 		e.heatVerdict(g, reason)
 	}
-	e.checks.Add(1)
 	allowed := reason == ReasonAllowed
 	if !allowed {
-		e.denials.Add(1)
 		e.retainDenial(call)
 	}
 	auditDecision(call, allowed, detail)
@@ -451,11 +458,6 @@ func auditDecision(call *core.Call, allowed bool, detail string) {
 		ev.DPID = uint64(call.DPID)
 	}
 	audit.Emit(ev)
-}
-
-// Stats reports cumulative check and denial counts.
-func (e *Engine) Stats() (checks, denials uint64) {
-	return e.checks.Load(), e.denials.Load()
 }
 
 // CountAPIPanic records a panic absorbed inside a mediated API call — the

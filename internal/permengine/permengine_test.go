@@ -57,6 +57,7 @@ func TestCheckTokenAndFilter(t *testing.T) {
 	e := New(&fakeState{})
 	e.SetPermissions("router", permlang.MustParse(
 		"PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS").Set())
+	checks0, denials0 := decisions()
 
 	// Allowed: forward rule, fresh flow.
 	call := insertFlowCall("router", of.IPv4FromOctets(10, 0, 0, 1), []of.Action{of.Output(2)})
@@ -84,9 +85,9 @@ func TestCheckTokenAndFilter(t *testing.T) {
 		t.Fatal("unknown app should deny")
 	}
 
-	checks, denials := e.Stats()
-	if checks != 4 || denials != 3 {
-		t.Errorf("stats = (%d, %d)", checks, denials)
+	checks, denials := decisions()
+	if checks-checks0 != 4 || denials-denials0 != 3 {
+		t.Errorf("checks_total moved by (%d, %d), want (4, 3)", checks-checks0, denials-denials0)
 	}
 }
 
