@@ -50,11 +50,13 @@ race-matrix:
 check: fmt-check vet race
 
 # bench runs the paper's benchmarks at the repo root (one per table and
-# figure of §IX, plus the mediated call and reconciliation) and the obs
-# instrument micro-benchmarks, each instrument enabled vs disabled.
+# figure of §IX, plus the mediated call and reconciliation), the obs
+# instrument micro-benchmarks, each instrument enabled vs disabled, and
+# the hosted-tenant call (Tenant.Do) on an idle and a shared shard.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ ./internal/obs/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/tenant/
 
 # bench-overhead enforces the 5% budget of the audit, span and heat
 # switches on the mediated call: with every instrument at its shipping

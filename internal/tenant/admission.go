@@ -88,14 +88,14 @@ func newBucket(rate, burst float64) *bucket {
 	return &bucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
 }
 
-// take consumes one token, or reports how long until one accrues.
-func (b *bucket) take() (ok bool, retryAfter time.Duration) {
+// take consumes one token as of now, or reports how long until one
+// accrues.
+func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	if b == nil {
 		return true, 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := time.Now()
 	b.tokens += now.Sub(b.last).Seconds() * b.rate
 	if b.tokens > b.burst {
 		b.tokens = b.burst

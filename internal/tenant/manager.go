@@ -36,7 +36,8 @@ type Config struct {
 	// WAL. "" runs everything in memory (no hydration, no persistence).
 	Dir string
 	// Shards is the consistent-hash shard count (default 4) and
-	// ShardWorkers the worker goroutines per shard (default 2).
+	// ShardWorkers the concurrent calls per shard (default 2); calls run
+	// on their callers' goroutines, beyond that they queue.
 	Shards       int
 	ShardWorkers int
 	// MaxResident bounds hydrated tenants; beyond it the least recently
@@ -253,7 +254,7 @@ func (m *Manager) Get(id string) (*Tenant, error) {
 	}
 	if t, ok := m.tenants[id]; ok {
 		m.mu.Unlock()
-		t.touch()
+		t.touch(time.Now())
 		return t, nil
 	}
 	m.mu.Unlock()
@@ -678,10 +679,10 @@ func (t *Tenant) Shard() int { return t.shard }
 func (t *Tenant) Weight() float64 { return t.admCfg.Weight }
 
 // touch records activity for idle eviction and refreshes the LRU
-// position — the list move is throttled to ~1s so the hot path takes
-// the manager lock at most once a second per tenant.
-func (t *Tenant) touch() {
-	now := time.Now().UnixNano()
+// position as of now — the list move is throttled to ~1s so the hot
+// path takes the manager lock at most once a second per tenant.
+func (t *Tenant) touch(at time.Time) {
+	now := at.UnixNano()
 	t.lastTouch.Store(now)
 	last := t.lastLRU.Load()
 	if now-last < int64(time.Second) || !t.lastLRU.CompareAndSwap(last, now) {
@@ -695,11 +696,12 @@ func (t *Tenant) touch() {
 	m.mu.Unlock()
 }
 
-// Do runs one mediated call for the tenant: token-bucket admission
-// first (hard refusal with retry-after, before any allocation), then
-// weighted-fair dispatch on the tenant's shard. The returned error is
-// fn's own, a *ThrottleError, ErrSuspended, ErrUnknownTenant (the
-// instance was evicted — re-Get it), or ErrManagerClosed.
+// Do runs one mediated call for the tenant on the calling goroutine:
+// token-bucket admission first (hard refusal with retry-after, before
+// any allocation), then weighted-fair dispatch on the tenant's shard.
+// The returned error is fn's own, ErrCallPanicked if fn panicked, a
+// *ThrottleError, ErrSuspended, ErrUnknownTenant (the instance was
+// evicted — re-Get it), or ErrManagerClosed.
 func (t *Tenant) Do(op string, fn func() error) error {
 	if t.State() != StateActive {
 		return fmt.Errorf("%w: %s", ErrSuspended, t.ID)
@@ -711,23 +713,22 @@ func (t *Tenant) Do(op string, fn func() error) error {
 		return fmt.Errorf("%w: %s (evicted)", ErrUnknownTenant, t.ID)
 	}
 	defer t.release()
-	if ok, retry := t.adm.calls.take(); !ok {
+	arrive := time.Now()
+	if ok, retry := t.adm.calls.take(arrive); !ok {
 		t.met.throttledCalls.Inc()
 		return &ThrottleError{Tenant: t.ID, Path: "call", RetryAfter: retry}
 	}
-	t.touch()
-	start := time.Now()
-	var err error
-	runErr := t.mgr.pool.Run(t.ID, t.admCfg.Weight, t.admCfg.MaxQueue, func() { err = fn() })
-	if runErr != nil {
-		if errors.Is(runErr, ErrPoolClosed) {
+	t.touch(arrive)
+	admitted, err := t.mgr.pool.run(t.shard, t.ID, t.admCfg.Weight, t.admCfg.MaxQueue, arrive, fn)
+	if !admitted {
+		if errors.Is(err, ErrPoolClosed) {
 			return ErrManagerClosed
 		}
 		t.met.throttledCalls.Inc()
 		return &ThrottleError{Tenant: t.ID, Path: "call", RetryAfter: 100 * time.Millisecond}
 	}
 	t.met.calls.Inc()
-	t.met.callSeconds.Observe(time.Since(start))
+	t.met.callSeconds.Observe(time.Since(arrive))
 	_ = op
 	return err
 }
@@ -739,11 +740,12 @@ func (t *Tenant) AdmitInstall() error {
 	if t.State() != StateActive {
 		return fmt.Errorf("%w: %s", ErrSuspended, t.ID)
 	}
-	if ok, retry := t.adm.installs.take(); !ok {
+	now := time.Now()
+	if ok, retry := t.adm.installs.take(now); !ok {
 		t.met.throttledInstalls.Inc()
 		return &ThrottleError{Tenant: t.ID, Path: "install", RetryAfter: retry}
 	}
-	t.touch()
+	t.touch(now)
 	return nil
 }
 

@@ -9,7 +9,7 @@ import (
 
 // The shard pool is the scheduling layer of tenancy: tenants are mapped
 // to shards by consistent hashing (so a tenant's work always lands on
-// the same worker set, and changing the shard count moves only ~1/n of
+// the same shard, and changing the shard count moves only ~1/n of
 // tenants), and inside each shard the backlogged tenants are served by
 // weighted fair queuing over a virtual clock — a tenant with weight 2
 // gets twice the service rate of a weight-1 neighbour while both are
@@ -17,6 +17,10 @@ import (
 
 // ErrPoolClosed reports a dispatch into a closed pool.
 var ErrPoolClosed = errors.New("tenant: shard pool closed")
+
+// ErrCallPanicked reports a call whose function panicked; the error
+// carries the panic value.
+var ErrCallPanicked = errors.New("tenant: call panicked")
 
 // fnv64a hashes a tenant ID for shard placement.
 func fnv64a(s string) uint64 {
@@ -41,40 +45,42 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// call is one queued unit of work and its completion signal. enq stamps
-// arrival so the dequeue can account backlog residency.
-type call struct {
-	fn   func()
-	done chan struct{}
+// waiter is one queued call: its arrival stamp, for residency, and the
+// signal a finishing call sends when it hands over its slot. Pooled.
+type waiter struct {
 	enq  time.Time
+	wake chan struct{}
 }
+
+var waiters = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
 
 // flow is one tenant's backlog within a shard. vt is the virtual finish
 // time of the flow's head call; the shard's heap orders backlogged flows
-// by it. Flows are created on first arrival and deleted when they drain,
-// so the map is bounded by the number of *backlogged* tenants.
+// by it. Flows are created on first queued arrival and deleted when they
+// drain, so the map is bounded by the number of *backlogged* tenants.
 type flow struct {
-	key     string
-	weight  float64
-	vt      float64
-	calls   []*call
-	heapIdx int
+	key    string
+	weight float64
+	vt     float64
+	calls  []*waiter
 }
 
-// shard is one worker set's queue state. The trailing counters are the
-// shard's WFQ telemetry (all guarded by mu, which the dispatch path
-// already holds where they are touched): cumulative arrivals and
-// completions, total backlog-residency time, and an EWMA of recent
-// residency so /tenants/shards shows "queue wait right now" rather than
-// a lifetime average.
+// shard is one slot set's queue state: up to slots calls run at once,
+// and the heap is non-empty only while all of them are held. The
+// trailing counters are the shard's WFQ telemetry (all guarded by mu,
+// which the dispatch path already holds where they are touched):
+// cumulative arrivals and starts, total backlog-residency time, and an
+// EWMA of recent residency so /tenants/shards shows "queue wait right
+// now" rather than a lifetime average.
 type shard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	vtime  float64
-	heap   []*flow
-	flows  map[string]*flow
-	depth  int // queued (not yet started) calls, for introspection
-	closed bool
+	mu      sync.Mutex
+	slots   int
+	running int
+	vtime   float64
+	heap    []*flow
+	flows   map[string]*flow
+	depth   int // queued (not yet started) calls, for introspection
+	closed  bool
 
 	enqueued  uint64
 	completed uint64
@@ -85,31 +91,26 @@ type shard struct {
 // residencyAlpha is the EWMA smoothing factor for backlog residency.
 const residencyAlpha = 0.125
 
-// ShardPool runs tenant work across a fixed set of shards, each with its
-// own worker pool and weighted-fair queue.
+// ShardPool runs tenant work on its callers' goroutines across a fixed
+// set of shards, each with a bounded number of slots and its own
+// weighted-fair queue. It starts no goroutines.
 type ShardPool struct {
 	shards []*shard
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // admitted calls, running or queued
 }
 
-// NewShardPool builds a pool of `shards` shards (min 1) with `workers`
-// goroutines each (min 1).
-func NewShardPool(shards, workers int) *ShardPool {
+// NewShardPool builds a pool of `shards` shards (min 1) running up to
+// `slots` calls each at once (min 1).
+func NewShardPool(shards, slots int) *ShardPool {
 	if shards < 1 {
 		shards = 1
 	}
-	if workers < 1 {
-		workers = 1
+	if slots < 1 {
+		slots = 1
 	}
 	p := &ShardPool{shards: make([]*shard, shards)}
 	for i := range p.shards {
-		sh := &shard{flows: make(map[string]*flow)}
-		sh.cond = sync.NewCond(&sh.mu)
-		p.shards[i] = sh
-		for w := 0; w < workers; w++ {
-			p.wg.Add(1)
-			go p.worker(sh)
-		}
+		p.shards[i] = &shard{slots: slots, flows: make(map[string]*flow)}
 	}
 	return p
 }
@@ -132,99 +133,116 @@ func (p *ShardPool) Depth(i int) int {
 	return sh.depth
 }
 
-// Run executes fn on the shard owning key, after weighted fair queuing
-// against the shard's other backlogged flows, and blocks until fn
-// returns. maxQueue > 0 bounds the flow's own backlog: arrival beyond it
-// is refused with an error (the caller surfaces throttling) instead of
-// queuing unboundedly.
+// Run executes fn on the calling goroutine once the shard owning key
+// grants it a slot, after weighted fair queuing against the shard's
+// other backlogged flows. maxQueue > 0 bounds the flow's own backlog:
+// arrival beyond it is refused with an error (the caller surfaces
+// throttling) instead of queuing unboundedly. A panic in fn returns
+// ErrCallPanicked.
 func (p *ShardPool) Run(key string, weight float64, maxQueue int, fn func()) error {
+	_, err := p.run(p.ShardOf(key), key, weight, maxQueue, time.Now(), func() error { fn(); return nil })
+	return err
+}
+
+// run is Run for a caller that knows key's shard, stamped its arrival
+// and has work that returns an error. admitted reports whether fn ran:
+// err is then fn's own (or ErrCallPanicked), otherwise the refusal.
+func (p *ShardPool) run(shard int, key string, weight float64, maxQueue int, arrive time.Time, fn func() error) (admitted bool, err error) {
 	if weight <= 0 {
 		weight = 1
 	}
-	sh := p.shards[p.ShardOf(key)]
-	c := &call{fn: fn, done: make(chan struct{}), enq: time.Now()}
+	sh := p.shards[shard]
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		return ErrPoolClosed
+		return false, ErrPoolClosed
 	}
 	f, ok := sh.flows[key]
-	if !ok {
-		f = &flow{key: key, weight: weight, heapIdx: -1}
-		sh.flows[key] = f
-	}
-	f.weight = weight
-	if maxQueue > 0 && len(f.calls) >= maxQueue {
+	if ok && maxQueue > 0 && len(f.calls) >= maxQueue {
 		sh.mu.Unlock()
-		return fmt.Errorf("tenant: flow %s backlog at %d", key, maxQueue)
+		return false, fmt.Errorf("tenant: flow %s backlog at %d", key, maxQueue)
 	}
-	if f.heapIdx < 0 {
+	sh.enqueued++
+	p.wg.Add(1)
+	if len(sh.heap) == 0 && sh.running < sh.slots {
+		// Work-conserving start: the clock advances as the dequeue of a
+		// newly backlogged flow's only call would advance it.
+		sh.running++
+		sh.vtime += 1 / weight
+		sh.started(time.Since(arrive))
+		sh.mu.Unlock()
+		return true, p.call(sh, fn)
+	}
+	if !ok {
 		// Newly backlogged: its head call finishes 1/weight virtual time
-		// after the later of now and its own last finish.
-		if f.vt < sh.vtime {
-			f.vt = sh.vtime
-		}
-		f.vt += 1 / f.weight
+		// after now.
+		f = &flow{key: key, vt: sh.vtime + 1/weight}
+		sh.flows[key] = f
 		sh.heapPush(f)
 	}
-	f.calls = append(f.calls, c)
+	f.weight = weight
+	w := waiters.Get().(*waiter)
+	w.enq = arrive
+	f.calls = append(f.calls, w)
 	sh.depth++
-	sh.enqueued++
-	sh.cond.Signal()
 	sh.mu.Unlock()
-	<-c.done
-	return nil
+	<-w.wake
+	waiters.Put(w)
+	return true, p.call(sh, fn)
 }
 
-// worker serves one shard: pop the minimum-virtual-finish-time flow's
-// head call, advance the clocks, run it.
-func (p *ShardPool) worker(sh *shard) {
-	defer p.wg.Done()
-	for {
-		sh.mu.Lock()
-		for len(sh.heap) == 0 && !sh.closed {
-			sh.cond.Wait()
+// call runs fn in a slot of sh and releases the slot however fn ends.
+func (p *ShardPool) call(sh *shard, fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrCallPanicked, r)
 		}
-		if len(sh.heap) == 0 && sh.closed {
-			sh.mu.Unlock()
-			return
-		}
-		f := sh.heap[0]
-		c := f.calls[0]
-		f.calls = f.calls[1:]
-		sh.depth--
-		wait := float64(time.Since(c.enq).Nanoseconds())
-		sh.completed++
-		sh.waitNs += uint64(wait)
-		sh.ewmaNs += (wait - sh.ewmaNs) * residencyAlpha
-		sh.vtime = f.vt
-		if len(f.calls) > 0 {
-			f.vt += 1 / f.weight
-			sh.heapFix(0)
-		} else {
-			sh.heapPop()
-			delete(sh.flows, f.key)
-		}
+		sh.release()
+		p.wg.Done()
+	}()
+	return fn()
+}
+
+// release hands a finished call's slot to the head call of the flow
+// with the lowest virtual finish time, or frees it when none is queued.
+func (sh *shard) release() {
+	sh.mu.Lock()
+	if len(sh.heap) == 0 {
+		sh.running--
 		sh.mu.Unlock()
-		runCall(c)
+		return
 	}
+	f := sh.heap[0]
+	w := f.calls[0]
+	f.calls[0] = nil
+	f.calls = f.calls[1:]
+	sh.depth--
+	sh.vtime = f.vt
+	sh.started(time.Since(w.enq))
+	if len(f.calls) > 0 {
+		f.vt += 1 / f.weight
+		sh.heapDown()
+	} else {
+		sh.heapPop()
+		delete(sh.flows, f.key)
+	}
+	sh.mu.Unlock()
+	w.wake <- struct{}{}
 }
 
-// runCall executes one call, converting a panic into completion so a
-// buggy callee cannot wedge its submitter (who is blocked on done).
-func runCall(c *call) {
-	defer close(c.done)
-	defer func() { _ = recover() }()
-	c.fn()
+// started accounts one call's start after wait in the backlog.
+func (sh *shard) started(wait time.Duration) {
+	sh.completed++
+	sh.waitNs += uint64(wait)
+	sh.ewmaNs += (float64(wait) - sh.ewmaNs) * residencyAlpha
 }
 
-// Close refuses new dispatches, lets the workers drain every queued
-// call, and waits for them to exit.
+// Close refuses new calls and returns once every admitted call, running
+// or queued, has finished.
 func (p *ShardPool) Close() {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		sh.closed = true
-		sh.cond.Broadcast()
 		sh.mu.Unlock()
 	}
 	p.wg.Wait()
@@ -251,8 +269,9 @@ type ShardStat struct {
 	// flow's head finish time and the shard clock — how far the fair
 	// scheduler is running behind its most-delayed tenant. 0 when idle.
 	VirtualTimeLag float64 `json:"virtual_time_lag"`
-	// ResidencyEWMAMicros is the smoothed backlog residency (enqueue →
-	// dequeue) of recent calls, in microseconds.
+	// ResidencyEWMAMicros is the smoothed backlog residency (arrival →
+	// start) of recent calls, in microseconds; ≈ 0 for a call that finds
+	// a free slot.
 	ResidencyEWMAMicros float64 `json:"residency_ewma_us"`
 	// ResidencyAvgMicros is the lifetime average backlog residency, in
 	// microseconds.
@@ -310,48 +329,34 @@ func (p *ShardPool) Imbalance() float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Min-heap of flows by virtual finish time. Hand-rolled over the shard's
-// slice so heapIdx stays coherent without container/heap's interface
-// indirection on the dispatch hot path.
+// Min-heap of flows by virtual finish time, hand-rolled over the shard's
+// slice to keep container/heap's interface indirection off the dispatch
+// hot path. Only the root is ever removed or re-keyed, and its key only
+// grows, so a sift-down restores order.
 
 func (sh *shard) heapPush(f *flow) {
-	f.heapIdx = len(sh.heap)
 	sh.heap = append(sh.heap, f)
-	sh.heapUp(f.heapIdx)
-}
-
-func (sh *shard) heapPop() *flow {
-	f := sh.heap[0]
-	last := len(sh.heap) - 1
-	sh.heap[0] = sh.heap[last]
-	sh.heap[0].heapIdx = 0
-	sh.heap = sh.heap[:last]
-	if last > 0 {
-		sh.heapDown(0)
-	}
-	f.heapIdx = -1
-	return f
-}
-
-func (sh *shard) heapFix(i int) {
-	sh.heapDown(i)
-	sh.heapUp(i)
-}
-
-func (sh *shard) heapUp(i int) {
-	for i > 0 {
+	for i := len(sh.heap) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if sh.heap[parent].vt <= sh.heap[i].vt {
 			break
 		}
-		sh.heapSwap(parent, i)
+		sh.heap[parent], sh.heap[i] = sh.heap[i], sh.heap[parent]
 		i = parent
 	}
 }
 
-func (sh *shard) heapDown(i int) {
+func (sh *shard) heapPop() {
+	last := len(sh.heap) - 1
+	sh.heap[0] = sh.heap[last]
+	sh.heap[last] = nil
+	sh.heap = sh.heap[:last]
+	sh.heapDown()
+}
+
+func (sh *shard) heapDown() {
 	n := len(sh.heap)
-	for {
+	for i := 0; ; {
 		left, small := 2*i+1, i
 		if left < n && sh.heap[left].vt < sh.heap[small].vt {
 			small = left
@@ -362,13 +367,7 @@ func (sh *shard) heapDown(i int) {
 		if small == i {
 			return
 		}
-		sh.heapSwap(i, small)
+		sh.heap[i], sh.heap[small] = sh.heap[small], sh.heap[i]
 		i = small
 	}
-}
-
-func (sh *shard) heapSwap(i, k int) {
-	sh.heap[i], sh.heap[k] = sh.heap[k], sh.heap[i]
-	sh.heap[i].heapIdx = i
-	sh.heap[k].heapIdx = k
 }

@@ -1,8 +1,11 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -136,5 +139,100 @@ func TestShardPoolImbalance(t *testing.T) {
 	}
 	if im := pool.Imbalance(); im != 3 {
 		t.Fatalf("single-key imbalance on 4 shards = %v, want 3", im)
+	}
+}
+
+// TestShardPoolSlotBound: callers on mixed keys never hold more than
+// the shard's slots at once, and every call is counted in and out.
+func TestShardPoolSlotBound(t *testing.T) {
+	for _, slots := range []int{1, 2} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			pool := NewShardPool(1, slots)
+			defer pool.Close()
+
+			const callers, perCaller = 16, 200
+			keys := []string{"a", "b", "c", "d", "e"}
+			var inFlight, high atomic.Int64
+			body := func() {
+				n := inFlight.Add(1)
+				for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
+				}
+				runtime.Gosched()
+				inFlight.Add(-1)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < perCaller; j++ {
+						if err := pool.Run(keys[(i+j)%len(keys)], float64(1+j%3), 0, body); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			if h := high.Load(); h < 1 || h > int64(slots) {
+				t.Fatalf("in-flight high-water mark = %d, want 1..%d", h, slots)
+			}
+			st := pool.ShardStats()[0]
+			if want := uint64(callers * perCaller); st.Enqueued != want || st.Completed != want {
+				t.Fatalf("enqueued/completed = %d/%d, want %d/%d", st.Enqueued, st.Completed, want, want)
+			}
+		})
+	}
+}
+
+// TestShardPoolCloseWaitsForAdmitted: the pool starts no goroutine, and
+// Close refuses new calls at once but returns only after a running call
+// and a call queued behind it have both finished.
+func TestShardPoolCloseWaitsForAdmitted(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewShardPool(16, 8)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewShardPool started %d goroutines", n-before)
+	}
+	pool.Close()
+
+	pool = NewShardPool(1, 1)
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	var finished atomic.Int32
+	results := make(chan error, 2)
+	go func() {
+		results <- pool.Run("running", 1, 0, func() { close(running); <-gate; finished.Add(1) })
+	}()
+	<-running
+	go func() { results <- pool.Run("queued", 1, 0, func() { finished.Add(1) }) }()
+	waitUntil(t, func() bool { return pool.Depth(0) == 1 })
+
+	closed := make(chan struct{})
+	go func() { pool.Close(); close(closed) }()
+	sh := pool.shards[0]
+	waitUntil(t, func() bool { sh.mu.Lock(); defer sh.mu.Unlock(); return sh.closed })
+	if err := pool.Run("late", 1, 0, func() {}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Run while closing err = %v, want ErrPoolClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a call was still running")
+	default:
+	}
+
+	close(gate)
+	<-closed
+	if n := finished.Load(); n != 2 {
+		t.Fatalf("Close returned after %d of 2 admitted calls finished", n)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("admitted call err = %v", err)
+		}
+	}
+	if err := pool.Run("late", 1, 0, func() {}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Run after Close err = %v, want ErrPoolClosed", err)
 	}
 }

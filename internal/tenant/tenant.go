@@ -11,10 +11,11 @@
 //     registry and verdict cache; app names cross into shared layers
 //     (shield runtimes, recorder, audit) prefixed "tenant/app", which is
 //     unambiguous because market app names themselves cannot contain '/'.
-//   - Scheduling: tenants are sharded across a worker pool by consistent
-//     (jump) hashing over the tenant ID; inside a shard, backlogged
-//     tenants are served by weighted fair queuing, so one tenant's
-//     burst cannot starve its shard neighbours beyond its weight.
+//   - Scheduling: tenants are sharded by consistent (jump) hashing over
+//     the tenant ID; a shard runs a bounded number of calls at once, each
+//     on its caller's goroutine, and serves backlogged tenants by
+//     weighted fair queuing, so one tenant's burst cannot starve its
+//     shard neighbours beyond its weight.
 //   - Admission: per-tenant token buckets bound the mediated-call and
 //     install rates *before* any per-call allocation happens; refusal is
 //     a typed ErrTenantThrottled carrying a retry-after, surfaced as

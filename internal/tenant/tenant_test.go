@@ -156,10 +156,10 @@ func TestShardPoolWeightedFairness(t *testing.T) {
 
 func TestShardPoolPanicAndClose(t *testing.T) {
 	pool := NewShardPool(2, 1)
-	// A panicking call completes its submitter and leaves the worker
-	// alive.
-	if err := pool.Run("acme", 1, 0, func() { panic("boom") }); err != nil {
-		t.Fatalf("panicking Run err = %v", err)
+	// A panicking call returns ErrCallPanicked to its submitter and
+	// frees its slot.
+	if err := pool.Run("acme", 1, 0, func() { panic("boom") }); !errors.Is(err, ErrCallPanicked) {
+		t.Fatalf("panicking Run err = %v, want ErrCallPanicked", err)
 	}
 	ran := false
 	if err := pool.Run("acme", 1, 0, func() { ran = true }); err != nil || !ran {
@@ -201,21 +201,21 @@ func TestShardPoolMaxQueue(t *testing.T) {
 func TestAdmissionBucket(t *testing.T) {
 	b := newBucket(10, 2)
 	for i := 0; i < 2; i++ {
-		if ok, _ := b.take(); !ok {
+		if ok, _ := b.take(time.Now()); !ok {
 			t.Fatalf("burst token %d refused", i)
 		}
 	}
-	ok, retry := b.take()
+	ok, retry := b.take(time.Now())
 	if ok || retry <= 0 || retry > 500*time.Millisecond {
 		t.Fatalf("drained bucket: ok=%v retry=%v", ok, retry)
 	}
 	time.Sleep(150 * time.Millisecond) // 10/s accrues 1 token in 100ms
-	if ok, _ := b.take(); !ok {
+	if ok, _ := b.take(time.Now()); !ok {
 		t.Fatal("token did not accrue")
 	}
 	// nil bucket is unlimited.
 	var nb *bucket
-	if ok, _ := nb.take(); !ok {
+	if ok, _ := nb.take(time.Now()); !ok {
 		t.Fatal("nil bucket refused")
 	}
 }
@@ -548,6 +548,113 @@ func TestTenantThrottling(t *testing.T) {
 	if err := b.Do("op", func() error { return want }); !errors.Is(err, want) {
 		t.Fatalf("Do err = %v, want fn's error", err)
 	}
+}
+
+// TestDoReportsPanic: a panicking call returns ErrCallPanicked carrying
+// the panic value, whether it ran at once or was queued, and its slot
+// still passes to the next caller.
+func TestDoReportsPanic(t *testing.T) {
+	m := newTestManager(t, Config{Shards: 1, ShardWorkers: 1})
+	a, err := m.Create("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Do("op", func() error { panic("boom") }); !errors.Is(err, ErrCallPanicked) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking Do err = %v, want ErrCallPanicked: boom", err)
+	}
+
+	// The plug panics with a call queued behind it, and that call panics
+	// in turn once the slot reaches it.
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	plug := make(chan error, 1)
+	go func() { plug <- a.Do("op", func() error { close(running); <-gate; panic("plug") }) }()
+	<-running
+	queued := make(chan error, 1)
+	go func() { queued <- a.Do("op", func() error { panic("queued") }) }()
+	waitUntil(t, func() bool { return m.pool.Depth(0) == 1 })
+	close(gate)
+	for name, ch := range map[string]chan error{"plug": plug, "queued": queued} {
+		if err := <-ch; !errors.Is(err, ErrCallPanicked) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s Do err = %v, want ErrCallPanicked: %s", name, err, name)
+		}
+	}
+	if err := a.Do("op", func() error { return nil }); err != nil {
+		t.Fatalf("Do after panics err = %v", err)
+	}
+	if st := m.pool.ShardStats()[0]; st.Enqueued != 4 || st.Completed != 4 || st.Depth != 0 {
+		t.Fatalf("shard after panics = %+v, want 4 calls in and out, none queued", st)
+	}
+}
+
+// TestTenantDoAllocs pins Tenant.Do of a static no-op on an idle shard
+// at zero allocations: admission, dispatch and metrics all run in place.
+func TestTenantDoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	m := newTestManager(t, Config{})
+	a, err := m.Create("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func() error { return nil }
+	if n := testing.AllocsPerRun(1000, func() { _ = a.Do("op", noop) }); n != 0 {
+		t.Fatalf("Tenant.Do allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkTenantDo times Tenant.Do of a no-op: alone on an idle shard,
+// and with two tenants sharing one single-slot shard, so calls queue
+// and the slot passes from caller to caller.
+func BenchmarkTenantDo(b *testing.B) {
+	noop := func() error { return nil }
+	newTenants := func(b *testing.B, cfg Config, ids ...string) []*Tenant {
+		cfg.Registry, cfg.SweepInterval = obs.NewRegistry(), -1
+		m, err := NewManager(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(m.Close)
+		var out []*Tenant
+		for _, id := range ids {
+			t, err := m.Create(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out = append(out, t)
+		}
+		return out
+	}
+	b.Run("idle", func(b *testing.B) {
+		a := newTenants(b, Config{}, "acme")[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.Do("op", noop); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("handoff", func(b *testing.B) {
+		tenants := newTenants(b, Config{Shards: 1, ShardWorkers: 1}, "acme", "globex")
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for _, tn := range tenants {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N/len(tenants); i++ {
+					if err := tn.Do("op", noop); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // recordingRuntime captures namespaced calls crossing into the shared
