@@ -36,7 +36,7 @@ race:
 # skipping it. The allocation budgets (TestMediatedCallAllocs) run in
 # every core-count pass and skip under -race (the raceEnabled build-tag
 # constant), where the detector itself allocates.
-RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs
+RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs ./internal/durable
 race-matrix:
 	for procs in 1 2 4 8; do \
 		GOMAXPROCS=$$procs $(GO) test -count=1 -shuffle=on ./... || exit 1; \
@@ -82,11 +82,13 @@ attacksim:
 	$(GO) run ./cmd/attacksim -v
 
 # fuzz-smoke runs the native fuzz targets briefly — enough for CI to
-# catch parser panics and round-trip regressions on mutated market
-# packages without the cost of a long fuzzing campaign.
+# catch parser panics, round-trip regressions on mutated market
+# packages and replay of damaged logs without the cost of a long
+# fuzzing campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/permlang/
 	$(GO) test -run=^$$ -fuzz=FuzzParsePolicy -fuzztime=$(FUZZTIME) ./internal/policylang/
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=$(FUZZTIME) ./internal/jobs/
+	$(GO) test -run=^$$ -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzTenantID -fuzztime=$(FUZZTIME) ./internal/tenant/

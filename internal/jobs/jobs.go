@@ -18,12 +18,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"sdnshield/internal/durable"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
 )
@@ -91,10 +91,10 @@ type Config struct {
 	MaxBackoff time.Duration
 	// SyncInterval is the group-commit fsync cadence. Default 5ms.
 	SyncInterval time.Duration
-	// RetainDone bounds how many completed/dead jobs stay pollable;
-	// older ones are evicted. Default 4096.
-	RetainDone int
 }
+
+// retainDone bounds how many completed/dead jobs stay pollable.
+const retainDone = 4096
 
 func (c *Config) fill() {
 	if c.MaxDepth <= 0 {
@@ -111,9 +111,6 @@ func (c *Config) fill() {
 	}
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = 5 * time.Millisecond
-	}
-	if c.RetainDone <= 0 {
-		c.RetainDone = 4096
 	}
 }
 
@@ -204,7 +201,7 @@ type Manager struct {
 	cfg Config
 
 	mu      sync.Mutex
-	wal     *wal // nil when ephemeral
+	wal     *durable.Log // nil when ephemeral
 	queues  map[string]*queue
 	jobs    map[uint64]*job
 	doneSeq []uint64 // completed/dead IDs in finish order, for eviction
@@ -258,13 +255,11 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	if cfg.Dir != "" {
 		if err := m.replay(); err != nil {
+			if m.wal != nil {
+				_ = m.wal.Close() // the replay error is the one to report
+			}
 			return nil, err
 		}
-		w, err := openWAL(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		m.wal = w
 		m.wg.Add(1)
 		go m.flusher()
 	}
@@ -274,23 +269,25 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// replay loads the WAL into memory, re-queues live jobs, and rewrites
-// the log compacted (live enqueue records only) when it holds settled
-// history. Completed/dead jobs from the old log stay pollable in this
-// process but are not carried into the compacted file.
+// replay opens the WAL, loads it into memory, re-queues live jobs, and
+// rewrites the log compacted (live enqueue records only) when it holds
+// settled history or a record that does not decode. Completed/dead jobs
+// from the old log stay pollable in this process but are not carried
+// into the compacted file.
 func (m *Manager) replay() error {
-	recs, goodOffset, err := replayWAL(m.cfg.Dir)
+	w, bodies, err := durable.OpenLog(walPath(m.cfg.Dir), walMagic)
 	if err != nil {
 		return err
 	}
-	if len(recs) == 0 {
-		// Fresh or unreadable log: start clean. Truncate so a torn header
-		// does not poison later appends.
-		return os.RemoveAll(walPath(m.cfg.Dir))
-	}
+	m.wal = w
 	var order []uint64
-	metaRecs := 0
-	for _, r := range recs {
+	decoded, metaRecs := 0, 0
+	for _, b := range bodies {
+		r, err := decodeRecord(b)
+		if err != nil {
+			break // replay ends here, as at a torn frame; compaction drops the rest
+		}
+		decoded++
 		switch r.op {
 		case opMeta:
 			metaRecs++
@@ -356,57 +353,28 @@ func (m *Manager) replay() error {
 	// Compact: the settled records are replayed into memory; rewrite the
 	// file with only the live backlog so the log cannot grow without
 	// bound across restarts.
-	if live < len(m.jobs) || len(recs)-metaRecs > len(m.jobs) {
+	if decoded < len(bodies) || live < len(m.jobs) || decoded-metaRecs > len(m.jobs) {
 		return m.rewriteCompact()
-	}
-	// No rewrite: the file is about to be reopened O_APPEND, so a torn
-	// tail must go now — otherwise fresh records would land after the
-	// corrupt bytes and the next replay, stopping at the tear, would
-	// silently drop everything appended beyond it.
-	if st, err := os.Stat(walPath(m.cfg.Dir)); err == nil && st.Size() > goodOffset {
-		if err := os.Truncate(walPath(m.cfg.Dir), goodOffset); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// rewriteCompact writes a fresh WAL holding the ID high-water mark and
-// one enqueue record per live job, and atomically replaces the old log.
+// rewriteCompact replaces the WAL with the ID high-water mark and one
+// enqueue record per live job.
 func (m *Manager) rewriteCompact() error {
-	tmpDir := m.cfg.Dir
-	tmp, err := os.CreateTemp(tmpDir, "queue.wal.compact-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	w := &wal{f: tmp, w: nil}
-	w.w = newBufWriter(tmp)
-	if _, err := w.w.WriteString(walMagic); err != nil {
-		_ = tmp.Close()
-		return err
-	}
+	var bodies [][]byte
 	if m.nextID > 1 {
 		// Settled jobs' enqueue records are dropped below; without the
 		// high-water mark a restart would re-issue their IDs and clients
 		// polling an old /market/jobs/<id> URL would see a stranger's job.
-		if err := w.append(&walRecord{op: opMeta, id: m.nextID - 1}); err != nil {
-			_ = tmp.Close()
-			return err
-		}
+		bodies = append(bodies, encodeRecord(&walRecord{op: opMeta, id: m.nextID - 1}))
 	}
 	for _, q := range m.queues {
 		for _, j := range q.pending {
-			if err := w.append(enqueueRecord(j)); err != nil {
-				_ = tmp.Close()
-				return err
-			}
+			bodies = append(bodies, encodeRecord(enqueueRecord(j)))
 		}
 	}
-	if err := w.close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), walPath(m.cfg.Dir))
+	return m.wal.Rewrite(bodies)
 }
 
 func enqueueRecord(j *job) *walRecord {
@@ -436,10 +404,8 @@ func (m *Manager) flusher() {
 				m.mu.Unlock()
 				return
 			}
-			_ = w.w.Flush()
-			f := w.f
 			m.mu.Unlock()
-			_ = f.Sync()
+			_ = w.Sync()
 		}
 	}
 }
@@ -508,15 +474,9 @@ func (m *Manager) Enqueue(queueName string, payload []byte, opts ...Option) (uin
 	for _, o := range opts {
 		o(j)
 	}
-	if m.wal != nil {
-		if err := m.wal.append(enqueueRecord(j)); err != nil {
-			m.mu.Unlock()
-			return 0, err
-		}
-		if err := m.wal.w.Flush(); err != nil {
-			m.mu.Unlock()
-			return 0, err
-		}
+	if err := m.walAppend(enqueueRecord(j)); err != nil {
+		m.mu.Unlock()
+		return 0, err
 	}
 	m.jobs[id] = j
 	q.pending = append(q.pending, j)
@@ -634,7 +594,7 @@ func (m *Manager) settle(q *queue, j *job, res []byte, err error) {
 		j.result = res
 		j.lastErr = ""
 		j.finishedAt = now
-		m.walAppend(&walRecord{op: opAck, id: j.id, attempts: uint32(j.attempts), result: res, ts: now.UnixNano()})
+		_ = m.walAppend(&walRecord{op: opAck, id: j.id, attempts: uint32(j.attempts), result: res, ts: now.UnixNano()})
 		q.done++
 		q.met.completed.Inc()
 		m.retainLocked(j)
@@ -642,7 +602,7 @@ func (m *Manager) settle(q *queue, j *job, res []byte, err error) {
 		j.state = StateDead
 		j.lastErr = err.Error()
 		j.finishedAt = now
-		m.walAppend(&walRecord{op: opDead, id: j.id, attempts: uint32(j.attempts), errMsg: j.lastErr, ts: now.UnixNano()})
+		_ = m.walAppend(&walRecord{op: opDead, id: j.id, attempts: uint32(j.attempts), errMsg: j.lastErr, ts: now.UnixNano()})
 		q.dead++
 		q.met.deadC.Inc()
 		m.deadByTenant[j.tenant]++
@@ -650,7 +610,7 @@ func (m *Manager) settle(q *queue, j *job, res []byte, err error) {
 	default:
 		j.state = StatePending
 		j.lastErr = err.Error()
-		m.walAppend(&walRecord{op: opFail, id: j.id, attempts: uint32(j.attempts), errMsg: j.lastErr, ts: now.UnixNano()})
+		_ = m.walAppend(&walRecord{op: opFail, id: j.id, attempts: uint32(j.attempts), errMsg: j.lastErr, ts: now.UnixNano()})
 		q.retried++
 		q.met.retries.Inc()
 		delay := m.backoff(j.attempts)
@@ -713,23 +673,24 @@ func (m *Manager) requeueAfterBackoff(id uint64) {
 	q.cond.Signal()
 }
 
-// walAppend appends and flushes one record; errors are swallowed (the
-// in-memory state is still correct; durability degrades, it does not
-// block the pipeline). Caller holds m.mu.
-func (m *Manager) walAppend(r *walRecord) {
+// walAppend appends one record and flushes it to the OS. Caller holds
+// m.mu. Only Enqueue reports the error: a lost transition record
+// degrades durability, it must not block the pipeline.
+func (m *Manager) walAppend(r *walRecord) error {
 	if m.wal == nil {
-		return
+		return nil
 	}
-	if err := m.wal.append(r); err == nil {
-		_ = m.wal.w.Flush()
+	if err := m.wal.Append(encodeRecord(r)); err != nil {
+		return err
 	}
+	return m.wal.Flush()
 }
 
-// retainLocked bounds the settled-job memory: beyond RetainDone, the
+// retainLocked bounds the settled-job memory: beyond retainDone, the
 // oldest done/dead jobs are evicted from the index.
 func (m *Manager) retainLocked(j *job) {
 	m.doneSeq = append(m.doneSeq, j.id)
-	for len(m.doneSeq) > m.cfg.RetainDone {
+	for len(m.doneSeq) > retainDone {
 		old := m.doneSeq[0]
 		m.doneSeq = m.doneSeq[1:]
 		if oj, ok := m.jobs[old]; ok && (oj.state == StateDone || oj.state == StateDead) {
@@ -810,7 +771,7 @@ func (m *Manager) Requeue(id uint64) error {
 	j.attempts = 0
 	j.lastErr = ""
 	j.finishedAt = time.Time{}
-	m.walAppend(enqueueRecord(j))
+	_ = m.walAppend(enqueueRecord(j))
 	q := m.queueOf(j.queue)
 	q.pending = append(q.pending, j)
 	q.met.pending.Add(1)
@@ -865,81 +826,64 @@ func (m *Manager) DeadByTenant() map[string]uint64 {
 // closed.
 func (m *Manager) Close() error {
 	m.mu.Lock()
-	if m.closing || m.killed {
-		m.mu.Unlock()
+	stopped := m.stopLocked(&m.closing)
+	m.mu.Unlock()
+	if !stopped {
 		return nil
 	}
-	m.closing = true
+	m.wg.Wait()
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var err error
+	if m.wal != nil {
+		err = errors.Join(m.wal.Flush(), m.wal.Sync(), m.wal.Close())
+		m.wal = nil
+	}
+	return err
+}
+
+// stopLocked stops the manager once, setting *flag (closing or killed):
+// workers wake to exit, retry timers are cancelled (their jobs stay
+// pending in the WAL for the next Open), the flusher stops and DrainAll
+// forgets the manager. It reports false if the manager had already
+// stopped. Caller holds m.mu.
+func (m *Manager) stopLocked(flag *bool) bool {
+	if m.closing || m.killed {
+		return false
+	}
+	*flag = true
 	for _, q := range m.queues {
 		q.cond.Broadcast()
+		// The backlog, frozen from here on, is in the WAL, not a live queue:
+		// take it out of the process-wide gauge. Inflight needs nothing;
+		// every popped job's settle decrements it, even under Kill.
+		q.met.pending.Add(int64(-len(q.pending)))
 	}
 	for id, t := range m.timers {
 		t.Stop()
 		delete(m.timers, id)
 	}
-	m.mu.Unlock()
 	close(m.stopFlush)
-	m.wg.Wait()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// This manager's contribution to the process-global queue gauges
-	// ends here: the backlog it still holds is durable in the WAL, not
-	// pending in any live queue. Without this, every drained manager
-	// leaks its residue into the shared gauges forever.
-	m.zeroGaugesLocked()
-	var err error
-	if m.wal != nil {
-		err = m.wal.close()
-		m.wal = nil
-	}
 	openMu.Lock()
 	delete(openManagers, m)
 	openMu.Unlock()
-	return err
-}
-
-// zeroGaugesLocked subtracts this manager's remaining backlog from the
-// shared pending gauge. Caller holds m.mu and must guarantee it runs at
-// most once per manager (Close and Kill each gate on closing/killed).
-// Inflight needs no correction here: every popped job's settle
-// decrements the inflight gauge even under Kill.
-func (m *Manager) zeroGaugesLocked() {
-	for _, q := range m.queues {
-		if n := len(q.pending); n > 0 {
-			q.met.pending.Add(int64(-n))
-		}
-	}
+	return true
 }
 
 // Kill simulates a crash for fault testing: workers stop without acking
 // the jobs they are running and nothing further reaches the WAL, so a
 // subsequent Open on the same directory replays those jobs as pending —
-// the at-least-once path the e2e suite proves. The WAL file handle is
-// closed as-is (enqueue records were already flushed at enqueue time).
+// the at-least-once path the e2e suite proves. The WAL is closed
+// without an fsync (records were already flushed at append time).
 func (m *Manager) Kill() {
 	m.mu.Lock()
-	if m.closing || m.killed {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if !m.stopLocked(&m.killed) {
 		return
 	}
-	m.killed = true
-	m.zeroGaugesLocked()
-	for _, q := range m.queues {
-		q.cond.Broadcast()
+	if m.wal != nil {
+		_ = m.wal.Close() // no final sync: crashes do not fsync
+		m.wal = nil
 	}
-	for id, t := range m.timers {
-		t.Stop()
-		delete(m.timers, id)
-	}
-	w := m.wal
-	m.wal = nil
-	m.mu.Unlock()
-	close(m.stopFlush)
-	if w != nil {
-		_ = w.f.Close() // no final sync: crashes do not fsync
-	}
-	openMu.Lock()
-	delete(openManagers, m)
-	openMu.Unlock()
 }

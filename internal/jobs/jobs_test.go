@@ -1,10 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -492,5 +494,52 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeRecord([]byte{99}); err == nil {
 		t.Fatal("decode(unknown op) succeeded")
+	}
+}
+
+// TestCorruptHeaderRefusesOpen: a log whose header is damaged is
+// refused and left as it is, never replaced by an empty one; a file
+// shorter than the header (a torn first write) still starts clean.
+func TestCorruptHeaderRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := m.Enqueue("q", []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[0] ^= 1
+	if err := os.WriteFile(walPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), walPath(dir)) {
+		if m != nil {
+			_ = m.Close()
+		}
+		t.Fatalf("Open of a log with a flipped header bit: err = %v, want one naming %s", err, walPath(dir))
+	}
+	if after, err := os.ReadFile(walPath(dir)); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("refused log was changed (err %v)", err)
+	}
+
+	if err := os.WriteFile(walPath(dir), []byte(walMagic[:4]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2 := openTest(t, dir)
+	if st := m2.Stats(); len(st) != 0 {
+		t.Fatalf("torn first write replayed %v", st)
+	}
+	if _, err := m2.Enqueue("q", nil); err != nil {
+		t.Fatal(err)
 	}
 }

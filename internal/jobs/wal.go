@@ -1,14 +1,10 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"path/filepath"
 )
 
@@ -27,9 +23,7 @@ import (
 // A job whose last record is enqueue or fail is live: replay returns it
 // to its queue's pending list, which is exactly the at-least-once
 // guarantee — a worker that dies mid-job never wrote the ack, so the
-// job runs again. Records are length-prefixed and CRC-guarded; replay
-// stops at the first torn record (a crash mid-append) and the file is
-// truncated back to the last whole record.
+// job runs again. durable.Log frames the records and drops a torn tail.
 
 // walMagic is the file header; a version bump changes the trailing byte.
 const walMagic = "sdnjobswal1\n"
@@ -227,120 +221,5 @@ func decodeRecord(b []byte) (*walRecord, error) {
 	return r, nil
 }
 
-// wal is the open log file with a buffered writer; appends are framed
-// (u32le length, u32le CRC-32, body) and group-committed by the
-// manager's flusher.
-type wal struct {
-	f *os.File
-	w *bufio.Writer
-}
-
 // walPath returns the log path under a queue directory.
 func walPath(dir string) string { return filepath.Join(dir, "queue.wal") }
-
-// newBufWriter sizes the WAL's buffered writer consistently across the
-// append and compaction paths.
-func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, 64<<10) }
-
-// openWAL opens (creating if needed) the log for appending, writing the
-// header on a fresh file.
-func openWAL(dir string) (*wal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(walPath(dir), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	w := &wal{f: f, w: newBufWriter(f)}
-	if st.Size() == 0 {
-		if _, err := w.w.WriteString(walMagic); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-	}
-	return w, nil
-}
-
-// append frames and buffers one record; the caller decides when to
-// flush/sync (group commit).
-func (w *wal) append(r *walRecord) error {
-	body := encodeRecord(r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(body)
-	return err
-}
-
-// sync flushes the buffer and fsyncs the file.
-func (w *wal) sync() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-// close syncs and closes the file.
-func (w *wal) close() error {
-	serr := w.sync()
-	cerr := w.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
-// replayWAL reads every whole record from a log file, returning the
-// records in append order and the offset of the first torn/corrupt
-// frame (== file size when the log is clean). A missing file replays
-// empty.
-func replayWAL(dir string) (recs []*walRecord, goodOffset int64, err error) {
-	f, err := os.Open(walPath(dir))
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
-		// Unrecognized header: treat as empty (the manager rewrites it).
-		return nil, 0, nil
-	}
-	goodOffset = int64(len(walMagic))
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return recs, goodOffset, nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxFieldLen {
-			return recs, goodOffset, nil
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return recs, goodOffset, nil // torn body
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return recs, goodOffset, nil // corrupt frame
-		}
-		rec, err := decodeRecord(body)
-		if err != nil {
-			return recs, goodOffset, nil
-		}
-		recs = append(recs, rec)
-		goodOffset += int64(len(hdr)) + int64(n)
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"sdnshield/internal/durable"
 	"sdnshield/internal/obs/audit"
 )
 
@@ -32,9 +33,6 @@ func Keygen(dir, vendor string) (ed25519.PublicKey, error) {
 		return nil, err
 	}
 	keyDir := filepath.Join(dir, "keys")
-	if err := os.MkdirAll(keyDir, 0o755); err != nil {
-		return nil, err
-	}
 	pubPath := filepath.Join(keyDir, vendor+".pub")
 	keyPath := filepath.Join(keyDir, vendor+".key")
 	for _, p := range []string{pubPath, keyPath} {
@@ -46,10 +44,10 @@ func Keygen(dir, vendor string) (ed25519.PublicKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(pubPath, []byte(hex.EncodeToString(pub)+"\n"), 0o644); err != nil {
+	if err := durable.WriteFile(pubPath, []byte(hex.EncodeToString(pub)+"\n"), 0o644); err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(keyPath, []byte(hex.EncodeToString(priv)+"\n"), 0o600); err != nil {
+	if err := durable.WriteFile(keyPath, []byte(hex.EncodeToString(priv)+"\n"), 0o600); err != nil {
 		return nil, err
 	}
 	return pub, nil
@@ -57,22 +55,15 @@ func Keygen(dir, vendor string) (ed25519.PublicKey, error) {
 
 // LoadPrivateKey reads a hex-encoded Ed25519 private key file.
 func LoadPrivateKey(path string) (ed25519.PrivateKey, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := hex.DecodeString(strings.TrimSpace(string(b)))
-	if err != nil {
-		return nil, fmt.Errorf("market: bad key file %s: %w", path, err)
-	}
-	if len(raw) != ed25519.PrivateKeySize {
-		return nil, fmt.Errorf("market: bad private key size %d in %s", len(raw), path)
-	}
-	return raw, nil
+	return loadKey(path, "private", ed25519.PrivateKeySize)
 }
 
 // LoadPublicKey reads a hex-encoded Ed25519 public key file.
 func LoadPublicKey(path string) (ed25519.PublicKey, error) {
+	return loadKey(path, "public", ed25519.PublicKeySize)
+}
+
+func loadKey(path, kind string, size int) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -81,25 +72,21 @@ func LoadPublicKey(path string) (ed25519.PublicKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("market: bad key file %s: %w", path, err)
 	}
-	if len(raw) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("market: bad public key size %d in %s", len(raw), path)
+	if len(raw) != size {
+		return nil, fmt.Errorf("market: bad %s key size %d in %s", kind, len(raw), path)
 	}
 	return raw, nil
 }
 
 // SaveRelease writes a signed package under dir/releases, named by its
-// content address.
+// content address, atomically and durably.
 func SaveRelease(dir string, sr *SignedRelease) (string, error) {
-	relDir := filepath.Join(dir, "releases")
-	if err := os.MkdirAll(relDir, 0o755); err != nil {
-		return "", err
-	}
 	data, err := json.MarshalIndent(sr, "", "  ")
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(relDir, sr.Digest().String()+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	path := filepath.Join(dir, "releases", sr.Digest().String()+".json")
+	if err := durable.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil

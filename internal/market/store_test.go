@@ -93,3 +93,25 @@ func TestLoadDirMissingIsEmpty(t *testing.T) {
 		t.Fatalf("loaded=%d problems=%v err=%v", loaded, problems, err)
 	}
 }
+
+// TestKeygenFileModes: the private key is written 0600 and the public
+// key 0644 — the modes asked for, not the temp file's — and a second
+// Keygen still refuses to overwrite them.
+func TestKeygenFileModes(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Keygen(dir, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]os.FileMode{"acme.key": 0o600, "acme.pub": 0o644} {
+		st, err := os.Stat(filepath.Join(dir, "keys", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Mode().Perm(); got != want {
+			t.Errorf("%s mode = %v, want %v", name, got, want)
+		}
+	}
+	if _, err := Keygen(dir, "acme"); err == nil || !strings.Contains(err.Error(), "refusing to overwrite") {
+		t.Fatalf("second Keygen: err = %v, want a refusal", err)
+	}
+}

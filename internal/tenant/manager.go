@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sdnshield/internal/core"
+	"sdnshield/internal/durable"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/jobs"
 	"sdnshield/internal/market"
@@ -67,9 +68,6 @@ type Config struct {
 	AdminToken string
 	// Registry receives the manager's metrics (default obs.Default()).
 	Registry *obs.Registry
-	// MetricTenants caps distinct tenant label values in metrics; beyond
-	// it tenants fold into tenant="_other". Default 256.
-	MetricTenants int
 }
 
 func (c *Config) fill() {
@@ -128,7 +126,7 @@ type Manager struct {
 func NewManager(cfg Config) (*Manager, error) {
 	cfg.fill()
 	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		if err := durable.MkdirAll(cfg.Dir); err != nil {
 			return nil, err
 		}
 	}
@@ -136,7 +134,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:       cfg,
 		pool:      pool,
-		met:       newMetrics(cfg.Registry, cfg.MetricTenants, pool),
+		met:       newMetrics(cfg.Registry, pool),
 		tenants:   make(map[string]*Tenant),
 		lru:       list.New(),
 		stopSweep: make(chan struct{}),
@@ -198,7 +196,7 @@ func (m *Manager) CreateWith(id string, adm AdmissionConfig) (*Tenant, error) {
 		if _, err := os.Stat(filepath.Join(m.dirOf(id), "tenant.json")); err == nil {
 			return nil, fmt.Errorf("%w: %s (stored)", ErrTenantExists, id)
 		}
-		if err := os.MkdirAll(m.storeOf(id), 0o755); err != nil {
+		if err := durable.MkdirAll(m.storeOf(id)); err != nil {
 			return nil, err
 		}
 		if err := m.writeRecord(&rec); err != nil {
@@ -208,18 +206,13 @@ func (m *Manager) CreateWith(id string, adm AdmissionConfig) (*Tenant, error) {
 	return m.admit(&rec, false)
 }
 
-// writeRecord persists a tenant record atomically (tmp + rename).
+// writeRecord persists a tenant record atomically and durably.
 func (m *Manager) writeRecord(rec *record) error {
 	raw, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(m.dirOf(rec.ID), "tenant.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(filepath.Join(m.dirOf(rec.ID), "tenant.json"), raw, 0o644)
 }
 
 // Acquire resolves a tenant and marks one in-flight use of it, so a

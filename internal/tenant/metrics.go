@@ -7,7 +7,7 @@ import (
 )
 
 // Per-manager metric families. The tenant label rides through a
-// cardinality guard (obs.LabelGuard): the first Config.MetricTenants
+// cardinality guard (obs.LabelGuard): the first metricTenants
 // distinct tenants get their own series, the rest fold into
 // tenant="_other" — so a tenant-ID flood cannot grow the registry
 // without bound. Each tenant's label value is resolved once at
@@ -21,10 +21,13 @@ type metrics struct {
 	hydrations *obs.Counter
 }
 
-func newMetrics(reg *obs.Registry, maxTenants int, pool *ShardPool) *metrics {
+// metricTenants caps distinct tenant label values in metrics.
+const metricTenants = 256
+
+func newMetrics(reg *obs.Registry, pool *ShardPool) *metrics {
 	m := &metrics{
 		reg:   reg,
-		guard: obs.NewLabelGuard(maxTenants),
+		guard: obs.NewLabelGuard(metricTenants),
 		resident: reg.Gauge("sdnshield_tenant_resident",
 			"Tenants currently hydrated in memory."),
 		evictions: reg.Counter("sdnshield_tenant_evictions_total",
