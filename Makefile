@@ -83,8 +83,9 @@ attacksim:
 
 # fuzz-smoke runs the native fuzz targets briefly — enough for CI to
 # catch parser panics, round-trip regressions on mutated market
-# packages and replay of damaged logs without the cost of a long
-# fuzzing campaign.
+# packages, replay of damaged logs and a market lifecycle whose runtime
+# drifts from its active release, without the cost of a long fuzzing
+# campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/permlang/
@@ -92,3 +93,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=$(FUZZTIME) ./internal/jobs/
 	$(GO) test -run=^$$ -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzTenantID -fuzztime=$(FUZZTIME) ./internal/tenant/
+	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/market/

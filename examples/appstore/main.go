@@ -101,6 +101,11 @@ func (d *demoRuntime) SetPermissions(app string, set *core.Set) {
 	d.perms[app] = set
 }
 
+// The demo's apps declare no BUDGET and it prints no /explain, so budgets
+// and provenance are not recorded.
+func (d *demoRuntime) SetBudget(string, core.Budget)  {}
+func (d *demoRuntime) SetProvenance(string, []string) {}
+
 func (d *demoRuntime) AppHealth(app string) (isolation.Health, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

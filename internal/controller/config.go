@@ -45,13 +45,6 @@ type KernelConfig struct {
 	Seed int64
 }
 
-// DefaultKernelConfig returns the filled default configuration.
-func DefaultKernelConfig() KernelConfig {
-	cfg := KernelConfig{}
-	cfg.fill()
-	return cfg
-}
-
 func (c *KernelConfig) fill() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second

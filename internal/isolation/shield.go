@@ -156,7 +156,7 @@ func (s *Shield) SetPermissions(app string, set *core.Set) {
 }
 
 // SetProvenance records the reconciliation repair notes attached to the
-// app's active permission set (market.ProvenanceRuntime); /explain
+// app's active permission set (part of market.Runtime); /explain
 // cross-references them when naming a denial's deciding term.
 func (s *Shield) SetProvenance(app string, notes []string) {
 	s.engine.SetProvenance(app, notes)

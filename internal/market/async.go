@@ -43,8 +43,8 @@ func (m *Market) AttachJobs(jm *jobs.Manager, workers int) {
 	m.mu.Lock()
 	m.jobsMgr = jm
 	m.mu.Unlock()
-	jm.Handle(QueueInstall, workers, m.pipelineHandler(m.InstallTraced))
-	jm.Handle(QueueUpgrade, workers, m.pipelineHandler(m.UpgradeTraced))
+	jm.Handle(QueueInstall, workers, m.pipelineHandler(&installOp))
+	jm.Handle(QueueUpgrade, workers, m.pipelineHandler(&upgradeOp))
 	jm.Handle(QueueRecompute, workers, m.recomputeHandler)
 }
 
@@ -73,14 +73,14 @@ func (m *Market) SubmitJob(queue string, req JobRequest, corr uint64, sc span.Co
 		jobs.WithCorr(corr), jobs.WithTrace(sc), jobs.WithTenant(m.cfg.Tenant))
 }
 
-// pipelineHandler adapts an install/upgrade step into a job handler:
+// pipelineHandler adapts an install/upgrade admission into a job handler:
 // decode the request, run the pipeline under the job's operation
 // identity (the corr and span context it was enqueued with, by this
 // process or a predecessor whose WAL we replayed), retain the
 // InstallResult as the job's pollable result. Deterministic refusals
 // (unknown release, rejection, version gate) dead-letter immediately;
 // anything else burns an attempt and retries.
-func (m *Market) pipelineHandler(step func(Digest, OpTrace) (*InstallResult, error)) jobs.Handler {
+func (m *Market) pipelineHandler(op *admitOp) jobs.Handler {
 	return func(j jobs.Snapshot) ([]byte, error) {
 		var req JobRequest
 		if err := json.Unmarshal(j.Payload, &req); err != nil {
@@ -90,7 +90,7 @@ func (m *Market) pipelineHandler(step func(Digest, OpTrace) (*InstallResult, err
 		if err != nil {
 			return nil, jobs.Permanent(err)
 		}
-		res, err := step(d, OpTrace{Corr: j.Corr, Span: j.Trace})
+		res, err := m.admit(op, d, OpTrace{Corr: j.Corr, Span: j.Trace})
 		if err != nil {
 			return nil, classifyJobErr(err)
 		}

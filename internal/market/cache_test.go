@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdnshield/internal/core"
+	"sdnshield/internal/obs/span"
 )
 
 // heavyManifest builds a manifest whose insert_flow filter is a wide OR
@@ -122,7 +123,7 @@ func TestVerdictCacheIsolatesStoredSets(t *testing.T) {
 
 func TestReconcileReleaseMemoizes(t *testing.T) {
 	m, sr := heavyMarket(t, 8)
-	cv1, hit1, err := m.reconcileRelease(sr, sr.Digest())
+	cv1, hit1, err := m.reconcileTraced(sr, sr.Digest(), span.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestReconcileReleaseMemoizes(t *testing.T) {
 	if cv1.Verdict != VerdictRepaired {
 		t.Fatalf("verdict = %q, want repaired", cv1.Verdict)
 	}
-	cv2, hit2, err := m.reconcileRelease(sr, sr.Digest())
+	cv2, hit2, err := m.reconcileTraced(sr, sr.Digest(), span.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 				m.cache = NewVerdictCache() // force the full pipeline
 			}
 			start := time.Now()
-			_, hit, err := m.reconcileRelease(sr, sr.Digest())
+			_, hit, err := m.reconcileTraced(sr, sr.Digest(), span.Context{})
 			if d := time.Since(start); d < best {
 				best = d
 			}
@@ -180,7 +181,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 		return best
 	}
 	missPer := fastest(false)
-	if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil { // warm
+	if _, _, err := m.reconcileTraced(sr, sr.Digest(), span.Context{}); err != nil { // warm
 		t.Fatal(err)
 	}
 	hitPer := fastest(true)
@@ -200,7 +201,7 @@ func BenchmarkReconcileVerdictMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.cache = NewVerdictCache()
-		if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil {
+		if _, _, err := m.reconcileTraced(sr, sr.Digest(), span.Context{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,12 +209,12 @@ func BenchmarkReconcileVerdictMiss(b *testing.B) {
 
 func BenchmarkReconcileVerdictHit(b *testing.B) {
 	m, sr := heavyMarket(b, 16)
-	if _, _, err := m.reconcileRelease(sr, sr.Digest()); err != nil {
+	if _, _, err := m.reconcileTraced(sr, sr.Digest(), span.Context{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := m.reconcileRelease(sr, sr.Digest()); err != nil || !hit {
+		if _, hit, err := m.reconcileTraced(sr, sr.Digest(), span.Context{}); err != nil || !hit {
 			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}

@@ -67,8 +67,8 @@ func Routes(m *Market) map[string]http.Handler {
 		"/market/apps": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, m.Snapshot())
 		}),
-		"/market/install": handlePackage(m, m.InstallTraced, QueueInstall),
-		"/market/upgrade": handlePackage(m, m.UpgradeTraced, QueueUpgrade),
+		"/market/install": handlePackage(m, &installOp, QueueInstall),
+		"/market/upgrade": handlePackage(m, &upgradeOp, QueueUpgrade),
 		"/market/approve": handleApp(m, func(app string) (interface{}, error) {
 			return m.Approve(app)
 		}),
@@ -139,12 +139,11 @@ func traceFrom(r *http.Request, op string) (corr uint64, sc span.Context, done f
 func tracePath(corr uint64) string { return fmt.Sprintf("/trace/%d", corr) }
 
 // handlePackage serves install/upgrade: decode a signed package, submit
-// it through the provenance gate, then run the pipeline step — inline,
-// or as an enqueued job when a manager is attached. The whole request
-// runs under one trace: submission audit events, the enqueue, the
-// worker-side pipeline and activation all carry the corr minted (or
+// it through the provenance gate, then dispatch the admission. The whole
+// request runs under one trace: submission audit events, the enqueue,
+// the worker-side pipeline and activation all carry the corr minted (or
 // continued) here.
-func handlePackage(m *Market, step func(Digest, OpTrace) (*InstallResult, error), queue string) http.Handler {
+func handlePackage(m *Market, op *admitOp, queue string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -182,30 +181,51 @@ func handlePackage(m *Market, step func(Digest, OpTrace) (*InstallResult, error)
 			}
 			digest = d
 		}
-		if m.Jobs() != nil {
-			id, err := m.SubmitJob(queue, JobRequest{Digest: digest.String()}, corr, sc)
-			if err != nil {
-				writeError(w, err)
-				return
+		ot := OpTrace{Corr: corr, Span: sc}
+		dispatch(w, r, m, queue, JobRequest{Digest: digest.String()}, ot, func() (interface{}, error) {
+			result, err := m.admit(op, digest, ot)
+			if result == nil {
+				return nil, err
 			}
-			writeJSON(w, http.StatusAccepted, jobAccepted{
-				JobID: id, Queue: queue, Digest: digest.String(), Corr: corr,
-				Poll: fmt.Sprintf("/market/jobs/%d", id), Trace: tracePath(corr),
-			})
-			return
+			return result, err
+		})
+	})
+}
+
+// dispatch makes the one inline-or-enqueue decision of the market's
+// pipelines. With a job manager attached it enqueues req on queue under
+// the request's operation identity ot — a zero ot is minted from r here,
+// for a request that needs one only as a job — and answers 202 with the
+// job to poll. Otherwise it runs the pipeline inline: an error without a
+// result is mapped by writeError, an error with one (a rejected verdict
+// still carries a useful result body) answers 409, a result 200.
+func dispatch(w http.ResponseWriter, r *http.Request, m *Market, queue string, req JobRequest, ot OpTrace, inline func() (interface{}, error)) {
+	if m.Jobs() != nil {
+		if ot.Corr == 0 {
+			var done func()
+			ot.Corr, ot.Span, done = traceFrom(r, "http:"+queue)
+			defer done()
 		}
-		result, err := step(digest, OpTrace{Corr: corr, Span: sc})
-		if err != nil && result == nil {
+		id, err := m.SubmitJob(queue, req, ot.Corr, ot.Span)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		if err != nil {
-			// A rejected verdict still carries a useful result body.
-			writeJSON(w, http.StatusConflict, result)
-			return
-		}
-		writeJSON(w, http.StatusOK, result)
-	})
+		writeJSON(w, http.StatusAccepted, jobAccepted{
+			JobID: id, Queue: queue, Digest: req.Digest, App: req.App, Corr: ot.Corr,
+			Poll: fmt.Sprintf("/market/jobs/%d", id), Trace: tracePath(ot.Corr),
+		})
+		return
+	}
+	out, err := inline()
+	switch {
+	case err != nil && out == nil:
+		writeError(w, err)
+	case err != nil:
+		writeJSON(w, http.StatusConflict, out)
+	default:
+		writeJSON(w, http.StatusOK, out)
+	}
 }
 
 // handleApp serves approve/revoke: decode {"app": "..."} and apply.
@@ -232,9 +252,8 @@ func handleApp(m *Market, step func(app string) (interface{}, error)) http.Handl
 	})
 }
 
-// handleRecompute serves verdict recomputation: enqueued when the job
-// spine is attached, inline otherwise. The app field is optional; empty
-// sweeps every stored release.
+// handleRecompute serves verdict recomputation through dispatch. The
+// app field is optional; empty sweeps every stored release.
 func handleRecompute(m *Market) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -249,26 +268,13 @@ func handleRecompute(m *Market) http.Handler {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request JSON: " + err.Error()})
 			return
 		}
-		if m.Jobs() != nil {
-			corr, sc, done := traceFrom(r, "http:"+QueueRecompute)
-			defer done()
-			id, err := m.SubmitJob(QueueRecompute, JobRequest{App: req.App}, corr, sc)
+		dispatch(w, r, m, QueueRecompute, JobRequest{App: req.App}, OpTrace{}, func() (interface{}, error) {
+			n, err := m.Recompute(req.App)
 			if err != nil {
-				writeError(w, err)
-				return
+				return nil, err
 			}
-			writeJSON(w, http.StatusAccepted, jobAccepted{
-				JobID: id, Queue: QueueRecompute, App: req.App, Corr: corr,
-				Poll: fmt.Sprintf("/market/jobs/%d", id), Trace: tracePath(corr),
-			})
-			return
-		}
-		n, err := m.Recompute(req.App)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"recomputed": n})
+			return map[string]int{"recomputed": n}, nil
+		})
 	})
 }
 

@@ -41,28 +41,17 @@ func (ot OpTrace) fill(op string) (OpTrace, func()) {
 }
 
 // Runtime is the slice of the shielded runtime the market drives:
-// atomic permission activation and app-health probing for the probation
-// monitor. *isolation.Shield satisfies it; tests substitute fakes.
+// activation of a release's permissions, its manifest resource budget
+// (BUDGET statements, enforced as per-app soft quotas) and its
+// reconciliation provenance (the repair notes /explain reports a
+// denial's deciding term against), and app-health probing for the
+// probation monitor. *isolation.Shield satisfies it; tests substitute
+// fakes.
 type Runtime interface {
 	SetPermissions(app string, set *core.Set)
-	AppHealth(app string) (isolation.Health, bool)
-}
-
-// BudgetRuntime is optionally implemented by runtimes that enforce
-// manifest resource budgets (BUDGET statements) as per-app soft
-// quotas. *isolation.Shield implements it; activation, rollback and
-// revocation thread the active release's budget through it whenever
-// the configured Runtime supports it.
-type BudgetRuntime interface {
 	SetBudget(app string, b core.Budget)
-}
-
-// ProvenanceRuntime is optionally implemented by runtimes whose
-// permission engine records reconciliation provenance: the repair notes
-// attached to the active release, so /explain can report which repair
-// introduced a denial's deciding term. *isolation.Shield implements it.
-type ProvenanceRuntime interface {
 	SetProvenance(app string, notes []string)
+	AppHealth(app string) (isolation.Health, bool)
 }
 
 // Config tunes a Market.
@@ -262,19 +251,15 @@ type InstallResult struct {
 	Corr uint64 `json:"corr"`
 }
 
-// reconcileRelease drives one release through parse → reconcile with the
+// reconcileTraced drives one release through parse → reconcile with the
 // verdict cache in front of Algorithm 1. digest is the release's content
-// address, already verified by Registry.Release.
-func (m *Market) reconcileRelease(sr *SignedRelease, digest Digest) (cv *CachedVerdict, hit bool, err error) {
-	return m.reconcileTraced(sr, digest, span.Context{})
-}
-
-// reconcileTraced is reconcileRelease with per-stage spans and latency
-// histograms: cache_hit on the short path; parse and reconcile on the
-// miss path. One clock-read pair per stage feeds both the span and the
-// stage histogram, so tracing adds no timing of its own. The parse stage
-// takes the manifest Submit parsed; it parses only when that hand-off is
-// gone (a cache wipe, or another market on the same registry took it).
+// address, already verified by Registry.Release; sc (may be zero) is the
+// span context the stages nest under. Each stage — cache_hit on the
+// short path, parse and reconcile on the miss path — is one clock-read
+// pair feeding both its span and its latency histogram, so tracing adds
+// no timing of its own. The parse stage takes the manifest Submit
+// parsed; it parses only when that hand-off is gone (a cache wipe, or
+// another market on the same registry took it).
 func (m *Market) reconcileTraced(sr *SignedRelease, digest Digest, sc span.Context) (cv *CachedVerdict, hit bool, err error) {
 	t := time.Now()
 	if cv, ok := m.cache.Get(digest, m.policyDigest); ok {
@@ -294,17 +279,23 @@ func (m *Market) reconcileTraced(sr *SignedRelease, digest Digest, sc span.Conte
 	if err != nil {
 		return nil, false, fmt.Errorf("market: manifest does not parse: %w", err)
 	}
-	t = time.Now()
+	cv, err = m.reconcileManifest(sr, digest, manifest, sc)
+	return cv, false, err
+}
+
+// reconcileManifest is the cache-miss step: Algorithm 1 over a parsed
+// manifest (the reconcile stage), the verdict's classification, and its
+// store into the cache.
+func (m *Market) reconcileManifest(sr *SignedRelease, digest Digest, manifest *permlang.Manifest, sc span.Context) (*CachedVerdict, error) {
+	t := time.Now()
 	res, err := m.engine.Reconcile(sr.Name, manifest, m.policy)
-	d = time.Since(t)
+	d := time.Since(t)
 	observeStage("reconcile", d)
 	span.Add(sc, "stage:reconcile", t, d)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	verdict := classifyVerdict(res)
-	cv = m.cache.Put(digest, m.policyDigest, verdict, res.Violations, res.Reconciled, res.Requested, manifest.Budget)
-	return cv, false, nil
+	return m.cache.Put(digest, m.policyDigest, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested, manifest.Budget), nil
 }
 
 // classifyVerdict maps a reconciliation result to the market's
@@ -335,7 +326,7 @@ func (m *Market) Evaluate(d Digest) (*InstallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, hit, err := m.reconcileRelease(sr, d)
+	cv, hit, err := m.reconcileTraced(sr, d, span.Context{})
 	if err != nil {
 		return nil, err
 	}
@@ -359,11 +350,9 @@ func (m *Market) Recompute(app string) (int, error) {
 			if err != nil {
 				return n, fmt.Errorf("market: manifest of %s@%s does not parse: %w", sr.Name, sr.Version, err)
 			}
-			res, err := m.engine.Reconcile(sr.Name, manifest, m.policy)
-			if err != nil {
+			if _, err := m.reconcileManifest(sr, sr.Digest(), manifest, span.Context{}); err != nil {
 				return n, err
 			}
-			m.cache.Put(sr.Digest(), m.policyDigest, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested, manifest.Budget)
 			n++
 		}
 	}
@@ -379,73 +368,84 @@ func (m *Market) Recompute(app string) (int, error) {
 // verdicts park as pending sign-off (Approve activates them); rejected
 // verdicts return ErrRejected.
 func (m *Market) Install(d Digest) (*InstallResult, error) {
-	return m.InstallTraced(d, OpTrace{})
-}
-
-// InstallTraced is Install under a caller-supplied operation identity:
-// the HTTP ingress and the job spine pass the corr they minted at the
-// boundary (plus the span context to nest stages under), so the trace
-// at /trace/<corr> and the audit trail share one ID end to end.
-func (m *Market) InstallTraced(d Digest, ot OpTrace) (*InstallResult, error) {
-	tVerify := time.Now()
-	sr, err := m.reg.Release(d)
-	dVerify := time.Since(tVerify)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if st, ok := m.apps[sr.Name]; ok && st.active != nil && st.status != StatusRevoked {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s@%s is %s", ErrAlreadyInstalled, sr.Name, st.active.version, st.status)
-	}
-	m.mu.Unlock()
-
-	ot, finish := ot.fill("market:install:" + sr.Name)
-	defer finish()
-	defer func(t0 time.Time) { mInstallSeconds.Observe(time.Since(t0)) }(tVerify)
-	corr := ot.Corr
-	observeStage("verify", dVerify)
-	span.Add(ot.Span, "stage:verify", tVerify, dVerify)
-	cv, hit, err := m.reconcileTraced(sr, d, ot.Span)
-	if err != nil {
-		return nil, err
-	}
-	result := m.buildResult(sr, d, cv, hit, corr)
-
-	switch cv.Verdict {
-	case VerdictRejected:
-		m.emit("install", audit.VerdictReject, sr.Name, corr,
-			fmt.Sprintf("release %s@%s rejected: %s", sr.Name, sr.Version, firstViolation(cv)))
-		return result, fmt.Errorf("%w: %s@%s", ErrRejected, sr.Name, sr.Version)
-	case VerdictRepaired:
-		m.setPending(sr, d, cv, corr)
-		result.Status = StatusPending
-		m.emit("install", audit.VerdictViolation, sr.Name, corr,
-			fmt.Sprintf("release %s@%s repaired, pending sign-off (%d violations)", sr.Name, sr.Version, len(cv.Violations)))
-		return result, nil
-	default: // approved
-		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, d, cv), corr, false, "install", audit.VerdictInstall,
-			fmt.Sprintf("release %s@%s approved and activated", sr.Name, sr.Version))
-		dAct := time.Since(tAct)
-		observeStage("activate", dAct)
-		span.Add(ot.Span, "stage:activate", tAct, dAct)
-		result.Status = StatusActive
-		countLifecycle("install")
-		return result, nil
-	}
+	return m.admit(&installOp, d, OpTrace{})
 }
 
 // Upgrade runs the install pipeline for a newer release of an installed
 // app. Approved upgrades activate immediately but enter a probation
 // window; repaired upgrades wait for sign-off first.
 func (m *Market) Upgrade(d Digest) (*InstallResult, error) {
-	return m.UpgradeTraced(d, OpTrace{})
+	return m.admit(&upgradeOp, d, OpTrace{})
 }
 
-// UpgradeTraced is Upgrade under a caller-supplied operation identity;
-// see InstallTraced.
-func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
+// admitOp is what tells an install from an upgrade in the one admission
+// pipeline.
+type admitOp struct {
+	// name is the audit op, the root span's op and the lifecycle counter.
+	name string
+	// rejected, repaired and activated word the journal details of the
+	// three verdicts. Each formats the release's name and version, then
+	// the first violation, the violation count, or — when probated — the
+	// probation window.
+	rejected, repaired, activated string
+	// verdict and status are the approved activation's journal verdict
+	// and the app's state after it.
+	verdict audit.Verdict
+	status  AppStatus
+	// probated arms the probation monitor on an approved activation.
+	probated bool
+	// gate is the precondition, checked under m.mu; st is nil for an app
+	// the market has never seen.
+	gate func(st *appState, sr *SignedRelease) error
+}
+
+var (
+	installOp = admitOp{
+		name:      "install",
+		rejected:  "release %s@%s rejected: %s",
+		repaired:  "release %s@%s repaired, pending sign-off (%d violations)",
+		activated: "release %s@%s approved and activated",
+		verdict:   audit.VerdictInstall,
+		status:    StatusActive,
+		gate: func(st *appState, sr *SignedRelease) error {
+			if st != nil && st.active != nil && st.status != StatusRevoked {
+				return fmt.Errorf("%w: %s@%s is %s", ErrAlreadyInstalled, sr.Name, st.active.version, st.status)
+			}
+			return nil
+		},
+	}
+	upgradeOp = admitOp{
+		name:      "upgrade",
+		rejected:  "upgrade to %s@%s rejected: %s",
+		repaired:  "upgrade to %s@%s repaired, pending sign-off (%d violations)",
+		activated: "upgrade to %s@%s activated, probation %v",
+		verdict:   audit.VerdictUpgrade,
+		status:    StatusProbation,
+		probated:  true,
+		gate: func(st *appState, sr *SignedRelease) error {
+			if st == nil || st.active == nil {
+				return fmt.Errorf("%w: %s", ErrNotInstalled, sr.Name)
+			}
+			newV, err := ParseVersion(sr.Version)
+			if err != nil {
+				return err
+			}
+			curV, _ := ParseVersion(st.active.version)
+			if newV.Compare(curV) <= 0 {
+				return fmt.Errorf("%w: %s (active %s)", ErrNotAnUpgrade, sr.Version, st.active.version)
+			}
+			return nil
+		},
+	}
+)
+
+// admit is the admission pipeline under an operation identity — zero
+// for a direct call; the HTTP ingress and the job spine pass the corr
+// they minted at the boundary (plus the span context to nest stages
+// under), so the trace at /trace/<corr> and the audit trail share one ID
+// end to end. Stages: verify, op's gate, reconcile, then by verdict
+// reject, park for sign-off, or activate.
+func (m *Market) admit(op *admitOp, d Digest, ot OpTrace) (*InstallResult, error) {
 	tVerify := time.Now()
 	sr, err := m.reg.Release(d)
 	dVerify := time.Since(tVerify)
@@ -453,24 +453,13 @@ func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 		return nil, err
 	}
 	m.mu.Lock()
-	st, ok := m.apps[sr.Name]
-	if !ok || st.active == nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotInstalled, sr.Name)
-	}
-	newV, err := ParseVersion(sr.Version)
+	err = op.gate(m.apps[sr.Name], sr)
+	m.mu.Unlock()
 	if err != nil {
-		m.mu.Unlock()
 		return nil, err
 	}
-	curV, _ := ParseVersion(st.active.version)
-	if newV.Compare(curV) <= 0 {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (active %s)", ErrNotAnUpgrade, sr.Version, st.active.version)
-	}
-	m.mu.Unlock()
 
-	ot, finish := ot.fill("market:upgrade:" + sr.Name)
+	ot, finish := ot.fill("market:" + op.name + ":" + sr.Name)
 	defer finish()
 	defer func(t0 time.Time) { mInstallSeconds.Observe(time.Since(t0)) }(tVerify)
 	corr := ot.Corr
@@ -484,26 +473,30 @@ func (m *Market) UpgradeTraced(d Digest, ot OpTrace) (*InstallResult, error) {
 
 	switch cv.Verdict {
 	case VerdictRejected:
-		m.emit("upgrade", audit.VerdictReject, sr.Name, corr,
-			fmt.Sprintf("upgrade to %s@%s rejected: %s", sr.Name, sr.Version, firstViolation(cv)))
+		m.emit(op.name, audit.VerdictReject, sr.Name, corr,
+			fmt.Sprintf(op.rejected, sr.Name, sr.Version, firstViolation(cv)))
 		return result, fmt.Errorf("%w: %s@%s", ErrRejected, sr.Name, sr.Version)
 	case VerdictRepaired:
 		m.setPending(sr, d, cv, corr)
 		result.Status = StatusPending
-		m.emit("upgrade", audit.VerdictViolation, sr.Name, corr,
-			fmt.Sprintf("upgrade to %s@%s repaired, pending sign-off (%d violations)", sr.Name, sr.Version, len(cv.Violations)))
-		return result, nil
-	default: // approved
-		tAct := time.Now()
-		m.activate(sr.Name, refOf(sr, d, cv), corr, true, "upgrade", audit.VerdictUpgrade,
-			fmt.Sprintf("upgrade to %s@%s activated, probation %v", sr.Name, sr.Version, m.cfg.Probation))
-		dAct := time.Since(tAct)
-		observeStage("activate", dAct)
-		span.Add(ot.Span, "stage:activate", tAct, dAct)
-		result.Status = StatusProbation
-		countLifecycle("upgrade")
+		m.emit(op.name, audit.VerdictViolation, sr.Name, corr,
+			fmt.Sprintf(op.repaired, sr.Name, sr.Version, len(cv.Violations)))
 		return result, nil
 	}
+	var detail string
+	if op.probated {
+		detail = fmt.Sprintf(op.activated, sr.Name, sr.Version, m.cfg.Probation)
+	} else {
+		detail = fmt.Sprintf(op.activated, sr.Name, sr.Version)
+	}
+	tAct := time.Now()
+	m.activate(sr.Name, refOf(sr, d, cv), corr, op.probated, op.name, op.verdict, detail)
+	dAct := time.Since(tAct)
+	observeStage("activate", dAct)
+	span.Add(ot.Span, "stage:activate", tAct, dAct)
+	result.Status = op.status
+	countLifecycle(op.name)
+	return result, nil
 }
 
 // Approve signs off a pending repaired verdict, activating its
@@ -533,7 +526,7 @@ func (m *Market) Approve(app string) (*InstallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, _, err := m.reconcileRelease(sr, pending.digest) // cache hit by construction
+	cv, _, err := m.reconcileTraced(sr, pending.digest, span.Context{}) // cache hit by construction
 	if err != nil {
 		return nil, err
 	}
@@ -564,11 +557,7 @@ func (m *Market) Revoke(app string) error {
 	m.emit("revoke", audit.VerdictRevoke, app, corr, "permissions revoked")
 	m.mu.Unlock()
 
-	if m.runtime != nil {
-		m.runtime.SetPermissions(app, core.NewSet())
-		m.pushBudget(app, core.Budget{})
-		m.pushProvenance(app, nil)
-	}
+	m.push(app, nil)
 	countLifecycle("revoke")
 	gActiveApps.Add(-1)
 	return nil
@@ -586,26 +575,22 @@ func (m *Market) setPending(sr *SignedRelease, d Digest, cv *CachedVerdict, corr
 	}
 }
 
-// pushBudget threads a release's declared resource budget into the
-// runtime when it supports quotas. A zero budget clears any quota.
-func (m *Market) pushBudget(app string, b core.Budget) {
+// push is the one point where an activation reaches the runtime:
+// activate, rollback and Revoke all go through it. It hands over the
+// release's permissions, then its budget, then its provenance — in that
+// order, because the engine's SetPermissions clears the provenance the
+// last step sets. A nil release revokes: an empty set, no quota, no
+// notes. A registry-only market (nil runtime) pushes nothing.
+func (m *Market) push(app string, ref *releaseRef) {
 	if m.runtime == nil {
 		return
 	}
-	if br, ok := m.runtime.(BudgetRuntime); ok {
-		br.SetBudget(app, b)
+	if ref == nil {
+		ref = &releaseRef{effective: core.NewSet()}
 	}
-}
-
-// pushProvenance threads the active release's reconciliation notes into
-// the runtime when it records them. nil clears.
-func (m *Market) pushProvenance(app string, notes []string) {
-	if m.runtime == nil {
-		return
-	}
-	if pr, ok := m.runtime.(ProvenanceRuntime); ok {
-		pr.SetProvenance(app, notes)
-	}
+	m.runtime.SetPermissions(app, ref.effective.Clone())
+	m.runtime.SetBudget(app, ref.budget)
+	m.runtime.SetProvenance(app, ref.provenance)
 }
 
 // activate installs a release's effective permissions atomically and,
@@ -648,11 +633,7 @@ func (m *Market) activate(app string, ref *releaseRef, corr uint64, probated boo
 	m.emit(op, v, app, corr, detail)
 	m.mu.Unlock()
 
-	if m.runtime != nil {
-		m.runtime.SetPermissions(app, ref.effective.Clone())
-		m.pushBudget(app, ref.budget)
-		m.pushProvenance(app, ref.provenance)
-	}
+	m.push(app, ref)
 	if stop != nil {
 		m.wg.Add(1)
 		go m.superviseProbation(app, ref, stop, corr)
@@ -727,11 +708,7 @@ func (m *Market) rollback(app string, ref *releaseRef, stop chan struct{}, corr 
 		fmt.Sprintf("app %s during probation of %s@%s; rolled back to %s", h, app, ref.version, prev.version))
 	m.mu.Unlock()
 
-	if m.runtime != nil {
-		m.runtime.SetPermissions(app, prev.effective.Clone())
-		m.pushBudget(app, prev.budget)
-		m.pushProvenance(app, prev.provenance)
-	}
+	m.push(app, prev)
 	gProbations.Add(-1)
 	countLifecycle("rollback")
 }
@@ -889,11 +866,11 @@ func (m *Market) DiffReleases(from, to Digest) (string, []DiffEntry, error) {
 	if fromRel.Name != toRel.Name {
 		return "", nil, fmt.Errorf("%w: diff across different apps (%s vs %s)", ErrBadRequest, fromRel.Name, toRel.Name)
 	}
-	fromCV, _, err := m.reconcileRelease(fromRel, from)
+	fromCV, _, err := m.reconcileTraced(fromRel, from, span.Context{})
 	if err != nil {
 		return "", nil, err
 	}
-	toCV, _, err := m.reconcileRelease(toRel, to)
+	toCV, _, err := m.reconcileTraced(toRel, to, span.Context{})
 	if err != nil {
 		return "", nil, err
 	}

@@ -34,6 +34,9 @@ func (f *fakeRuntime) SetPermissions(app string, set *core.Set) {
 	f.sets++
 }
 
+func (f *fakeRuntime) SetBudget(string, core.Budget)  {}
+func (f *fakeRuntime) SetProvenance(string, []string) {}
+
 func (f *fakeRuntime) AppHealth(app string) (isolation.Health, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -354,15 +357,15 @@ func TestSnapshotListsRegistryAndInstalled(t *testing.T) {
 	}
 }
 
-// budgetFakeRuntime extends fakeRuntime with quota support, exercising
-// the optional BudgetRuntime interface the way *isolation.Shield does.
+// budgetFakeRuntime extends fakeRuntime with quota recording, the way
+// *isolation.Shield enforces budgets.
 type budgetFakeRuntime struct {
 	fakeRuntime
 	budgets map[string]core.Budget
 }
 
-var _ BudgetRuntime = (*budgetFakeRuntime)(nil)
-var _ BudgetRuntime = (*isolation.Shield)(nil)
+var _ Runtime = (*budgetFakeRuntime)(nil)
+var _ Runtime = (*isolation.Shield)(nil)
 
 func newBudgetFakeRuntime() *budgetFakeRuntime {
 	return &budgetFakeRuntime{

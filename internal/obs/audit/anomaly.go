@@ -5,43 +5,24 @@ import (
 	"time"
 )
 
-// DetectorConfig tunes the denial-rate anomaly detector. Zero values
-// select defaults.
-type DetectorConfig struct {
-	// Window is the sliding-window width denials are bucketed into.
-	// Default 1s.
-	Window time.Duration
-	// Alpha is the EWMA smoothing factor applied when a window closes.
-	// Default 0.3.
-	Alpha float64
-	// EWMAThreshold flags an app when its smoothed denials-per-window
-	// rate reaches it. Default 50.
-	EWMAThreshold float64
-	// BurstThreshold flags an app immediately when a single window's raw
-	// denial count reaches it, before the EWMA catches up. Default 128.
-	BurstThreshold int
-	// ClearFactor unflags an app once its EWMA decays below
-	// EWMAThreshold*ClearFactor (hysteresis). Default 0.5.
-	ClearFactor float64
-}
-
-func (c *DetectorConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.EWMAThreshold <= 0 {
-		c.EWMAThreshold = 50
-	}
-	if c.BurstThreshold <= 0 {
-		c.BurstThreshold = 128
-	}
-	if c.ClearFactor <= 0 || c.ClearFactor >= 1 {
-		c.ClearFactor = 0.5
-	}
-}
+// The denial-rate anomaly detector's tuning.
+const (
+	// detectorWindow is the sliding-window width denials are bucketed
+	// into.
+	detectorWindow = time.Second
+	// detectorAlpha is the EWMA smoothing factor applied when a window
+	// closes.
+	detectorAlpha = 0.3
+	// ewmaThreshold flags an app when its smoothed denials-per-window
+	// rate reaches it.
+	ewmaThreshold = 50
+	// burstThreshold flags an app immediately when a single window's raw
+	// denial count reaches it, before the EWMA catches up.
+	burstThreshold = 128
+	// clearFactor unflags an app once its EWMA decays below
+	// ewmaThreshold*clearFactor (hysteresis).
+	clearFactor = 0.5
+)
 
 // appRate is one app's denial-rate state.
 type appRate struct {
@@ -59,7 +40,6 @@ type appRate struct {
 // reads) drive window advancement, so replayed or test-generated
 // histories evaluate deterministically.
 type Detector struct {
-	cfg    DetectorConfig
 	mu     sync.Mutex
 	apps   map[string]*appRate
 	onFlag func(app string, snap AnomalySnapshot)
@@ -67,14 +47,13 @@ type Detector struct {
 
 // NewDetector builds a detector; register it with a journal via
 // j.AddConsumer(d.Observe).
-func NewDetector(cfg DetectorConfig) *Detector {
-	cfg.fill()
-	return &Detector{cfg: cfg, apps: make(map[string]*appRate)}
+func NewDetector() *Detector {
+	return &Detector{apps: make(map[string]*appRate)}
 }
 
 // defaultDetector feeds HealthSnapshot/health annotations for the
 // process-wide journal.
-var defaultDetector = NewDetector(DetectorConfig{})
+var defaultDetector = NewDetector()
 
 // DefaultDetector returns the detector attached to the default journal.
 func DefaultDetector() *Detector { return defaultDetector }
@@ -113,7 +92,7 @@ func (d *Detector) Observe(ev Event) {
 	st.window++
 	st.total++
 	st.lastDeny = ev.Time
-	if st.window >= d.cfg.BurstThreshold || st.ewma >= d.cfg.EWMAThreshold {
+	if st.window >= burstThreshold || st.ewma >= ewmaThreshold {
 		if !st.flagged {
 			st.flagged = true
 			if d.onFlag != nil {
@@ -136,22 +115,22 @@ func (d *Detector) advanceLocked(st *appRate, now time.Time) {
 		return
 	}
 	elapsed := now.Sub(st.windowStart)
-	if elapsed < d.cfg.Window {
+	if elapsed < detectorWindow {
 		return
 	}
-	n := int(elapsed / d.cfg.Window)
+	n := int(elapsed / detectorWindow)
 	if n > 64 {
 		st.ewma = 0
 		st.window = 0
 		st.windowStart = now
 	} else {
 		for i := 0; i < n; i++ {
-			st.ewma = d.cfg.Alpha*float64(st.window) + (1-d.cfg.Alpha)*st.ewma
+			st.ewma = detectorAlpha*float64(st.window) + (1-detectorAlpha)*st.ewma
 			st.window = 0
 		}
-		st.windowStart = st.windowStart.Add(time.Duration(n) * d.cfg.Window)
+		st.windowStart = st.windowStart.Add(time.Duration(n) * detectorWindow)
 	}
-	if st.flagged && st.ewma < d.cfg.EWMAThreshold*d.cfg.ClearFactor {
+	if st.flagged && st.ewma < ewmaThreshold*clearFactor {
 		st.flagged = false
 	}
 }

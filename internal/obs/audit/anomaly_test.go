@@ -10,7 +10,7 @@ func deny(app string, at time.Time) Event {
 }
 
 func TestDetectorFlagsBurstWithinOneWindow(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 128; i++ {
 		d.Observe(deny("noisy", t0.Add(time.Duration(i)*time.Millisecond)))
@@ -25,7 +25,7 @@ func TestDetectorFlagsBurstWithinOneWindow(t *testing.T) {
 }
 
 func TestDetectorSustainedRateFlagsViaEWMA(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	t0 := time.Unix(1000, 0)
 	// 100 denies per 1s window — below the 128 burst threshold — for 5
 	// windows pushes the EWMA (alpha 0.3) past the threshold of 50.
@@ -42,7 +42,7 @@ func TestDetectorSustainedRateFlagsViaEWMA(t *testing.T) {
 }
 
 func TestDetectorDecayClearsFlag(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 200; i++ {
 		d.Observe(deny("bursty", t0))
@@ -58,7 +58,7 @@ func TestDetectorDecayClearsFlag(t *testing.T) {
 }
 
 func TestDetectorIsolatesApps(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	// Real wall clock: Flagged() advances every app to time.Now().
 	t0 := time.Now()
 	for i := 0; i < 300; i++ {
@@ -78,7 +78,7 @@ func TestDetectorIsolatesApps(t *testing.T) {
 }
 
 func TestDetectorIgnoresNonDenyEvents(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 500; i++ {
 		d.Observe(Event{Kind: KindPermission, Verdict: VerdictAllow, App: "a", Time: t0})
@@ -90,7 +90,7 @@ func TestDetectorIgnoresNonDenyEvents(t *testing.T) {
 }
 
 func TestDetectorLongGapResets(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 200; i++ {
 		d.Observe(deny("a", t0))
@@ -104,7 +104,7 @@ func TestDetectorLongGapResets(t *testing.T) {
 }
 
 func TestDetectorOnFlagFiresOncePerTransition(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	var fired []AnomalySnapshot
 	d.SetOnFlag(func(app string, snap AnomalySnapshot) {
 		if app != "noisy" {

@@ -44,14 +44,16 @@ type Config struct {
 	CPUWindow time.Duration
 	// MaxCaptures bounds the on-disk ring. Default 16.
 	MaxCaptures int
-	// MutexFraction is passed to runtime.SetMutexProfileFraction for the
-	// profiler's lifetime (restored on Stop). Default 16; negative
-	// leaves the process setting untouched.
-	MutexFraction int
-	// BlockRate is passed to runtime.SetBlockProfileRate in ns (restored
-	// to off on Stop). Default 1ms; negative leaves it untouched.
-	BlockRate int
 }
+
+// The mutex and block profile rates held for a profiler's lifetime:
+// mutexFraction is passed to runtime.SetMutexProfileFraction (the
+// previous fraction is restored on Stop), blockRate in ns to
+// runtime.SetBlockProfileRate (turned off again on Stop).
+const (
+	mutexFraction = 16
+	blockRate     = int(time.Millisecond)
+)
 
 func (c *Config) fill() error {
 	if c.Dir == "" {
@@ -65,12 +67,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxCaptures <= 0 {
 		c.MaxCaptures = 16
-	}
-	if c.MutexFraction == 0 {
-		c.MutexFraction = 16
-	}
-	if c.BlockRate == 0 {
-		c.BlockRate = int(time.Millisecond)
 	}
 	return nil
 }
@@ -138,12 +134,8 @@ func Start(cfg Config) (*Profiler, error) {
 		return nil, fmt.Errorf("prof: %w", err)
 	}
 	p := &Profiler{cfg: cfg, stopCh: make(chan struct{})}
-	if cfg.MutexFraction >= 0 {
-		p.prevMutex = runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	}
-	if cfg.BlockRate >= 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRate)
-	}
+	p.prevMutex = runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRate)
 	p.loadExisting()
 	def.Store(p)
 	recorder.SetProfilesProvider(func() interface{} { return p.Recent() })
@@ -176,12 +168,8 @@ func (p *Profiler) Stop() {
 		if p.unhook != nil {
 			p.unhook()
 		}
-		if p.cfg.MutexFraction >= 0 {
-			runtime.SetMutexProfileFraction(p.prevMutex)
-		}
-		if p.cfg.BlockRate >= 0 {
-			runtime.SetBlockProfileRate(0)
-		}
+		runtime.SetMutexProfileFraction(p.prevMutex)
+		runtime.SetBlockProfileRate(0)
 		def.CompareAndSwap(p, nil)
 	})
 }

@@ -80,6 +80,7 @@ func TestCrossTenantIsolation(t *testing.T) {
 	// --- Audit isolation: alpha's install trail is absent from bravo's
 	// scoped journal (and vice versa bravo's own slice is intact).
 	waitAuditEvent(t, scoped, "alpha", "install")
+	waitAuditEvent(t, scoped, "bravo", "install")
 	w := do(t, scoped, "GET", "/t/bravo/audit", nil, nil)
 	if strings.Contains(w.Body.String(), "sensor") {
 		t.Fatalf("bravo's audit leaks alpha events: %s", w.Body.String())

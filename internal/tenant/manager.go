@@ -808,19 +808,10 @@ func (s *scopedRuntime) AppHealth(app string) (isolation.Health, bool) {
 	return s.rt.AppHealth(s.prefix + app)
 }
 
-// SetBudget forwards soft budgets when the underlying runtime accounts
-// them; otherwise it is a no-op (the wrapper always satisfies
-// market.BudgetRuntime so the namespace applies when it matters).
 func (s *scopedRuntime) SetBudget(app string, b core.Budget) {
-	if br, ok := s.rt.(market.BudgetRuntime); ok {
-		br.SetBudget(s.prefix+app, b)
-	}
+	s.rt.SetBudget(s.prefix+app, b)
 }
 
-// SetProvenance forwards reconciliation provenance under the tenant
-// namespace when the underlying runtime records it.
 func (s *scopedRuntime) SetProvenance(app string, notes []string) {
-	if pr, ok := s.rt.(market.ProvenanceRuntime); ok {
-		pr.SetProvenance(s.prefix+app, notes)
-	}
+	s.rt.SetProvenance(s.prefix+app, notes)
 }

@@ -13,7 +13,6 @@ import (
 
 	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
-	"sdnshield/internal/market"
 	"sdnshield/internal/obs"
 )
 
@@ -687,6 +686,8 @@ func (r *recordingRuntime) SetBudget(app string, b core.Budget) {
 	r.budgets[app] = b
 }
 
+func (r *recordingRuntime) SetProvenance(string, []string) {}
+
 func TestScopedRuntimeNamespacing(t *testing.T) {
 	rec := &recordingRuntime{}
 	rt := ScopedRuntime(rec, "acme")
@@ -702,15 +703,11 @@ func TestScopedRuntimeNamespacing(t *testing.T) {
 		t.Fatal("AppHealth did not pass through")
 	}
 	// Budget passthrough when the underlying runtime accounts budgets.
-	if br, ok := rt.(market.BudgetRuntime); !ok {
-		t.Fatal("scoped runtime lost BudgetRuntime")
-	} else {
-		br.SetBudget("sensor", core.Budget{CPUMillisPerSec: 5})
-		rec.mu.Lock()
-		b, ok := rec.budgets["acme/sensor"]
-		rec.mu.Unlock()
-		if !ok || b.CPUMillisPerSec != 5 {
-			t.Fatalf("SetBudget namespacing: %v %v", b, ok)
-		}
+	rt.SetBudget("sensor", core.Budget{CPUMillisPerSec: 5})
+	rec.mu.Lock()
+	b, ok := rec.budgets["acme/sensor"]
+	rec.mu.Unlock()
+	if !ok || b.CPUMillisPerSec != 5 {
+		t.Fatalf("SetBudget namespacing: %v %v", b, ok)
 	}
 }
