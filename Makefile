@@ -51,11 +51,14 @@ check: fmt-check vet race
 
 # bench runs the paper's benchmarks at the repo root (one per table and
 # figure of §IX, plus the mediated call and reconciliation), the obs
-# instrument micro-benchmarks, each instrument enabled vs disabled, and
-# the hosted-tenant call (Tenant.Do) on an idle and a shared shard.
+# instrument micro-benchmarks, each instrument enabled vs disabled, the
+# audit journal's emit and drain (whose ns/event must stay flat across
+# batch sizes), and the hosted-tenant call (Tenant.Do) on an idle and a
+# shared shard.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ ./internal/obs/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/obs/audit/
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/tenant/
 
 # bench-overhead enforces the 5% budget of the audit, span and heat

@@ -179,6 +179,13 @@ func TestAltoAndTrafficEngineer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The shadow tables hold the routes once the flow-mods are sent; the
+	// switches apply them asynchronously, so fence each before the ping.
+	for dpid := of.DPID(1); dpid <= 3; dpid++ {
+		if err := e.kernel.Barrier(dpid); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if !pingAndWait(t, e, 0, 2, 9000, 2*time.Second) {
 		t.Fatal("TE route does not carry traffic")
 	}

@@ -253,10 +253,16 @@ func (r *request) put() {
 // among its app's calls (the count /apps reports), is taken before the
 // enqueue and travels in r.org to the engine and the kernel; a request
 // without a container is not numbered and so never measured. Unsampled
-// calls read no clock (time.Now() costs tens of nanoseconds against a
-// microsecond call); measured ones share their timestamps between the
-// hop histogram, r's op's latency histogram, the resource accounting
-// (scaled back to full rate by the sampling period) and — for every
+// calls read no clock for their instrumentation (time.Now() costs tens
+// of nanoseconds against a microsecond call): the hop, the engine and
+// the kernel op time only measured calls, and the audit journal stamps
+// an event's Time when it drains the event, once per batch. The reads
+// left outside the sample are not per-call measurement: the shadow
+// table stamps a rule's install time, the engine a retained denial's,
+// and the kernel times a stats request's switch round trip whenever obs
+// is on. Measured calls share their timestamps between the hop
+// histogram, r's op's latency histogram, the resource accounting (scaled
+// back to full rate by the sampling period) and — for every
 // traceOneIn-th of them — the call's spans under r.org's corr
 // (/trace/<corr>, /traces). Every decided call, sampled or not, leaves
 // its permission event in the audit journal under the same corr.

@@ -126,9 +126,10 @@ const (
 	VerdictSLORecover Verdict = "slo_recover"
 )
 
-// Event is one structured audit record. Seq and Time are stamped by the
-// journal at emit time; everything else is supplied by the emitting
-// layer. Corr links every event caused by one mediated API call: the
+// Event is one structured audit record. The journal stamps Seq at emit
+// time and, unless the emitter set it, Time when it drains the event
+// (one clock read per drained batch, so emitting reads no clock);
+// everything else is supplied by the emitting layer. Corr links every event caused by one mediated API call: the
 // isolation layer mints it at the call boundary and threads it through
 // the permission check down to the wire send, so a flow-mod, its
 // permission decision and the originating call share one value.

@@ -52,18 +52,19 @@ func (c *JournalConfig) fill() {
 	}
 }
 
-// jshard is one producer-side buffer. The trailing pad keeps adjacent
+// jshard is one producer-side buffer. An event is numbered under mu, so
+// buf is always a run in ascending Seq. The trailing pad keeps adjacent
 // shards' mutexes out of each other's cache lines.
 type jshard struct {
 	mu  sync.Mutex
 	buf []Event
-	n   int
 	_   [40]byte
 }
 
 // Journal is a bounded MPSC event pipeline: many producers Emit into
-// striped buffers without ever blocking; one drain goroutine merges them
-// in sequence order into a queryable history ring and feeds consumers.
+// striped buffers without ever blocking; one drain goroutine cuts every
+// buffer at once and merges the runs in sequence order into a queryable
+// history ring and the consumers.
 type Journal struct {
 	cfg     JournalConfig
 	enabled atomic.Bool
@@ -81,9 +82,11 @@ type Journal struct {
 	stopped atomic.Bool
 
 	// drainMu serializes drain sweeps between the drain goroutine and
-	// DrainNow/Flush on a stopped or never-started journal.
+	// DrainNow/Flush on a stopped or never-started journal. It guards
+	// runs: shard i's last drained buffer, swapped back in as the
+	// shard's empty spare at the next cut.
 	drainMu sync.Mutex
-	scratch []Event
+	runs    [][]Event
 
 	hmu     sync.Mutex
 	history []Event // ring
@@ -119,6 +122,7 @@ func NewJournal(cfg JournalConfig) *Journal {
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		history: make([]Event, cfg.History),
+		runs:    make([][]Event, cfg.Shards),
 	}
 	for i := range j.shards {
 		j.shards[i].buf = make([]Event, 0, cfg.ShardBuffer)
@@ -188,29 +192,33 @@ func TenantOf(app string) string {
 
 // Emit appends an event. It never blocks: a full shard increments the
 // drop counter and the event is lost (bounded memory beats a stalled
-// mediated call). Seq and, if unset, Time are stamped here.
+// mediated call). Seq is stamped here, under the shard lock, so each
+// shard holds its events in sequence order and a drain's cut holds every
+// numbered event that was not dropped. Emit reads no clock: the drain
+// stamps Time when the emitter left it zero.
 func (j *Journal) Emit(ev Event) {
 	if !j.enabled.Load() {
 		return
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
 	if ev.Tenant == "" {
 		ev.Tenant = TenantOf(ev.App)
 	}
-	ev.Seq = j.seq.Add(1)
 	sh := j.shard()
 	sh.mu.Lock()
-	if sh.n == cap(sh.buf) {
+	ev.Seq = j.seq.Add(1)
+	if len(sh.buf) == j.cfg.ShardBuffer {
 		sh.mu.Unlock()
 		j.drops.Add(1)
 		mDropped.Inc()
 		return
 	}
-	sh.buf = sh.buf[:sh.n+1]
-	sh.buf[sh.n] = ev
-	sh.n++
+	if len(sh.buf) == cap(sh.buf) {
+		// A spare starts empty and grows on demand, up to the bound.
+		grown := make([]Event, len(sh.buf), min(max(2*len(sh.buf), 64), j.cfg.ShardBuffer))
+		copy(grown, sh.buf)
+		sh.buf = grown
+	}
+	sh.buf = append(sh.buf, ev)
 	sh.mu.Unlock()
 	mEmitted.Inc()
 	select {
@@ -273,58 +281,89 @@ func (j *Journal) loop() {
 	}
 }
 
-// drainOnce sweeps every shard, restores global order by sequence
-// number, runs consumers and the sink, then publishes to the history
+// drainOnce cuts every shard at once, merges the runs in sequence
+// order into consumers and the sink, then publishes them to the history
 // ring and wakes long-poll waiters.
+//
+// The cut holds every shard lock together and swaps each buffer for its
+// spare. A seq is only taken under a shard lock, so the cut holds every
+// numbered event that was not dropped: a batch is contiguous in Seq, and
+// no later batch holds a smaller one. Each run is already sorted, so the
+// merge is linear, and the events are read where they lie: the history
+// ring is the one place an event is copied to.
 func (j *Journal) drainOnce() {
 	j.drainMu.Lock()
 	defer j.drainMu.Unlock()
-	batch := j.scratch[:0]
+	for i := range j.shards {
+		j.shards[i].mu.Lock()
+	}
+	n := 0
 	for i := range j.shards {
 		sh := &j.shards[i]
-		sh.mu.Lock()
-		batch = append(batch, sh.buf[:sh.n]...)
-		sh.buf = sh.buf[:0]
-		sh.n = 0
-		sh.mu.Unlock()
+		j.runs[i], sh.buf = sh.buf, j.runs[i][:0]
+		n += len(j.runs[i])
 	}
-	j.scratch = batch[:0]
-	if len(batch) == 0 {
+	for i := range j.shards {
+		j.shards[i].mu.Unlock()
+	}
+	if n == 0 {
 		return
 	}
-	// Shards are filled concurrently, so restore the global emit order.
-	for i := 1; i < len(batch); i++ {
-		for k := i; k > 0 && batch[k].Seq < batch[k-1].Seq; k-- {
-			batch[k], batch[k-1] = batch[k-1], batch[k]
-		}
-	}
+	now := time.Now()
 	j.cmu.Lock()
 	consumers := j.consumers
 	j.cmu.Unlock()
 	sink := j.sink.Load()
-	for _, ev := range batch {
+	m := merge{runs: j.runs}
+	for ev := m.next(); ev != nil; ev = m.next() {
+		if ev.Time.IsZero() {
+			ev.Time = now
+		}
 		for _, fn := range consumers {
-			fn(ev)
+			fn(*ev)
 		}
 		if sink != nil {
-			if err := sink.Write(ev); err != nil {
+			if err := sink.Write(*ev); err != nil {
 				j.sinkErrs.Add(1)
 			}
 		}
 	}
 	j.hmu.Lock()
-	for _, ev := range batch {
-		j.history[j.hNext] = ev
-		j.hNext = (j.hNext + 1) % len(j.history)
-		if j.hLen < len(j.history) {
-			j.hLen++
+	m = merge{runs: j.runs}
+	for ev := m.next(); ev != nil; ev = m.next() {
+		j.history[j.hNext] = *ev
+		if j.hNext++; j.hNext == len(j.history) {
+			j.hNext = 0
 		}
 	}
+	j.hLen = min(j.hLen+n, len(j.history))
 	if j.wake != nil {
 		close(j.wake)
 		j.wake = nil
 	}
 	j.hmu.Unlock()
+}
+
+// merge walks sorted runs in ascending Seq: a k-way merge over at most
+// eight runs (Shards' cap), so the least head is found by a scan.
+type merge struct {
+	runs [][]Event
+	at   [8]int
+}
+
+// next returns the least unread event, nil when every run is read.
+func (m *merge) next() *Event {
+	best, least := -1, uint64(0)
+	for i, r := range m.runs {
+		if k := m.at[i]; k < len(r) && (best < 0 || r[k].Seq < least) {
+			best, least = i, r[k].Seq
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	m.at[best]++
+	return &m.runs[best][m.at[best]-1]
 }
 
 // Filter selects events out of the journal history. Zero-valued fields

@@ -35,6 +35,53 @@ func TestJournalDrainOrdersBySeq(t *testing.T) {
 	}
 }
 
+// TestJournalOrdersBySeqAcrossDrains runs the drain goroutine against
+// concurrent emitters, so many drains cut the shards while events are
+// being numbered: consumers and the history must still see Seq strictly
+// ascending across batches, not only within one.
+func TestJournalOrdersBySeqAcrossDrains(t *testing.T) {
+	const goroutines, per = 8, 5000
+	j := NewJournal(JournalConfig{Shards: 8, ShardBuffer: 4096, History: goroutines * per})
+	var seen []uint64 // written by the drain goroutine only
+	j.AddConsumer(func(ev Event) { seen = append(seen, ev.Seq) })
+	j.Start()
+	defer j.Stop()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				j.Emit(Event{Kind: KindPermission, Verdict: VerdictAllow})
+			}
+		}()
+	}
+	wg.Wait()
+	j.Flush()
+	if uint64(len(seen)) != j.Emitted() {
+		t.Fatalf("consumer saw %d events, journal accepted %d", len(seen), j.Emitted())
+	}
+	inversions := func(seqs []uint64) (n int) {
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				n++
+			}
+		}
+		return n
+	}
+	if n := inversions(seen); n > 0 {
+		t.Errorf("consumer saw %d seq inversions across drains", n)
+	}
+	hist := j.Query(Filter{})
+	seqs := make([]uint64, len(hist))
+	for i, ev := range hist {
+		seqs[i] = ev.Seq
+	}
+	if n := inversions(seqs); n > 0 {
+		t.Errorf("history holds %d seq inversions across drains", n)
+	}
+}
+
 func TestJournalBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	// Never started: nothing drains, so the tiny shards must overflow.
 	j := NewJournal(JournalConfig{Shards: 1, ShardBuffer: 8, History: 16})
