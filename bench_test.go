@@ -170,7 +170,7 @@ func (obsProbeApp) Name() string                 { return "obsprobe" }
 func (obsProbeApp) Init(api isolation.API) error { return nil }
 
 // newProbeCall launches obsProbeApp on a fresh shield, torn down when
-// tb ends, and returns one mediated read call (app handle → KSD deputy
+// tb ends, and returns one mediated read call (app handle → KSD slot
 // → permission check → kernel topology read). It touches no instrument
 // switch, so the call runs with whatever the process has set.
 func newProbeCall(tb testing.TB) func() error {

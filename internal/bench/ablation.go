@@ -21,8 +21,8 @@ type AblationRow struct {
 //
 //   - compiled vs interpreted permission checking (§VI-B "compiles the
 //     permission manifest into runtime checking code");
-//   - KSD pool sizing (§VI-A "multiple instances of KSDs can run in
-//     parallel");
+//   - KSD slot count (§VI-A "multiple instances of KSDs can run in
+//     parallel": here, how many mediated calls may run at once);
 //   - Algorithm 1 normalization cost as filter expressions grow
 //     (reconciliation's building block).
 func RunAblations() ([]AblationRow, error) {
@@ -30,7 +30,7 @@ func RunAblations() ([]AblationRow, error) {
 
 	rows = append(rows, ablationCompiledVsInterpreted()...)
 
-	ksd, err := ablationKSDWorkers()
+	ksd, err := ablationKSDSlots()
 	if err != nil {
 		return nil, err
 	}
@@ -74,12 +74,12 @@ func ablationCompiledVsInterpreted() []AblationRow {
 	}
 }
 
-// ablationKSDWorkers sweeps the deputy pool size under the L2 latency
+// ablationKSDSlots sweeps the deputy slot count under the L2 latency
 // probe.
-func ablationKSDWorkers() ([]AblationRow, error) {
+func ablationKSDSlots() ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, workers := range []int{1, 2, 4, 8} {
-		env, err := newScenarioEnv(2, true, isolation.Config{KSDWorkers: workers})
+	for _, slots := range []int{1, 2, 4, 8} {
+		env, err := newScenarioEnv(2, true, isolation.Config{KSDWorkers: slots})
 		if err != nil {
 			return nil, err
 		}
@@ -98,8 +98,8 @@ func ablationKSDWorkers() ([]AblationRow, error) {
 		}
 		env.close()
 		rows = append(rows, AblationRow{
-			Study:   "ksd-pool",
-			Variant: fmt.Sprintf("%d workers", workers),
+			Study:   "ksd-slots",
+			Variant: fmt.Sprintf("slots=%d", slots),
 			Metric:  "median-latency-ns",
 			Value:   float64(Summarize(samples).Median.Nanoseconds()),
 		})

@@ -17,11 +17,11 @@ func TestAblations(t *testing.T) {
 			t.Errorf("non-positive measurement: %+v", r)
 		}
 	}
-	if studies["checking"] != 2 || studies["ksd-pool"] != 4 || studies["algorithm1"] != 3 {
+	if studies["checking"] != 2 || studies["ksd-slots"] != 4 || studies["algorithm1"] != 3 {
 		t.Errorf("study coverage = %v", studies)
 	}
 	out := FormatAblations(rows)
-	for _, want := range []string{"compiled closure", "ksd-pool", "algorithm1"} {
+	for _, want := range []string{"compiled closure", "ksd-slots", "algorithm1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("format missing %q", want)
 		}

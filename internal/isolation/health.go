@@ -29,8 +29,9 @@ type AppHealthSnapshot struct {
 	Usage ResourceUsage `json:"usage"`
 }
 
-// HealthSnapshot is the shield-wide health view: the KSD pool plus every
-// launched container.
+// HealthSnapshot is the shield-wide health view: the KSD slots plus
+// every launched container. KSDWorkers is the slot count, QueueDepth the
+// callers blocked waiting for a slot.
 type HealthSnapshot struct {
 	Stopped    bool                `json:"stopped"`
 	KSDWorkers int                 `json:"ksd_workers"`
@@ -45,7 +46,7 @@ func (s *Shield) HealthSnapshot() HealthSnapshot {
 	snap := HealthSnapshot{
 		Stopped:    s.stopped.Load(),
 		KSDWorkers: s.cfg.KSDWorkers,
-		QueueDepth: len(s.reqCh),
+		QueueDepth: int(s.blocked.Load()),
 	}
 	containers := s.launched()
 	det := audit.DefaultDetector()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,7 @@ import (
 
 // do runs fn as a mediated call of an ad-hoc op on c's behalf (c may be
 // nil): fn is the op's effect, so the call crosses the hop every op crosses —
-// pooled request, enqueue, deputy, protect — without a permission check.
+// pooled request, deputy slot, protect — without a permission check.
 func (s *Shield) do(c *Container, op *mediatedOp, org controller.Origin, fn func(controller.Origin) error) error {
 	row := *op
 	row.decide = func(*request) error { return nil }
@@ -281,5 +282,89 @@ func TestMediatedCallAllocs(t *testing.T) {
 	ev := audit.Event{Kind: audit.KindPermission, Verdict: audit.VerdictAllow, App: "allocs", Token: "insert_flow"}
 	if got := allocsPerCall(n, func() { j.Emit(ev); j.DrainNow() }); got > 0.5 || consumed != n+1 {
 		t.Errorf("journal emit + drain: %.2f allocations per event (want 0), %d events consumed (want %d)", got, consumed, n+1)
+	}
+}
+
+// TestNewShieldStartsNoGoroutines: a deputy is a slot, not a goroutine —
+// without its quota sweep a new shield starts none.
+func TestNewShieldStartsNoGoroutines(t *testing.T) {
+	k := controller.New(nil, nil)
+	defer k.Stop()
+	before := runtime.NumGoroutine()
+	s := NewShield(k, Config{KSDWorkers: 4, QuotaCheckInterval: -1})
+	defer s.Stop()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewShield started %d goroutines", n-before)
+	}
+}
+
+// TestDeputySlotsBoundCalls: with two slots, two of five callers run
+// their effects and the other three wait, counted as the queue depth
+// /health reports; once released every call completes and the queue is
+// empty.
+func TestDeputySlotsBoundCalls(t *testing.T) {
+	s := NewShield(controller.New(nil, nil), noQuotaLoop()) // two slots
+	t.Cleanup(func() { s.Stop(); s.Kernel().Stop() })
+	const callers = 5
+	op := newMediatedOp("slot_probe")
+	entered, release, errs := make(chan struct{}, callers), make(chan struct{}), make(chan error, callers)
+	var released sync.Once
+	free := func() { released.Do(func() { close(release) }) }
+	t.Cleanup(free) // before Stop, which waits for the parked calls
+	for i := 0; i < callers; i++ {
+		go func() {
+			errs <- s.do(nil, op, controller.Origin{App: "slots"}, func(controller.Origin) error {
+				entered <- struct{}{}
+				<-release
+				return nil
+			})
+		}()
+	}
+	<-entered
+	<-entered
+	for deadline := time.Now().Add(5 * time.Second); s.HealthSnapshot().QueueDepth != callers-2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth = %d, want %d callers waiting", s.HealthSnapshot().QueueDepth, callers-2)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-entered:
+		t.Fatal("a third effect runs while two slots are held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	free()
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap := s.HealthSnapshot(); snap.QueueDepth != 0 || snap.KSDWorkers != 2 {
+		t.Fatalf("after release: queue depth %d, ksd_workers %d; want 0, 2", snap.QueueDepth, snap.KSDWorkers)
+	}
+}
+
+// TestPanickingCallReleasesSlot: on a shield of one slot, a call whose
+// effect panics returns the panic as its error, and the next call still
+// gets the slot.
+func TestPanickingCallReleasesSlot(t *testing.T) {
+	s := NewShield(controller.New(nil, nil), Config{KSDWorkers: 1, QuotaCheckInterval: -1})
+	t.Cleanup(func() { s.Stop(); s.Kernel().Stop() })
+	op := newMediatedOp("slot_panic")
+	err := s.do(nil, op, controller.Origin{App: "slots"}, func(controller.Origin) error { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), "panic in mediated API call: boom") {
+		t.Fatalf("panicking call: err = %v, want the panic as an error", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- s.do(nil, op, controller.Origin{App: "slots"}, func(controller.Origin) error { return nil })
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("call after the panic: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call after the panic never got the slot")
 	}
 }

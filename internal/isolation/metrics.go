@@ -2,14 +2,14 @@ package isolation
 
 import "sdnshield/internal/obs"
 
-// Isolation-layer instrumentation: the KSD boundary (the inter-goroutine
-// hop whose cost the paper's end-to-end figures measure) and per-app
-// lifecycle counters.
+// Isolation-layer instrumentation: the KSD boundary (the deputy slot a
+// mediated call waits for, whose cost the paper's end-to-end figures
+// measure) and per-app lifecycle counters.
 var (
 	mKSDHopSeconds = obs.Default().Histogram("sdnshield_ksd_hop_seconds",
-		"Time a mediated call waits between enqueue and pickup by a Kernel Service Deputy.")
+		"Time a mediated call waits for a Kernel Service Deputy slot (zero when one is free).")
 	mKSDQueueDepth = obs.Default().Gauge("sdnshield_ksd_queue_depth",
-		"Mediated calls waiting in the KSD request channel (sampled at enqueue).")
+		"Mediated calls blocked waiting for a Kernel Service Deputy slot.")
 	mQuarantinedCalls = obs.Default().Counter("sdnshield_ksd_quarantined_calls_total",
 		"Mediated calls rejected because the app is quarantined.")
 )
@@ -37,7 +37,7 @@ func registerAppGauges(c *Container) {
 		"Cumulative mediated-call execution time charged to the app, by app.",
 		func() float64 { return float64(c.res.cpuNanos.Load()) / 1e9 }, "app", c.name)
 	reg.GaugeFunc("sdnshield_app_ksd_wait_seconds_total",
-		"Cumulative KSD queue residency of the app's mediated calls, by app.",
+		"Cumulative KSD slot wait of the app's mediated calls, by app.",
 		func() float64 { return float64(c.res.waitNanos.Load()) / 1e9 }, "app", c.name)
 	reg.GaugeFunc("sdnshield_app_alloc_bytes_estimate",
 		"Sampled estimate of heap bytes allocated during the app's mediated calls, by app.",

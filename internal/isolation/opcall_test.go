@@ -177,3 +177,51 @@ func TestVirtualAppConfinedToBigSwitch(t *testing.T) {
 		t.Errorf("physical tables changed\nbefore: %v\nafter:  %v", before, after)
 	}
 }
+
+// TestVirtualViewFollowsPermissionChanges: a launched app that gains a
+// single-big-switch filter is confined to the big switch at its next
+// call, on every handle it holds, and one that loses the filter gets the
+// physical view back.
+func TestVirtualViewFollowsPermissionChanges(t *testing.T) {
+	const physical, virtual = "PERM visible_topology\nPERM insert_flow", virtualTenant + "PERM insert_flow"
+	spec := controller.FlowSpec{Match: of.NewMatch().Set(of.FieldTPDst, 80), Priority: 10,
+		Actions: []of.Action{of.Output(1)}}
+	// expect checks the view on both handles: the switches listed, and
+	// whether an insert addresses physical DPID 1.
+	expect := func(t *testing.T, handles []API, phase string, virtualView bool) {
+		t.Helper()
+		want := 3
+		if virtualView {
+			want = 1
+		}
+		for _, h := range handles {
+			sw, err := h.Switches()
+			if err != nil || len(sw) != want {
+				t.Errorf("%s: Switches() = %v, %v; want %d switches", phase, sw, err, want)
+			}
+			if err := h.InsertFlow(1, spec); (err != nil) != virtualView {
+				t.Errorf("%s: InsertFlow on physical DPID 1: err = %v, want refused %v", phase, err, virtualView)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name             string
+		launched, change string
+	}{
+		{"gain", physical, virtual},
+		{"lose", virtual, physical},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newEnv(t, 3)
+			api := launchAPI(t, env, "tenant", tc.launched)
+			attacker, err := AttackerHandle(env.shield, "tenant")
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles := []API{api, attacker}
+			expect(t, handles, "at launch", tc.launched == virtual)
+			grant(t, env.shield, "tenant", tc.change)
+			expect(t, handles, "after the change", tc.change == virtual)
+		})
+	}
+}

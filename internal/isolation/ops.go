@@ -85,23 +85,21 @@ type shieldedAPI struct {
 	name      string
 	shield    *Shield
 	container *Container
-	// virt is non-nil when the app's visible_topology carries a
-	// single-big-switch filter; all topology-addressed calls are then
-	// translated (§VI-B1).
-	virt *translator
 }
 
 var _ API = (*shieldedAPI)(nil)
 
-func newShieldedAPI(s *Shield, c *Container) *shieldedAPI {
-	api := &shieldedAPI{name: c.name, shield: s, container: c}
-	if set, ok := s.engine.Permissions(c.name); ok {
+// virtFor is the translator an app's calls run under: one when its
+// current visible_topology grant carries a single-big-switch filter, so
+// every topology-addressed call is translated (§VI-B1), nil otherwise.
+func virtFor(s *Shield, app string) *translator {
+	if set, ok := s.engine.Permissions(app); ok {
 		expr, _ := set.FilterFor(core.TokenVisibleTopology)
 		if vf := findVirtFilter(expr); vf != nil && vf.Mode() == core.VirtSingleBigSwitch {
-			api.virt = newTranslator(s.kernel, c.name)
+			return newTranslator(s.kernel, app)
 		}
 	}
-	return api
+	return nil
 }
 
 // findVirtFilter finds the first virtual-topology filter leaf of a
@@ -126,18 +124,20 @@ func (a *shieldedAPI) AppName() string { return a.name }
 func (a *shieldedAPI) engine() *permengine.Engine { return a.shield.engine }
 
 // mediate is the one mediation routine every op runs. The gates come
-// first, on the caller: a quarantined app's handle is dead, and an app
-// behind the virtual big switch addresses no physical switch — both fail
-// fast without consuming a deputy. Then the call's correlation ID is
-// minted, so the permission check and every switch-side effect of this
-// one call share it, and the request crosses the KSD hop.
+// first: a quarantined app's handle is dead, and an app behind the
+// virtual big switch (its view, read once per call) addresses no
+// physical switch — both fail fast without taking a deputy slot. Then the
+// call's correlation ID is minted, so the permission check and every
+// switch-side effect of this one call share it, and the request crosses
+// the KSD hop.
 func (a *shieldedAPI) mediate(r *request) error {
 	if a.container.Health() == Quarantined {
 		mQuarantinedCalls.Inc()
 		return fmt.Errorf("%w: %s", ErrAppQuarantined, a.name)
 	}
-	if r.op.onSwitch && a.virt != nil && r.dpid != bigSwitchDPID {
-		return a.virt.outside()
+	r.virt = a.container.virt.Load()
+	if r.op.onSwitch && r.virt != nil && r.dpid != bigSwitchDPID {
+		return r.virt.outside()
 	}
 	r.org = controller.Origin{App: a.name, Corr: audit.NextCorr()}
 	return a.shield.hop(r)
@@ -163,7 +163,7 @@ func callFor[T any](a *shieldedAPI, op *mediatedOp, in args, out func(*request) 
 func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
 	r := a.request(op, in)
 	defer r.put()
-	r.org.Corr = corr
+	r.org.Corr, r.virt = corr, a.container.virt.Load()
 	return op.decide(r)
 }
 
@@ -240,8 +240,8 @@ func (r *request) checkInsert() error {
 }
 
 func (r *request) insertFlow() error {
-	if r.a.virt != nil {
-		return r.a.virt.insertFlow(r.org, r.spec)
+	if r.virt != nil {
+		return r.virt.insertFlow(r.org, r.spec)
 	}
 	return r.a.shield.kernel.InsertFlowAs(r.org, r.dpid, r.spec)
 }
@@ -253,7 +253,7 @@ func (r *request) insertFlow() error {
 // translated deletes only ever touch its own physical rules.
 func (r *request) checkAffected(token core.Token, actions []of.Action) error {
 	var entries []*flowtable.Entry
-	if r.a.virt == nil {
+	if r.virt == nil {
 		var err error
 		if entries, err = r.a.shield.kernel.Flows(r.dpid, r.spec.Match); err != nil {
 			return err
@@ -301,8 +301,8 @@ func (a *shieldedAPI) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16,
 func (r *request) checkDelete() error { return r.checkAffected(core.TokenDeleteFlow, nil) }
 
 func (r *request) deleteFlow() error {
-	if r.a.virt != nil {
-		return r.a.virt.deleteFlow(r.org, r.spec.Match, r.spec.Priority, r.strict)
+	if r.virt != nil {
+		return r.virt.deleteFlow(r.org, r.spec.Match, r.spec.Priority, r.strict)
 	}
 	return r.a.shield.kernel.DeleteFlowAs(r.org, r.dpid, r.spec.Match, r.spec.Priority, r.strict)
 }
@@ -366,8 +366,8 @@ func (r *request) checkFlowStats() error {
 }
 
 func (r *request) readFlowStats() (err error) {
-	if r.a.virt != nil {
-		r.flowStats, err = r.a.virt.flowStats(r.spec.Match)
+	if r.virt != nil {
+		r.flowStats, err = r.virt.flowStats(r.spec.Match)
 		return err
 	}
 	rows, err := r.a.shield.kernel.FlowStats(r.dpid, r.spec.Match)
@@ -385,8 +385,8 @@ func (a *shieldedAPI) PortStats(dpid of.DPID, port uint16) ([]of.PortStatsEntry,
 func (r *request) checkPortStats() error { return r.check(statsCall(r.dpid, of.StatsPort, nil)) }
 
 func (r *request) readPortStats() (err error) {
-	if r.a.virt != nil {
-		r.portStats, err = r.a.virt.portStats(r.port)
+	if r.virt != nil {
+		r.portStats, err = r.virt.portStats(r.port)
 	} else {
 		r.portStats, err = r.a.shield.kernel.PortStats(r.dpid, r.port)
 	}
@@ -400,8 +400,8 @@ func (a *shieldedAPI) SwitchStats(dpid of.DPID) (of.SwitchStats, error) {
 func (r *request) checkSwitchStats() error { return r.check(statsCall(r.dpid, of.StatsSwitch, nil)) }
 
 func (r *request) readSwitchStats() (err error) {
-	if r.a.virt != nil {
-		r.switchStats, err = r.a.virt.switchStats()
+	if r.virt != nil {
+		r.switchStats, err = r.virt.switchStats()
 	} else {
 		r.switchStats, err = r.a.shield.kernel.SwitchStats(r.dpid)
 	}
@@ -420,8 +420,8 @@ func (r *request) listedTopology() error {
 // the virtual big switch, otherwise the physical rows the filter admits.
 func topologyRows[T any](r *request, virtual func(*translator) []T,
 	physical func(*topology.Topology) []T, describe func(T, *core.Call)) []T {
-	if r.a.virt != nil {
-		return virtual(r.a.virt)
+	if r.virt != nil {
+		return virtual(r.virt)
 	}
 	return visible(r, core.TokenVisibleTopology, physical(r.a.shield.kernel.Topology()), describe)
 }

@@ -15,7 +15,7 @@ import (
 // Per-app resource accounting (§VI-A: deputies do work *on behalf of*
 // apps, so the shield — not the app — is where consumption is visible).
 // Every container carries a resourceState fed from the KSD hot path:
-// execution time and queue residency come from the app's measured calls
+// execution time and deputy-slot wait come from the app's measured calls
 // (1 in obs.LatencySampling of its own calls, scaled back to full rate),
 // allocation is estimated by sampling, and the goroutine gauge counts
 // container-owned workers plus calls in flight. Budgets declared in
@@ -34,7 +34,7 @@ const allocOneIn = 64
 // resourceState is one container's live consumption and its budget.
 type resourceState struct {
 	cpuNanos   atomic.Int64 // cumulative mediated-call execution time
-	waitNanos  atomic.Int64 // cumulative KSD queue residency
+	waitNanos  atomic.Int64 // cumulative KSD slot wait
 	allocBytes atomic.Int64 // sampled allocation estimate
 	// calls counts the app's mediated calls and numbers each one for its
 	// sampling decision.

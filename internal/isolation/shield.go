@@ -22,9 +22,9 @@ import (
 
 // Config tunes the shielded runtime.
 type Config struct {
-	// KSDWorkers is the size of the Kernel Service Deputy pool. Multiple
-	// deputies run in parallel to offload API requests from apps (§VI-A).
-	// Default 4.
+	// KSDWorkers is the number of Kernel Service Deputy slots: how many
+	// mediated calls run at once, each on its caller's goroutine (§VI-A's
+	// parallel deputies). Default 4.
 	KSDWorkers int
 	// EventQueueSize is the per-app event queue depth. Events beyond it
 	// are dropped (and counted) rather than blocking the kernel. Default
@@ -91,19 +91,21 @@ func (c *Config) fill() {
 // ErrShieldStopped reports API use after shutdown.
 var ErrShieldStopped = errors.New("isolation: shield stopped")
 
-// Shield is the SDNShield runtime: the permission engine, the KSD pool
+// Shield is the SDNShield runtime: the permission engine, the KSD slots
 // and the app containers.
 type Shield struct {
 	kernel *controller.Kernel
 	engine *permengine.Engine
 	cfg    Config
 
-	// reqCh is the KSD queue; gate, held shared from a caller's stopped
-	// check through its send, orders enqueues before Stop's close.
-	reqCh   chan *request
-	gate    sync.RWMutex
-	workers sync.WaitGroup
-	stopped atomic.Bool
+	// slots holds a token per running mediated call, blocked counts the
+	// callers waiting for one; gate, held shared from a caller's stopped
+	// check through its inflight.Add, orders calls before Stop's wait.
+	slots    chan struct{}
+	blocked  atomic.Int64
+	gate     sync.RWMutex
+	inflight sync.WaitGroup
+	stopped  atomic.Bool
 
 	mu         sync.Mutex
 	containers map[string]*Container
@@ -125,15 +127,11 @@ func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 		kernel:         kernel,
 		engine:         permengine.New(kernel),
 		cfg:            cfg,
-		reqCh:          make(chan *request, 256),
+		slots:          make(chan struct{}, cfg.KSDWorkers),
 		containers:     make(map[string]*Container),
 		pendingBudgets: make(map[string]core.Budget),
 	}
 	s.unregisterHealth = registerHealth(s)
-	for i := 0; i < cfg.KSDWorkers; i++ {
-		s.workers.Add(1)
-		go s.ksdLoop()
-	}
 	if cfg.QuotaCheckInterval > 0 {
 		s.quotaStop = make(chan struct{})
 		s.quotaWG.Add(1)
@@ -150,9 +148,16 @@ func (s *Shield) Engine() *permengine.Engine { return s.engine }
 // never see it).
 func (s *Shield) Kernel() *controller.Kernel { return s.kernel }
 
-// SetPermissions installs an app's reconciled permission set.
+// SetPermissions installs an app's reconciled permission set and, under
+// mu as Launch does, re-derives a launched app's view from the engine: a
+// gained or lost single-big-switch filter applies from its next call.
 func (s *Shield) SetPermissions(app string, set *core.Set) {
 	s.engine.SetPermissions(app, set)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.containers[app]; ok {
+		c.virt.Store(virtFor(s, app))
+	}
 }
 
 // SetProvenance records the reconciliation repair notes attached to the
@@ -162,36 +167,22 @@ func (s *Shield) SetProvenance(app string, notes []string) {
 	s.engine.SetProvenance(app, notes)
 }
 
-// ksdLoop is one Kernel Service Deputy: it executes mediated API calls on
-// behalf of apps until Stop closes the queue.
-func (s *Shield) ksdLoop() {
-	defer s.workers.Done()
-	for r := range s.reqCh {
-		s.serve(r)
-	}
-}
-
-// request is one mediated call on its way across the KSD hop and back, in
-// one pooled record: the op and its caller, whose origin carries the
-// sampling decision taken at enqueue, the call's own arguments, the call
-// the engine checks, the results and the reply channel. The caller owns a
-// request from get to put and reads the results before it puts it back;
-// the deputy owns it from pickup to its reply and never touches it after.
+// request is one mediated call in one pooled record: the op and its
+// caller, whose origin carries the call's sampling decision, the
+// translator it was issued under, the call's own arguments, the call the
+// engine checks and the results. Its caller owns it from get to put and
+// reads the results before it puts it back.
 type request struct {
-	a   *shieldedAPI
-	op  *mediatedOp
-	org controller.Origin
-
-	enq    time.Time // zero unless the call is measured
-	traced bool
+	a    *shieldedAPI
+	op   *mediatedOp
+	org  controller.Origin
+	virt *translator // the app's view when the call was issued; nil: physical
 
 	args
 	match of.Match     // what spec.Match points at
 	acts  [4]of.Action // what spec.Actions points into, unless longer
 	call  core.Call    // the call checked; a listing's rows reuse it
 
-	err         error
-	wait, exec  time.Duration // the traced subset's two stages
 	flows       []*flowtable.Entry
 	flowStats   []of.FlowStatsEntry
 	portStats   []of.PortStatsEntry
@@ -201,8 +192,6 @@ type request struct {
 	hosts       []topology.Host
 	ok          bool
 	conn        *hostsim.Conn
-
-	done chan struct{} // the deputy's reply; kept across reuse
 }
 
 // args are one call's arguments. Decision and effect read only the
@@ -221,7 +210,7 @@ type args struct {
 	data     []byte
 }
 
-var requests = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
+var requests = sync.Pool{New: func() any { return new(request) }}
 
 // request takes a request for one call of op from the pool and copies the
 // arguments in, on the caller: the match by value (nil as the match-all
@@ -243,112 +232,101 @@ func (a *shieldedAPI) request(op *mediatedOp, in args) *request {
 
 // put clears r, dropping every reference it holds, and pools it.
 func (r *request) put() {
-	*r = request{done: r.done}
+	*r = request{}
 	requests.Put(r)
 }
 
-// hop is the KSD hop: it hands r to a deputy and waits for the reply —
-// the inter-thread hop whose cost the paper's end-to-end overhead
-// measurements capture. The call's one sampling decision, its ordinal
-// among its app's calls (the count /apps reports), is taken before the
-// enqueue and travels in r.org to the engine and the kernel; a request
-// without a container is not numbered and so never measured. Unsampled
-// calls read no clock for their instrumentation (time.Now() costs tens
-// of nanoseconds against a microsecond call): the hop, the engine and
-// the kernel op time only measured calls, and the audit journal stamps
-// an event's Time when it drains the event, once per batch. The reads
-// left outside the sample are not per-call measurement: the shadow
-// table stamps a rule's install time, the engine a retained denial's,
-// and the kernel times a stats request's switch round trip whenever obs
-// is on. Measured calls share their timestamps between the hop
-// histogram, r's op's latency histogram, the resource accounting (scaled
-// back to full rate by the sampling period) and — for every
+// hop runs r on its caller's goroutine under a deputy slot (§VI-A's KSD):
+// the capability is the API value, not the thread, so a deputy is a slot,
+// not a goroutine. A call that finds every slot taken blocks on the send
+// behind the callers already waiting, in order: they are the KSD queue.
+// The call's one sampling decision, its ordinal among its app's calls (the
+// count /apps reports), is taken first and travels in r.org to the engine
+// and the kernel; a request without a container is not numbered and so
+// never measured. Unsampled calls read no clock for their instrumentation
+// (time.Now() costs tens of nanoseconds against a microsecond call): the
+// hop, the engine and the kernel op time only measured calls, and the
+// audit journal stamps an event's Time when it drains the event, once per
+// batch. The reads left outside the sample are not per-call measurement:
+// the shadow table stamps a rule's install time, the engine a retained
+// denial's, and the kernel times a stats request's switch round trip
+// whenever obs is on. Measured calls share their timestamps between the
+// hop histogram, r's op's latency histogram, the resource accounting
+// (scaled back to full rate by the sampling period) and — for every
 // traceOneIn-th of them — the call's spans under r.org's corr
-// (/trace/<corr>, /traces). Every decided call, sampled or not, leaves
-// its permission event in the audit journal under the same corr.
+// (/trace/<corr>, /traces). Every decided call, sampled or not, leaves its
+// permission event in the audit journal under the same corr.
 //
-// A call racing Stop is either enqueued before Stop closes the queue, and
-// then served, or returns ErrShieldStopped.
+// A call racing Stop either passes its stopped check, and then completes
+// before Stop returns, or returns ErrShieldStopped.
 func (s *Shield) hop(r *request) error {
 	s.gate.RLock()
 	if s.stopped.Load() {
 		s.gate.RUnlock()
 		return ErrShieldStopped
 	}
+	s.inflight.Add(1)
+	s.gate.RUnlock()
+	defer s.inflight.Done()
 	c := r.a.container
 	if c != nil {
 		r.org.Sample = obs.NewSample(c.res.calls.Add(1))
 		c.res.goroutines.Add(1)
 		defer c.res.goroutines.Add(-1)
 	}
-	if nth := r.org.Sample.Measured(); nth != 0 {
-		r.traced = nth%traceOneIn == 0
-		mKSDQueueDepth.Set(int64(len(s.reqCh)))
-		r.enq = time.Now()
-	}
-	s.reqCh <- r
-	s.gate.RUnlock()
-	<-r.done
-	if r.traced {
-		// The call's spans are in the collector before it returns, under
-		// the corr its audit events carry; the exemplar names the same ID.
-		d := time.Since(r.enq)
-		r.op.hist.ObserveTraced(d, r.org.Corr, r.enq)
-		root := span.Mediated(r.org.Corr, r.op.name, audit.TenantOf(c.name), r.enq, d)
-		span.Add(root, "ksd_queue", r.enq, r.wait)
-		span.Add(root, "exec", r.enq.Add(r.wait), r.exec)
-	} else if !r.enq.IsZero() {
-		r.op.hist.Observe(time.Since(r.enq))
-	}
-	return r.err
-}
-
-// serve runs one request on a deputy. What the bookkeeping after the
-// reply needs is copied out first: after it the request is the caller's.
-func (s *Shield) serve(r *request) {
-	c, traced, sample := r.a.container, r.traced, r.org.Sample
-	var pickup time.Time
-	var wait, exec time.Duration
-	if !r.enq.IsZero() {
-		pickup = time.Now()
-		wait = pickup.Sub(r.enq)
-		mKSDHopSeconds.Observe(wait)
-	}
 	// Only a numbered call — one with a container — is measured or in a
 	// side cut, so c is set wherever it is used below.
+	sample, nth := r.org.Sample, r.org.Sample.Measured()
+	var enq, start time.Time
+	if nth != 0 {
+		enq = time.Now()
+	}
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		mKSDQueueDepth.Set(s.blocked.Add(1))
+		s.slots <- struct{}{}
+		mKSDQueueDepth.Set(s.blocked.Add(-1))
+	}
+	if nth != 0 {
+		start = time.Now()
+	}
 	bracket := sample.OneIn(allocOneIn)
 	var allocBefore int64
 	if bracket {
 		allocBefore = heapAllocBytes()
 	}
-	r.err = s.protect(r)
-	// A traced call's execution time travels back with the reply, so its
-	// clock read comes first. Every other call is accounted after the
-	// reply: the deputy does the bookkeeping — clock reads included — off
-	// the caller's critical path. exec then includes the reply handoff:
-	// tens of nanoseconds against microsecond calls, a fair trade for
-	// keeping the measured path clock-free.
-	if traced {
-		exec = time.Since(pickup)
-	}
-	r.wait, r.exec = wait, exec
-	r.done <- struct{}{}
-	if !traced && !pickup.IsZero() {
-		exec = time.Since(pickup)
-	}
+	err := s.protect(r)
+	<-s.slots
 	if bracket {
 		if delta := heapAllocBytes() - allocBefore; delta > 0 {
 			c.res.allocBytes.Add(delta * allocOneIn)
 		}
 	}
-	if !pickup.IsZero() {
-		c.res.account(exec, wait, sample.Every)
+	if nth == 0 {
+		return err
 	}
+	end := time.Now()
+	wait, exec := start.Sub(enq), end.Sub(start)
+	mKSDHopSeconds.Observe(wait)
+	c.res.account(exec, wait, sample.Every)
+	if d := end.Sub(enq); nth%traceOneIn == 0 {
+		// The call's spans are in the collector before it returns, under
+		// the corr its audit events carry; the exemplar names the same ID.
+		r.op.hist.ObserveTraced(d, r.org.Corr, enq)
+		root := span.Mediated(r.org.Corr, r.op.name, audit.TenantOf(c.name), enq, d)
+		span.Add(root, "ksd_queue", enq, wait)
+		span.Add(root, "exec", enq.Add(wait), exec)
+	} else {
+		r.op.hist.Observe(d)
+	}
+	return err
 }
 
 // protect runs r's op — its decision, then its effect — shielding the
-// deputy from it: a panic inside a mediated call becomes an error for the
-// caller (and is counted on the engine) instead of killing the worker.
+// caller from it: a panic inside a mediated call becomes an error for the
+// caller (and is counted on the engine) instead of unwinding its
+// goroutine with the slot held.
 func (s *Shield) protect(r *request) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -390,11 +368,12 @@ func (s *Shield) Launch(app App) error {
 		c.res.setBudget(b)
 		delete(s.pendingBudgets, name)
 	}
+	c.virt.Store(virtFor(s, name))
 	s.containers[name] = c
 	s.mu.Unlock()
 	registerAppGauges(c)
 
-	api := newShieldedAPI(s, c)
+	api := &shieldedAPI{name: name, shield: s, container: c}
 	c.api = api
 	initErr := make(chan error, 1)
 	go func() {
@@ -429,7 +408,7 @@ func AttackerHandle(s *Shield, app string) (API, error) {
 	if !ok {
 		return nil, fmt.Errorf("isolation: app %q not launched", app)
 	}
-	return newShieldedAPI(s, c), nil
+	return &shieldedAPI{name: app, shield: s, container: c}, nil
 }
 
 // Container returns a launched app's container.
@@ -457,7 +436,8 @@ func (s *Shield) removeContainer(name string) {
 	delete(s.containers, name)
 }
 
-// Stop terminates every container and the KSD pool.
+// Stop terminates every container and waits for the mediated calls in
+// flight.
 func (s *Shield) Stop() {
 	if s.stopped.Swap(true) {
 		return
@@ -476,11 +456,10 @@ func (s *Shield) Stop() {
 	for _, c := range containers {
 		c.Stop()
 	}
-	// Enqueues past their stopped check finish first; all get served.
+	// Calls past their stopped check are counted in flight; all finish.
 	s.gate.Lock()
-	close(s.reqCh)
 	s.gate.Unlock()
-	s.workers.Wait()
+	s.inflight.Wait()
 	if s.unregisterHealth != nil {
 		s.unregisterHealth()
 	}
@@ -498,6 +477,9 @@ type Container struct {
 	shield *Shield
 	app    App // retained so the supervisor can re-run Init
 	api    API
+	// virt is the view every handle of the app calls under (virtFor),
+	// set at Launch and on every SetPermissions.
+	virt atomic.Pointer[translator]
 
 	events chan controller.Event
 

@@ -111,8 +111,12 @@ func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
 		}
 		org := controller.Origin{App: t.api.AppName(), Corr: t.corr}
 		var err error
-		if t.shield != nil && t.shield.virt != nil {
-			err = t.shield.virt.deleteFlow(org, spec.Match, spec.Priority, true)
+		var virt *translator // the app's view now; the monolith has none
+		if t.shield != nil {
+			virt = t.shield.container.virt.Load()
+		}
+		if virt != nil {
+			err = virt.deleteFlow(org, spec.Match, spec.Priority, true)
 		} else {
 			err = t.kernel.DeleteFlowAs(org, dpid, spec.Match, spec.Priority, true)
 		}
