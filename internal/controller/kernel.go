@@ -1009,3 +1009,16 @@ func (k *Kernel) RuleCount(app string, dpid of.DPID) int {
 	}
 	return shadow.CountByOwner(app)
 }
+
+// RuleCountBesides counts an app's rules on a switch other than its own
+// rule equal to (match, priority): what MAX_RULE_COUNT bounds for an
+// insert, which replaces that rule in place rather than adding one.
+func (k *Kernel) RuleCountBesides(app string, dpid of.DPID, match *of.Match, priority uint16) int {
+	k.mu.RLock()
+	shadow, ok := k.shadow[dpid]
+	k.mu.RUnlock()
+	if !ok {
+		return 0
+	}
+	return shadow.CountByOwnerBesides(app, match, priority)
+}

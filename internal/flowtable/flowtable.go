@@ -281,6 +281,23 @@ func (t *Table) CountByOwner(owner string) int {
 	return t.owners[owner]
 }
 
+// CountByOwnerBesides is CountByOwner less the owner's own rule equal to
+// (m, priority), if it holds one: the rules the owner would hold besides
+// an insert of that rule, which replaces it in place rather than adding
+// one.
+func (t *Table) CountByOwnerBesides(owner string, m *of.Match, priority uint16) int {
+	if m == nil {
+		m = of.NewMatch()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.owners[owner]
+	if e := t.lookupExact(priority, m); e != nil && e.Owner == owner {
+		n--
+	}
+	return n
+}
+
 // OwnerOf returns the owner of the highest-priority rule equal to or
 // overlapping the given match, preferring exact matches. ok is false when
 // no rule overlaps. The permission engine uses this to resolve

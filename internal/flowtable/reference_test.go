@@ -160,6 +160,23 @@ func (t *refTable) CountByOwner(owner string) int {
 	return n
 }
 
+// CountByOwnerBesides is CountByOwner less the owner's own rule equal to
+// (m, priority), if it holds one.
+func (t *refTable) CountByOwnerBesides(owner string, m *of.Match, priority uint16) int {
+	if m == nil {
+		m = of.NewMatch()
+	}
+	n := t.CountByOwner(owner)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.entries {
+		if e.Owner == owner && e.Priority == priority && e.Match.Equal(m) {
+			n--
+		}
+	}
+	return n
+}
+
 // OwnerOf returns the owner of the highest-priority rule equal to or
 // overlapping the given match, preferring exact matches. ok is false when
 // no rule overlaps. The permission engine uses this to resolve
@@ -480,6 +497,9 @@ func testOpsAgainstReference(t *testing.T) {
 			for _, o := range append([]string{"nobody"}, diffOwners...) {
 				if got, want := tbl.CountByOwner(o), ref.CountByOwner(o); got != want {
 					fail("CountByOwner(%q) = %d, reference %d", o, got, want)
+				}
+				if got, want := tbl.CountByOwnerBesides(o, m, prio), ref.CountByOwnerBesides(o, m, prio); got != want {
+					fail("CountByOwnerBesides(%q, %v, %d) = %d, reference %d", o, m, prio, got, want)
 				}
 			}
 			for _, q := range []*of.Match{m, randMatch(r), randMatch(r), nil} {

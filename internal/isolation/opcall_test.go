@@ -225,3 +225,38 @@ func TestVirtualViewFollowsPermissionChanges(t *testing.T) {
 		})
 	}
 }
+
+// TestRuleCapAdmitsCallsThatAddNoRule: MAX_RULE_COUNT bounds the rules an
+// app holds, so under a cap of 2 with two rules resident an insert that
+// replaces one in place, and a modify checked through the insert_flow
+// fallback, are allowed — neither adds a rule. A new rule is still denied,
+// whether its match or only its priority is new.
+func TestRuleCapAdmitsCallsThatAddNoRule(t *testing.T) {
+	env := newEnv(t, 1)
+	api := launchAPI(t, env, "capped", "PERM insert_flow LIMITING MAX_RULE_COUNT 2")
+	rule := func(port, prio, out uint16) controller.FlowSpec {
+		return controller.FlowSpec{Match: of.NewMatch().Set(of.FieldTPDst, uint64(port)), Priority: prio,
+			Actions: []of.Action{of.Output(out)}}
+	}
+	for _, port := range []uint16{80, 443} {
+		if err := api.InsertFlow(1, rule(port, 10, 1)); err != nil {
+			t.Fatalf("insert under the cap: %v", err)
+		}
+	}
+	if err := api.InsertFlow(1, rule(80, 10, 2)); err != nil {
+		t.Errorf("insert replacing an own rule in place: %v", err)
+	}
+	web := rule(80, 10, 3)
+	if err := api.ModifyFlow(1, web.Match, web.Priority, web.Actions); err != nil {
+		t.Errorf("modify through the insert_flow fallback: %v", err)
+	}
+	var denied *permengine.DeniedError
+	for _, spec := range []controller.FlowSpec{rule(22, 10, 1), rule(80, 11, 1)} {
+		if err := api.InsertFlow(1, spec); !errors.As(err, &denied) {
+			t.Errorf("new rule %s at priority %d past the cap: err = %v, want a denial", spec.Match.Key(), spec.Priority, err)
+		}
+	}
+	if n := env.kernel.RuleCount("capped", 1); n != 2 {
+		t.Errorf("capped app holds %d rules, want 2", n)
+	}
+}

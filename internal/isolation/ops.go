@@ -168,14 +168,14 @@ func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
 }
 
 // check decides a built call, held in the request: stamped with the
-// caller and corr, its stateful attributes resolved — Engine.Resolve is
-// the one place insert_flow's owner and rule count are found, for the
-// live call and for Explain alike — and handed to the engine under the
-// call's sampling decision, which every check of one call shares.
+// caller and corr and handed to the engine under the call's sampling
+// decision, which every check of one call shares. The engine resolves
+// what the op left open — insert_flow's owner and rule count — and only
+// what the app's grant reads, in the one routine the live call and
+// Explain share.
 func (r *request) check(call core.Call) error {
 	r.call = call
 	r.call.App, r.call.Corr = r.a.name, r.org.Corr
-	r.a.engine().Resolve(&r.call)
 	return r.a.engine().CheckSampled(&r.call, r.org.Sample)
 }
 
@@ -232,8 +232,9 @@ func (a *shieldedAPI) InsertFlow(dpid of.DPID, spec controller.FlowSpec) error {
 	return a.call(opInsertFlow, args{dpid: dpid, spec: spec})
 }
 
-// checkInsert decides insert_flow's call; check resolves its owner — the
-// foreign rule the new one could shadow — and the caller's rule count.
+// checkInsert decides insert_flow's call; the engine resolves its owner
+// — the foreign rule the new one could shadow — and the caller's rule
+// count besides the rule the insert would replace, each when read.
 func (r *request) checkInsert() error {
 	return r.check(core.Call{Token: core.TokenInsertFlow, DPID: r.dpid, HasDPID: true, Match: r.spec.Match,
 		Actions: orNone(r.spec.Actions), Priority: r.spec.Priority, HasPriority: true})

@@ -83,8 +83,9 @@ type Explanation struct {
 // engine's one decision routine under a recording probe, so the verdict
 // and the clause walk are Check's own; only the side effects are off and
 // the leaves inside a clause all report instead of short-circuiting.
-// Explain resolves stateful attributes like Check does and is safe to
-// call concurrently with live traffic.
+// Explain resolves every stateful attribute the caller left open, as
+// Check does for a denial, and is safe to call concurrently with live
+// traffic.
 func (e *Engine) Explain(call *core.Call) Explanation {
 	ex := Explanation{
 		App:        call.App,

@@ -43,9 +43,11 @@ type StateProvider interface {
 	// app would shadow; ok is false when there is no such rule.
 	FlowOwner(dpid of.DPID, match *of.Match, priority uint16) (owner string, ok bool)
 	ForeignFlowOwner(app string, dpid of.DPID, match *of.Match, priority uint16) (owner string, ok bool)
-	// RuleCount returns how many rules the app currently holds on the
-	// switch.
-	RuleCount(app string, dpid of.DPID) int
+	// RuleCountBesides returns how many rules the app holds on the switch
+	// besides its own rule equal to (match, priority), if it has one: the
+	// rules that stay beside an insert of that rule, which replaces it in
+	// place.
+	RuleCountBesides(app string, dpid of.DPID, match *of.Match, priority uint16) int
 }
 
 // nopState is used when no state provider is configured (pure
@@ -54,7 +56,16 @@ type nopState struct{}
 
 func (nopState) FlowOwner(of.DPID, *of.Match, uint16) (string, bool)                { return "", false }
 func (nopState) ForeignFlowOwner(string, of.DPID, *of.Match, uint16) (string, bool) { return "", false }
-func (nopState) RuleCount(string, of.DPID) int                                      { return 0 }
+func (nopState) RuleCountBesides(string, of.DPID, *of.Match, uint16) int            { return 0 }
+
+// stateReads is a set of the stateful attributes the engine resolves from
+// its StateProvider.
+type stateReads uint8
+
+const (
+	readsOwner stateReads = 1 << iota // Call.FlowOwner
+	readsCount                        // Call.RuleCount
+)
 
 // checker is one compiled filter expression. Its second argument is nil
 // on every path but Explain's, which passes the list to record each leaf
@@ -69,8 +80,8 @@ type clause struct {
 }
 
 // grant is everything the engine holds for one granted token: the
-// ordered clause list every decision walks and the heat slab a sampled
-// walk counts into (heat.go).
+// ordered clause list every decision walks, the stateful values its
+// leaves read and the heat slab a sampled walk counts into (heat.go).
 type grant struct {
 	// checks[i] evaluates clauses[i]; a slice of their own so the walk
 	// reads them densely (hosted_churn p50 +2–3 % otherwise, CHANGES.md).
@@ -80,6 +91,11 @@ type grant struct {
 	allow   [heatShards]heatPad
 	deny    [heatShards]heatPad
 	cells   []atomic.Uint64 // heatShards × len(clauses) × heatCells, shard-major
+
+	// reads holds the stateful values some leaf reads: the owner for an
+	// OWN_FLOWS leaf under either polarity, the rule count for a
+	// MAX_RULE_COUNT leaf. ALL_FLOWS reads only that an owner is present.
+	reads stateReads
 }
 
 // compiled is an app's permission set lowered into one grant per token.
@@ -98,7 +114,7 @@ func newGrant(filter core.Expr) *grant {
 	g := &grant{clauses: make([]clause, 0, len(cs))}
 	for _, c := range cs {
 		dims := []string{}
-		g.checks = append(g.checks, compile(c, false, &dims))
+		g.checks = append(g.checks, compile(c, false, &dims, &g.reads))
 		sort.Strings(dims)
 		g.clauses = append(g.clauses, clause{expr: core.ExprString(c), dims: slices.Compact(dims)})
 	}
@@ -154,14 +170,22 @@ func CompileFilter(e core.Expr) func(*core.Call) bool { return newGrant(e).allow
 // compile lowers an expression into a closure with negation pushed to
 // the leaves (mirroring core's evaluation semantics, including vacuous
 // truth for inapplicable filters), appending to dims the dimension of
-// every leaf it lowers.
-func compile(e core.Expr, neg bool, dims *[]string) checker {
+// every leaf it lowers and adding to reads the stateful value it reads.
+func compile(e core.Expr, neg bool, dims *[]string, reads *stateReads) checker {
 	switch v := e.(type) {
 	case nil:
 		return func(*core.Call, *[]LeafExplain) bool { return true }
 	case *core.Leaf:
 		f := v.F
 		*dims = append(*dims, f.Dimension())
+		switch lf := f.(type) {
+		case *core.OwnerFilter:
+			if lf.OwnOnly() {
+				*reads |= readsOwner
+			}
+		case *core.TableSizeFilter:
+			*reads |= readsCount
+		}
 		return func(call *core.Call, rec *[]LeafExplain) bool {
 			matched, applicable := f.Test(call)
 			effective := !applicable || matched != neg
@@ -174,11 +198,11 @@ func compile(e core.Expr, neg bool, dims *[]string) checker {
 			return effective
 		}
 	case *core.Not:
-		return compile(v.X, !neg, dims)
+		return compile(v.X, !neg, dims, reads)
 	case *core.And: // ¬(L∧R) = ¬L ∨ ¬R
-		return binary(!neg, compile(v.L, neg, dims), compile(v.R, neg, dims))
+		return binary(!neg, compile(v.L, neg, dims, reads), compile(v.R, neg, dims, reads))
 	case *core.Or: // ¬(L∨R) = ¬L ∧ ¬R
-		return binary(neg, compile(v.L, neg, dims), compile(v.R, neg, dims))
+		return binary(neg, compile(v.L, neg, dims, reads), compile(v.R, neg, dims, reads))
 	case *core.MacroRef:
 		// Unresolved stubs deny.
 		name := v.Name
@@ -320,29 +344,52 @@ func (e *Engine) HasToken(app string, token core.Token) bool {
 	return ok && c.set.Has(token)
 }
 
-// Resolve fills the stateful attributes of a call from the state
-// provider; it is idempotent. An insert_flow call gets what the live
-// insert is checked with: the owner of a foreign rule it could shadow and
-// the caller's rule count. A modify, delete or read names one rule, so it
-// gets that rule's owner.
-func (e *Engine) Resolve(call *core.Call) {
+// unresolved names the stateful attributes of a call that the engine
+// resolves, each unless the caller pinned it. An insert_flow call is
+// checked on the owner of a foreign rule it could shadow and on the
+// caller's rule count; a modify, delete or read names one rule, so it is
+// checked on that rule's owner.
+func unresolved(call *core.Call) (open stateReads) {
 	if !call.HasDPID || call.Match == nil {
-		return
+		return 0
 	}
 	switch call.Token {
 	case core.TokenInsertFlow:
-		if !call.HasFlowOwner {
-			call.FlowOwner, _ = e.state.ForeignFlowOwner(call.App, call.DPID, call.Match, call.Priority)
-			call.HasFlowOwner = true
-		}
 		if !call.HasRuleCount {
-			call.RuleCount, call.HasRuleCount = e.state.RuleCount(call.App, call.DPID), true
+			open = readsCount
 		}
+		fallthrough
 	case core.TokenModifyFlow, core.TokenDeleteFlow, core.TokenReadFlowTable:
 		if !call.HasFlowOwner {
-			call.FlowOwner, _ = e.state.FlowOwner(call.DPID, call.Match, call.Priority)
-			call.HasFlowOwner = true
+			open |= readsOwner
 		}
+	}
+	return open
+}
+
+// resolve marks every attribute in open resolved, looking up from the
+// state provider the ones in read, a subset of open. An attribute no
+// leaf reads keeps its zero value but is present, so each filter is as
+// applicable as it would be had it been looked up (NOT ALL_FLOWS rejects
+// either way). The count of an insert leaves out the caller's own rule
+// it would replace. A call with nothing open is not written to: callers
+// may share a pinned call across goroutines.
+func (e *Engine) resolve(call *core.Call, open, read stateReads) {
+	if read&readsOwner != 0 {
+		if call.Token == core.TokenInsertFlow {
+			call.FlowOwner, _ = e.state.ForeignFlowOwner(call.App, call.DPID, call.Match, call.Priority)
+		} else {
+			call.FlowOwner, _ = e.state.FlowOwner(call.DPID, call.Match, call.Priority)
+		}
+	}
+	if read&readsCount != 0 {
+		call.RuleCount = e.state.RuleCountBesides(call.App, call.DPID, call.Match, call.Priority)
+	}
+	if open&readsOwner != 0 {
+		call.HasFlowOwner = true
+	}
+	if open&readsCount != 0 {
+		call.HasRuleCount = true
 	}
 }
 
@@ -354,11 +401,11 @@ func (e *Engine) Check(call *core.Call) error {
 }
 
 // CheckSampled mediates one API call under its call's sampling decision
-// s: resolves stateful attributes, evaluates the app's compiled
-// permission, journals the decision, and returns a *DeniedError on
-// denial. Decision counters are exact; the check's latency is measured
-// when s is, so the unsampled majority pays no clock reads, and one
-// check in heatOneIn carries the heat probe.
+// s: resolves the stateful attributes its grant reads, evaluates the
+// app's compiled permission, journals the decision, and returns a
+// *DeniedError on denial. Decision counters are exact; the check's
+// latency is measured when s is, so the unsampled majority pays no clock
+// reads, and one check in heatOneIn carries the heat probe.
 func (e *Engine) CheckSampled(call *core.Call, s obs.Sample) error {
 	var p *probe
 	if heatWalks(s) {
@@ -380,11 +427,14 @@ func (e *Engine) CheckSampled(call *core.Call, s obs.Sample) error {
 	return nil
 }
 
-// decide is the engine's one decision routine. It finds the app's grant
-// for the call's token, resolves the stateful attributes and walks the
+// decide is the engine's one decision routine and the one place a call's
+// stateful attributes are resolved. It finds the app's grant for the
+// call's token, looks up the attributes the grant reads and walks the
 // clause list; then, unless the probe is Explain's, it retains a denial
-// for /explain?corr= and writes the audit journal. The reason is one of
-// the Reason constants; detail is empty when the call is allowed.
+// for /explain?corr= and writes the audit journal. A denial and an
+// Explain report the whole call, so they look up every attribute the
+// caller left open, as if none were skipped. The reason is one of the
+// Reason constants; detail is empty when the call is allowed.
 func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	c, g := e.grantFor(call.App, call.Token)
 	reason = ReasonAllowed
@@ -394,8 +444,14 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	case g == nil:
 		reason, detail = ReasonTokenUngranted, "token not granted"
 	default:
-		e.Resolve(call)
+		open := unresolved(call)
+		read := open & g.reads
+		if p.explaining() {
+			read = open
+		}
+		e.resolve(call, open, read)
 		if !g.walk(call, p) {
+			e.resolve(call, open, open&^read)
 			reason, detail = ReasonFilterRejected, "filter rejected call "+call.String()
 		}
 	}
@@ -416,7 +472,7 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 // Filter returns the app's grant for one token as a pure predicate, for
 // keeping the visible rows of a listing. It is taken once per listing and
 // runs the same clause walk as Check with none of its effects: no
-// Resolve, no counters, no heat, no retained denial, no audit record. An app that does not hold the token sees nothing.
+// resolution, no counters, no heat, no retained denial, no audit record. An app that does not hold the token sees nothing.
 func (e *Engine) Filter(app string, token core.Token) func(*core.Call) bool {
 	if _, g := e.grantFor(app, token); g != nil {
 		return g.allows

@@ -33,7 +33,7 @@ func (f *fakeState) ForeignFlowOwner(app string, dpid of.DPID, match *of.Match, 
 	return o, true
 }
 
-func (f *fakeState) RuleCount(app string, dpid of.DPID) int {
+func (f *fakeState) RuleCountBesides(app string, dpid of.DPID, match *of.Match, priority uint16) int {
 	if f.counts == nil {
 		return 0
 	}
