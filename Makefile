@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race race-matrix vet fmt-check check bench bench-smoke bench-overhead bench-compare attacksim fuzz-smoke
+.PHONY: build test race race-matrix vet fmt-check check bench bench-smoke bench-overhead bench-compare attacksim fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -93,11 +93,19 @@ bench-compare:
 attacksim:
 	$(GO) run ./cmd/attacksim -v
 
+# loc prints the non-test Go lines of every package of both modules (all
+# of a package directory's .go files but its _test.go ones), then the total.
+loc:
+	@for m in . benchmark; do $(GO) list -C $$m -f '{{.ImportPath}} {{.Dir}}' ./...; done | \
+	while read pkg dir; do \
+		printf '%6d %s\n' $$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$pkg; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+
 # fuzz-smoke runs the native fuzz targets briefly — enough for CI to
-# catch parser panics, round-trip regressions on mutated market
-# packages, replay of damaged logs and a market lifecycle whose runtime
-# drifts from its active release, without the cost of a long fuzzing
-# campaign.
+# catch parser panics (manifest, policy, IPv4), round-trip regressions on
+# mutated market packages, replay of damaged logs and a market lifecycle
+# whose runtime drifts from its active release, without the cost of a
+# long fuzzing campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/permlang/
@@ -106,3 +114,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzTenantID -fuzztime=$(FUZZTIME) ./internal/tenant/
 	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/market/
+	$(GO) test -run=^$$ -fuzz=FuzzParseIPv4 -fuzztime=$(FUZZTIME) ./internal/of/

@@ -10,7 +10,6 @@ import (
 	"sdnshield/internal/faults"
 	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
-	"sdnshield/internal/permengine"
 )
 
 // disconnectOnPriority is a deterministic fault plan: the connection
@@ -86,9 +85,9 @@ func TestTxRollsBackOnMidCommitDisconnect(t *testing.T) {
 		InsertFlow(2, controller.FlowSpec{Match: m2, Priority: 77, Actions: []of.Action{of.Output(1)}}).
 		Commit()
 
-	var txErr *permengine.TxError
+	var txErr *TxError
 	if !errors.As(err, &txErr) {
-		t.Fatalf("commit err = %v, want *permengine.TxError", err)
+		t.Fatalf("commit err = %v, want *TxError", err)
 	}
 	if txErr.Index != 1 || txErr.Stage != "apply" {
 		t.Errorf("failed at call %d (%s), want 1 (apply)", txErr.Index, txErr.Stage)
@@ -169,7 +168,7 @@ func TestShieldDegradesGracefully(t *testing.T) {
 		InsertFlow(1, controller.FlowSpec{Match: m, Priority: 40, Actions: []of.Action{of.Output(1)}}).
 		InsertFlow(2, controller.FlowSpec{Match: m, Priority: 50, Actions: []of.Action{of.Output(1)}}).
 		Commit()
-	var txErr *permengine.TxError
+	var txErr *TxError
 	if !errors.As(err, &txErr) {
 		t.Fatalf("commit err = %v, want TxError", err)
 	}

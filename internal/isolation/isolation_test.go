@@ -473,7 +473,7 @@ func TestTransactionAtomicity(t *testing.T) {
 		InsertFlow(1, controller.FlowSpec{Match: m1, Priority: 10, Actions: []of.Action{of.Output(3)}}).
 		InsertFlow(1, controller.FlowSpec{Match: m2, Priority: 999, Actions: []of.Action{of.Output(3)}})
 	err := tx.Commit()
-	var txErr *permengine.TxError
+	var txErr *TxError
 	if !errors.As(err, &txErr) || txErr.Stage != "check" {
 		t.Fatalf("err = %v", err)
 	}

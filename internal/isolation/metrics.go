@@ -12,6 +12,17 @@ var (
 		"Mediated calls blocked waiting for a Kernel Service Deputy slot.")
 	mQuarantinedCalls = obs.Default().Counter("sdnshield_ksd_quarantined_calls_total",
 		"Mediated calls rejected because the app is quarantined.")
+
+	// Transactions by outcome, and rollbacks (the degradation signal the
+	// fault-injection harness watches for).
+	mTxCommits = obs.Default().Counter("sdnshield_permengine_tx_commits_total",
+		"API-call transactions committed successfully.")
+	mTxAborts = obs.Default().Counter("sdnshield_permengine_tx_aborts_total",
+		"API-call transactions aborted at check time (no effects applied).")
+	mTxRollbacks = obs.Default().Counter("sdnshield_permengine_tx_rollbacks_total",
+		"API-call transactions rolled back after a mid-apply failure.")
+	mTxRollbackErrors = obs.Default().Counter("sdnshield_permengine_tx_rollback_errors_total",
+		"Rollback steps that themselves failed, leaving residual state.")
 )
 
 // traceOneIn cuts the traced subset from an app's measured calls: one

@@ -65,7 +65,7 @@ func TestVirtualTxRollbackRemovesTranslatedRules(t *testing.T) {
 	bad := controller.FlowSpec{Match: of.NewMatch().Set(of.FieldTPDst, 22), Priority: 10,
 		Actions: []of.Action{of.Output(99)}} // no such virtual port
 	err = api.Transaction().InsertFlow(0, ok).InsertFlow(0, bad).Commit()
-	var txErr *permengine.TxError
+	var txErr *TxError
 	if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != 1 {
 		t.Fatalf("commit err = %v, want apply failure at call 1", err)
 	}

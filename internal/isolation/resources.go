@@ -224,16 +224,9 @@ func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 // quarantineForBudget permanently unhooks an app that kept breaching
 // its quota — the resource analogue of the panic budget.
 func (c *Container) quarantineForBudget(reason string) {
-	if !c.health.CompareAndSwap(int32(Running), int32(Quarantined)) {
-		return
+	if c.health.CompareAndSwap(int32(Running), int32(Quarantined)) {
+		c.quarantine(reason)
 	}
-	c.supMu.Lock()
-	c.quarReason = reason
-	c.supMu.Unlock()
-	c.metrics.quarantines.Inc()
-	auditApp(c.name, audit.VerdictQuarantine, reason)
-	c.unhookAll()
-	recorder.Capture(recorder.TriggerQuarantine, c.name, 0, reason)
 }
 
 // quotaLoop drives the periodic sweep until Stop.

@@ -11,7 +11,6 @@ import (
 	"sdnshield/internal/controller"
 	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
-	"sdnshield/internal/permengine"
 )
 
 // Rollback exactness (paper §VI-B2): whatever undoes a flow operation —
@@ -155,7 +154,7 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 				}
 				tx.InsertFlow(42, controller.FlowSpec{Match: rollbackMatch(r), Priority: 10})
 				err := tx.Commit()
-				var txErr *permengine.TxError
+				var txErr *TxError
 				if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != k {
 					t.Fatalf("seed %d: commit err = %v, want apply failure at step %d", seed, err, k)
 				}

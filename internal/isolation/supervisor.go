@@ -89,17 +89,9 @@ func (c *Container) onPanic() {
 func (c *Container) supervise() {
 	cfg := &c.shield.cfg
 	for {
-		if c.recordStrike() {
-			c.supMu.Lock()
-			c.quarReason = fmt.Sprintf("%d panics within %v (limit %d)",
-				len(c.panicTimes), cfg.PanicWindow, cfg.PanicLimit)
-			reason := c.quarReason
-			c.supMu.Unlock()
-			c.health.Store(int32(Quarantined))
-			c.metrics.quarantines.Inc()
-			auditApp(c.name, audit.VerdictQuarantine, reason)
-			c.unhookAll()
-			recorder.Capture(recorder.TriggerQuarantine, c.name, 0, reason)
+		if strikes := c.recordStrike(); strikes >= cfg.PanicLimit {
+			c.quarantine(fmt.Sprintf("%d panics within %v (limit %d)",
+				strikes, cfg.PanicWindow, cfg.PanicLimit))
 			return
 		}
 		c.unhookAll()
@@ -129,9 +121,9 @@ func (c *Container) supervise() {
 	}
 }
 
-// recordStrike appends a panic to the sliding window and reports whether
-// the container crossed its quarantine threshold.
-func (c *Container) recordStrike() bool {
+// recordStrike appends a panic to the sliding window and returns the
+// strikes the window now holds.
+func (c *Container) recordStrike() int {
 	cfg := &c.shield.cfg
 	c.supMu.Lock()
 	defer c.supMu.Unlock()
@@ -145,13 +137,29 @@ func (c *Container) recordStrike() bool {
 	}
 	c.panicTimes = append(keep, now)
 	c.streak++
-	return len(c.panicTimes) >= cfg.PanicLimit
+	return len(c.panicTimes)
 }
 
 func (c *Container) resetStreak() {
 	c.supMu.Lock()
 	c.streak = 0
 	c.supMu.Unlock()
+}
+
+// quarantine takes the app out of service for good: it records why,
+// marks the container Quarantined, counts and audits the transition,
+// unhooks every subscription and captures a forensic bundle. Callers
+// decide that the app is due; the quota path first claims the transition
+// from Running.
+func (c *Container) quarantine(reason string) {
+	c.supMu.Lock()
+	c.quarReason = reason
+	c.supMu.Unlock()
+	c.health.Store(int32(Quarantined))
+	c.metrics.quarantines.Inc()
+	auditApp(c.name, audit.VerdictQuarantine, reason)
+	c.unhookAll()
+	recorder.Capture(recorder.TriggerQuarantine, c.name, 0, reason)
 }
 
 // restartBackoff doubles with the current failure streak, capped so the

@@ -2,12 +2,12 @@ package isolation
 
 import (
 	"errors"
+	"fmt"
 
 	"sdnshield/internal/controller"
 	"sdnshield/internal/flowtable"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
-	"sdnshield/internal/permengine"
 )
 
 // switchGone reports an error meaning the target switch no longer has a
@@ -18,12 +18,37 @@ func switchGone(err error) bool {
 		errors.Is(err, controller.ErrSwitchDisconnected)
 }
 
-// Tx is an atomic group of flow operations. Build it with the fluent
-// Insert/Delete methods and Commit once; the entire group executes only
-// if every call passes permission checking, and a mid-apply failure rolls
-// back the already-applied prefix: every shadow table ends with the rules,
-// owners and actions it started with. A reinstalled rule goes to the end
-// of its priority run, as it does on the switch.
+// TxError reports a failed transaction: which call failed, why, and any
+// rollback failures (which leave residual state an operator must see).
+type TxError struct {
+	// Index is the position of the failing call.
+	Index int
+	// Stage is "check" or "apply".
+	Stage string
+	// Cause is the underlying failure.
+	Cause error
+	// RollbackErrors collects failures while undoing applied calls.
+	RollbackErrors []error
+}
+
+// Error implements error.
+func (e *TxError) Error() string {
+	s := fmt.Sprintf("transaction failed at call %d (%s): %v", e.Index, e.Stage, e.Cause)
+	if len(e.RollbackErrors) > 0 {
+		s += fmt.Sprintf(" (%d rollback errors)", len(e.RollbackErrors))
+	}
+	return s
+}
+
+// Unwrap exposes the underlying cause for errors.Is/As.
+func (e *TxError) Unwrap() error { return e.Cause }
+
+// Tx is an atomic group of flow operations (§VI-B2). Build it with the
+// fluent Insert/Delete methods and Commit once; the entire group executes
+// only if every call passes permission checking, and a mid-apply failure
+// rolls back the already-applied prefix: every shadow table ends with the
+// rules, owners and actions it started with. A reinstalled rule goes to
+// the end of its priority run, as it does on the switch.
 //
 // Each planned call is its op's: the precheck is the op's own decision
 // (ops.go), the apply is the app's own call, and the undo runs on
@@ -39,26 +64,82 @@ type Tx struct {
 	// the monolith, whose transactions only provide atomic rollback.
 	shield *shieldedAPI
 	kernel *controller.Kernel
-	inner  permengine.Tx
+	steps  []step
 	corr   uint64
 }
 
+// step is one planned call: the op and arguments its precheck decides,
+// the app's call, and the undo of that call (nil where there is none).
+type step struct {
+	op            *mediatedOp
+	in            args
+	apply, revert func() error
+}
+
 // plan adds one call, minting the transaction's correlation ID on the
-// first: the inner transaction's commit/abort/rollback audit events, the
-// prechecks and the undo all carry it, so a tx abort and the denial that
-// caused it correlate. The precheck is op's decision on in; the monolith
-// has none.
+// first: the commit/abort/rollback audit events, the prechecks and the
+// undo all carry it, so a tx abort and the denial that caused it
+// correlate.
 func (t *Tx) plan(op *mediatedOp, in args, apply, revert func() error) *Tx {
 	if t.corr == 0 {
 		t.corr = audit.NextCorr()
-		t.inner.SetOrigin(t.api.AppName(), t.corr)
 	}
-	var check func() error
-	if t.shield != nil {
-		check = func() error { return t.shield.precheck(op, in, t.corr) }
-	}
-	t.inner.Add(permengine.PlannedCall{Check: check, Apply: apply, Revert: revert})
+	t.steps = append(t.steps, step{op: op, in: in, apply: apply, revert: revert})
 	return t
+}
+
+// Len returns the number of planned calls.
+func (t *Tx) Len() int { return len(t.steps) }
+
+// Commit checks every call first, then applies them in order. A check
+// failure aborts before any effect; an apply failure rolls back the
+// already-applied prefix in reverse order and reports a *TxError so the
+// app learns the reason for the failed call (§VI-B2).
+func (t *Tx) Commit() error {
+	for i, s := range t.steps {
+		if t.shield == nil {
+			break // the monolith checks nothing
+		}
+		if err := t.shield.precheck(s.op, s.in, t.corr); err != nil {
+			mTxAborts.Inc()
+			t.audit(audit.VerdictAbort, fmt.Sprintf("call %d check: %v", i, err))
+			return &TxError{Index: i, Stage: "check", Cause: err}
+		}
+	}
+	for i, s := range t.steps {
+		if err := s.apply(); err != nil {
+			mTxRollbacks.Inc()
+			txErr := &TxError{Index: i, Stage: "apply", Cause: err}
+			for j := i - 1; j >= 0; j-- {
+				if revert := t.steps[j].revert; revert != nil {
+					if rerr := revert(); rerr != nil {
+						mTxRollbackErrors.Inc()
+						txErr.RollbackErrors = append(txErr.RollbackErrors, rerr)
+					}
+				}
+			}
+			t.audit(audit.VerdictRollback, fmt.Sprintf("call %d apply: %v (%d rollback errors)",
+				i, err, len(txErr.RollbackErrors)))
+			return txErr
+		}
+	}
+	mTxCommits.Inc()
+	t.audit(audit.VerdictCommit, fmt.Sprintf("%d calls", len(t.steps)))
+	return nil
+}
+
+// audit records a transaction outcome in the forensic journal, under the
+// app and corr of its first planned call; an empty transaction has
+// neither.
+func (t *Tx) audit(v audit.Verdict, detail string) {
+	if !audit.On() {
+		return
+	}
+	ev := audit.Event{Kind: audit.KindTx, Verdict: v, Corr: t.corr, Detail: detail}
+	if len(t.steps) > 0 {
+		ev.App = t.api.AppName()
+	}
+	audit.Emit(ev)
 }
 
 // resident is the rollback log's snapshot: the rules a call is about to
@@ -151,9 +232,3 @@ func (t *Tx) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions
 	in := args{dpid: dpid, bufferID: bufferID, port: inPort, spec: controller.FlowSpec{Actions: actions}, pkt: pkt}
 	return t.plan(opPacketOut, in, func() error { return t.api.SendPacketOut(dpid, bufferID, inPort, actions, pkt) }, nil)
 }
-
-// Len returns the number of planned calls.
-func (t *Tx) Len() int { return t.inner.Len() }
-
-// Commit checks all calls, then applies them atomically.
-func (t *Tx) Commit() error { return t.inner.Commit() }

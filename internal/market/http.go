@@ -65,7 +65,7 @@ func MountHTTP(m *Market) {
 func Routes(m *Market) map[string]http.Handler {
 	return map[string]http.Handler{
 		"/market/apps": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, m.Snapshot())
+			obs.WriteJSONStatus(w, http.StatusOK, m.Snapshot())
 		}),
 		"/market/install": handlePackage(m, &installOp, QueueInstall),
 		"/market/upgrade": handlePackage(m, &upgradeOp, QueueUpgrade),
@@ -96,7 +96,7 @@ func Routes(m *Market) map[string]http.Handler {
 //	GET /market/sync    cumulative pull/reject/round counters
 func MountSyncHTTP(s *Syncer) {
 	obs.RegisterHandler("/market/sync", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		obs.WriteJSONStatus(w, http.StatusOK, s.Stats())
 	}))
 }
 
@@ -147,7 +147,7 @@ func handlePackage(m *Market, op *admitOp, queue string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST a signed release package"})
+			obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST a signed release package"})
 			return
 		}
 		var req struct {
@@ -155,7 +155,7 @@ func handlePackage(m *Market, op *admitOp, queue string) http.Handler {
 			Digest string `json:"digest"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad package JSON: " + err.Error()})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad package JSON: " + err.Error()})
 			return
 		}
 		corr, sc, done := traceFrom(r, "http:"+queue)
@@ -165,7 +165,7 @@ func handlePackage(m *Market, op *admitOp, queue string) http.Handler {
 			// Digest-only body: select a release already in the registry.
 			d, err := ParseDigest(req.Digest)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 				return
 			}
 			if _, err := m.Registry().Release(d); err != nil {
@@ -211,7 +211,7 @@ func dispatch(w http.ResponseWriter, r *http.Request, m *Market, queue string, r
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, jobAccepted{
+		obs.WriteJSONStatus(w, http.StatusAccepted, jobAccepted{
 			JobID: id, Queue: queue, Digest: req.Digest, App: req.App, Corr: ot.Corr,
 			Poll: fmt.Sprintf("/market/jobs/%d", id), Trace: tracePath(ot.Corr),
 		})
@@ -222,9 +222,9 @@ func dispatch(w http.ResponseWriter, r *http.Request, m *Market, queue string, r
 	case err != nil && out == nil:
 		writeError(w, err)
 	case err != nil:
-		writeJSON(w, http.StatusConflict, out)
+		obs.WriteJSONStatus(w, http.StatusConflict, out)
 	default:
-		writeJSON(w, http.StatusOK, out)
+		obs.WriteJSONStatus(w, http.StatusOK, out)
 	}
 }
 
@@ -233,14 +233,14 @@ func handleApp(m *Market, step func(app string) (interface{}, error)) http.Handl
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": `POST {"app": "..."}`})
+			obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": `POST {"app": "..."}`})
 			return
 		}
 		var req struct {
 			App string `json:"app"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.App == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": `body must be {"app": "..."}`})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": `body must be {"app": "..."}`})
 			return
 		}
 		out, err := step(req.App)
@@ -248,7 +248,7 @@ func handleApp(m *Market, step func(app string) (interface{}, error)) http.Handl
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, out)
+		obs.WriteJSONStatus(w, http.StatusOK, out)
 	})
 }
 
@@ -258,14 +258,14 @@ func handleRecompute(m *Market) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": `POST {"app": "..."} ("" for all)`})
+			obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": `POST {"app": "..."} ("" for all)`})
 			return
 		}
 		var req struct {
 			App string `json:"app"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request JSON: " + err.Error()})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad request JSON: " + err.Error()})
 			return
 		}
 		dispatch(w, r, m, QueueRecompute, JobRequest{App: req.App}, OpTrace{}, func() (interface{}, error) {
@@ -308,7 +308,7 @@ func handleDiff(m *Market) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"report":  report,
 			"entries": entries,
 		})
@@ -324,7 +324,7 @@ func handleJobsIndex(m *Market) http.Handler {
 			writeError(w, ErrNoJobs)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"queues":         jm.Stats(),
 			"recent":         jm.Recent(50),
 			"dead_by_tenant": jm.DeadByTenant(),
@@ -345,26 +345,26 @@ func handleJobByID(m *Market) http.Handler {
 		idS, action, _ := strings.Cut(rest, "/")
 		id, err := strconv.ParseUint(idS, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad job ID %q", idS)})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad job ID %q", idS)})
 			return
 		}
 		switch {
 		case action == "" && r.Method == http.MethodGet:
 			snap, ok := jm.Status(id)
 			if !ok {
-				writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d (completed jobs are retained up to a bound)", id)})
+				obs.WriteJSONStatus(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d (completed jobs are retained up to a bound)", id)})
 				return
 			}
-			writeJSON(w, http.StatusOK, snap)
+			obs.WriteJSONStatus(w, http.StatusOK, snap)
 		case action == "requeue" && r.Method == http.MethodPost:
 			if err := jm.Requeue(id); err != nil {
 				writeError(w, err)
 				return
 			}
 			snap, _ := jm.Status(id)
-			writeJSON(w, http.StatusOK, snap)
+			obs.WriteJSONStatus(w, http.StatusOK, snap)
 		default:
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET /market/jobs/<id> or POST /market/jobs/<id>/requeue"})
+			obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET /market/jobs/<id> or POST /market/jobs/<id>/requeue"})
 		}
 	})
 }
@@ -384,7 +384,7 @@ func handleLog(m *Market) http.Handler {
 		if s := r.URL.Query().Get("after"); s != "" {
 			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad after=%q", s)})
+				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad after=%q", s)})
 				return
 			}
 			after = v
@@ -393,7 +393,7 @@ func handleLog(m *Market) http.Handler {
 		if s := r.URL.Query().Get("max"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil || v < 0 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad max=%q", s)})
+				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad max=%q", s)})
 				return
 			}
 			max = v
@@ -402,7 +402,7 @@ func handleLog(m *Market) http.Handler {
 		if entries == nil {
 			entries = []LogEntry{}
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"last_seq": m.Registry().LastSeq(),
 			"entries":  entries,
 		})
@@ -418,12 +418,12 @@ func handleRelease(m *Market) http.Handler {
 		}
 		dS := r.URL.Query().Get("digest")
 		if dS == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "need ?digest=DIGEST"})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "need ?digest=DIGEST"})
 			return
 		}
 		d, err := ParseDigest(dS)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
 		sr, err := m.Registry().Release(d)
@@ -431,7 +431,7 @@ func handleRelease(m *Market) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sr)
+		obs.WriteJSONStatus(w, http.StatusOK, sr)
 	})
 }
 
@@ -446,7 +446,7 @@ func handleKeys(m *Market) http.Handler {
 				out[v] = hex.EncodeToString(pub)
 			}
 		}
-		writeJSON(w, http.StatusOK, out)
+		obs.WriteJSONStatus(w, http.StatusOK, out)
 	})
 }
 
@@ -459,7 +459,7 @@ func handleDigests(m *Market) http.Handler {
 		if digests == nil {
 			digests = []string{}
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"root":    reg.RootDigest(),
 			"digests": digests,
 		})
@@ -473,10 +473,10 @@ func handleLease(m *Market) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		l := m.Lease()
 		if l == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no leader lease configured"})
+			obs.WriteJSONStatus(w, http.StatusNotFound, map[string]string{"error": "no leader lease configured"})
 			return
 		}
-		writeJSON(w, http.StatusOK, l.View())
+		obs.WriteJSONStatus(w, http.StatusOK, l.View())
 	})
 }
 
@@ -498,13 +498,5 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNoJobs), errors.Is(err, jobs.ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	obs.WriteJSONStatus(w, status, map[string]string{"error": err.Error()})
 }

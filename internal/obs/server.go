@@ -170,8 +170,12 @@ func NewHandler(reg *Registry) http.Handler {
 
 // WriteJSON renders v the way every route of the endpoint does —
 // indented, as application/json — extension routes included.
-func WriteJSON(w http.ResponseWriter, v interface{}) {
+func WriteJSON(w http.ResponseWriter, v interface{}) { WriteJSONStatus(w, http.StatusOK, v) }
+
+// WriteJSONStatus is WriteJSON under the given status code.
+func WriteJSONStatus(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

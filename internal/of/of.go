@@ -14,6 +14,7 @@ package of
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Version is the wire protocol version emitted by this implementation.
@@ -111,6 +112,25 @@ func IPv4FromOctets(a, b, c, d byte) IPv4 {
 
 // String renders the address in dotted-quad notation.
 func (ip IPv4) String() string { return string(AppendIPv4(make([]byte, 0, 15), ip)) }
+
+// ParseIPv4 parses s in dotted-quad notation: exactly four decimal
+// octets, each 0–255, with no sign, base prefix or trailing text.
+func ParseIPv4(s string) (IPv4, error) {
+	var ip IPv4
+	rest := s
+	for i := 0; i < 4; i++ {
+		octet, tail, more := strings.Cut(rest, ".")
+		if more != (i < 3) {
+			return 0, fmt.Errorf("bad IPv4 %q", s)
+		}
+		n, err := strconv.ParseUint(octet, 10, 8)
+		if err != nil {
+			return 0, fmt.Errorf("bad IPv4 octet %q in %q", octet, s)
+		}
+		ip, rest = ip<<8|IPv4(n), tail
+	}
+	return ip, nil
+}
 
 // AppendIPv4 appends ip in dotted-quad notation to dst.
 func AppendIPv4(dst []byte, ip IPv4) []byte {

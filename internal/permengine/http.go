@@ -332,19 +332,11 @@ func parseScalar(s string) (uint64, error) {
 }
 
 func parseIPv4(s string) (of.IPv4, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	ip, err := of.ParseIPv4(s)
+	if err != nil {
 		return 0, fmt.Errorf("bad IPv4 %q", s)
 	}
-	var oct [4]byte
-	for i, p := range parts {
-		n, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("bad IPv4 %q", s)
-		}
-		oct[i] = byte(n)
-	}
-	return of.IPv4FromOctets(oct[0], oct[1], oct[2], oct[3]), nil
+	return ip, nil
 }
 
 // parseAction parses "OUTPUT:<port>", "DROP", "FLOOD" or

@@ -1,9 +1,10 @@
 // Package permengine implements SDNShield's runtime permission engine
 // (§VI-B): it compiles permission sets into per-token checking closures,
 // resolves the stateful attributes of each mediated API call (flow
-// ownership, per-app rule counts), enforces the checks, records every
-// decision in the audit journal — the forensic activity log of §VII — and
-// provides the transactional API-call facility (§VI-B2).
+// ownership, per-app rule counts), enforces the checks and records every
+// decision in the audit journal — the forensic activity log of §VII. The
+// transactional API-call facility (§VI-B2) is isolation.Tx, whose
+// prechecks are these checks.
 package permengine
 
 import (

@@ -238,94 +238,3 @@ func TestDecisionsLandInJournal(t *testing.T) {
 		t.Fatalf("denials = %+v", denials)
 	}
 }
-
-func TestTransactionCommit(t *testing.T) {
-	e := New(nil)
-	e.SetPermissions("app", permlang.MustParse("PERM insert_flow LIMITING MAX_PRIORITY 100").Set())
-
-	var applied []int
-	mkCall := func(prio uint16) *core.Call {
-		c := insertFlowCall("app", of.IPv4FromOctets(10, 0, 0, 1), []of.Action{of.Output(1)})
-		c.Priority = prio
-		return c
-	}
-	plan := func(id int, prio uint16, failApply bool) PlannedCall {
-		call := mkCall(prio)
-		return PlannedCall{
-			Check: func() error { return e.Check(call) },
-			Apply: func() error {
-				if failApply {
-					return errors.New("switch rejected")
-				}
-				applied = append(applied, id)
-				return nil
-			},
-			Revert: func() error {
-				for i, a := range applied {
-					if a == id {
-						applied = append(applied[:i], applied[i+1:]...)
-						break
-					}
-				}
-				return nil
-			},
-		}
-	}
-
-	// All-pass transaction.
-	tx := new(Tx).Add(plan(1, 10, false)).Add(plan(2, 20, false))
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if len(applied) != 2 {
-		t.Fatalf("applied = %v", applied)
-	}
-
-	// Check failure: nothing applied (the paper's problematic
-	// intermediate state is avoided).
-	applied = nil
-	tx = new(Tx).Add(plan(1, 10, false)).Add(plan(2, 999, false))
-	err := tx.Commit()
-	var txErr *TxError
-	if !errors.As(err, &txErr) || txErr.Stage != "check" || txErr.Index != 1 {
-		t.Fatalf("err = %v", err)
-	}
-	var denied *DeniedError
-	if !errors.As(err, &denied) {
-		t.Error("cause should unwrap to DeniedError")
-	}
-	if len(applied) != 0 {
-		t.Fatalf("applied despite check failure: %v", applied)
-	}
-
-	// Apply failure: rollback of the applied prefix.
-	applied = nil
-	tx = new(Tx).Add(plan(1, 10, false)).Add(plan(2, 20, true)).Add(plan(3, 30, false))
-	err = tx.Commit()
-	if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != 1 {
-		t.Fatalf("err = %v", err)
-	}
-	if len(applied) != 0 {
-		t.Fatalf("rollback incomplete: %v", applied)
-	}
-	if tx.Len() != 3 {
-		t.Errorf("Len = %d", tx.Len())
-	}
-}
-
-func TestTransactionRollbackErrorSurfaces(t *testing.T) {
-	tx := new(Tx).
-		Add(PlannedCall{
-			Apply:  func() error { return nil },
-			Revert: func() error { return errors.New("revert failed") },
-		}).
-		Add(PlannedCall{Apply: func() error { return errors.New("boom") }})
-	err := tx.Commit()
-	var txErr *TxError
-	if !errors.As(err, &txErr) || len(txErr.RollbackErrors) != 1 {
-		t.Fatalf("err = %v", err)
-	}
-	if txErr.Error() == "" {
-		t.Error("empty error text")
-	}
-}

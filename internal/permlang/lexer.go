@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"sdnshield/internal/of"
 )
 
 // TokKind classifies lexical tokens.
@@ -287,18 +289,13 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 		}
 		return Token{Kind: TokInt, Num: n, Text: text, Line: line, Col: col}, nil
 	case 3:
-		var ip uint64
-		rest := text
-		for more := true; more; {
-			var p string
-			p, rest, more = strings.Cut(rest, ".")
-			n, err := strconv.ParseUint(p, 10, 8)
-			if err != nil {
-				return Token{}, l.errorf("bad IPv4 octet %q in %q", p, text)
-			}
-			ip = ip<<8 | n
+		// Three dots between digits make four octets, so the only
+		// error left is "bad IPv4 octet".
+		ip, err := of.ParseIPv4(text)
+		if err != nil {
+			return Token{}, l.errorf("%v", err)
 		}
-		return Token{Kind: TokIP, Num: ip, Text: text, Line: line, Col: col}, nil
+		return Token{Kind: TokIP, Num: uint64(ip), Text: text, Line: line, Col: col}, nil
 	default:
 		return Token{}, l.errorf("malformed number %q", text)
 	}

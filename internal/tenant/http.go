@@ -40,14 +40,6 @@ func MountHTTP(m *Manager) {
 	obs.RegisterHandler("/tenants/shards", &shardsHandler{m: m})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // httpStatus maps tenancy errors onto HTTP statuses.
 func httpStatus(err error) int {
 	switch {
@@ -69,7 +61,7 @@ func httpStatus(err error) int {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, httpStatus(err), map[string]string{"error": err.Error()})
+	obs.WriteJSONStatus(w, httpStatus(err), map[string]string{"error": err.Error()})
 }
 
 // writeThrottle answers an admission refusal: 429 with a Retry-After
@@ -80,7 +72,7 @@ func writeThrottle(w http.ResponseWriter, te *ThrottleError) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, map[string]interface{}{
+	obs.WriteJSONStatus(w, http.StatusTooManyRequests, map[string]interface{}{
 		"error":          "tenant throttled",
 		"tenant":         te.Tenant,
 		"path":           te.Path,
@@ -186,7 +178,7 @@ func (t *Tenant) buildMux() http.Handler {
 			if err != nil {
 				// Match the shared audit surface: a malformed filter is a
 				// refusal, never a silent widening to the whole slice.
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad corr: " + err.Error()})
+				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad corr: " + err.Error()})
 				return
 			}
 			f.Corr = v
@@ -210,7 +202,7 @@ func (t *Tenant) buildMux() http.Handler {
 		if events == nil {
 			events = []audit.Event{}
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"tenant": id, "count": len(events), "events": events,
 		})
 	})
@@ -224,7 +216,7 @@ func (t *Tenant) buildMux() http.Handler {
 				mine = append(mine, ti)
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"tenant": id, "count": len(mine), "traces": mine,
 		})
 	})
@@ -232,16 +224,16 @@ func (t *Tenant) buildMux() http.Handler {
 		raw := strings.TrimPrefix(r.URL.Path, "/trace/")
 		tid, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil || tid == 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad trace id"})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad trace id"})
 			return
 		}
 		if span.TenantOf(tid) != id {
 			// Another tenant's trace (or unknown) is indistinguishable
 			// from absent — no cross-tenant existence oracle.
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such trace"})
+			obs.WriteJSONStatus(w, http.StatusNotFound, map[string]string{"error": "no such trace"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"trace_id": tid, "tenant": id,
 			"spans": span.DefaultCollector().Trace(tid),
 		})
@@ -260,7 +252,7 @@ func (t *Tenant) buildMux() http.Handler {
 
 	// The tenant's job spine: queue stats plus its dead-letter counts.
 	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"tenant":         id,
 			"queues":         t.jm.Stats(),
 			"dead_by_tenant": t.jm.DeadByTenant(),
@@ -273,7 +265,7 @@ func (t *Tenant) buildMux() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		writeJSON(w, http.StatusOK, t.Info())
+		obs.WriteJSONStatus(w, http.StatusOK, t.Info())
 	})
 	return mux
 }
@@ -295,10 +287,10 @@ func (h *shardsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
+		obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 		"shards":    h.m.pool.ShardStats(),
 		"imbalance": h.m.pool.Imbalance(),
 	})
@@ -341,14 +333,14 @@ func (h *adminHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if stored == nil {
 			stored = []string{}
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]interface{}{
 			"resident": h.m.List(),
 			"stored":   stored,
 		})
 	case http.MethodPost:
 		var op adminOp
 		if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 			return
 		}
 		var err error
@@ -361,7 +353,7 @@ func (h *adminHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				t, err = h.m.Create(op.Tenant)
 			}
 			if err == nil {
-				writeJSON(w, http.StatusCreated, t.Info())
+				obs.WriteJSONStatus(w, http.StatusCreated, t.Info())
 				return
 			}
 		case "suspend":
@@ -375,16 +367,16 @@ func (h *adminHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case "unpin":
 			err = h.m.Pin(op.Tenant, false)
 		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown op " + strconv.Quote(op.Op)})
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "unknown op " + strconv.Quote(op.Op)})
 			return
 		}
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"ok": op.Op, "tenant": op.Tenant})
+		obs.WriteJSONStatus(w, http.StatusOK, map[string]string{"ok": op.Op, "tenant": op.Tenant})
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
+		obs.WriteJSONStatus(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
 	}
 }

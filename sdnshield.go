@@ -23,6 +23,7 @@ package sdnshield
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sdnshield/internal/core"
@@ -225,11 +226,13 @@ type APICall struct {
 	SwitchSet []uint64
 
 	// Match fields of flow calls, as dotted-quad IPs (optionally with
-	// "/len") and port numbers. Empty/negative mean wildcarded.
+	// "/len") and port numbers. Empty/negative mean wildcarded; a port
+	// above 65535 is an error.
 	IPSrc, IPDst   string
 	TCPSrc, TCPDst int
 
-	// Priority of flow-mod calls; negative means absent.
+	// Priority of flow-mod calls; negative means absent, above 65535 is
+	// an error.
 	Priority int
 
 	// Actions of flow-mod/packet-out calls: "forward", "drop",
@@ -251,7 +254,8 @@ type APICall struct {
 	// StatsLevel is "flow", "port" or "switch" for statistics calls.
 	StatsLevel string
 
-	// HostIP/HostPort describe host-network system calls.
+	// HostIP/HostPort describe host-network system calls; HostPort must
+	// be 0–65535.
 	HostIP   string
 	HostPort int
 }
@@ -269,27 +273,21 @@ func (p *Permissions) Check(c APICall) error {
 	return &DeniedError{App: c.App, Permission: c.Permission, Reason: "call outside granted filters"}
 }
 
+// parseIPv4 parses a dotted-quad address with an optional "/len" prefix
+// length of 0–32.
 func parseIPv4(s string) (of.IPv4, of.IPv4, error) {
-	cidr := strings.SplitN(s, "/", 2)
-	parts := strings.Split(cidr[0], ".")
-	if len(parts) != 4 {
-		return 0, 0, fmt.Errorf("sdnshield: bad IPv4 %q", s)
-	}
-	var ip of.IPv4
-	for _, part := range parts {
-		var octet int
-		if _, err := fmt.Sscanf(part, "%d", &octet); err != nil || octet < 0 || octet > 255 {
-			return 0, 0, fmt.Errorf("sdnshield: bad IPv4 octet %q in %q", part, s)
-		}
-		ip = ip<<8 | of.IPv4(octet)
+	addr, prefix, hasPrefix := strings.Cut(s, "/")
+	ip, err := of.ParseIPv4(addr)
+	if err != nil {
+		return 0, 0, fmt.Errorf("sdnshield: %w", err)
 	}
 	mask := of.PrefixMask(32)
-	if len(cidr) == 2 {
-		var bits int
-		if _, err := fmt.Sscanf(cidr[1], "%d", &bits); err != nil || bits < 0 || bits > 32 {
+	if hasPrefix {
+		bits, err := strconv.ParseUint(prefix, 10, 8)
+		if err != nil || bits > 32 {
 			return 0, 0, fmt.Errorf("sdnshield: bad prefix length in %q", s)
 		}
-		mask = of.PrefixMask(bits)
+		mask = of.PrefixMask(int(bits))
 	}
 	return ip, mask, nil
 }
@@ -300,6 +298,10 @@ func (c APICall) toCore() (*core.Call, error) {
 		return nil, fmt.Errorf("sdnshield: unknown permission %q", c.Permission)
 	}
 	call := &core.Call{App: c.App, Token: token}
+	if max(c.TCPSrc, c.TCPDst, c.Priority, c.HostPort) > 0xffff || c.HostPort < 0 {
+		return nil, fmt.Errorf("sdnshield: port or priority outside 16 bits (TCPSrc %d, TCPDst %d, Priority %d, HostPort %d)",
+			c.TCPSrc, c.TCPDst, c.Priority, c.HostPort)
+	}
 
 	if c.HasSwitch {
 		call.DPID = of.DPID(c.Switch)
@@ -335,7 +337,7 @@ func (c APICall) toCore() (*core.Call, error) {
 		call.Match = m
 	}
 
-	if c.Priority >= 0 && c.Priority <= 0xffff && (token == core.TokenInsertFlow ||
+	if c.Priority >= 0 && (token == core.TokenInsertFlow ||
 		token == core.TokenModifyFlow || token == core.TokenDeleteFlow) {
 		call.Priority = uint16(c.Priority)
 		call.HasPriority = true

@@ -159,7 +159,7 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := ParsePolicy("ASSERT"); err == nil {
 		t.Error("bad policy accepted")
 	}
-	manifest, _ := ParseManifest("PERM insert_flow")
+	manifest, _ := ParseManifest("PERM insert_flow\nPERM host_network")
 	perms := manifest.Permissions()
 	bad := []APICall{
 		{App: "a", Permission: "levitate"},
@@ -170,10 +170,33 @@ func TestFacadeErrors(t *testing.T) {
 		{App: "a", Permission: "insert_flow", Actions: []string{"modify:NOPE"}},
 		{App: "a", Permission: "read_statistics", StatsLevel: "cosmic"},
 		{App: "a", Permission: "host_network", HostIP: "10.o.0.1"},
+		// Malformed input the call is granted for must still error,
+		// never read as some other allowed call.
+		{App: "a", Permission: "insert_flow", IPDst: "10.0x9.0.1"},
+		{App: "a", Permission: "insert_flow", IPDst: "10.0.0.1x"},
+		{App: "a", Permission: "insert_flow", IPDst: "10.0.0.+1"},
+		{App: "a", Permission: "insert_flow", IPDst: "10.0.0.1/32junk"},
+		{App: "a", Permission: "insert_flow", IPDst: "10.0.0.1/+8"},
+		{App: "a", Permission: "host_network", HostIP: "10.0x9.0.1"},
+		{App: "a", Permission: "insert_flow", TCPDst: 65616},
+		{App: "a", Permission: "insert_flow", TCPSrc: 65536},
+		{App: "a", Permission: "insert_flow", Priority: 70000},
+		{App: "a", Permission: "host_network", HostIP: "10.0.0.1", HostPort: 65616},
+		{App: "a", Permission: "host_network", HostIP: "10.0.0.1", HostPort: -65456},
 	}
 	for _, c := range bad {
 		if err := perms.Check(c); err == nil {
 			t.Errorf("call %+v should error", c)
+		}
+	}
+	// A negative port or priority is absent, not malformed.
+	for _, c := range []APICall{
+		{App: "a", Permission: "insert_flow", TCPSrc: -1, TCPDst: -1, Priority: -1},
+		{App: "a", Permission: "insert_flow", IPDst: "10.0.0.0/0", TCPDst: 65535, Priority: 65535},
+		{App: "a", Permission: "host_network", HostIP: "10.0.0.1", HostPort: 65535},
+	} {
+		if err := perms.Check(c); err != nil {
+			t.Errorf("call %+v: %v", c, err)
 		}
 	}
 	// Reconcile with nil policy = macro expansion only.
