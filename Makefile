@@ -54,16 +54,18 @@ check: fmt-check vet race
 # instrument micro-benchmarks, each instrument enabled vs disabled, the
 # audit journal's emit and drain (whose ns/event must stay flat across
 # batch sizes), the hosted-tenant call (Tenant.Do) on an idle and a
-# shared shard, and the engine's check of an insert against 1 024
+# shared shard, the engine's check of an insert against 1 024
 # resident rules under grants that read no stateful value, the owner or
-# the rule count. BENCHTIME, when set, comes last and overrides each
-# line's own -benchtime.
+# the rule count, and the market's verdict-cache miss and hit and a
+# Submit + Upgrade that keeps its manifest. BENCHTIME, when set, comes
+# last and overrides each line's own -benchtime.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ $(BENCHTIME) ./internal/obs/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/obs/audit/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/tenant/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permengine/
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
 
 # bench-smoke runs every bench benchmark once, so CI sees that each still
 # compiles and runs; the timings it prints mean nothing.

@@ -110,7 +110,7 @@ func vettedLen(reg *Registry) int {
 // TestVettedManifestHandOff checks that the parse Submit made reaches the
 // first reconciliation and is then forgotten, that a second market on the
 // same registry still reconciles by parsing, and that the hand-off is
-// bounded.
+// bounded and keeps the newest parses.
 func TestVettedManifestHandOff(t *testing.T) {
 	reg, sign := newTestRegistry(t)
 	d, err := reg.Submit(sign(Release{Name: "mon", Vendor: "acme", Version: "1.0.0",
@@ -145,14 +145,37 @@ func TestVettedManifestHandOff(t *testing.T) {
 		}
 	}
 
+	var past []Digest
 	for i := 0; i < maxVetted+5; i++ {
-		if _, err := reg.Submit(sign(Release{Name: fmt.Sprintf("app%d", i), Vendor: "acme",
-			Version: "1.0.0", Manifest: "PERM read_statistics"})); err != nil {
+		d, err := reg.Submit(sign(Release{Name: fmt.Sprintf("app%d", i), Vendor: "acme",
+			Version: "1.0.0", Manifest: "PERM read_statistics"}))
+		if err != nil {
 			t.Fatal(err)
 		}
+		past = append(past, d)
 	}
 	if n := vettedLen(reg); n != maxVetted {
 		t.Fatalf("registry holds %d parsed manifests, want the bound %d", n, maxVetted)
+	}
+	// Past the bound the oldest parse is dropped, not the newest: the last
+	// release submitted still reaches its first install with its parse.
+	reg.mu.RLock()
+	_, oldest := reg.vetted[past[0]]
+	_, newest := reg.vetted[past[len(past)-1]]
+	reg.mu.RUnlock()
+	if oldest || !newest {
+		t.Fatalf("past the bound the registry holds the oldest parse: %v, the newest: %v; want false, true", oldest, newest)
+	}
+	m, err := New(reg, newFakeRuntime(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if res, err := m.Install(past[len(past)-1]); err != nil || res.CacheHit {
+		t.Fatalf("install: %v %+v, want a cache miss", err, res)
+	}
+	if n := vettedLen(reg); n != maxVetted-1 {
+		t.Fatalf("registry holds %d parsed manifests after the install, want %d: it parsed again", n, maxVetted-1)
 	}
 }
 

@@ -128,9 +128,9 @@ func TestJobUnknownDigestDeadLettersImmediately(t *testing.T) {
 
 func TestJobRecomputeSweepsRegistry(t *testing.T) {
 	m, jm, _, submit := asyncEnv(t, "")
-	submit(Release{Name: "mon", Vendor: "acme", Version: "1.0.0", Manifest: "PERM read_statistics"})
-	submit(Release{Name: "mon", Vendor: "acme", Version: "1.1.0", Manifest: "PERM read_statistics"})
-	submit(Release{Name: "probe", Vendor: "acme", Version: "2.0.0", Manifest: "PERM read_statistics"})
+	mon1 := submit(Release{Name: "mon", Vendor: "acme", Version: "1.0.0", Manifest: "PERM read_statistics"})
+	mon2 := submit(Release{Name: "mon", Vendor: "acme", Version: "1.1.0", Manifest: "PERM read_statistics"})
+	probe := submit(Release{Name: "probe", Vendor: "acme", Version: "2.0.0", Manifest: "PERM read_statistics"})
 
 	id, err := m.SubmitJob(QueueRecompute, JobRequest{}, 0, span.Context{})
 	if err != nil {
@@ -150,8 +150,15 @@ func TestJobRecomputeSweepsRegistry(t *testing.T) {
 		t.Fatalf("recomputed %d releases, want 3", res.Recomputed)
 	}
 	// Every verdict is now cached: installing any release is a hit.
-	if m.Cache().Len() != 3 {
-		t.Fatalf("cache holds %d verdicts, want 3", m.Cache().Len())
+	for _, step := range []struct {
+		admit func(Digest) (*InstallResult, error)
+		d     Digest
+	}{{m.Install, mon1}, {m.Upgrade, mon2}, {m.Install, probe}} {
+		// probe is rejected (the policy names only mon), from the cache too.
+		res, err := step.admit(step.d)
+		if (err != nil && !errors.Is(err, ErrRejected)) || res == nil || !res.CacheHit {
+			t.Fatalf("admit %s: %v %+v, want a cache hit", step.d, err, res)
+		}
 	}
 }
 

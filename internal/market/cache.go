@@ -8,15 +8,19 @@ import (
 	"sdnshield/internal/reconcile"
 )
 
-// verdictKey identifies one reconciliation input pair: the release's
-// content address (which covers its manifest) and the site policy's
-// source digest. Algorithm 1's CNF/DNF inclusion comparison is the
-// expensive step of reconciliation; for a market that re-installs the
-// same packages across many controllers and restarts, the verdict for a
-// given pair never changes, so it is computed once and replayed.
+// verdictKey is what reconciliation reads: the app name (a policy binds
+// its assertions to apps by name), the manifest text and the site
+// policy's source digest. Reconcile(app, manifest, policy) reads nothing
+// else — vendor and version are not inputs to Algorithm 1 — so a version
+// bump that keeps its manifest replays the verdict of the release before
+// it. The manifest is keyed by its text, not by a digest of it, so a cold
+// admission computes no extra hash: the map hashes the text on lookup.
+// Algorithm 1's CNF/DNF inclusion comparison is the expensive step of
+// reconciliation, and for a given key the verdict never changes, so it
+// is computed once and replayed.
 type verdictKey struct {
-	manifest Digest
-	policy   Digest
+	app, manifest string
+	policy        Digest
 }
 
 // Verdict classifies the install pipeline's outcome for one release
@@ -50,6 +54,9 @@ type CachedVerdict struct {
 	// reconciled set, but it is a function of the manifest the key covers,
 	// so activation reads it here rather than parsing the manifest again.
 	budget core.Budget
+	// effectiveText is effective rendered in canonical order, once at
+	// Put: every result built from the verdict reads it.
+	effectiveText string
 }
 
 // Effective returns a private copy of the reconciled permission set.
@@ -58,8 +65,8 @@ func (cv *CachedVerdict) Effective() *core.Set { return cv.effective.Clone() }
 // Requested returns a private copy of the pre-repair permission set.
 func (cv *CachedVerdict) Requested() *core.Set { return cv.requested.Clone() }
 
-// VerdictCache memoizes reconciliation outcomes keyed by
-// (manifest digest, policy digest). Hits and misses are exported as
+// VerdictCache memoizes reconciliation outcomes keyed by (app name,
+// manifest text, policy digest). Hits and misses are exported as
 // sdnshield_market_verdict_cache_{hits,misses}_total.
 type VerdictCache struct {
 	mu      sync.RWMutex
@@ -77,11 +84,11 @@ func PolicyDigest(policySrc string) Digest {
 	return sha256.Sum256([]byte("sdnshield-policy-v1\x00" + policySrc))
 }
 
-// Get returns the memoized verdict for the pair, if any, counting the
+// Get returns the memoized verdict for the key, if any, counting the
 // hit or miss.
-func (c *VerdictCache) Get(manifest, policy Digest) (*CachedVerdict, bool) {
+func (c *VerdictCache) Get(k verdictKey) (*CachedVerdict, bool) {
 	c.mu.RLock()
-	cv, ok := c.entries[verdictKey{manifest, policy}]
+	cv, ok := c.entries[k]
 	c.mu.RUnlock()
 	if ok {
 		mCacheHits.Inc()
@@ -91,24 +98,25 @@ func (c *VerdictCache) Get(manifest, policy Digest) (*CachedVerdict, bool) {
 	return cv, ok
 }
 
-// Put memoizes a verdict for the pair, with the manifest's budget. The
+// Put memoizes a verdict for the key, with the manifest's budget. The
 // sets are cloned on the way in, so later mutation by the caller cannot
 // poison the cache.
-func (c *VerdictCache) Put(manifest, policy Digest, verdict Verdict, violations []reconcile.Violation, effective, requested *core.Set, budget core.Budget) *CachedVerdict {
+func (c *VerdictCache) Put(k verdictKey, verdict Verdict, violations []reconcile.Violation, effective, requested *core.Set, budget core.Budget) *CachedVerdict {
 	cv := &CachedVerdict{
-		Verdict:    verdict,
-		Violations: append([]reconcile.Violation(nil), violations...),
-		effective:  effective.Clone(),
-		requested:  requested.Clone(),
-		budget:     budget,
+		Verdict:       verdict,
+		Violations:    append([]reconcile.Violation(nil), violations...),
+		effective:     effective.Clone(),
+		requested:     requested.Clone(),
+		budget:        budget,
+		effectiveText: effective.SortedString(),
 	}
 	c.mu.Lock()
-	c.entries[verdictKey{manifest, policy}] = cv
+	c.entries[k] = cv
 	c.mu.Unlock()
 	return cv
 }
 
-// Len reports the number of memoized pairs.
+// Len reports the number of memoized verdicts.
 func (c *VerdictCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

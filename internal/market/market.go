@@ -57,7 +57,7 @@ type Runtime interface {
 // Config tunes a Market.
 type Config struct {
 	// PolicySrc is the administrator's site security policy source. Its
-	// digest is half of every verdict-cache key.
+	// digest is part of every verdict-cache key.
 	PolicySrc string
 	// Probation is how long an upgraded release runs under watch before
 	// its permissions are committed; if the app panics or is quarantined
@@ -252,17 +252,22 @@ type InstallResult struct {
 }
 
 // reconcileTraced drives one release through parse → reconcile with the
-// verdict cache in front of Algorithm 1. digest is the release's content
-// address, already verified by Registry.Release; sc (may be zero) is the
-// span context the stages nest under. Each stage — cache_hit on the
-// short path, parse and reconcile on the miss path — is one clock-read
-// pair feeding both its span and its latency histogram, so tracing adds
-// no timing of its own. The parse stage takes the manifest Submit
-// parsed; it parses only when that hand-off is gone (a cache wipe, or
-// another market on the same registry took it).
+// verdict cache in front of Algorithm 1. The cache key is what
+// reconciliation reads (app name, manifest text, policy digest), so a
+// release whose manifest an earlier release of the app already carried
+// hits. digest is the release's content address, already verified by
+// Registry.Release; sc (may be zero) is the span context the stages nest
+// under. Each stage — cache_hit on the short path, parse and reconcile on
+// the miss path — is one clock-read pair feeding both its span and its
+// latency histogram, so tracing adds no timing of its own. The parse
+// stage takes the manifest Submit parsed; it parses only when that
+// hand-off is gone (a cache wipe, another market on the same registry
+// took it, or Submit skipped the parse of a manifest the app already
+// shipped).
 func (m *Market) reconcileTraced(sr *SignedRelease, digest Digest, sc span.Context) (cv *CachedVerdict, hit bool, err error) {
 	t := time.Now()
-	if cv, ok := m.cache.Get(digest, m.policyDigest); ok {
+	key := m.keyOf(sr)
+	if cv, ok := m.cache.Get(key); ok {
 		m.reg.takeVetted(digest) // a replayed verdict needs no manifest
 		d := time.Since(t)
 		observeStage("cache_hit", d)
@@ -279,23 +284,29 @@ func (m *Market) reconcileTraced(sr *SignedRelease, digest Digest, sc span.Conte
 	if err != nil {
 		return nil, false, fmt.Errorf("market: manifest does not parse: %w", err)
 	}
-	cv, err = m.reconcileManifest(sr, digest, manifest, sc)
+	cv, err = m.reconcileManifest(key, manifest, sc)
 	return cv, false, err
+}
+
+// keyOf is the release's verdict-cache key under the market's
+// policy.
+func (m *Market) keyOf(sr *SignedRelease) verdictKey {
+	return verdictKey{app: sr.Name, manifest: sr.Manifest, policy: m.policyDigest}
 }
 
 // reconcileManifest is the cache-miss step: Algorithm 1 over a parsed
 // manifest (the reconcile stage), the verdict's classification, and its
-// store into the cache.
-func (m *Market) reconcileManifest(sr *SignedRelease, digest Digest, manifest *permlang.Manifest, sc span.Context) (*CachedVerdict, error) {
+// store into the cache under key, whose manifest text manifest parses.
+func (m *Market) reconcileManifest(key verdictKey, manifest *permlang.Manifest, sc span.Context) (*CachedVerdict, error) {
 	t := time.Now()
-	res, err := m.engine.Reconcile(sr.Name, manifest, m.policy)
+	res, err := m.engine.Reconcile(key.app, manifest, m.policy)
 	d := time.Since(t)
 	observeStage("reconcile", d)
 	span.Add(sc, "stage:reconcile", t, d)
 	if err != nil {
 		return nil, err
 	}
-	return m.cache.Put(digest, m.policyDigest, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested, manifest.Budget), nil
+	return m.cache.Put(key, classifyVerdict(res), res.Violations, res.Reconciled, res.Requested, manifest.Budget), nil
 }
 
 // classifyVerdict maps a reconciliation result to the market's
@@ -350,7 +361,7 @@ func (m *Market) Recompute(app string) (int, error) {
 			if err != nil {
 				return n, fmt.Errorf("market: manifest of %s@%s does not parse: %w", sr.Name, sr.Version, err)
 			}
-			if _, err := m.reconcileManifest(sr, sr.Digest(), manifest, span.Context{}); err != nil {
+			if _, err := m.reconcileManifest(m.keyOf(sr), manifest, span.Context{}); err != nil {
 				return n, err
 			}
 			n++
@@ -730,7 +741,7 @@ func (m *Market) buildResult(sr *SignedRelease, d Digest, cv *CachedVerdict, hit
 		Digest:    d.String(),
 		Verdict:   cv.Verdict,
 		CacheHit:  hit,
-		Effective: cv.effective.SortedString(),
+		Effective: cv.effectiveText,
 		Corr:      corr,
 	}
 	for _, v := range cv.Violations {

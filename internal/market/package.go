@@ -6,8 +6,9 @@
 // trusted vendor keys rejects tampered or unsigned packages before any
 // policy machinery runs. The Market engine then drives every accepted
 // release through the install pipeline (verify → parse → reconcile
-// against the site policy, with a verdict cache keyed by manifest and
-// policy digests so Algorithm 1 runs once per unique pair), activates
+// against the site policy, with a verdict cache keyed by app name,
+// manifest text and policy digest, so Algorithm 1 runs once per unique
+// key and a version bump that keeps its manifest replays), activates
 // the reconciled permissions atomically into a running isolation.Shield,
 // and supervises live upgrades with a probation window that rolls back
 // to the previous release's permissions if the app degrades.
@@ -140,21 +141,41 @@ type Version struct {
 	Major, Minor, Patch int
 }
 
-// ParseVersion parses "MAJOR.MINOR.PATCH" (each a non-negative integer).
+// ParseVersion parses "MAJOR.MINOR.PATCH". Each component is decimal
+// digits with no sign and no leading zero (except "0" itself), so one
+// version has one spelling: "01.0.0" and "+1.0.0" are not "1.0.0".
 func ParseVersion(s string) (Version, error) {
-	parts := strings.Split(strings.TrimSpace(s), ".")
-	if len(parts) != 3 {
-		return Version{}, fmt.Errorf("market: bad version %q (want MAJOR.MINOR.PATCH)", s)
-	}
+	rest := strings.TrimSpace(s)
 	var nums [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
+	for i := range nums {
+		p := rest
+		if i < len(nums)-1 {
+			var ok bool
+			if p, rest, ok = strings.Cut(rest, "."); !ok {
+				return Version{}, fmt.Errorf("market: bad version %q (want MAJOR.MINOR.PATCH)", s)
+			}
+		}
+		n, err := parseComponent(p)
+		if err != nil {
 			return Version{}, fmt.Errorf("market: bad version component %q in %q", p, s)
 		}
 		nums[i] = n
 	}
 	return Version{Major: nums[0], Minor: nums[1], Patch: nums[2]}, nil
+}
+
+// parseComponent parses one version component: digits only, and no
+// leading zero unless the component is "0".
+func parseComponent(p string) (int, error) {
+	if p == "" || (p[0] == '0' && len(p) > 1) {
+		return 0, strconv.ErrSyntax
+	}
+	for i := 0; i < len(p); i++ {
+		if p[i] < '0' || p[i] > '9' {
+			return 0, strconv.ErrSyntax
+		}
+	}
+	return strconv.Atoi(p)
 }
 
 // String renders the version.

@@ -95,7 +95,8 @@ func TestParseVersion(t *testing.T) {
 			t.Errorf("ParseVersion(%q) = %v, want %v", s, v, want)
 		}
 	}
-	for _, s := range []string{"", "1.2", "1.2.3.4", "1.-2.3", "a.b.c", "1.2.x"} {
+	for _, s := range []string{"", "1.2", "1.2.3.4", "1.-2.3", "a.b.c", "1.2.x",
+		"01.0.0", "+1.0.0", "1.0.00", "1..0", "1.0. 0", "1.0.0x"} {
 		if _, err := ParseVersion(s); err == nil {
 			t.Errorf("ParseVersion(%q) accepted", s)
 		}

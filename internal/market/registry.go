@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,12 +51,22 @@ type Registry struct {
 	// An entry lives from Submit to that reconciliation, and at most
 	// maxVetted wait at once: a store loaded at start-up submits releases
 	// nobody may install, and their parses are not worth keeping.
-	vetted map[Digest]*permlang.Manifest
+	vetted map[Digest]vettedManifest
 }
 
 // maxVetted bounds the parsed manifests awaiting their first
-// reconciliation; a release submitted past it is parsed again then.
+// reconciliation. Past it the oldest is dropped, so the newest
+// submissions — the ones an administrator is about to install — keep
+// theirs; a dropped release is parsed again when it is reconciled.
 const maxVetted = 64
+
+// vettedManifest is one parsed manifest awaiting its first
+// reconciliation; seq is its release's log sequence number, which orders
+// eviction.
+type vettedManifest struct {
+	seq      uint64
+	manifest *permlang.Manifest
+}
 
 // LogEntry is one release-log record: the replication unit the leader
 // ships to followers. The digest is the content address — the follower
@@ -78,7 +90,7 @@ func NewRegistry() *Registry {
 		keys:     make(map[string]ed25519.PublicKey),
 		byDigest: make(map[Digest]*SignedRelease),
 		byApp:    make(map[string][]*SignedRelease),
-		vetted:   make(map[Digest]*permlang.Manifest),
+		vetted:   make(map[Digest]vettedManifest),
 	}
 }
 
@@ -127,7 +139,7 @@ func (r *Registry) Submit(sr *SignedRelease) (Digest, error) {
 // trace ID. corr 0 means untraced.
 func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) {
 	digest := sr.Digest()
-	manifest, err := r.vet(sr)
+	version, manifest, err := r.vet(sr)
 	if err != nil {
 		mSubmitRejects.Inc()
 		if audit.On() {
@@ -145,26 +157,24 @@ func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) 
 	if _, ok := r.byDigest[digest]; ok {
 		return digest, nil // idempotent resubmission of identical content
 	}
-	for _, prev := range r.byApp[sr.Name] {
-		if prev.Version == sr.Version {
-			return digest, fmt.Errorf("%w: %s@%s", ErrDuplicateRelease, sr.Name, sr.Version)
-		}
+	releases := r.byApp[sr.Name]
+	at, dup := slices.BinarySearchFunc(releases, version, func(prev *SignedRelease, v Version) int {
+		pv, _ := ParseVersion(prev.Version) // stored, so it parsed at its own Submit
+		return pv.Compare(v)
+	})
+	if dup {
+		return digest, fmt.Errorf("%w: %s@%s", ErrDuplicateRelease, sr.Name, sr.Version)
 	}
 	stored := *sr
 	stored.Sig = append(HexBytes(nil), sr.Sig...)
 	r.byDigest[digest] = &stored
-	releases := append(r.byApp[sr.Name], &stored)
-	sort.SliceStable(releases, func(i, j int) bool {
-		vi, _ := ParseVersion(releases[i].Version)
-		vj, _ := ParseVersion(releases[j].Version)
-		return vi.Compare(vj) < 0
-	})
-	r.byApp[sr.Name] = releases
-	if len(r.vetted) < maxVetted {
-		r.vetted[digest] = manifest
+	r.byApp[sr.Name] = slices.Insert(releases, at, &stored)
+	seq := uint64(len(r.log)) + 1
+	if manifest != nil {
+		r.keepVetted(digest, seq, manifest)
 	}
 	r.log = append(r.log, LogEntry{
-		Seq: uint64(len(r.log)) + 1, Digest: digest.String(), App: sr.Name, Version: sr.Version,
+		Seq: seq, Digest: digest.String(), App: sr.Name, Version: sr.Version,
 		Corr: corr,
 	})
 	mSubmits.Inc()
@@ -179,23 +189,62 @@ func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) 
 }
 
 // vet runs the provenance checks without touching the store and returns
-// the parsed manifest.
-func (r *Registry) vet(sr *SignedRelease) (*permlang.Manifest, error) {
-	pub, ok := r.VendorKey(sr.Vendor)
+// the parsed version and manifest. The manifest is nil, and not parsed,
+// when a stored release of the same app carries byte-identical manifest
+// text: that text parsed when its release was submitted, and the parse
+// is deterministic.
+func (r *Registry) vet(sr *SignedRelease) (Version, *permlang.Manifest, error) {
+	r.mu.RLock()
+	pub, ok := r.keys[sr.Vendor]
+	seen := r.hasManifestLocked(sr.Name, sr.Manifest)
+	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownVendor, sr.Vendor)
+		return Version{}, nil, fmt.Errorf("%w: %q", ErrUnknownVendor, sr.Vendor)
 	}
 	if !sr.VerifySignature(pub) {
-		return nil, ErrBadSignature
+		return Version{}, nil, ErrBadSignature
 	}
-	if _, err := ParseVersion(sr.Version); err != nil {
-		return nil, err
+	version, err := ParseVersion(sr.Version)
+	if err != nil {
+		return Version{}, nil, err
+	}
+	if seen {
+		return version, nil, nil
 	}
 	manifest, err := permlang.Parse(sr.Manifest)
 	if err != nil {
-		return nil, fmt.Errorf("market: manifest does not parse: %w", err)
+		return Version{}, nil, fmt.Errorf("market: manifest does not parse: %w", err)
 	}
-	return manifest, nil
+	return version, manifest, nil
+}
+
+// hasManifestLocked reports whether a stored release of app carries the
+// manifest text. The newest releases are the likeliest to, so they are
+// compared first.
+func (r *Registry) hasManifestLocked(app, manifest string) bool {
+	releases := r.byApp[app]
+	for i := len(releases) - 1; i >= 0; i-- {
+		if releases[i].Manifest == manifest {
+			return true
+		}
+	}
+	return false
+}
+
+// keepVetted holds a release's parsed manifest for its first
+// reconciliation; at the bound it drops the oldest one held.
+func (r *Registry) keepVetted(d Digest, seq uint64, manifest *permlang.Manifest) {
+	if len(r.vetted) >= maxVetted {
+		var oldest Digest
+		oldestSeq := uint64(math.MaxUint64)
+		for od, v := range r.vetted {
+			if v.seq < oldestSeq {
+				oldest, oldestSeq = od, v.seq
+			}
+		}
+		delete(r.vetted, oldest)
+	}
+	r.vetted[d] = vettedManifest{seq: seq, manifest: manifest}
 }
 
 // takeVetted returns the manifest Submit parsed for the release and
@@ -204,9 +253,9 @@ func (r *Registry) vet(sr *SignedRelease) (*permlang.Manifest, error) {
 func (r *Registry) takeVetted(d Digest) *permlang.Manifest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	manifest := r.vetted[d]
+	v := r.vetted[d]
 	delete(r.vetted, d)
-	return manifest
+	return v.manifest
 }
 
 // Release returns a stored release by digest, re-verifying its content

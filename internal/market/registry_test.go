@@ -80,6 +80,29 @@ func TestSubmitRejectsConflictingVersion(t *testing.T) {
 	}
 }
 
+// TestSubmitStoresOneReleasePerVersion is the regression test for one
+// semantic version stored under several spellings: a signed, leading-zero
+// or zero-padded component does not parse, and a spelling that parses to
+// a stored version is a duplicate.
+func TestSubmitStoresOneReleasePerVersion(t *testing.T) {
+	reg, sign := newTestRegistry(t)
+	if _, err := reg.Submit(sign(Release{Name: "a", Vendor: "acme", Version: "1.0.0", Manifest: "PERM read_statistics"})); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"01.0.0", "+1.0.0", "1.0.00"} {
+		if _, err := reg.Submit(sign(Release{Name: "a", Vendor: "acme", Version: v, Manifest: "PERM read_statistics"})); err == nil {
+			t.Errorf("version %q accepted", v)
+		}
+	}
+	respelled := sign(Release{Name: "a", Vendor: "acme", Version: " 1.0.0", Manifest: "PERM read_statistics"})
+	if _, err := reg.Submit(respelled); !errors.Is(err, ErrDuplicateRelease) {
+		t.Errorf("version %q: err = %v, want ErrDuplicateRelease", respelled.Version, err)
+	}
+	if n := len(reg.Releases("a")); n != 1 {
+		t.Fatalf("registry stores %d releases of a, want 1", n)
+	}
+}
+
 func TestReleasesSortedBySemverAndLatest(t *testing.T) {
 	reg, sign := newTestRegistry(t)
 	for _, v := range []string{"2.0.0", "1.0.0", "1.10.0", "1.2.0"} {
