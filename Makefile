@@ -36,7 +36,7 @@ race:
 # skipping it. The allocation budgets (TestMediatedCallAllocs) run in
 # every core-count pass and skip under -race (the raceEnabled build-tag
 # constant), where the detector itself allocates.
-RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs ./internal/durable
+RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/controller ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs ./internal/durable
 race-matrix:
 	for procs in 1 2 4 8; do \
 		GOMAXPROCS=$$procs $(GO) test -count=1 -shuffle=on ./... || exit 1; \

@@ -13,6 +13,7 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -97,8 +98,12 @@ const recentBuffers = 4096
 
 // swHandle is the kernel's per-switch session state.
 type swHandle struct {
-	dpid of.DPID
-	conn of.Conn
+	dpid  of.DPID
+	conn  of.Conn
+	table *flowtable.Table // the switch's shadow
+	// apply is held by Apply across a batch; not mu, which recvLoop takes
+	// to hand a reply over, so a send must not hold it.
+	apply sync.Mutex
 
 	xid atomic.Uint32
 
@@ -154,7 +159,6 @@ type Kernel struct {
 
 	mu       sync.RWMutex
 	switches map[of.DPID]*swHandle
-	shadow   map[of.DPID]*flowtable.Table
 
 	// subs is copy-on-write: Subscribe and Unsubscribe publish a new
 	// slice under subMu, so emit iterates the one it read without copying.
@@ -190,7 +194,6 @@ func New(topo *topology.Topology, host *hostsim.HostOS, cfg ...KernelConfig) *Ke
 		cfg:      c,
 		jrand:    rand.New(rand.NewSource(c.Seed)),
 		switches: make(map[of.DPID]*swHandle),
-		shadow:   make(map[of.DPID]*flowtable.Table),
 		subs:     make(map[EventKind][]subscription),
 		model:    make(map[string]interface{}),
 	}
@@ -251,6 +254,7 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 	h := &swHandle{
 		dpid:            features.DPID,
 		conn:            conn,
+		table:           flowtable.New(0),
 		pending:         make(map[uint32]chan of.Message),
 		buffers:         make(map[uint32]bool),
 		pendingRemovals: make(map[string]string),
@@ -267,7 +271,6 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 		return 0, fmt.Errorf("controller: switch %v already connected", features.DPID)
 	}
 	k.switches[features.DPID] = h
-	k.shadow[features.DPID] = flowtable.New(0)
 	k.mu.Unlock()
 
 	k.topo.AddSwitch(features.DPID, features.Ports)
@@ -312,15 +315,14 @@ func (k *Kernel) Stop() {
 // Switches returns the connected DPIDs via the topology view.
 func (k *Kernel) Switches() []topology.SwitchInfo { return k.topo.Switches() }
 
-func (k *Kernel) handle(dpid of.DPID) (*swHandle, error) {
+// handle is a connected switch's session, nil for an unknown DPID.
+func (k *Kernel) handle(dpid of.DPID) *swHandle {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	h, ok := k.switches[dpid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownSwitch, dpid)
-	}
-	return h, nil
+	return k.switches[dpid]
 }
+
+func unknownSwitch(dpid of.DPID) error { return fmt.Errorf("%w: %v", ErrUnknownSwitch, dpid) }
 
 func (k *Kernel) recvLoop(h *swHandle) {
 	defer close(h.done)
@@ -380,7 +382,6 @@ func (k *Kernel) teardown(h *swHandle) {
 		return
 	}
 	delete(k.switches, h.dpid)
-	delete(k.shadow, h.dpid)
 	k.mu.Unlock()
 	k.topo.RemoveSwitch(h.dpid)
 	k.emit(Event{Kind: EventTopology, TopoChange: &TopoChange{What: "switch-removed", DPID: h.dpid}})
@@ -444,24 +445,16 @@ func (k *Kernel) dispatch(h *swHandle, msg of.Message) {
 		// see it. Controller-initiated deletes already updated the shadow
 		// when they were issued; re-deleting here could erase an entry
 		// reinstalled in the meantime (e.g. a transaction rollback).
-		k.mu.RLock()
-		shadow := k.shadow[h.dpid]
-		k.mu.RUnlock()
-		var owner string
 		key := removalKey(m.Match, m.Priority)
 		h.mu.Lock()
-		if pending, ok := h.pendingRemovals[key]; ok {
-			owner = pending
-			delete(h.pendingRemovals, key)
-		}
+		owner := h.pendingRemovals[key]
+		delete(h.pendingRemovals, key)
 		h.mu.Unlock()
-		if shadow != nil {
-			if owner == "" {
-				owner, _ = shadow.OwnerOf(m.Match, m.Priority)
-			}
-			if m.Reason != of.RemovedDelete {
-				shadow.Delete(m.Match, m.Priority, true)
-			}
+		if owner == "" {
+			owner, _ = h.table.OwnerOf(m.Match, m.Priority)
+		}
+		if m.Reason != of.RemovedDelete {
+			h.table.Delete(m.Match, m.Priority, true)
 		}
 		k.emit(Event{Kind: EventFlowRemoved, FlowRemoved: m, FlowOwner: owner})
 	case *of.PortStatus:
@@ -617,6 +610,222 @@ type FlowSpec struct {
 	Cookie      uint64
 }
 
+// Op is what a Mutation does to its switch.
+type Op uint8
+
+// The mutation ops. OpPacketOut changes no table, so it has no undo.
+const (
+	OpInsert    Op = iota + 1 // install Spec, replacing the rule of equal match and priority
+	OpModify                  // rewrite the actions of the rules Spec.Match subsumes
+	OpDelete                  // remove the rules Spec.Match subsumes, or (Strict) the equal one
+	OpPacketOut               // inject Packet, or buffered BufferID, from InPort with Spec.Actions
+)
+
+// Mutation is one change of a batch (Apply): an Op on one switch.
+type Mutation struct {
+	Op       Op
+	DPID     of.DPID
+	Spec     FlowSpec
+	Strict   bool
+	BufferID uint32
+	InPort   uint16
+	Packet   *of.Packet
+}
+
+// Apply is the kernel's one mutation primitive. It resolves the batch's
+// switches under one read of the switch map (an unknown DPID fails it
+// before any change) and takes their apply locks in DPID order. Per
+// mutation it calls guard (nil admits all), which sees the shadow as the
+// earlier mutations left it, then changes the shadow and logs the undo;
+// then it sends all in order under the same locks. A denial, a full table
+// or a failed send undoes the batch in reverse: inverse messages for what
+// went out, then the shadow. Apply returns len(batch), or the failed
+// index and why, joined (errors.Join) with the inverse messages a live
+// session refused, whose changes the shadow keeps, as the switch does.
+// Atomicity covers the shadow and the result, not packets in flight;
+// listings take no apply lock and may see a batch in progress.
+func (k *Kernel) Apply(org Origin, batch []Mutation, guard func(i int) error) (n int, err error) {
+	start := org.start()
+	hs, log := make([]*swHandle, 0, 1), make([]applied, 0, 1) // a batch of one on the stack
+	k.mu.RLock()
+	for i := range batch {
+		h, ok := k.switches[batch[i].DPID]
+		if !ok {
+			k.mu.RUnlock()
+			return i, unknownSwitch(batch[i].DPID)
+		}
+		hs = append(hs, h)
+	}
+	k.mu.RUnlock()
+	locked := hs
+	if len(hs) > 1 {
+		locked = slices.Clone(hs)
+		slices.SortFunc(locked, func(a, b *swHandle) int { return cmp.Compare(a.dpid, b.dpid) })
+		locked = slices.Compact(locked)
+	}
+	for _, h := range locked {
+		h.apply.Lock()
+	}
+	sent := 0 // mutations that went out
+	defer func() {
+		// Short of len(batch), the batch failed or a guard panicked.
+		var errs []error
+		for i := len(log) - 1; n < len(batch) && i >= 0; i-- {
+			if rerr := hs[i].revert(org, &log[i], i < sent); rerr != nil {
+				errs = append(errs, rerr)
+			}
+		}
+		if errs != nil {
+			err = errors.Join(append([]error{err}, errs...)...)
+		}
+		for _, h := range locked {
+			h.apply.Unlock()
+		}
+	}()
+	for i := range batch {
+		if guard != nil {
+			err = guard(i)
+		}
+		if err == nil {
+			log = append(log, applied{op: batch[i].Op})
+			if err = hs[i].change(&batch[i], org.App, &log[i]); err != nil {
+				log = log[:i] // change fails before it changes anything
+			}
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	for i := range batch {
+		op := &ops[batch[i].Op]
+		err := hs[i].conn.Send(log[i].msg)
+		auditWire(op.kind, org, op.name, batch[i].DPID, err)
+		observeSince(op.hist, start)
+		if err != nil {
+			return i, fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
+		}
+		sent++
+	}
+	return len(batch), nil
+}
+
+// applied is one mutation's undo log entry: the message carrying it, and
+// the rules that put the shadow back — the one an insert replaced, or
+// (added) the new one it takes out; the ones a modify rewrote or a delete
+// removed.
+type applied struct {
+	op      Op
+	msg     of.Message
+	added   bool
+	rule    flowtable.Entry
+	entries []*flowtable.Entry
+}
+
+// change applies m to the switch's shadow and fills in its log entry.
+func (h *swHandle) change(m *Mutation, owner string, rec *applied) (err error) {
+	var fm *of.FlowMod
+	switch m.Op {
+	case OpInsert:
+		rule := flowtable.Entry{Match: m.Spec.Match, Priority: m.Spec.Priority, Actions: m.Spec.Actions,
+			Cookie: m.Spec.Cookie, Owner: owner, IdleTimeout: m.Spec.IdleTimeout, HardTimeout: m.Spec.HardTimeout}
+		var replaced bool
+		if rec.rule, replaced, err = h.table.Swap(&rule); err != nil {
+			return err
+		}
+		if rec.rule.Match = rule.Match; !replaced {
+			rec.added, rec.rule = true, rule
+		}
+		// The flow-mod outlives the call — the in-memory pipe hands the
+		// switch the message itself — so it carries the shadow rule's match
+		// and actions, which nothing mutates, rather than the caller's.
+		fm = addMod(&rule)
+	case OpModify:
+		rec.entries = h.table.Entries(m.Spec.Match)
+		h.table.Modify(m.Spec.Match, m.Spec.Priority, false, m.Spec.Actions)
+		fm = &of.FlowMod{Command: of.FlowModify, Match: ownMatch(m.Spec.Match), Priority: m.Spec.Priority,
+			Actions: of.CloneActions(m.Spec.Actions)}
+	case OpDelete:
+		rec.entries = h.table.Delete(m.Spec.Match, m.Spec.Priority, m.Strict)
+		h.mu.Lock()
+		for _, e := range rec.entries {
+			h.pendingRemovals[removalKey(e.Match, e.Priority)] = e.Owner
+		}
+		// Bound the map against notifications that never arrive.
+		if len(h.pendingRemovals) > 8192 {
+			h.pendingRemovals = make(map[string]string)
+		}
+		h.mu.Unlock()
+		fm = &of.FlowMod{Command: of.FlowDelete, Match: ownMatch(m.Spec.Match), Priority: m.Spec.Priority}
+		if m.Strict {
+			fm.Command = of.FlowDeleteStrict
+		}
+	case OpPacketOut:
+		// The packet-out outlives the call (see ownMatch), so it carries its
+		// own copy of the actions, held in the message's own allocation.
+		msg := &struct {
+			of.PacketOut
+			acts [4]of.Action
+		}{PacketOut: of.PacketOut{Header: of.Header{Xid: h.nextXID()}, DPID: h.dpid, InPort: m.InPort,
+			BufferID: m.BufferID, Packet: m.Packet}}
+		if m.Spec.Actions != nil {
+			msg.Actions = append(msg.acts[:0], m.Spec.Actions...)
+		}
+		rec.msg = &msg.PacketOut
+		return nil
+	}
+	fm.Xid, fm.DPID = h.nextXID(), h.dpid
+	rec.msg = fm
+	return nil
+}
+
+// addMod is the flow-mod that installs rule e.
+func addMod(e *flowtable.Entry) *of.FlowMod {
+	return &of.FlowMod{Command: of.FlowAdd, Match: e.Match, Priority: e.Priority, IdleTimeout: e.IdleTimeout,
+		HardTimeout: e.HardTimeout, Cookie: e.Cookie, Actions: e.Actions}
+}
+
+// revert takes one logged change back, rule by rule: for a change that
+// went out, the inverse flow-mod first, so one a live session refuses
+// leaves its rule in the shadow as on the switch. Once the session has
+// ended, a failed inverse is none: the switch's rules went with it.
+func (h *swHandle) revert(org Origin, rec *applied, sent bool) error {
+	rules := rec.entries
+	switch {
+	case rec.op == OpInsert:
+		rules = []*flowtable.Entry{&rec.rule}
+	case rec.op == OpDelete && !sent:
+		h.mu.Lock()
+		for _, e := range rules {
+			delete(h.pendingRemovals, removalKey(e.Match, e.Priority))
+		}
+		h.mu.Unlock()
+	}
+	for _, e := range rules {
+		if sent {
+			op, fm := OpInsert, addMod(e)
+			if rec.added {
+				op, fm.Command, fm.Actions = OpDelete, of.FlowDeleteStrict, nil
+			}
+			fm.Xid, fm.DPID = h.nextXID(), h.dpid
+			err := h.conn.Send(fm)
+			auditWire(audit.KindFlowMod, org, ops[op].name, h.dpid, err)
+			select {
+			case <-h.closed:
+			default:
+				if err != nil {
+					return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
+				}
+			}
+		}
+		if rec.added {
+			h.table.Delete(e.Match, e.Priority, true)
+		} else {
+			_ = h.table.Add(*e) // puts back a rule just taken out: cannot hit capacity
+		}
+	}
+	return nil
+}
+
 // InsertFlow installs a rule on a switch on behalf of owner, recording
 // ownership in the kernel's shadow table.
 func (k *Kernel) InsertFlow(owner string, dpid of.DPID, spec FlowSpec) error {
@@ -627,92 +836,14 @@ func (k *Kernel) InsertFlow(owner string, dpid of.DPID, spec FlowSpec) error {
 // audit event records the app and correlation ID of the mediated call
 // that produced it.
 func (k *Kernel) InsertFlowAs(org Origin, dpid of.DPID, spec FlowSpec) error {
-	owner := org.App
-	defer observeSince(mOpInsert, org.start())
-	h, err := k.handle(dpid)
-	if err != nil {
-		return err
-	}
-	k.mu.RLock()
-	shadow := k.shadow[dpid]
-	k.mu.RUnlock()
-	rule := flowtable.Entry{
-		Match:       spec.Match,
-		Priority:    spec.Priority,
-		Actions:     spec.Actions,
-		Cookie:      spec.Cookie,
-		Owner:       owner,
-		IdleTimeout: spec.IdleTimeout,
-		HardTimeout: spec.HardTimeout,
-	}
-	displaced, replaced, err := shadow.Swap(&rule)
-	if err != nil {
-		return err
-	}
-	// The flow-mod outlives the call — the in-memory pipe hands the switch
-	// the message itself — so it carries the shadow rule's match and
-	// actions, which nothing mutates, rather than the caller's.
-	if err := h.conn.Send(&of.FlowMod{
-		Header:      of.Header{Xid: h.nextXID()},
-		DPID:        dpid,
-		Command:     of.FlowAdd,
-		Match:       rule.Match,
-		Priority:    spec.Priority,
-		IdleTimeout: spec.IdleTimeout,
-		HardTimeout: spec.HardTimeout,
-		Cookie:      spec.Cookie,
-		Actions:     rule.Actions,
-	}); err != nil {
-		// The rule never reached the switch; un-shadow it — putting back
-		// the rule it displaced, if any — so ownership state stays
-		// truthful across the disconnect.
-		if replaced {
-			_ = shadow.Add(displaced) // a replace: cannot hit capacity
-		} else {
-			shadow.Delete(rule.Match, spec.Priority, true)
-		}
-		auditWire(audit.KindFlowMod, org, "add", dpid, err)
-		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
-	}
-	auditWire(audit.KindFlowMod, org, "add", dpid, nil)
-	return nil
+	_, err := k.Apply(org, []Mutation{{Op: OpInsert, DPID: dpid, Spec: spec}}, nil)
+	return err
 }
 
 // ModifyFlow rewrites the actions of rules subsumed by the match.
 func (k *Kernel) ModifyFlow(dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	return k.ModifyFlowAs(Origin{}, dpid, match, priority, actions)
-}
-
-// ModifyFlowAs is ModifyFlow carrying call provenance for the flow-mod
-// audit event.
-func (k *Kernel) ModifyFlowAs(org Origin, dpid of.DPID, match *of.Match, priority uint16, actions []of.Action) error {
-	defer observeSince(mOpModify, org.start())
-	h, err := k.handle(dpid)
-	if err != nil {
-		return err
-	}
-	k.mu.RLock()
-	shadow := k.shadow[dpid]
-	k.mu.RUnlock()
-	// Snapshot the affected entries so a failed send can restore them.
-	prior := shadow.Entries(match)
-	shadow.Modify(match, priority, false, actions)
-	if err := h.conn.Send(&of.FlowMod{
-		Header:   of.Header{Xid: h.nextXID()},
-		DPID:     dpid,
-		Command:  of.FlowModify,
-		Match:    ownMatch(match),
-		Priority: priority,
-		Actions:  of.CloneActions(actions),
-	}); err != nil {
-		for _, e := range prior {
-			shadow.Modify(e.Match, e.Priority, true, e.Actions)
-		}
-		auditWire(audit.KindFlowMod, org, "modify", dpid, err)
-		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
-	}
-	auditWire(audit.KindFlowMod, org, "modify", dpid, nil)
-	return nil
+	_, err := k.Apply(Origin{}, []Mutation{{Op: OpModify, DPID: dpid, Spec: FlowSpec{Match: match, Priority: priority, Actions: actions}}}, nil)
+	return err
 }
 
 // ownMatch is the copy of a caller's match that a message sent to a switch
@@ -727,68 +858,18 @@ func ownMatch(m *of.Match) *of.Match {
 
 // DeleteFlow removes rules (non-strict semantics).
 func (k *Kernel) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
-	return k.DeleteFlowAs(Origin{}, dpid, match, priority, strict)
-}
-
-// DeleteFlowAs is DeleteFlow carrying call provenance for the flow-mod
-// audit event.
-func (k *Kernel) DeleteFlowAs(org Origin, dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
-	defer observeSince(mOpDelete, org.start())
-	h, err := k.handle(dpid)
-	if err != nil {
-		return err
-	}
-	k.mu.RLock()
-	shadow := k.shadow[dpid]
-	k.mu.RUnlock()
-	removed := shadow.Delete(match, priority, strict)
-	h.mu.Lock()
-	for _, e := range removed {
-		h.pendingRemovals[removalKey(e.Match, e.Priority)] = e.Owner
-	}
-	// Bound the map against notifications that never arrive.
-	if len(h.pendingRemovals) > 8192 {
-		h.pendingRemovals = make(map[string]string)
-	}
-	h.mu.Unlock()
-	cmd := of.FlowDelete
-	if strict {
-		cmd = of.FlowDeleteStrict
-	}
-	if err := h.conn.Send(&of.FlowMod{
-		Header:   of.Header{Xid: h.nextXID()},
-		DPID:     dpid,
-		Command:  cmd,
-		Match:    ownMatch(match),
-		Priority: priority,
-	}); err != nil {
-		// The delete never reached the switch; restore the shadow so the
-		// controller's view keeps matching the data plane.
-		for _, e := range removed {
-			_ = shadow.Add(*e)
-		}
-		h.mu.Lock()
-		for _, e := range removed {
-			delete(h.pendingRemovals, removalKey(e.Match, e.Priority))
-		}
-		h.mu.Unlock()
-		auditWire(audit.KindFlowMod, org, "delete", dpid, err)
-		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
-	}
-	auditWire(audit.KindFlowMod, org, "delete", dpid, nil)
-	return nil
+	_, err := k.Apply(Origin{}, []Mutation{{Op: OpDelete, DPID: dpid, Spec: FlowSpec{Match: match, Priority: priority}, Strict: strict}}, nil)
+	return err
 }
 
 // Flows reads the shadow flow table (the controller's authoritative view
 // of what each app installed).
 func (k *Kernel) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, error) {
-	k.mu.RLock()
-	shadow, ok := k.shadow[dpid]
-	k.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownSwitch, dpid)
+	h := k.handle(dpid)
+	if h == nil {
+		return nil, unknownSwitch(dpid)
 	}
-	return shadow.Entries(match), nil
+	return h.table.Entries(match), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -797,46 +878,17 @@ func (k *Kernel) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, error
 // SendPacketOut injects a packet via a switch. bufferID zero means the
 // packet is supplied inline.
 func (k *Kernel) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) error {
-	return k.SendPacketOutAs(Origin{}, dpid, bufferID, inPort, actions, pkt)
-}
-
-// SendPacketOutAs is SendPacketOut carrying call provenance for the
-// packet-out audit event.
-func (k *Kernel) SendPacketOutAs(org Origin, dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) error {
-	defer observeSince(mOpPacketOut, org.start())
-	h, err := k.handle(dpid)
-	if err != nil {
-		return err
-	}
-	// The packet-out outlives the call (see ownMatch), so it carries its
-	// own copy of the actions, held in the message's own allocation.
-	msg := &struct {
-		of.PacketOut
-		acts [4]of.Action
-	}{PacketOut: of.PacketOut{
-		Header:   of.Header{Xid: h.nextXID()},
-		DPID:     dpid,
-		InPort:   inPort,
-		BufferID: bufferID,
-		Packet:   pkt,
-	}}
-	if actions != nil {
-		msg.Actions = append(msg.acts[:0], actions...)
-	}
-	if err := h.conn.Send(&msg.PacketOut); err != nil {
-		auditWire(audit.KindPacketOut, org, "packet_out", dpid, err)
-		return fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
-	}
-	auditWire(audit.KindPacketOut, org, "packet_out", dpid, nil)
-	return nil
+	_, err := k.Apply(Origin{}, []Mutation{{Op: OpPacketOut, DPID: dpid, Spec: FlowSpec{Actions: actions},
+		BufferID: bufferID, InPort: inPort, Packet: pkt}}, nil)
+	return err
 }
 
 // PacketInSeen reports whether the buffer id belongs to a recently
 // delivered packet-in on the switch — the provenance witness used by
 // FROM_PKT_IN checks.
 func (k *Kernel) PacketInSeen(dpid of.DPID, bufferID uint32) bool {
-	h, err := k.handle(dpid)
-	if err != nil {
+	h := k.handle(dpid)
+	if h == nil {
 		return false
 	}
 	h.mu.Lock()
@@ -875,9 +927,9 @@ func (k *Kernel) SwitchStats(dpid of.DPID) (of.SwitchStats, error) {
 }
 
 func (k *Kernel) statsRequest(dpid of.DPID, kind of.StatsType, match *of.Match, port uint16) (*of.StatsReply, error) {
-	h, err := k.handle(dpid)
-	if err != nil {
-		return nil, err
+	h := k.handle(dpid)
+	if h == nil {
+		return nil, unknownSwitch(dpid)
 	}
 	// A timed-out request may still reach the switch after the call
 	// returned, so it carries its own copy of the match (see ownMatch),
@@ -912,9 +964,9 @@ func (k *Kernel) statsRequest(dpid of.DPID, kind of.StatsType, match *of.Match, 
 // Barrier synchronizes with a switch: it returns once every message sent
 // before it has been processed.
 func (k *Kernel) Barrier(dpid of.DPID) error {
-	h, err := k.handle(dpid)
-	if err != nil {
-		return err
+	h := k.handle(dpid)
+	if h == nil {
+		return unknownSwitch(dpid)
 	}
 	msg := &of.BarrierRequest{Header: of.Header{Xid: h.nextXID()}}
 	reply, err := k.request(h, msg)
@@ -975,50 +1027,36 @@ func (k *Kernel) ReadModel(path string) (interface{}, bool) {
 // ---------------------------------------------------------------------------
 // permengine.StateProvider
 
+var emptyShadow = flowtable.New(0)
+
+// shadow is a switch's shadow table; an unknown DPID's is emptyShadow.
+func (k *Kernel) shadow(dpid of.DPID) *flowtable.Table {
+	if h := k.handle(dpid); h != nil {
+		return h.table
+	}
+	return emptyShadow
+}
+
 // FlowOwner resolves flow ownership from the shadow tables.
 func (k *Kernel) FlowOwner(dpid of.DPID, match *of.Match, priority uint16) (string, bool) {
-	k.mu.RLock()
-	shadow, ok := k.shadow[dpid]
-	k.mu.RUnlock()
-	if !ok {
-		return "", false
-	}
-	return shadow.OwnerOf(match, priority)
+	return k.shadow(dpid).OwnerOf(match, priority)
 }
 
 // ForeignFlowOwner reports the owner of a foreign rule an insert by app
 // at the given priority would shadow, resolved allocation-free from the
 // shadow tables.
 func (k *Kernel) ForeignFlowOwner(app string, dpid of.DPID, match *of.Match, priority uint16) (string, bool) {
-	k.mu.RLock()
-	shadow, ok := k.shadow[dpid]
-	k.mu.RUnlock()
-	if !ok {
-		return "", false
-	}
-	return shadow.ForeignOverlapOwner(app, match, priority)
+	return k.shadow(dpid).ForeignOverlapOwner(app, match, priority)
 }
 
 // RuleCount counts an app's rules on a switch from the shadow tables.
 func (k *Kernel) RuleCount(app string, dpid of.DPID) int {
-	k.mu.RLock()
-	shadow, ok := k.shadow[dpid]
-	k.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	return shadow.CountByOwner(app)
+	return k.shadow(dpid).CountByOwner(app)
 }
 
 // RuleCountBesides counts an app's rules on a switch other than its own
 // rule equal to (match, priority): what MAX_RULE_COUNT bounds for an
 // insert, which replaces that rule in place rather than adding one.
 func (k *Kernel) RuleCountBesides(app string, dpid of.DPID, match *of.Match, priority uint16) int {
-	k.mu.RLock()
-	shadow, ok := k.shadow[dpid]
-	k.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	return shadow.CountByOwnerBesides(app, match, priority)
+	return k.shadow(dpid).CountByOwnerBesides(app, match, priority)
 }

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -360,5 +362,84 @@ func waitTimeout(t *testing.T, wg *sync.WaitGroup, d time.Duration, what string)
 	case <-done:
 	case <-time.After(d):
 		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestApplyBatchesInEitherOrder: goroutines apply two-switch batches in
+// both DPID orders beside single-switch inserts, and a guard denies every
+// third batch at its second change. Every call finishes — a batch takes
+// its switches' apply locks in DPID order, whatever its own order — and
+// each shadow ends with exactly the rules of the calls that reported
+// success: a denied batch leaves none.
+func TestApplyBatchesInEitherOrder(t *testing.T) {
+	h := newHarness(t, 2)
+	k := h.kernel
+	errDenied := errors.New("denied")
+	spec := func(m *of.Match) FlowSpec {
+		return FlowSpec{Match: m, Priority: 10, Actions: []of.Action{of.Output(1)}}
+	}
+	var mu sync.Mutex
+	want := map[of.DPID][]string{}
+	landed := func(owner string, dpid of.DPID, m *of.Match) {
+		mu.Lock()
+		defer mu.Unlock()
+		want[dpid] = append(want[dpid], owner+" "+m.Key())
+	}
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				m := of.NewMatch().Set(of.FieldTPDst, uint64(w*1000+i))
+				first, second := of.DPID(1), of.DPID(2)
+				if (w+i)%2 == 1 {
+					first, second = 2, 1
+				}
+				deny := i%3 == 2
+				n, err := k.Apply(Origin{App: "batch"},
+					[]Mutation{{Op: OpInsert, DPID: first, Spec: spec(m)}, {Op: OpInsert, DPID: second, Spec: spec(m)}},
+					func(j int) error {
+						if deny && j == 1 {
+							return errDenied
+						}
+						return nil
+					})
+				switch {
+				case deny && (n != 1 || err != errDenied):
+					t.Errorf("denied batch: Apply = %d, %v; want 1, %v", n, err, errDenied)
+				case !deny && (n != 2 || err != nil):
+					t.Errorf("batch: Apply = %d, %v; want 2, nil", n, err)
+				case !deny:
+					landed("batch", 1, m)
+					landed("batch", 2, m)
+				}
+				single := of.NewMatch().Set(of.FieldTPSrc, uint64(w*1000+i))
+				dpid := of.DPID(1 + i%2)
+				if err := k.InsertFlow("single", dpid, spec(single)); err != nil {
+					t.Errorf("single insert: %v", err)
+				} else {
+					landed("single", dpid, single)
+				}
+			}
+		}(w)
+	}
+	waitTimeout(t, &wg, 10*time.Second, "concurrent batches")
+	for _, dpid := range []of.DPID{1, 2} {
+		entries, err := k.Flows(dpid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, 0, len(entries))
+		for _, e := range entries {
+			got = append(got, e.Owner+" "+e.Match.Key())
+		}
+		slices.Sort(got)
+		slices.Sort(want[dpid])
+		if !slices.Equal(got, want[dpid]) {
+			t.Errorf("switch %v shadow holds %d rules, the calls reported %d:\n got %v\nwant %v",
+				dpid, len(got), len(want[dpid]), got, want[dpid])
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package controller
 
-import "sdnshield/internal/obs"
+import (
+	"sdnshield/internal/obs"
+	"sdnshield/internal/obs/audit"
+)
 
 // Kernel instrumentation. All instruments live in the process-wide obs
 // registry: multiple kernels in one process (tests, the bench harness's
@@ -25,13 +28,19 @@ var (
 		"Synchronous switch requests that failed.", "reason", "timeout")
 	mRequestDisconnects = obs.Default().Counter("sdnshield_kernel_request_failures_total",
 		"Synchronous switch requests that failed.", "reason", "disconnected")
-
-	mOpInsert = obs.Default().Histogram("sdnshield_kernel_op_seconds",
-		"Kernel flow/packet service latency (shadow-table update plus wire send).", "op", "insert_flow")
-	mOpModify = obs.Default().Histogram("sdnshield_kernel_op_seconds",
-		"Kernel flow/packet service latency (shadow-table update plus wire send).", "op", "modify_flow")
-	mOpDelete = obs.Default().Histogram("sdnshield_kernel_op_seconds",
-		"Kernel flow/packet service latency (shadow-table update plus wire send).", "op", "delete_flow")
-	mOpPacketOut = obs.Default().Histogram("sdnshield_kernel_op_seconds",
-		"Kernel flow/packet service latency (shadow-table update plus wire send).", "op", "packet_out")
 )
+
+const opHelp = "Kernel flow/packet service latency (shadow-table update plus wire send)."
+
+// ops is per mutation Op the kind and name of its audit event and its
+// latency histogram.
+var ops = [...]struct {
+	kind audit.Kind
+	name string
+	hist *obs.Histogram
+}{
+	OpInsert:    {audit.KindFlowMod, "add", obs.Default().Histogram("sdnshield_kernel_op_seconds", opHelp, "op", "insert_flow")},
+	OpModify:    {audit.KindFlowMod, "modify", obs.Default().Histogram("sdnshield_kernel_op_seconds", opHelp, "op", "modify_flow")},
+	OpDelete:    {audit.KindFlowMod, "delete", obs.Default().Histogram("sdnshield_kernel_op_seconds", opHelp, "op", "delete_flow")},
+	OpPacketOut: {audit.KindPacketOut, "packet_out", obs.Default().Histogram("sdnshield_kernel_op_seconds", opHelp, "op", "packet_out")},
+}

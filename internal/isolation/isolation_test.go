@@ -24,6 +24,13 @@ type testEnv struct {
 
 func newEnv(t *testing.T, switches int) *testEnv {
 	t.Helper()
+	return newEnvOver(t, switches, nil)
+}
+
+// newEnvOver is newEnv with each switch's control connection, on the
+// kernel's side, passed through wrap (nil: none).
+func newEnvOver(t *testing.T, switches int, wrap func(of.DPID, of.Conn) of.Conn) *testEnv {
+	t.Helper()
 	b, err := netsim.Linear(switches)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +40,9 @@ func newEnv(t *testing.T, switches int) *testEnv {
 		ctrlSide, swSide := of.Pipe()
 		if err := sw.Start(swSide); err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			ctrlSide = wrap(sw.DPID(), ctrlSide)
 		}
 		if _, err := k.AcceptSwitch(ctrlSide); err != nil {
 			t.Fatal(err)

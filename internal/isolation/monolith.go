@@ -147,5 +147,5 @@ func (a *directAPI) HasPermission(core.Token) bool {
 }
 
 func (a *directAPI) Transaction() *Tx {
-	return &Tx{api: a, kernel: a.kernel}
+	return &Tx{app: a.name, kernel: a.kernel}
 }

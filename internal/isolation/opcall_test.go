@@ -86,6 +86,41 @@ func TestVirtualTxRollbackRemovesTranslatedRules(t *testing.T) {
 	}
 }
 
+// TestVirtualInsertIsAtomic: a virtual forwarding insert whose flow-mod
+// to the last member switch of its expansion fails to send, the session
+// staying up, leaves no rule of the expansion in any shadow or switch
+// table.
+func TestVirtualInsertIsAtomic(t *testing.T) {
+	env := newEnvOver(t, 3, func(dpid of.DPID, c of.Conn) of.Conn {
+		if dpid == 3 {
+			return sendFailer{c}
+		}
+		return c
+	})
+	api := launchAPI(t, env, "tenant", virtualTenant+"PERM insert_flow")
+	hosts, err := api.Hosts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h3 := env.built.Hosts[2] // behind switch 3, where the expansion ends
+	var vport uint16
+	for _, h := range hosts {
+		if h.IP == h3.IP() {
+			vport = h.Port
+		}
+	}
+	spec := controller.FlowSpec{Match: of.NewMatch().Set(of.FieldIPDst, uint64(h3.IP())), Priority: 10,
+		Actions: []of.Action{of.Output(vport)}, Cookie: failCookie}
+	if err := api.InsertFlow(0, spec); !errors.Is(err, controller.ErrSwitchDisconnected) {
+		t.Fatalf("err = %v, want the failed send", err)
+	}
+	for dpid := of.DPID(1); dpid <= 3; dpid++ {
+		if shadow, data := dataPlaneOf(t, env, dpid); shadow != "[]" || data != "[]" {
+			t.Errorf("switch %v keeps rules of the failed expansion: shadow %s, switch %s", dpid, shadow, data)
+		}
+	}
+}
+
 // TestExplainInsertMatchesLiveInsert: Explain of an insert_flow call that
 // leaves its stateful attributes unresolved (what POST /explain runs
 // without flow_owner) gives the verdict the live InsertFlow of the same

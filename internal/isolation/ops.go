@@ -21,9 +21,9 @@ import (
 // call it builds: the token, the attributes the op's filters read, the
 // stateful ones check resolves — and its kernel effect, both plain
 // functions of a pooled request (shield.go) holding the call's own
-// arguments. mediate is the one routine every op runs; Tx prechecks with
-// the same decisions, and the event table at the end does the same for
-// deliveries.
+// arguments. mediate is the one routine every op runs; Tx guards its
+// batch with the same decisions, and the event table at the end does the
+// same for deliveries.
 
 // mediatedOp is one operation's row. Its histogram is resolved once, so
 // the caller's latency observation does no map lookup.
@@ -37,6 +37,9 @@ type mediatedOp struct {
 	// affected rule, a listing one only without its token); effect then
 	// applies it under the request's origin, leaving results in it.
 	decide, effect func(*request) error
+	// kind is a switch mutation's kernel op, zero for other ops; its effect
+	// (mutate) runs decide itself, as the guard of the batch it lays.
+	kind controller.Op
 }
 
 const mediatedCallHelp = "End-to-end mediated API call latency: queue wait, permission check and kernel execution."
@@ -57,12 +60,18 @@ func opRow(name string, onSwitch bool, decide, effect func(*request) error) *med
 	return op
 }
 
+func mutationRow(name string, kind controller.Op, decide func(*request) error) *mediatedOp {
+	op := opRow(name, true, decide, (*request).mutate)
+	op.kind = kind
+	return op
+}
+
 var (
-	opInsertFlow    = opRow("insert_flow", true, (*request).checkInsert, (*request).insertFlow)
-	opModifyFlow    = opRow("modify_flow", true, (*request).checkModify, (*request).modifyFlow)
-	opDeleteFlow    = opRow("delete_flow", true, (*request).checkDelete, (*request).deleteFlow)
+	opInsertFlow    = mutationRow("insert_flow", controller.OpInsert, (*request).checkInsert)
+	opModifyFlow    = mutationRow("modify_flow", controller.OpModify, (*request).checkModify)
+	opDeleteFlow    = mutationRow("delete_flow", controller.OpDelete, (*request).checkDelete)
 	opFlows         = opRow("flows", true, (*request).listedFlows, (*request).listFlows)
-	opPacketOut     = opRow("packet_out", true, (*request).checkPacketOut, (*request).packetOut)
+	opPacketOut     = mutationRow("packet_out", controller.OpPacketOut, (*request).checkPacketOut)
 	opFlowStats     = opRow("flow_stats", true, (*request).checkFlowStats, (*request).readFlowStats)
 	opPortStats     = opRow("port_stats", true, (*request).checkPortStats, (*request).readPortStats)
 	opSwitchStats   = opRow("switch_stats", true, (*request).checkSwitchStats, (*request).readSwitchStats)
@@ -96,7 +105,7 @@ func virtFor(s *Shield, app string) *translator {
 	if set, ok := s.engine.Permissions(app); ok {
 		expr, _ := set.FilterFor(core.TokenVisibleTopology)
 		if vf := findVirtFilter(expr); vf != nil && vf.Mode() == core.VirtSingleBigSwitch {
-			return newTranslator(s.kernel, app)
+			return &translator{kernel: s.kernel, app: app}
 		}
 	}
 	return nil
@@ -123,24 +132,36 @@ func (a *shieldedAPI) AppName() string { return a.name }
 
 func (a *shieldedAPI) engine() *permengine.Engine { return a.shield.engine }
 
-// mediate is the one mediation routine every op runs. The gates come
-// first: a quarantined app's handle is dead, and an app behind the
-// virtual big switch (its view, read once per call) addresses no
-// physical switch — both fail fast without taking a deputy slot. Then the
-// call's correlation ID is minted, so the permission check and every
-// switch-side effect of this one call share it, and the request crosses
-// the KSD hop.
+// mediate is the one mediation routine every op runs. The gates (admit)
+// come first, under the app's view, read once per call, and fail fast
+// without taking a deputy slot. Then the call's correlation ID is minted,
+// so its check and every switch-side effect share it, and it crosses the
+// KSD hop.
 func (a *shieldedAPI) mediate(r *request) error {
+	r.virt = a.container.virt.Load()
+	if err := a.admit(r.op, r.dpid, r.virt); err != nil {
+		return err
+	}
+	r.org = controller.Origin{App: a.name, Corr: audit.NextCorr()}
+	return a.shield.hop(r)
+}
+
+// admit is the gate a call of op passes before it is decided: a stopped
+// shield serves nothing, a quarantined app's handle is dead, and an app
+// behind the virtual big switch (its view virt) addresses no physical
+// switch.
+func (a *shieldedAPI) admit(op *mediatedOp, dpid of.DPID, virt *translator) error {
+	if a.shield.stopped.Load() {
+		return ErrShieldStopped
+	}
 	if a.container.Health() == Quarantined {
 		mQuarantinedCalls.Inc()
 		return fmt.Errorf("%w: %s", ErrAppQuarantined, a.name)
 	}
-	r.virt = a.container.virt.Load()
-	if r.op.onSwitch && r.virt != nil && r.dpid != bigSwitchDPID {
-		return r.virt.outside()
+	if op.onSwitch && virt != nil && dpid != bigSwitchDPID {
+		return virt.outside()
 	}
-	r.org = controller.Origin{App: a.name, Corr: audit.NextCorr()}
-	return a.shield.hop(r)
+	return nil
 }
 
 // call runs one call of an op that returns only an error.
@@ -156,15 +177,6 @@ func callFor[T any](a *shieldedAPI, op *mediatedOp, in args, out func(*request) 
 	defer r.put()
 	err := a.mediate(r)
 	return out(r), err
-}
-
-// precheck is a Tx's check of a planned call: the op's own decision,
-// unnumbered, so neither measured nor heat-walked — the committed call is.
-func (a *shieldedAPI) precheck(op *mediatedOp, in args, corr uint64) error {
-	r := a.request(op, in)
-	defer r.put()
-	r.org.Corr, r.virt = corr, a.container.virt.Load()
-	return op.decide(r)
 }
 
 // check decides a built call, held in the request: stamped with the
@@ -240,11 +252,32 @@ func (r *request) checkInsert() error {
 		Actions: orNone(r.spec.Actions), Priority: r.spec.Priority, HasPriority: true})
 }
 
-func (r *request) insertFlow() error {
-	if r.virt != nil {
-		return r.virt.insertFlow(r.org, r.spec)
+// mutate is a switch mutation's effect: its call laid as a kernel batch.
+// On a physical switch the op's decision is the batch's guard, so what it
+// reads (rule owners, rule count, affected rules) holds when the effect
+// lands; behind the virtual big switch it reads no table (see protect).
+func (r *request) mutate() error {
+	var guard func(int) error
+	if r.virt == nil {
+		guard = func(int) error { return r.op.decide(r) }
 	}
-	return r.a.shield.kernel.InsertFlowAs(r.org, r.dpid, r.spec)
+	var one [1]controller.Mutation
+	batch, err := lay(one[:0], r.op, &r.args, r.virt)
+	if err == nil {
+		_, err = r.a.shield.kernel.Apply(r.org, batch, guard)
+	}
+	return err
+}
+
+// lay appends to batch the kernel mutations of one call of a mutating op:
+// the call itself, or its expansion behind the virtual big switch virt.
+func lay(batch []controller.Mutation, op *mediatedOp, in *args, virt *translator) ([]controller.Mutation, error) {
+	batch = append(batch, controller.Mutation{Op: op.kind, DPID: in.dpid, Spec: in.spec, Strict: in.strict,
+		BufferID: in.bufferID, InPort: in.port, Packet: in.pkt})
+	if virt == nil {
+		return batch, nil
+	}
+	return virt.lay(batch[:len(batch)-1], batch[len(batch)-1])
 }
 
 // checkAffected is modify's and delete's decision: one call per resident
@@ -291,22 +324,11 @@ func (r *request) checkModify() error {
 	return r.checkAffected(token, r.spec.Actions)
 }
 
-func (r *request) modifyFlow() error {
-	return r.a.shield.kernel.ModifyFlowAs(r.org, r.dpid, r.spec.Match, r.spec.Priority, r.spec.Actions)
-}
-
 func (a *shieldedAPI) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) error {
 	return a.call(opDeleteFlow, args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict})
 }
 
 func (r *request) checkDelete() error { return r.checkAffected(core.TokenDeleteFlow, nil) }
-
-func (r *request) deleteFlow() error {
-	if r.virt != nil {
-		return r.virt.deleteFlow(r.org, r.spec.Match, r.spec.Priority, r.strict)
-	}
-	return r.a.shield.kernel.DeleteFlowAs(r.org, r.dpid, r.spec.Match, r.spec.Priority, r.strict)
-}
 
 func (a *shieldedAPI) Flows(dpid of.DPID, match *of.Match) ([]*flowtable.Entry, error) {
 	return callFor(a, opFlows, args{dpid: dpid, spec: controller.FlowSpec{Match: match}},
@@ -341,12 +363,6 @@ func (r *request) checkPacketOut() error {
 		call.Match = r.match.FillFromPacket(r.pkt, r.port)
 	}
 	return r.check(call)
-}
-
-// packetOut sends the request's packet, its own clone: the packet-out
-// outlives the call (the kernel copies the actions into it).
-func (r *request) packetOut() error {
-	return r.a.shield.kernel.SendPacketOutAs(r.org, r.dpid, r.bufferID, r.port, r.spec.Actions, r.pkt)
 }
 
 // ---------------------------------------------------------------------------
@@ -646,5 +662,5 @@ func (a *shieldedAPI) HasPermission(token core.Token) bool {
 }
 
 func (a *shieldedAPI) Transaction() *Tx {
-	return &Tx{api: a, shield: a, kernel: a.shield.kernel}
+	return &Tx{app: a.name, kernel: a.shield.kernel, shield: a}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sdnshield/internal/controller"
+	"sdnshield/internal/flowtable"
 	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
 )
@@ -87,13 +88,18 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 		}
 	}
 	// insertOnly variants plan inserts alone: the undo of an insert must
-	// not need delete_flow, since it is not a call the app makes.
+	// not need delete_flow, since it is not a call the app makes. In a
+	// sendFailure variant the failing last step is an insert whose
+	// flow-mod a live session refuses, so every step before it went out
+	// and is taken back on the switch too.
 	variants := map[string]struct {
-		launch     func(t *testing.T, env *testEnv) API
-		insertOnly bool
+		launch      func(t *testing.T, env *testEnv) API
+		insertOnly  bool
+		sendFailure bool
 	}{
-		"shield":             {launch: shield("PERM insert_flow\nPERM delete_flow")},
-		"shield_insert_only": {launch: shield("PERM insert_flow"), insertOnly: true},
+		"shield":              {launch: shield("PERM insert_flow\nPERM delete_flow")},
+		"shield_insert_only":  {launch: shield("PERM insert_flow"), insertOnly: true},
+		"shield_send_failure": {launch: shield("PERM insert_flow\nPERM delete_flow"), sendFailure: true},
 		"monolith": {launch: func(t *testing.T, env *testEnv) API {
 			var api API
 			if err := NewMonolith(env.kernel).Launch(app("mover", func(a API) error { api = a; return nil })); err != nil {
@@ -105,7 +111,11 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 	dpids := []of.DPID{1, 2}
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
-			env := newEnv(t, 2)
+			var wrap func(of.DPID, of.Conn) of.Conn
+			if v.sendFailure {
+				wrap = func(_ of.DPID, c of.Conn) of.Conn { return sendFailer{c} }
+			}
+			env := newEnvOver(t, 2, wrap)
 			api := v.launch(t, env)
 			for seed := int64(0); seed < 12; seed++ {
 				r := rand.New(rand.NewSource(seed))
@@ -152,7 +162,11 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 							Actions: []of.Action{of.Output(9)}, Cookie: uint64(900 + i)})
 					}
 				}
-				tx.InsertFlow(42, controller.FlowSpec{Match: rollbackMatch(r), Priority: 10})
+				if v.sendFailure {
+					tx.InsertFlow(dpids[r.Intn(2)], controller.FlowSpec{Match: rollbackMatch(r), Priority: 10, Cookie: failCookie})
+				} else {
+					tx.InsertFlow(42, controller.FlowSpec{Match: rollbackMatch(r), Priority: 10})
+				}
 				err := tx.Commit()
 				var txErr *TxError
 				if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != k {
@@ -165,9 +179,40 @@ func TestTxRollbackRestoresShadowExactly(t *testing.T) {
 					t.Fatalf("seed %d: shadow tables differ after rollback at step %d\nbefore: %v\nafter:  %v",
 						seed, k, before.Rules, after.Rules)
 				}
+				if v.sendFailure {
+					for _, dpid := range dpids {
+						if shadow, data := dataPlaneOf(t, env, dpid); shadow != data {
+							t.Fatalf("seed %d: switch %v holds other rules than its shadow after rollback\nshadow: %s\nswitch: %s",
+								seed, dpid, shadow, data)
+						}
+					}
+				}
 			}
 		})
 	}
+}
+
+// dataPlaneOf renders, after a barrier, a switch's shadow table and the
+// rules the switch itself holds, in one canonical form.
+func dataPlaneOf(t *testing.T, env *testEnv, dpid of.DPID) (shadow, data string) {
+	t.Helper()
+	if err := env.kernel.Barrier(dpid); err != nil {
+		t.Fatal(err)
+	}
+	render := func(entries []*flowtable.Entry) string {
+		rules := make([]string, 0, len(entries))
+		for _, e := range entries {
+			rules = append(rules, fmt.Sprintf("%05d %s actions=%v cookie=%d", e.Priority, e.Match.Key(), e.Actions, e.Cookie))
+		}
+		sort.Strings(rules)
+		return fmt.Sprint(rules)
+	}
+	entries, err := env.kernel.Flows(dpid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, _ := env.built.Net.Switch(dpid)
+	return render(entries), render(sw.Table().Entries(nil))
 }
 
 // sendFailer fails the Send of every flow-mod carrying failCookie and

@@ -323,7 +323,8 @@ func (s *Shield) hop(r *request) error {
 	return err
 }
 
-// protect runs r's op — its decision, then its effect — shielding the
+// protect runs r's op — its decision, then its effect; a physical switch
+// mutation's effect decides under the kernel's lock — shielding the
 // caller from it: a panic inside a mediated call becomes an error for the
 // caller (and is counted on the engine) instead of unwinding its
 // goroutine with the slot held.
@@ -334,8 +335,10 @@ func (s *Shield) protect(r *request) (err error) {
 			err = fmt.Errorf("isolation: panic in mediated API call: %v", p)
 		}
 	}()
-	if err := r.op.decide(r); err != nil {
-		return err
+	if r.op.kind == 0 || r.virt != nil {
+		if err := r.op.decide(r); err != nil {
+			return err
+		}
 	}
 	return r.op.effect(r)
 }

@@ -20,10 +20,6 @@ type translator struct {
 	app    string
 }
 
-func newTranslator(kernel *controller.Kernel, app string) *translator {
-	return &translator{kernel: kernel, app: app}
-}
-
 // bigSwitchDPID is the DPID of the app-visible virtual switch.
 const bigSwitchDPID of.DPID = 0
 
@@ -53,55 +49,60 @@ func (t *translator) outside() error {
 	return fmt.Errorf("isolation: app %q sees only the virtual switch %v", t.app, bigSwitchDPID)
 }
 
-// insertFlow installs the expansion of one virtual rule, already decided
-// on the virtual view, under org.
-func (t *translator) insertFlow(org controller.Origin, spec controller.FlowSpec) error {
-	rules, err := t.expand(spec)
-	if err != nil {
-		return err
-	}
-	for _, r := range rules {
-		phys := spec
-		phys.Match, phys.Actions = r.match, r.actions
-		if err := t.kernel.InsertFlowAs(org, r.dpid, phys); err != nil {
-			return err
+// lay appends to batch the physical mutations of one virtual call: an
+// insert's expansion, or strict deletes of the app's own rules a delete's
+// match covers when it is laid. Other ops stay at the big switch, which
+// the kernel does not know.
+func (t *translator) lay(batch []controller.Mutation, m controller.Mutation) ([]controller.Mutation, error) {
+	switch m.Op {
+	case controller.OpInsert:
+		return t.expand(batch, m)
+	case controller.OpDelete:
+		physMatch := orAny(m.Spec.Match).Clone()
+		physMatch.SetMasked(of.FieldInPort, 0, 0)
+		for _, sw := range t.kernel.Topology().SwitchIDs() {
+			entries, _ := t.kernel.Flows(sw, physMatch) // none on a switch gone
+			for _, e := range entries {
+				// Never touch other apps' physical rules.
+				if e.Owner != t.app || m.Strict && e.Priority != m.Spec.Priority {
+					continue
+				}
+				batch = append(batch, controller.Mutation{Op: controller.OpDelete, DPID: sw,
+					Spec: controller.FlowSpec{Match: e.Match, Priority: e.Priority}, Strict: true})
+			}
 		}
+		return batch, nil
 	}
-	return nil
+	return append(batch, m), nil
 }
 
-// physRule is one per-switch rule of a virtual rule's expansion.
-type physRule struct {
-	dpid    of.DPID
-	match   *of.Match
-	actions []of.Action
-}
-
-// expand translates one virtual rule. The virtual match may pin IN_PORT
-// to a virtual port, which confines the expansion to the rules reached
-// from that ingress; Output actions address virtual ports; SetField
-// actions are applied at the egress switch. A drop rule goes on every
-// member switch; a forwarding rule is laid along the shortest paths
-// toward each egress, one rule per switch.
-func (t *translator) expand(spec controller.FlowSpec) ([]physRule, error) {
+// expand appends the expansion of one virtual insert to batch. The
+// virtual match may pin IN_PORT to a virtual port, which confines the
+// expansion to the rules reached from that ingress; Output actions
+// address virtual ports; SetField actions are applied at the egress
+// switch. A drop rule goes on every member switch; a forwarding rule is
+// laid along the shortest paths toward each egress, one rule per switch.
+func (t *translator) expand(batch []controller.Mutation, ins controller.Mutation) ([]controller.Mutation, error) {
 	m, topo := t.mapping(), t.kernel.Topology()
+	spec := ins.Spec
 	vmatch := orAny(spec.Match)
 	sources := topo.SwitchIDs()
 	var ingress *topology.AttachPoint
 	if v, mask := vmatch.Get(of.FieldInPort); mask != 0 {
 		ap, err := m.Physical(uint16(v))
 		if err != nil {
-			return nil, err
+			return batch, err
 		}
 		ingress, sources = &ap, []of.DPID{ap.Switch}
 	}
-	rule := func(dpid of.DPID, actions ...of.Action) physRule {
+	rule := func(dpid of.DPID, actions ...of.Action) controller.Mutation {
 		phys := vmatch.Clone()
 		phys.SetMasked(of.FieldInPort, 0, 0) // ports are remapped physically
 		if ingress != nil && dpid == ingress.Switch {
 			phys.Set(of.FieldInPort, uint64(ingress.Port))
 		}
-		return physRule{dpid, phys, actions}
+		ins.DPID, ins.Spec.Match, ins.Spec.Actions = dpid, phys, actions
+		return ins
 	}
 
 	var rewrites []of.Action
@@ -121,63 +122,36 @@ func (t *translator) expand(spec controller.FlowSpec) ([]physRule, error) {
 			}
 		}
 	}
-	var rules []physRule
 	if drop {
 		for _, dpid := range sources {
-			rules = append(rules, rule(dpid, of.Drop()))
+			batch = append(batch, rule(dpid, of.Drop()))
 		}
-		return rules, nil
+		return batch, nil
 	}
 	for _, vport := range egress {
 		out, err := m.Physical(vport)
 		if err != nil {
-			return nil, err
+			return batch, err
 		}
 		laid := make(map[of.DPID]bool) // sources sharing a path suffix share its rules
 		for _, src := range sources {
 			path, ok := topo.ShortestPath(src, out.Switch)
 			if !ok {
-				return nil, fmt.Errorf("isolation: egress switch %v unreachable from %v", out.Switch, src)
+				return batch, fmt.Errorf("isolation: egress switch %v unreachable from %v", out.Switch, src)
 			}
 			for _, hop := range path {
 				switch {
 				case laid[hop.DPID]:
 				case hop.DPID == out.Switch:
-					rules = append(rules, rule(hop.DPID, append(append([]of.Action(nil), rewrites...), of.Output(out.Port))...))
+					batch = append(batch, rule(hop.DPID, append(append([]of.Action(nil), rewrites...), of.Output(out.Port))...))
 				default:
-					rules = append(rules, rule(hop.DPID, of.Output(hop.OutPort)))
+					batch = append(batch, rule(hop.DPID, of.Output(hop.OutPort)))
 				}
 				laid[hop.DPID] = true
 			}
 		}
 	}
-	return rules, nil
-}
-
-// deleteFlow removes the app's translated rules matching the virtual
-// match from every member switch, under org: the delete the app was
-// allowed, or a transaction's undo of a translated insert.
-func (t *translator) deleteFlow(org controller.Origin, match *of.Match, priority uint16, strict bool) error {
-	physMatch := orAny(match).Clone()
-	physMatch.SetMasked(of.FieldInPort, 0, 0)
-	for _, sw := range t.kernel.Topology().SwitchIDs() {
-		entries, err := t.kernel.Flows(sw, physMatch)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.Owner != t.app {
-				continue // never touch other apps' physical rules
-			}
-			if strict && e.Priority != priority {
-				continue
-			}
-			if err := t.kernel.DeleteFlowAs(org, sw, e.Match, e.Priority, true); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return batch, nil
 }
 
 // flowStats aggregates the app's translated rules across member

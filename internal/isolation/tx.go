@@ -1,22 +1,13 @@
 package isolation
 
 import (
-	"errors"
 	"fmt"
+	"sort"
 
 	"sdnshield/internal/controller"
-	"sdnshield/internal/flowtable"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/of"
 )
-
-// switchGone reports an error meaning the target switch no longer has a
-// session: its rules died with it, so there is no state left to revert.
-// Rollback treats these as success rather than failing the whole undo.
-func switchGone(err error) bool {
-	return errors.Is(err, controller.ErrUnknownSwitch) ||
-		errors.Is(err, controller.ErrSwitchDisconnected)
-}
 
 // TxError reports a failed transaction: which call failed, why, and any
 // rollback failures (which leave residual state an operator must see).
@@ -45,87 +36,127 @@ func (e *TxError) Unwrap() error { return e.Cause }
 
 // Tx is an atomic group of flow operations (§VI-B2). Build it with the
 // fluent Insert/Delete methods and Commit once; the entire group executes
-// only if every call passes permission checking, and a mid-apply failure
-// rolls back the already-applied prefix: every shadow table ends with the
-// rules, owners and actions it started with. A reinstalled rule goes to
-// the end of its priority run, as it does on the switch.
-//
-// Each planned call is its op's: the precheck is the op's own decision
-// (ops.go), the apply is the app's own call, and the undo runs on
-// the kernel — through the translator for an app behind the virtual big
-// switch — unchecked and ungated: putting back the pre-transaction state
-// grants nothing new, and a rule it reinstalls goes back to the owner it
-// had, not to the caller. Each planned call owns its arguments: the plan
-// copies the match, actions and packet it is given, so an app reusing
-// them before Commit changes neither what is checked nor what is applied.
+// only if every call passes permission checking, and a failure rolls the
+// whole group back: every shadow table ends with the rules, owners and
+// actions it started with (a reinstalled rule at the end of its priority
+// run, as on the switch). The undo is the kernel's (Kernel.Apply),
+// unchecked: the pre-transaction state grants nothing new. The plan copies
+// the match, actions and packet it is given, so an app reusing them
+// before Commit changes neither what is checked nor what is applied.
 type Tx struct {
-	api API
-	// shield is the handle whose op decisions precheck the calls; nil on
-	// the monolith, whose transactions only provide atomic rollback.
-	shield *shieldedAPI
+	app    string
 	kernel *controller.Kernel
+	// shield's op decisions and gates guard the calls; nil on the
+	// monolith, whose transactions only provide atomic rollback.
+	shield *shieldedAPI
 	steps  []step
 	corr   uint64
 }
 
-// step is one planned call: the op and arguments its precheck decides,
-// the app's call, and the undo of that call (nil where there is none).
+// step is one planned call: the op and its arguments.
 type step struct {
-	op            *mediatedOp
-	in            args
-	apply, revert func() error
+	op *mediatedOp
+	in args
 }
 
 // plan adds one call, minting the transaction's correlation ID on the
-// first: the commit/abort/rollback audit events, the prechecks and the
-// undo all carry it, so a tx abort and the denial that caused it
-// correlate.
-func (t *Tx) plan(op *mediatedOp, in args, apply, revert func() error) *Tx {
+// first: the commit/abort/rollback audit events, the decisions and the
+// kernel's flow-mods all carry it, so a tx abort and the denial that
+// caused it correlate.
+func (t *Tx) plan(op *mediatedOp, in args) *Tx {
 	if t.corr == 0 {
 		t.corr = audit.NextCorr()
 	}
-	t.steps = append(t.steps, step{op: op, in: in, apply: apply, revert: revert})
+	t.steps = append(t.steps, step{op: op, in: in})
 	return t
 }
 
 // Len returns the number of planned calls.
 func (t *Tx) Len() int { return len(t.steps) }
 
-// Commit checks every call first, then applies them in order. A check
-// failure aborts before any effect; an apply failure rolls back the
-// already-applied prefix in reverse order and reports a *TxError so the
-// app learns the reason for the failed call (§VI-B2).
+// Commit lays every planned call into one kernel batch, each guarded by
+// its op's decision on the tables as the earlier calls left them (behind
+// the virtual big switch, where decisions read no table, all are decided
+// first). A denial aborts before anything is sent; a call that cannot be
+// laid or applied fails the batch, which the kernel takes back. Either
+// way the app gets a *TxError naming the failed call (§VI-B2).
 func (t *Tx) Commit() error {
-	for i, s := range t.steps {
-		if t.shield == nil {
-			break // the monolith checks nothing
-		}
-		if err := t.shield.precheck(s.op, s.in, t.corr); err != nil {
-			mTxAborts.Inc()
-			t.audit(audit.VerdictAbort, fmt.Sprintf("call %d check: %v", i, err))
-			return &TxError{Index: i, Stage: "check", Cause: err}
+	var virt *translator
+	if t.shield != nil {
+		virt = t.shield.container.virt.Load()
+	}
+	decide := func(i int) error { // unnumbered: neither measured nor heat-walked
+		r := t.shield.request(t.steps[i].op, t.steps[i].in)
+		defer r.put()
+		r.org.Corr, r.virt = t.corr, virt
+		return r.op.decide(r)
+	}
+	if virt != nil {
+		for i := range t.steps {
+			if err := decide(i); err != nil {
+				return t.abort(i, err)
+			}
 		}
 	}
-	for i, s := range t.steps {
-		if err := s.apply(); err != nil {
-			mTxRollbacks.Inc()
-			txErr := &TxError{Index: i, Stage: "apply", Cause: err}
-			for j := i - 1; j >= 0; j-- {
-				if revert := t.steps[j].revert; revert != nil {
-					if rerr := revert(); rerr != nil {
-						mTxRollbackErrors.Inc()
-						txErr.RollbackErrors = append(txErr.RollbackErrors, rerr)
-					}
-				}
-			}
-			t.audit(audit.VerdictRollback, fmt.Sprintf("call %d apply: %v (%d rollback errors)",
-				i, err, len(txErr.RollbackErrors)))
-			return txErr
+	var batch []controller.Mutation
+	ends := make([]int, len(t.steps)) // one past each call's last mutation
+	for i := range t.steps {
+		s := &t.steps[i]
+		var err error
+		if t.shield != nil {
+			err = t.shield.admit(s.op, s.in.dpid, virt)
 		}
+		if err == nil {
+			batch, err = lay(batch, s.op, &s.in, virt)
+		}
+		if err != nil {
+			return t.rollback(i, err)
+		}
+		ends[i] = len(batch)
+	}
+	denied := false
+	var guard func(int) error
+	if t.shield != nil && virt == nil {
+		guard = func(i int) error { // a physical call lays one mutation
+			err := decide(i)
+			denied = err != nil
+			return err
+		}
+	}
+	n, err := t.kernel.Apply(controller.Origin{App: t.app, Corr: t.corr}, batch, guard)
+	switch {
+	case denied:
+		return t.abort(n, err)
+	case err != nil:
+		return t.rollback(sort.Search(len(ends), func(i int) bool { return ends[i] > n }), err)
 	}
 	mTxCommits.Inc()
 	t.audit(audit.VerdictCommit, fmt.Sprintf("%d calls", len(t.steps)))
 	return nil
+}
+
+// abort reports call i denied: nothing was applied.
+func (t *Tx) abort(i int, err error) error {
+	mTxAborts.Inc()
+	t.audit(audit.VerdictAbort, fmt.Sprintf("call %d check: %v", i, err))
+	return &TxError{Index: i, Stage: "check", Cause: err}
+}
+
+// rollback reports call i failed to apply, with the undo failures the
+// kernel reported.
+func (t *Tx) rollback(i int, err error) error {
+	mTxRollbacks.Inc()
+	txErr := &TxError{Index: i, Stage: "apply", Cause: err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok { // the kernel's undo failures
+		errs := j.Unwrap()
+		txErr.Cause, txErr.RollbackErrors = errs[0], errs[1:]
+		for range txErr.RollbackErrors {
+			mTxRollbackErrors.Inc()
+		}
+	}
+	t.audit(audit.VerdictRollback, fmt.Sprintf("call %d apply: %v (%d rollback errors)",
+		i, txErr.Cause, len(txErr.RollbackErrors)))
+	return txErr
 }
 
 // audit records a transaction outcome in the forensic journal, under the
@@ -137,98 +168,26 @@ func (t *Tx) audit(v audit.Verdict, detail string) {
 	}
 	ev := audit.Event{Kind: audit.KindTx, Verdict: v, Corr: t.corr, Detail: detail}
 	if len(t.steps) > 0 {
-		ev.App = t.api.AppName()
+		ev.App = t.app
 	}
 	audit.Emit(ev)
 }
 
-// resident is the rollback log's snapshot: the rules a call is about to
-// displace, as the shadow table holds them. It is empty where the kernel
-// knows no such switch, which includes the virtual big switch.
-func (t *Tx) resident(dpid of.DPID, match *of.Match) []*flowtable.Entry {
-	entries, _ := t.kernel.Flows(dpid, match)
-	return entries
-}
-
-// restore reinstalls logged rules under the owners they had; a switch
-// that is gone took its rules with it, which ends the undo for that
-// switch without an error.
-func (t *Tx) restore(dpid of.DPID, entries []*flowtable.Entry) error {
-	for _, e := range entries {
-		spec := controller.FlowSpec{Match: e.Match, Priority: e.Priority, Actions: e.Actions,
-			IdleTimeout: e.IdleTimeout, HardTimeout: e.HardTimeout, Cookie: e.Cookie}
-		if err := t.kernel.InsertFlowAs(controller.Origin{App: e.Owner, Corr: t.corr}, dpid, spec); err != nil {
-			if switchGone(err) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// exactRule narrows a snapshot to the rule with exactly this match and
-// priority: the one an insert replaces or a strict delete removes.
-func exactRule(entries []*flowtable.Entry, match *of.Match, priority uint16) []*flowtable.Entry {
-	for i, e := range entries {
-		if e.Priority == priority && e.Match.Equal(match) {
-			return entries[i : i+1]
-		}
-	}
-	return nil
-}
-
-// InsertFlow plans a flow insertion. On rollback the rule it replaced is
-// reinstalled, or the new one removed.
+// InsertFlow plans a flow insertion.
 func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
 	spec.Match, spec.Actions = orAny(spec.Match).Clone(), of.CloneActions(spec.Actions)
-	var displaced []*flowtable.Entry // the rule this insert replaces, if any
-	return t.plan(opInsertFlow, args{dpid: dpid, spec: spec}, func() error {
-		displaced = exactRule(t.resident(dpid, spec.Match), spec.Match, spec.Priority)
-		return t.api.InsertFlow(dpid, spec)
-	}, func() error {
-		if len(displaced) > 0 {
-			return t.restore(dpid, displaced)
-		}
-		org := controller.Origin{App: t.api.AppName(), Corr: t.corr}
-		var err error
-		var virt *translator // the app's view now; the monolith has none
-		if t.shield != nil {
-			virt = t.shield.container.virt.Load()
-		}
-		if virt != nil {
-			err = virt.deleteFlow(org, spec.Match, spec.Priority, true)
-		} else {
-			err = t.kernel.DeleteFlowAs(org, dpid, spec.Match, spec.Priority, true)
-		}
-		if switchGone(err) {
-			return nil
-		}
-		return err
-	})
+	return t.plan(opInsertFlow, args{dpid: dpid, spec: spec})
 }
 
-// DeleteFlow plans a flow deletion. On rollback the removed rules are
-// reinstalled under the owners they had.
+// DeleteFlow plans a flow deletion.
 func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) *Tx {
 	match = orAny(match).Clone()
-	var removed []*flowtable.Entry
-	in := args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict}
-	return t.plan(opDeleteFlow, in, func() error {
-		// The rules match subsumes are what a non-strict delete removes;
-		// a strict one removes the equal rule among them.
-		removed = t.resident(dpid, match)
-		if strict {
-			removed = exactRule(removed, match, priority)
-		}
-		return t.api.DeleteFlow(dpid, match, priority, strict)
-	}, func() error { return t.restore(dpid, removed) })
+	return t.plan(opDeleteFlow, args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict})
 }
 
-// SendPacketOut plans a packet injection. Packet-outs cannot be undone;
-// place them last so a rollback never needs to revert one.
+// SendPacketOut plans a packet injection. A packet-out cannot be taken
+// back; place it last, so no later failure has one to undo.
 func (t *Tx) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) *Tx {
 	actions, pkt = of.CloneActions(actions), pkt.Clone()
-	in := args{dpid: dpid, bufferID: bufferID, port: inPort, spec: controller.FlowSpec{Actions: actions}, pkt: pkt}
-	return t.plan(opPacketOut, in, func() error { return t.api.SendPacketOut(dpid, bufferID, inPort, actions, pkt) }, nil)
+	return t.plan(opPacketOut, args{dpid: dpid, bufferID: bufferID, port: inPort, spec: controller.FlowSpec{Actions: actions}, pkt: pkt})
 }

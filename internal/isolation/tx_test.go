@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"sdnshield/internal/controller"
@@ -81,28 +82,56 @@ func TestTxCommitStages(t *testing.T) {
 	}
 }
 
+// flowModLog records, in order, every flow-mod the kernel sends over it,
+// failed ones too, and fails the Send of those fail picks with
+// errRefused, leaving the session up.
+type flowModLog struct {
+	of.Conn
+	fail func(*of.FlowMod) bool
+
+	mu   sync.Mutex
+	sent []string
+}
+
+var errRefused = errors.New("refused")
+
+func (c *flowModLog) Send(msg of.Message) error {
+	if fm, ok := msg.(*of.FlowMod); ok {
+		c.mu.Lock()
+		c.sent = append(c.sent, fmt.Sprintf("%v/%#x", fm.Command, fm.Cookie))
+		c.mu.Unlock()
+		if c.fail(fm) {
+			return errRefused
+		}
+	}
+	return c.Conn.Send(msg)
+}
+
 // TestTxRollbackErrorsSurface: an undo that itself fails leaves residual
 // state, so the commit's error must carry it — in RollbackErrors, in the
 // Error text and in the rollback-errors counter — while the cause stays
-// the apply failure.
+// the apply failure. Here the last insert's flow-mod fails to send, and
+// the live session then refuses the strict delete undoing the first: the
+// undo runs in reverse, and the shadow keeps the rule the switch still
+// holds.
 func TestTxRollbackErrorsSurface(t *testing.T) {
-	env := newEnv(t, 1)
+	const keepCookie = 0xbeef // its insert goes out, its undo does not
+	conn := &flowModLog{fail: func(fm *of.FlowMod) bool {
+		return fm.Cookie == failCookie || fm.Cookie == keepCookie && fm.Command == of.FlowDeleteStrict
+	}}
+	env := newEnvOver(t, 1, func(_ of.DPID, c of.Conn) of.Conn {
+		conn.Conn = c
+		return conn
+	})
 	var api API
 	if err := NewMonolith(env.kernel).Launch(app("undo", func(a API) error { api = a; return nil })); err != nil {
 		t.Fatal(err)
 	}
-	boom, undoFailed := errors.New("boom"), errors.New("revert failed")
-	var reverted []int
-	tx := api.Transaction()
-	tx.plan(opInsertFlow, args{}, func() error { return nil }, func() error {
-		reverted = append(reverted, 0)
-		return undoFailed
-	})
-	tx.plan(opInsertFlow, args{}, func() error { return nil }, func() error {
-		reverted = append(reverted, 1)
-		return nil
-	})
-	tx.plan(opInsertFlow, args{}, func() error { return boom }, nil)
+	spec := func(port, cookie uint64) controller.FlowSpec {
+		return controller.FlowSpec{Match: of.NewMatch().Set(of.FieldTPDst, port), Priority: 10,
+			Actions: []of.Action{of.Output(1)}, Cookie: cookie}
+	}
+	tx := api.Transaction().InsertFlow(1, spec(80, keepCookie)).InsertFlow(1, spec(443, 1)).InsertFlow(1, spec(22, failCookie))
 
 	before := txCounters()
 	err := tx.Commit()
@@ -110,21 +139,33 @@ func TestTxRollbackErrorsSurface(t *testing.T) {
 	if !errors.As(err, &txErr) || txErr.Stage != "apply" || txErr.Index != 2 {
 		t.Fatalf("err = %v", err)
 	}
-	if !errors.Is(err, boom) {
-		t.Errorf("err %v should unwrap to the apply failure", err)
+	if !errors.Is(err, controller.ErrSwitchDisconnected) {
+		t.Errorf("err %v should unwrap to the failed send", err)
 	}
-	if len(txErr.RollbackErrors) != 1 || txErr.RollbackErrors[0] != undoFailed {
-		t.Fatalf("RollbackErrors = %v, want [%v]", txErr.RollbackErrors, undoFailed)
+	if len(txErr.RollbackErrors) != 1 || txErr.RollbackErrors[0].Error() != "controller: switch disconnected: refused" {
+		t.Fatalf("RollbackErrors = %v, want the refused undo", txErr.RollbackErrors)
 	}
-	if want := "transaction failed at call 2 (apply): boom (1 rollback errors)"; err.Error() != want {
+	if want := "transaction failed at call 2 (apply): controller: switch disconnected: refused (1 rollback errors)"; err.Error() != want {
 		t.Errorf("Error() = %q, want %q", err.Error(), want)
 	}
-	if fmt.Sprint(reverted) != "[1 0]" {
-		t.Errorf("undo order = %v, want the applied prefix in reverse", reverted)
+	conn.mu.Lock()
+	sent := fmt.Sprint(conn.sent)
+	conn.mu.Unlock()
+	if want := "[ADD/0xbeef ADD/0x1 ADD/0xdead DELETE_STRICT/0x1 DELETE_STRICT/0xbeef]"; sent != want {
+		t.Errorf("flow-mods sent = %s, want %s: the applied prefix undone in reverse", sent, want)
 	}
 	after := txCounters()
 	if d := [4]float64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}; d != [4]float64{0, 0, 1, 1} {
 		t.Errorf("counter deltas commits/aborts/rollbacks/rollback_errors = %v, want [0 0 1 1]", d)
+	}
+	if err := env.kernel.Barrier(1); err != nil {
+		t.Fatal(err)
+	}
+	shadow, _ := env.kernel.Flows(1, nil)
+	sw, _ := env.built.Net.Switch(1)
+	onSwitch := sw.Table().Entries(nil)
+	if len(shadow) != 1 || shadow[0].Cookie != keepCookie || len(onSwitch) != 1 || onSwitch[0].Cookie != keepCookie {
+		t.Errorf("shadow %v, switch %v: both should hold the rule whose undo was refused, alone", shadow, onSwitch)
 	}
 }
 
