@@ -1,6 +1,8 @@
 package permengine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"sdnshield/internal/controller"
@@ -58,6 +60,54 @@ func BenchmarkEngineCheckInsert(b *testing.B) {
 				if err := e.Check(&call); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// activationTokens are the tokens of the Fig. 5 complexity manifests,
+// in grant order (benchmark/gen.go's manifestTokens).
+var activationTokens = []string{
+	"insert_flow", "read_statistics", "read_flow_table", "delete_flow",
+	"send_pkt_out", "pkt_in_event", "flow_event", "visible_topology",
+	"host_network", "file_system", "modify_flow", "topology_event",
+	"error_event", "read_payload", "modify_topology",
+}
+
+// activationManifest renders a Fig. 5 complexity manifest as the
+// benchmark renders it: each of the first tokens limited to an OR-chain
+// of filters-2 IP_DST /16 predicates cycling through 8 subnets, conjoined
+// with a priority cap and ALL_FLOWS.
+func activationManifest(tokens, filters int) string {
+	var sb strings.Builder
+	for i := 0; i < tokens; i++ {
+		fmt.Fprintf(&sb, "PERM %s LIMITING (", activationTokens[i])
+		for j := 0; j < filters-2; j++ {
+			if j > 0 {
+				sb.WriteString(" OR ")
+			}
+			fmt.Fprintf(&sb, "IP_DST 10.%d.0.0 MASK 255.255.0.0", 1+j%8)
+		}
+		sb.WriteString(") AND MAX_PRIORITY 60000 AND ALL_FLOWS\n")
+	}
+	return sb.String()
+}
+
+// BenchmarkSetPermissions times the activation of the medium (5 tokens ×
+// 15 filters) and large (15 × 20) manifests: what SetPermissions builds
+// for every later check, and nothing a reader renders on demand.
+func BenchmarkSetPermissions(b *testing.B) {
+	for _, bc := range []struct {
+		name            string
+		tokens, filters int
+	}{{"medium", 5, 15}, {"large", 15, 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			set := permlang.MustParse(activationManifest(bc.tokens, bc.filters)).Set()
+			e := New(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.SetPermissions("app", set)
 			}
 		})
 	}

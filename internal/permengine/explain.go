@@ -110,9 +110,11 @@ func (e *Engine) Explain(call *core.Call) Explanation {
 	return ex
 }
 
-// addClause appends the next clause's record, in walk order.
-func (ex *Explanation) addClause(cl *clause, ce ClauseExplain) {
-	ce.Index, ce.Expr, ce.Dimensions = len(ex.Clauses), cl.expr, cl.dims
+// addClause appends the next clause's record, in walk order, rendering
+// the clause's text from its source.
+func (ex *Explanation) addClause(src core.Expr, ce ClauseExplain) {
+	ce.Index = len(ex.Clauses)
+	ce.Expr, ce.Dimensions = clauseText(src)
 	if ce.Evaluated && !ce.Passed {
 		ex.FailingClauses = append(ex.FailingClauses, ce.Index)
 	}

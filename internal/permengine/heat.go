@@ -5,7 +5,7 @@ package permengine
 // their time — which clauses of which tokens' filter expressions are
 // evaluated, which short-circuit, which decide the verdict, and how long
 // each clause costs. The profile is the input a future compiled engine
-// consumes (ROADMAP item 1): a clause that decides 99% of denials should
+// consumes (ROADMAP item 10): a clause that decides 99% of denials should
 // be hoisted first; a dimension that never fails can be dropped from the
 // fast path.
 //
@@ -13,7 +13,9 @@ package permengine
 // the decision is a cut of the call's sample, numbered by its caller.
 // One check in heatOneIn carries a heat probe through the engine's one
 // decision routine (permengine.go): the same clause walk, with each
-// clause timed and counted into the grant's slab.
+// clause timed and counted into the grant's slab. A grant's slab is
+// allocated by the first sampled walk that reaches it, so activation
+// pays nothing for heat and a grant never sampled holds no slab.
 
 import (
 	"sort"
@@ -63,10 +65,34 @@ type heatPad struct {
 	_ [56]byte
 }
 
+// heatSlab is one grant's sampled counters: the allow/deny totals and,
+// per clause, the evaluation counts and latency brackets.
+type heatSlab struct {
+	allow   [heatShards]heatPad
+	deny    [heatShards]heatPad
+	clauses int
+	cells   []atomic.Uint64 // heatShards × clauses × heatCells, shard-major
+}
+
+// slab returns the grant's heat slab, installing a zeroed one if no
+// sampled walk has yet. Racing first walks agree on one slab: the loser
+// of the CAS drops its own and counts into the winner's.
+func (g *grant) slab() *heatSlab {
+	if s := g.heat.Load(); s != nil {
+		return s
+	}
+	n := len(g.clauses)
+	s := &heatSlab{clauses: n, cells: make([]atomic.Uint64, heatShards*n*heatCells)}
+	if g.heat.CompareAndSwap(nil, s) {
+		return s
+	}
+	return g.heat.Load()
+}
+
 // cell indexes the slab: shard-major so one sampled check touches a
 // contiguous region owned by its stripe.
-func (g *grant) cell(shard, clause, slot int) *atomic.Uint64 {
-	return &g.cells[(shard*len(g.clauses)+clause)*heatCells+slot]
+func (s *heatSlab) cell(shard, clause, slot int) *atomic.Uint64 {
+	return &s.cells[(shard*s.clauses+clause)*heatCells+slot]
 }
 
 // ---------------------------------------------------------------------------
@@ -114,18 +140,18 @@ var heatProbe probe
 // heatClause counts one clause of a sampled walk: evaluated (with its
 // verdict and latency bracket) or short-circuited.
 func (g *grant) heatClause(i int, evaluated, pass bool, took time.Duration) {
-	shard := heatShard()
+	s, shard := g.slab(), heatShard()
 	switch {
 	case !evaluated:
-		g.cell(shard, i, heatCellShort).Add(1)
+		s.cell(shard, i, heatCellShort).Add(1)
 		return
 	case pass:
-		g.cell(shard, i, heatCellPass).Add(1)
+		s.cell(shard, i, heatCellPass).Add(1)
 	default:
-		g.cell(shard, i, heatCellFail).Add(1)
+		s.cell(shard, i, heatCellFail).Add(1)
 	}
-	g.cell(shard, i, heatCellEvals).Add(1)
-	g.cell(shard, i, heatCellBracket0+heatBracketIdx(took.Nanoseconds())).Add(1)
+	s.cell(shard, i, heatCellEvals).Add(1)
+	s.cell(shard, i, heatCellBracket0+heatBracketIdx(took.Nanoseconds())).Add(1)
 }
 
 // heatVerdict counts a sampled decision's outcome: against the grant it
@@ -137,9 +163,9 @@ func (e *Engine) heatVerdict(g *grant, reason string) {
 	case ReasonTokenUngranted:
 		e.heatUngranted.Add(1)
 	case ReasonAllowed:
-		g.allow[heatShard()].v.Add(1)
+		g.slab().allow[heatShard()].v.Add(1)
 	default:
-		g.deny[heatShard()].v.Add(1)
+		g.slab().deny[heatShard()].v.Add(1)
 	}
 }
 
@@ -223,22 +249,26 @@ func (e *Engine) HeatSnapshot() HeatProfile {
 	return p
 }
 
+// snapshot sums the grant's slab; a grant no sampled walk has reached
+// reads zeros and is left without a slab.
 func (g *grant) snapshot(tok core.Token) TokenHeat {
 	out := TokenHeat{Token: tok.String()}
-	for s := 0; s < heatShards; s++ {
-		out.Allow += g.allow[s].v.Load()
-		out.Deny += g.deny[s].v.Load()
+	s := g.heat.Load()
+	for sh := 0; s != nil && sh < heatShards; sh++ {
+		out.Allow += s.allow[sh].v.Load()
+		out.Deny += s.deny[sh].v.Load()
 	}
-	for i, cl := range g.clauses {
-		ch := ClauseHeat{Index: i, Expr: cl.expr, Dimensions: cl.dims}
+	for i, src := range g.clauses {
+		ch := ClauseHeat{Index: i}
+		ch.Expr, ch.Dimensions = clauseText(src)
 		var brackets [heatBracketCount]uint64
-		for s := 0; s < heatShards; s++ {
-			ch.Evals += g.cell(s, i, heatCellEvals).Load()
-			ch.Pass += g.cell(s, i, heatCellPass).Load()
-			ch.Fail += g.cell(s, i, heatCellFail).Load()
-			ch.ShortCircuits += g.cell(s, i, heatCellShort).Load()
+		for sh := 0; s != nil && sh < heatShards; sh++ {
+			ch.Evals += s.cell(sh, i, heatCellEvals).Load()
+			ch.Pass += s.cell(sh, i, heatCellPass).Load()
+			ch.Fail += s.cell(sh, i, heatCellFail).Load()
+			ch.ShortCircuits += s.cell(sh, i, heatCellShort).Load()
 			for b := 0; b < heatBracketCount; b++ {
-				brackets[b] += g.cell(s, i, heatCellBracket0+b).Load()
+				brackets[b] += s.cell(sh, i, heatCellBracket0+b).Load()
 			}
 		}
 		ch.Latency = HeatBrackets{

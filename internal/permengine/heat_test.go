@@ -1,6 +1,8 @@
 package permengine
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"sdnshield/internal/core"
@@ -190,5 +192,88 @@ func TestHeatEngineRegistry(t *testing.T) {
 	unreg()
 	if _, ok := RegisteredEngines()["heat-test-engine"]; ok {
 		t.Fatal("engine still registered after unregister")
+	}
+}
+
+// TestHeatSlabFirstWalkRace: goroutines race the first sampled walks of
+// a fresh grant, which install its heat slab, while /heat snapshots it.
+// Every walk counts into the one slab installed: the totals are exact.
+func TestHeatSlabFirstWalkRace(t *testing.T) {
+	heatTestSampling(t)
+	e := New(nil)
+	e.SetPermissions("m", permlang.MustParse(
+		"PERM insert_flow LIMITING MAX_PRIORITY 100 AND ACTION FORWARD").Set())
+
+	const workers, perWorker = 8, 200 // half allowed, half denied at clause 0
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perWorker; i++ {
+				call := insertFlowCall("m", of.IPv4FromOctets(10, 0, 0, 1), []of.Action{of.Output(1)})
+				call.Priority = uint16(50 + 150*(i%2))
+				if err := e.Check(call); (err == nil) != (i%2 == 0) {
+					t.Errorf("check %d: %v", i, err)
+				}
+			}
+		}()
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = e.HeatSnapshot()
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(stop)
+	<-stopped
+
+	const allows, denies = workers * perWorker / 2, workers * perWorker / 2
+	th := tokenHeatOf(t, e.HeatSnapshot(), "m", core.TokenInsertFlow)
+	if th.Allow != allows || th.Deny != denies {
+		t.Fatalf("allow/deny = %d/%d, want %d/%d", th.Allow, th.Deny, allows, denies)
+	}
+	c0, c1 := th.Clauses[0], th.Clauses[1]
+	if c0.Evals != allows+denies || c0.Pass != allows || c0.Fail != denies || c0.ShortCircuits != 0 {
+		t.Fatalf("clause 0 = %+v", c0)
+	}
+	if c1.Evals != allows || c1.Pass != allows || c1.Fail != 0 || c1.ShortCircuits != denies {
+		t.Fatalf("clause 1 = %+v", c1)
+	}
+}
+
+// TestHeatSlabOnlyOnSampledWalk: a grant no sampled walk has reached
+// snapshots zero counts beside its rendered clause text, and the
+// snapshot leaves it without a slab.
+func TestHeatSlabOnlyOnSampledWalk(t *testing.T) {
+	prevEnabled := SetHeatEnabled(false)
+	defer SetHeatEnabled(prevEnabled)
+	e := New(nil)
+	e.SetPermissions("m", permlang.MustParse(
+		"PERM insert_flow LIMITING (IP_DST 10.1.0.0 MASK 255.255.0.0 OR NOT ACTION DROP) AND MAX_PRIORITY 100").Set())
+	if err := e.Check(insertFlowCall("m", of.IPv4FromOctets(10, 1, 0, 1), []of.Action{of.Output(1)})); err != nil {
+		t.Fatal(err)
+	}
+	th := tokenHeatOf(t, e.HeatSnapshot(), "m", core.TokenInsertFlow)
+	want := TokenHeat{Token: core.TokenInsertFlow.String(), Clauses: []ClauseHeat{
+		{Index: 0, Expr: "(IP_DST 10.1.0.0 MASK 255.255.0.0 OR NOT ACTION DROP)", Dimensions: []string{"action", "pred:IP_DST"}},
+		{Index: 1, Expr: "MAX_PRIORITY 100", Dimensions: []string{"priority"}},
+	}}
+	if !reflect.DeepEqual(th, want) {
+		t.Fatalf("unsampled grant snapshots\n%+v\nwant\n%+v", th, want)
+	}
+	_, g := e.grantFor("m", core.TokenInsertFlow)
+	if g.heat.Load() != nil {
+		t.Fatal("an unsampled grant holds a heat slab after its snapshot")
 	}
 }

@@ -74,24 +74,19 @@ const (
 // the expression reports.
 type checker func(*core.Call, *[]LeafExplain) bool
 
-// clause describes one top-level conjunct of a granted token's filter.
-type clause struct {
-	expr string
-	dims []string
-}
-
 // grant is everything the engine holds for one granted token: the
 // ordered clause list every decision walks, the stateful values its
-// leaves read and the heat slab a sampled walk counts into (heat.go).
+// leaves read and, once a sampled walk has reached it, the heat slab it
+// counts into (heat.go). Activation builds the checking program and
+// nothing else: a clause's text and dimensions are rendered from its
+// source when Explain or /heat asks for them.
 type grant struct {
 	// checks[i] evaluates clauses[i]; a slice of their own so the walk
 	// reads them densely (hosted_churn p50 +2–3 % otherwise, CHANGES.md).
 	checks  []checker
-	clauses []clause
+	clauses []core.Expr           // the source of each clause
 	allows  func(*core.Call) bool // walk without a probe, bound once
-	allow   [heatShards]heatPad
-	deny    [heatShards]heatPad
-	cells   []atomic.Uint64 // heatShards × len(clauses) × heatCells, shard-major
+	heat    atomic.Pointer[heatSlab]
 
 	// reads holds the stateful values some leaf reads: the owner for an
 	// OWN_FLOWS leaf under either polarity, the rule count for a
@@ -102,36 +97,64 @@ type grant struct {
 // compiled is an app's permission set lowered into one grant per token.
 // The compilation happens once at app load time (§III: "the permission
 // engine compiles the permission manifest into the runtime checking
-// code"), so the per-call hot path is a map lookup plus a closure call
-// per clause.
+// code"), so the per-call hot path is a map lookup and the clause walk:
+// one checker call per clause, where an AND/OR chain is one n-ary
+// checker looping over its terms and each leaf a closure over its filter.
 type compiled struct {
 	set    *core.Set
 	grants map[core.Token]*grant
 }
 
-// newGrant lowers one token's filter.
+// newGrant lowers one token's filter. The clause list is gathered on the
+// stack and copied out at its length; the chains of every clause share
+// one scratch stack.
 func newGrant(filter core.Expr) *grant {
-	cs := conjuncts(filter)
-	g := &grant{clauses: make([]clause, 0, len(cs))}
-	for _, c := range cs {
-		dims := []string{}
-		g.checks = append(g.checks, compile(c, false, &dims, &g.reads))
-		sort.Strings(dims)
-		g.clauses = append(g.clauses, clause{expr: core.ExprString(c), dims: slices.Compact(dims)})
+	var clauses [8]core.Expr
+	var scratch [32]checker
+	g := &grant{clauses: slices.Clone(conjuncts(filter, clauses[:0]))}
+	g.checks = make([]checker, len(g.clauses))
+	chains := scratch[:0]
+	for i, c := range g.clauses {
+		g.checks[i] = compile(c, false, &g.reads, &chains)
 	}
-	g.cells = make([]atomic.Uint64, heatShards*len(g.clauses)*heatCells)
 	g.allows = func(call *core.Call) bool { return g.walk(call, nil) }
 	return g
 }
 
-// conjuncts flattens a top-level AND chain into its clause list,
-// preserving left-to-right evaluation order. Non-AND roots (Or, Not,
-// Leaf, MacroRef, nil) are a single clause.
-func conjuncts(e core.Expr) []core.Expr {
+// conjuncts appends a top-level AND chain's clauses to out, preserving
+// left-to-right evaluation order. Non-AND roots (Or, Not, Leaf,
+// MacroRef, nil) are a single clause.
+func conjuncts(e core.Expr, out []core.Expr) []core.Expr {
 	if a, ok := e.(*core.And); ok {
-		return append(conjuncts(a.L), conjuncts(a.R)...)
+		return conjuncts(a.R, conjuncts(a.L, out))
 	}
-	return []core.Expr{e}
+	return append(out, e)
+}
+
+// clauseText renders a clause for Explain and /heat: its source
+// expression and the sorted, distinct dimensions of its leaves.
+func clauseText(c core.Expr) (expr string, dims []string) {
+	dims = appendDims([]string{}, c)
+	sort.Strings(dims)
+	return core.ExprString(c), slices.Compact(dims)
+}
+
+// appendDims appends the dimension of every leaf of e ("macro" for an
+// unresolved stub).
+func appendDims(dims []string, e core.Expr) []string {
+	switch v := e.(type) {
+	case *core.Leaf:
+		return append(dims, v.F.Dimension())
+	case *core.MacroRef:
+		return append(dims, "macro")
+	case *core.Not:
+		return appendDims(dims, v.X)
+	case *core.And:
+		return appendDims(appendDims(dims, v.L), v.R)
+	case *core.Or:
+		return appendDims(appendDims(dims, v.L), v.R)
+	}
+	return dims
 }
 
 // walk evaluates the clause list left to right and stops at the first
@@ -170,15 +193,14 @@ func CompileFilter(e core.Expr) func(*core.Call) bool { return newGrant(e).allow
 
 // compile lowers an expression into a closure with negation pushed to
 // the leaves (mirroring core's evaluation semantics, including vacuous
-// truth for inapplicable filters), appending to dims the dimension of
-// every leaf it lowers and adding to reads the stateful value it reads.
-func compile(e core.Expr, neg bool, dims *[]string, reads *stateReads) checker {
+// truth for inapplicable filters), adding to reads the stateful value it
+// reads. chains is scratch space the lowering of AND/OR chains shares.
+func compile(e core.Expr, neg bool, reads *stateReads, chains *[]checker) checker {
 	switch v := e.(type) {
 	case nil:
 		return func(*core.Call, *[]LeafExplain) bool { return true }
 	case *core.Leaf:
 		f := v.F
-		*dims = append(*dims, f.Dimension())
 		switch lf := f.(type) {
 		case *core.OwnerFilter:
 			if lf.OwnOnly() {
@@ -199,15 +221,20 @@ func compile(e core.Expr, neg bool, dims *[]string, reads *stateReads) checker {
 			return effective
 		}
 	case *core.Not:
-		return compile(v.X, !neg, dims, reads)
-	case *core.And: // ¬(L∧R) = ¬L ∨ ¬R
-		return binary(!neg, compile(v.L, neg, dims, reads), compile(v.R, neg, dims, reads))
-	case *core.Or: // ¬(L∨R) = ¬L ∧ ¬R
-		return binary(neg, compile(v.L, neg, dims, reads), compile(v.R, neg, dims, reads))
+		return compile(v.X, !neg, reads, chains)
+	case *core.And, *core.Or:
+		// One n-ary checker for the chain, of the kind negation pushdown
+		// leaves (¬(L∧R) = ¬L ∨ ¬R, ¬(L∨R) = ¬L ∧ ¬R). Its terms are
+		// gathered on the scratch stack and copied out at their length.
+		_, isAnd := v.(*core.And)
+		and, base := isAnd != neg, len(*chains)
+		chainTerms(e, neg, and, reads, chains)
+		terms := slices.Clone((*chains)[base:])
+		*chains = (*chains)[:base]
+		return nary(and, terms)
 	case *core.MacroRef:
 		// Unresolved stubs deny.
 		name := v.Name
-		*dims = append(*dims, "macro")
 		return func(_ *core.Call, rec *[]LeafExplain) bool {
 			if rec != nil {
 				*rec = append(*rec, LeafExplain{
@@ -221,20 +248,47 @@ func compile(e core.Expr, neg bool, dims *[]string, reads *stateReads) checker {
 	}
 }
 
-// binary joins two checkers with && (and) or ||, left to right and
-// short-circuiting — except when recording, where the right side is
+// chainTerms pushes onto chains the lowered terms of the chain of kind
+// and that e continues under the polarity neg: a Not flips the polarity,
+// and an And or Or whose pushed-down kind is the chain's own splices its
+// operands in; any other expression is one term.
+func chainTerms(e core.Expr, neg, and bool, reads *stateReads, chains *[]checker) {
+	switch v := e.(type) {
+	case *core.Not:
+		chainTerms(v.X, !neg, and, reads, chains)
+		return
+	case *core.And:
+		if and != neg {
+			chainTerms(v.L, neg, and, reads, chains)
+			chainTerms(v.R, neg, and, reads, chains)
+			return
+		}
+	case *core.Or:
+		if and == neg {
+			chainTerms(v.L, neg, and, reads, chains)
+			chainTerms(v.R, neg, and, reads, chains)
+			return
+		}
+	}
+	t := compile(e, neg, reads, chains)
+	*chains = append(*chains, t)
+}
+
+// nary joins a chain's terms with && (and) or ||, left to right and
+// short-circuiting — except when recording, where every term is
 // evaluated regardless so that its leaves report too.
-func binary(and bool, l, r checker) checker {
+func nary(and bool, terms []checker) checker {
 	return func(call *core.Call, rec *[]LeafExplain) bool {
-		lv := l(call, rec)
-		if lv != and && rec == nil {
-			return lv // false && _, true || _
+		result := and
+		for _, t := range terms {
+			if t(call, rec) != and {
+				if rec == nil {
+					return !and // false && …, true || …
+				}
+				result = !and
+			}
 		}
-		rv := r(call, rec)
-		if and {
-			return lv && rv
-		}
-		return lv || rv
+		return result
 	}
 }
 
@@ -258,7 +312,7 @@ func (p *probe) clause(g *grant, i int, evaluated, pass bool, took time.Duration
 		g.heatClause(i, evaluated, pass, took)
 		return
 	}
-	p.ex.addClause(&g.clauses[i], ClauseExplain{
+	p.ex.addClause(g.clauses[i], ClauseExplain{
 		Evaluated: evaluated, Passed: pass, ShortCircuited: !evaluated, Leaves: p.leaves,
 	})
 	p.leaves = nil
@@ -473,7 +527,8 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 // Filter returns the app's grant for one token as a pure predicate, for
 // keeping the visible rows of a listing. It is taken once per listing and
 // runs the same clause walk as Check with none of its effects: no
-// resolution, no counters, no heat, no retained denial, no audit record. An app that does not hold the token sees nothing.
+// resolution, no counters, no heat, no retained denial, no audit record.
+// An app that does not hold the token sees nothing.
 func (e *Engine) Filter(app string, token core.Token) func(*core.Call) bool {
 	if _, g := e.grantFor(app, token); g != nil {
 		return g.allows
