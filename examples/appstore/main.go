@@ -28,6 +28,7 @@ import (
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/permengine"
 	"sdnshield/internal/tenant"
 )
 
@@ -80,8 +81,10 @@ PERM read_statistics LIMITING PORT_LEVEL
 }
 
 // demoRuntime stands in for a live isolation.Shield: it records the
-// permission sets the market activates and serves scripted app health so
-// the probation monitor has something to watch.
+// permission sets of the grants the market activates and serves scripted
+// app health so the probation monitor has something to watch. The demo's
+// apps declare no BUDGET and it prints no /explain, so budgets and
+// provenance are not recorded.
 type demoRuntime struct {
 	mu     sync.Mutex
 	perms  map[string]*core.Set
@@ -95,16 +98,11 @@ func newDemoRuntime() *demoRuntime {
 	}
 }
 
-func (d *demoRuntime) SetPermissions(app string, set *core.Set) {
+func (d *demoRuntime) Activate(app string, g permengine.Grant) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.perms[app] = set
+	d.perms[app] = g.Set
 }
-
-// The demo's apps declare no BUDGET and it prints no /explain, so budgets
-// and provenance are not recorded.
-func (d *demoRuntime) SetBudget(string, core.Budget)  {}
-func (d *demoRuntime) SetProvenance(string, []string) {}
 
 func (d *demoRuntime) AppHealth(app string) (isolation.Health, bool) {
 	d.mu.Lock()

@@ -31,7 +31,8 @@ import (
 // is open — but the sustained rate converges on the app's share.
 const allocOneIn = 64
 
-// resourceState is one container's live consumption and its budget.
+// resourceState is one container's live consumption and the state of its
+// quota sweep; the budget it is swept against is the app's grant's.
 type resourceState struct {
 	cpuNanos   atomic.Int64 // cumulative mediated-call execution time
 	waitNanos  atomic.Int64 // cumulative KSD slot wait
@@ -43,7 +44,6 @@ type resourceState struct {
 	breaches   atomic.Uint64
 
 	mu        sync.Mutex
-	budget    core.Budget
 	lastSweep time.Time
 	lastCPU   int64
 	lastAlloc int64
@@ -57,19 +57,6 @@ type resourceState struct {
 func (r *resourceState) account(exec, wait time.Duration, every uint64) {
 	r.cpuNanos.Add(int64(exec) * int64(every))
 	r.waitNanos.Add(int64(wait) * int64(every))
-}
-
-func (r *resourceState) setBudget(b core.Budget) {
-	r.mu.Lock()
-	r.budget = b
-	r.mu.Unlock()
-}
-
-// Budget returns the container's current soft quota.
-func (r *resourceState) Budget() core.Budget {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budget
 }
 
 // ResourceUsage is one app's consumption as reported by
@@ -99,7 +86,7 @@ func (c *Container) usage() ResourceUsage {
 		DroppedEvents: c.dropped.Load(),
 		QuotaBreaches: c.res.breaches.Load(),
 	}
-	if b := c.res.Budget(); !b.IsZero() {
+	if b := c.shield.engine.Budget(c.name); !b.IsZero() {
 		u.Budget = &b
 	}
 	return u
@@ -116,21 +103,6 @@ func (s *Shield) UsageSnapshot() map[string]ResourceUsage {
 	return out
 }
 
-// SetBudget installs an app's soft resource quota. Budgets set before
-// the app launches are held and applied at Launch (the market installs
-// permissions and budgets before starting the app).
-func (s *Shield) SetBudget(app string, b core.Budget) {
-	s.mu.Lock()
-	c, ok := s.containers[app]
-	if !ok {
-		s.pendingBudgets[app] = b
-	}
-	s.mu.Unlock()
-	if ok {
-		c.res.setBudget(b)
-	}
-}
-
 // QuotaBreach is one budget dimension exceeded during a sweep.
 type QuotaBreach struct {
 	App string `json:"app"`
@@ -140,10 +112,10 @@ type QuotaBreach struct {
 	Limit     int64  `json:"limit"`
 }
 
-// sweep compares the rates since the previous sweep against the
-// budget. The first sweep only records baselines. It returns the
-// breached dimensions and the updated consecutive-breach streak.
-func (r *resourceState) sweep(now time.Time, drops uint64) ([]QuotaBreach, int) {
+// sweep compares the rates since the previous sweep against budget b.
+// The first sweep only records baselines. It returns the breached
+// dimensions and the updated consecutive-breach streak.
+func (r *resourceState) sweep(now time.Time, drops uint64, b core.Budget) ([]QuotaBreach, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cpu, alloc := r.cpuNanos.Load(), r.allocBytes.Load()
@@ -161,10 +133,10 @@ func (r *resourceState) sweep(now time.Time, drops uint64) ([]QuotaBreach, int) 
 			breaches = append(breaches, QuotaBreach{Dimension: dim, Observed: observed, Limit: limit})
 		}
 	}
-	check("CPU_MS_PER_SEC", int64(float64(cpu-r.lastCPU)/1e6/secs), r.budget.CPUMillisPerSec)
-	check("ALLOC_KB_PER_SEC", int64(float64(alloc-r.lastAlloc)/1024/secs), r.budget.AllocKBPerSec)
-	check("MAX_GOROUTINES", r.goroutines.Load(), r.budget.MaxGoroutines)
-	check("MAX_DROPS_PER_SEC", int64(float64(drops-r.lastDrops)/secs), r.budget.MaxDropsPerSec)
+	check("CPU_MS_PER_SEC", int64(float64(cpu-r.lastCPU)/1e6/secs), b.CPUMillisPerSec)
+	check("ALLOC_KB_PER_SEC", int64(float64(alloc-r.lastAlloc)/1024/secs), b.AllocKBPerSec)
+	check("MAX_GOROUTINES", r.goroutines.Load(), b.MaxGoroutines)
+	check("MAX_DROPS_PER_SEC", int64(float64(drops-r.lastDrops)/secs), b.MaxDropsPerSec)
 	r.lastSweep, r.lastCPU, r.lastAlloc, r.lastDrops = now, cpu, alloc, drops
 	if len(breaches) > 0 {
 		r.streak++
@@ -185,10 +157,11 @@ func (s *Shield) CheckQuotas(now time.Time) []QuotaBreach {
 	containers := s.launched()
 	var all []QuotaBreach
 	for _, c := range containers {
-		if c.Health() != Running || c.res.Budget().IsZero() {
+		b := s.engine.Budget(c.name)
+		if c.Health() != Running || b.IsZero() {
 			continue
 		}
-		breaches, streak := c.res.sweep(now, c.dropped.Load())
+		breaches, streak := c.res.sweep(now, c.dropped.Load(), b)
 		if len(breaches) == 0 {
 			continue
 		}

@@ -15,6 +15,8 @@ import (
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/recorder"
 	"sdnshield/internal/of"
+	"sdnshield/internal/permengine"
+	"sdnshield/internal/permlang"
 )
 
 // telemetryHandler builds the introspection endpoint the tests of this
@@ -78,16 +80,38 @@ func TestAccountingTracksMediatedCalls(t *testing.T) {
 	}
 }
 
+// activate grants the app the manifest's permissions with budget b.
+func activate(s *Shield, name, manifest string, b core.Budget) {
+	s.Activate(name, permengine.Grant{Set: permlang.MustParse(manifest).Set(), Budget: b})
+}
+
 func TestSetBudgetBeforeLaunchApplies(t *testing.T) {
 	env := newEnvCfg(t, 1, noQuotaLoop())
-	env.shield.SetBudget("early", core.Budget{CPUMillisPerSec: 100})
-	grant(t, env.shield, "early", "PERM visible_topology")
+	activate(env.shield, "early", "PERM visible_topology", core.Budget{CPUMillisPerSec: 100})
 	if err := env.shield.Launch(app("early", func(API) error { return nil })); err != nil {
 		t.Fatal(err)
 	}
 	u := env.shield.UsageSnapshot()["early"]
 	if u.Budget == nil || u.Budget.CPUMillisPerSec != 100 {
 		t.Fatalf("budget = %+v, want CPU_MS_PER_SEC 100 applied at launch", u.Budget)
+	}
+}
+
+// TestBudgetSurvivesFailedLaunch: the budget is part of the app's grant,
+// not of a container, so a launch whose Init fails drops nothing the
+// next launch needs.
+func TestBudgetSurvivesFailedLaunch(t *testing.T) {
+	env := newEnvCfg(t, 1, noQuotaLoop())
+	activate(env.shield, "b", "PERM visible_topology", core.Budget{CPUMillisPerSec: 100})
+	if err := env.shield.Launch(app("b", func(API) error { return errors.New("init failed") })); err == nil {
+		t.Fatal("launch with a failing Init succeeded")
+	}
+	if err := env.shield.Launch(app("b", func(API) error { return nil })); err != nil {
+		t.Fatal(err)
+	}
+	u := env.shield.UsageSnapshot()["b"]
+	if u.Budget == nil || u.Budget.CPUMillisPerSec != 100 {
+		t.Fatalf("budget lost after failed launch: %+v", u)
 	}
 }
 
@@ -101,7 +125,7 @@ func TestCheckQuotasBreachEmitsAuditFrameAndBundle(t *testing.T) {
 	if err := env.shield.Launch(app("greedy", func(API) error { return nil })); err != nil {
 		t.Fatal(err)
 	}
-	env.shield.SetBudget("greedy", core.Budget{CPUMillisPerSec: 10})
+	activate(env.shield, "greedy", "PERM visible_topology", core.Budget{CPUMillisPerSec: 10})
 	c, _ := env.shield.Container("greedy")
 
 	t0 := time.Now()
@@ -158,7 +182,7 @@ func TestQuotaEscalationQuarantines(t *testing.T) {
 	if err := env.shield.Launch(app("hog", func(a API) error { api = a; return nil })); err != nil {
 		t.Fatal(err)
 	}
-	env.shield.SetBudget("hog", core.Budget{CPUMillisPerSec: 1})
+	activate(env.shield, "hog", "PERM visible_topology", core.Budget{CPUMillisPerSec: 1})
 	c, _ := env.shield.Container("hog")
 
 	now := time.Now()
@@ -221,7 +245,7 @@ func TestQuotaBreachEndToEnd(t *testing.T) {
 	}
 	corr := decided[0].Corr
 
-	env.shield.SetBudget("e2e", core.Budget{CPUMillisPerSec: 5})
+	activate(env.shield, "e2e", "PERM visible_topology\nPERM read_statistics", core.Budget{CPUMillisPerSec: 5})
 	c, _ := env.shield.Container("e2e")
 	t0 := time.Now()
 	env.shield.CheckQuotas(t0)

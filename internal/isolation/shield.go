@@ -109,9 +109,6 @@ type Shield struct {
 
 	mu         sync.Mutex
 	containers map[string]*Container
-	// pendingBudgets holds quotas set before the app launched; guarded
-	// by mu.
-	pendingBudgets map[string]core.Budget
 
 	quotaStop chan struct{}
 	quotaWG   sync.WaitGroup
@@ -124,12 +121,11 @@ type Shield struct {
 func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 	cfg.fill()
 	s := &Shield{
-		kernel:         kernel,
-		engine:         permengine.New(kernel),
-		cfg:            cfg,
-		slots:          make(chan struct{}, cfg.KSDWorkers),
-		containers:     make(map[string]*Container),
-		pendingBudgets: make(map[string]core.Budget),
+		kernel:     kernel,
+		engine:     permengine.New(kernel),
+		cfg:        cfg,
+		slots:      make(chan struct{}, cfg.KSDWorkers),
+		containers: make(map[string]*Container),
 	}
 	s.unregisterHealth = registerHealth(s)
 	if cfg.QuotaCheckInterval > 0 {
@@ -148,11 +144,14 @@ func (s *Shield) Engine() *permengine.Engine { return s.engine }
 // never see it).
 func (s *Shield) Kernel() *controller.Kernel { return s.kernel }
 
-// SetPermissions installs an app's reconciled permission set and, under
-// mu as Launch does, re-derives a launched app's view from the engine: a
-// gained or lost single-big-switch filter applies from its next call.
-func (s *Shield) SetPermissions(app string, set *core.Set) {
-	s.engine.SetPermissions(app, set)
+// Activate installs an app's reconciled grant — permission set, budget
+// and provenance — as one engine write and, under mu as Launch does,
+// re-derives a launched app's view from the engine: a gained or lost
+// single-big-switch filter applies from its next call. The grant is the
+// app's whether it is launched or not, so its budget holds from the
+// app's first launch and across relaunches.
+func (s *Shield) Activate(app string, g permengine.Grant) {
+	s.engine.Activate(app, g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.containers[app]; ok {
@@ -160,11 +159,10 @@ func (s *Shield) SetPermissions(app string, set *core.Set) {
 	}
 }
 
-// SetProvenance records the reconciliation repair notes attached to the
-// app's active permission set (part of market.Runtime); /explain
-// cross-references them when naming a denial's deciding term.
-func (s *Shield) SetProvenance(app string, notes []string) {
-	s.engine.SetProvenance(app, notes)
+// SetPermissions activates a grant of the set alone: no budget, no
+// provenance.
+func (s *Shield) SetPermissions(app string, set *core.Set) {
+	s.Activate(app, permengine.Grant{Set: set})
 }
 
 // request is one mediated call in one pooled record: the op and its
@@ -367,10 +365,6 @@ func (s *Shield) Launch(app App) error {
 		done:     make(chan struct{}),
 		metrics:  newAppCounters(name),
 	}
-	if b, ok := s.pendingBudgets[name]; ok {
-		c.res.setBudget(b)
-		delete(s.pendingBudgets, name)
-	}
 	c.virt.Store(virtFor(s, name))
 	s.containers[name] = c
 	s.mu.Unlock()
@@ -481,7 +475,7 @@ type Container struct {
 	app    App // retained so the supervisor can re-run Init
 	api    API
 	// virt is the view every handle of the app calls under (virtFor),
-	// set at Launch and on every SetPermissions.
+	// set at Launch and on every Activate.
 	virt atomic.Pointer[translator]
 
 	events chan controller.Event

@@ -11,6 +11,7 @@ import (
 	"sdnshield/internal/jobs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/permengine"
 	"sdnshield/internal/permlang"
 	"sdnshield/internal/policylang"
 	"sdnshield/internal/reconcile"
@@ -41,16 +42,14 @@ func (ot OpTrace) fill(op string) (OpTrace, func()) {
 }
 
 // Runtime is the slice of the shielded runtime the market drives:
-// activation of a release's permissions, its manifest resource budget
-// (BUDGET statements, enforced as per-app soft quotas) and its
-// reconciliation provenance (the repair notes /explain reports a
-// denial's deciding term against), and app-health probing for the
-// probation monitor. *isolation.Shield satisfies it; tests substitute
-// fakes.
+// activation of a release's reconciled grant — its permission set, its
+// manifest resource budget (BUDGET statements, enforced as per-app soft
+// quotas) and its reconciliation provenance (the repair notes /explain
+// reports a denial's deciding term against), installed whole — and
+// app-health probing for the probation monitor. *isolation.Shield
+// satisfies it; tests substitute fakes.
 type Runtime interface {
-	SetPermissions(app string, set *core.Set)
-	SetBudget(app string, b core.Budget)
-	SetProvenance(app string, notes []string)
+	Activate(app string, g permengine.Grant)
 	AppHealth(app string) (isolation.Health, bool)
 }
 
@@ -114,19 +113,16 @@ const (
 )
 
 // releaseRef is one activated (or activatable) release with its
-// reconciled permission set.
+// reconciled grant: the effective permission set, the release's declared
+// resource quota (BUDGET statements; zero when the manifest declares
+// none) and, for the runtime's /explain forensics, the rendered
+// reconciliation violations/repairs that shaped the set.
 type releaseRef struct {
-	digest    Digest
-	version   string
-	vendor    string
-	verdict   Verdict
-	effective *core.Set
-	// budget is the release's declared resource quota (BUDGET
-	// statements in the manifest); zero when the manifest declares none.
-	budget core.Budget
-	// provenance renders the reconciliation violations/repairs that
-	// shaped the effective set, for the runtime's /explain forensics.
-	provenance []string
+	digest  Digest
+	version string
+	vendor  string
+	verdict Verdict
+	grant   permengine.Grant
 }
 
 // appState is the market's view of one installed app.
@@ -587,21 +583,20 @@ func (m *Market) setPending(sr *SignedRelease, d Digest, cv *CachedVerdict, corr
 }
 
 // push is the one point where an activation reaches the runtime:
-// activate, rollback and Revoke all go through it. It hands over the
-// release's permissions, then its budget, then its provenance — in that
-// order, because the engine's SetPermissions clears the provenance the
-// last step sets. A nil release revokes: an empty set, no quota, no
-// notes. A registry-only market (nil runtime) pushes nothing.
+// activate, rollback and Revoke all go through it, and it makes one
+// call, so the runtime swaps the release's whole grant at once. A nil
+// release revokes: an empty set, no quota, no notes. A registry-only
+// market (nil runtime) pushes nothing.
 func (m *Market) push(app string, ref *releaseRef) {
 	if m.runtime == nil {
 		return
 	}
-	if ref == nil {
-		ref = &releaseRef{effective: core.NewSet()}
+	g := permengine.Grant{Set: core.NewSet()}
+	if ref != nil {
+		g = ref.grant
+		g.Set = g.Set.Clone()
 	}
-	m.runtime.SetPermissions(app, ref.effective.Clone())
-	m.runtime.SetBudget(app, ref.budget)
-	m.runtime.SetProvenance(app, ref.provenance)
+	m.runtime.Activate(app, g)
 }
 
 // activate installs a release's effective permissions atomically and,
@@ -825,7 +820,7 @@ func (m *Market) Snapshot() []AppSnapshot {
 				snap.Vendor = st.active.vendor
 				snap.Digest = st.active.digest.String()
 				snap.Verdict = st.active.verdict
-				snap.Effective = st.active.effective.SortedString()
+				snap.Effective = st.active.grant.Set.SortedString()
 			}
 			if st.pending != nil {
 				snap.PendingVersion = st.pending.version
@@ -859,7 +854,7 @@ func (m *Market) ActivePermissions(app string) (*core.Set, bool) {
 	if !ok || st.active == nil {
 		return nil, false
 	}
-	return st.active.effective.Clone(), true
+	return st.active.grant.Set.Clone(), true
 }
 
 // DiffReleases renders the permission-diff report between two stored
@@ -904,15 +899,14 @@ func (m *Market) DiffLatest(app string) (string, []DiffEntry, error) {
 
 func refOf(sr *SignedRelease, d Digest, cv *CachedVerdict) *releaseRef {
 	ref := &releaseRef{
-		digest:    d,
-		version:   sr.Version,
-		vendor:    sr.Vendor,
-		verdict:   cv.Verdict,
-		effective: cv.Effective(),
-		budget:    cv.budget,
+		digest:  d,
+		version: sr.Version,
+		vendor:  sr.Vendor,
+		verdict: cv.Verdict,
+		grant:   permengine.Grant{Set: cv.Effective(), Budget: cv.budget},
 	}
 	for _, v := range cv.Violations {
-		ref.provenance = append(ref.provenance, v.String())
+		ref.grant.Provenance = append(ref.grant.Provenance, v.String())
 	}
 	return ref
 }

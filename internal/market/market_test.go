@@ -9,6 +9,7 @@ import (
 	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/obs/audit"
+	"sdnshield/internal/permengine"
 	"sdnshield/internal/permlang"
 )
 
@@ -27,15 +28,12 @@ func newFakeRuntime() *fakeRuntime {
 	}
 }
 
-func (f *fakeRuntime) SetPermissions(app string, set *core.Set) {
+func (f *fakeRuntime) Activate(app string, g permengine.Grant) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.perms[app] = set
+	f.perms[app] = g.Set
 	f.sets++
 }
-
-func (f *fakeRuntime) SetBudget(string, core.Budget)  {}
-func (f *fakeRuntime) SetProvenance(string, []string) {}
 
 func (f *fakeRuntime) AppHealth(app string) (isolation.Health, bool) {
 	f.mu.Lock()
@@ -374,10 +372,11 @@ func newBudgetFakeRuntime() *budgetFakeRuntime {
 	}
 }
 
-func (f *budgetFakeRuntime) SetBudget(app string, b core.Budget) {
+func (f *budgetFakeRuntime) Activate(app string, g permengine.Grant) {
+	f.fakeRuntime.Activate(app, g)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.budgets[app] = b
+	f.budgets[app] = g.Budget
 }
 
 func (f *budgetFakeRuntime) budgetOf(app string) core.Budget {
@@ -447,8 +446,8 @@ func TestBudgetThreadsThroughLifecycle(t *testing.T) {
 }
 
 func TestBudgetlessRuntimeIgnoresBudgets(t *testing.T) {
-	// A Runtime without SetBudget must keep working: the budget is
-	// simply not threaded.
+	// A Runtime that ignores the grant's budget must keep working: the
+	// budget is simply not threaded.
 	m, rt, submit := marketEnv(t, "")
 	d := submit(Release{Name: "mon", Vendor: "acme", Version: "1.0.0",
 		Manifest: "PERM read_statistics\nBUDGET CPU_MS_PER_SEC 250"})

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -307,42 +306,17 @@ func (b *Bundler) Get(id string) *Bundle {
 // usageProviders maps a component name (e.g. "shield-1") to a callback
 // returning its per-app resource usage — the same extension pattern as
 // obs health providers. /apps and bundles pull every provider live.
-var (
-	usageMu        sync.Mutex
-	usageProviders = make(map[string]func() interface{})
-)
+var usageProviders obs.Providers[func() interface{}]
 
 // RegisterUsage installs a named live per-app usage provider and
 // returns its unregister function. Registering an existing name
 // replaces it.
 func RegisterUsage(name string, fn func() interface{}) (unregister func()) {
-	usageMu.Lock()
-	usageProviders[name] = fn
-	usageMu.Unlock()
-	return func() {
-		usageMu.Lock()
-		delete(usageProviders, name)
-		usageMu.Unlock()
-	}
+	return usageProviders.Register(name, fn)
 }
 
 // usageSnapshots pulls every registered provider.
-func usageSnapshots() map[string]interface{} {
-	usageMu.Lock()
-	names := make([]string, 0, len(usageProviders))
-	fns := make(map[string]func() interface{}, len(usageProviders))
-	for n, fn := range usageProviders {
-		names = append(names, n)
-		fns[n] = fn
-	}
-	usageMu.Unlock()
-	sort.Strings(names)
-	out := make(map[string]interface{}, len(names))
-	for _, n := range names {
-		out[n] = fns[n]()
-	}
-	return out
-}
+func usageSnapshots() map[string]interface{} { return obs.Pull(&usageProviders) }
 
 // ---------------------------------------------------------------------------
 // Profiler integration

@@ -18,45 +18,17 @@ import (
 // returning its health snapshot. Shields register themselves on
 // construction; the endpoint's /health handler pulls every provider at
 // request time so the view is always live.
-var (
-	healthMu        sync.Mutex
-	healthProviders = make(map[string]func() interface{})
-)
+var healthProviders Providers[func() interface{}]
 
 // RegisterHealth installs a named live health provider and returns its
 // unregister function. Registering an existing name replaces it.
 func RegisterHealth(name string, fn func() interface{}) (unregister func()) {
-	healthMu.Lock()
-	healthProviders[name] = fn
-	healthMu.Unlock()
-	return func() {
-		healthMu.Lock()
-		delete(healthProviders, name)
-		healthMu.Unlock()
-	}
+	return healthProviders.Register(name, fn)
 }
 
 // HealthSnapshots pulls every registered health provider — the same
 // live view /health serves — for embedding in diagnostic bundles.
-func HealthSnapshots() map[string]interface{} { return healthSnapshot() }
-
-// healthSnapshot pulls every registered provider.
-func healthSnapshot() map[string]interface{} {
-	healthMu.Lock()
-	names := make([]string, 0, len(healthProviders))
-	fns := make(map[string]func() interface{}, len(healthProviders))
-	for n, fn := range healthProviders {
-		names = append(names, n)
-		fns[n] = fn
-	}
-	healthMu.Unlock()
-	sort.Strings(names)
-	out := make(map[string]interface{}, len(names))
-	for _, n := range names {
-		out[n] = fns[n]()
-	}
-	return out
-}
+func HealthSnapshots() map[string]interface{} { return Pull(&healthProviders) }
 
 // ---------------------------------------------------------------------------
 // Extension handlers
@@ -129,7 +101,7 @@ func NewHandler(reg *Registry) http.Handler {
 		WriteJSON(w, reg.Snapshot())
 	}))
 	listed("/health", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, healthSnapshot())
+		WriteJSON(w, HealthSnapshots())
 	}))
 	listed("/slo", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		e := DefaultSLO()

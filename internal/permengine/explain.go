@@ -10,12 +10,14 @@ package permengine
 // the live compiled policy.
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"sdnshield/internal/core"
+	"sdnshield/internal/obs"
 	"sdnshield/internal/of"
 )
 
@@ -85,25 +87,23 @@ type Explanation struct {
 // the leaves inside a clause all report instead of short-circuiting.
 // Explain resolves every stateful attribute the caller left open, as
 // Check does for a denial, and is safe to call concurrently with live
-// traffic.
+// traffic: the provenance and granted tokens it reports come from the
+// same grant the call was decided on.
 func (e *Engine) Explain(call *core.Call) Explanation {
-	ex := Explanation{
-		App:        call.App,
-		Token:      call.Token.String(),
-		Corr:       call.Corr,
-		Provenance: e.Provenance(call.App),
-	}
-	ex.Reason, ex.Detail = e.decide(call, &probe{ex: &ex})
+	ex := Explanation{App: call.App, Token: call.Token.String(), Corr: call.Corr}
+	p := &probe{ex: &ex}
+	ex.Reason, ex.Detail = e.decide(call, p)
 	ex.Call = call.String()
 	ex.Allowed = ex.Reason == ReasonAllowed
+	if p.app != nil {
+		ex.Provenance = slices.Clone(p.app.Provenance)
+	}
 	switch ex.Reason {
 	case ReasonTokenUngranted:
-		if set, ok := e.Permissions(call.App); ok {
-			for _, p := range set.Permissions() {
-				ex.Granted = append(ex.Granted, p.Token.String())
-			}
-			sort.Strings(ex.Granted)
+		for _, perm := range p.app.Set.Permissions() {
+			ex.Granted = append(ex.Granted, perm.Token.String())
 		}
+		sort.Strings(ex.Granted)
 	case ReasonFilterRejected:
 		ex.DecidingRepair = decidingRepair(&ex)
 	}
@@ -147,32 +147,6 @@ func decidingRepair(ex *Explanation) string {
 		}
 	}
 	return ""
-}
-
-// ---------------------------------------------------------------------------
-// Reconciliation provenance
-
-// SetProvenance records the reconciliation repair notes attached to the
-// app's active permission set (the market passes its reconcile
-// violations here at activation). An empty list clears them.
-func (e *Engine) SetProvenance(app string, notes []string) {
-	e.provMu.Lock()
-	defer e.provMu.Unlock()
-	if len(notes) == 0 {
-		delete(e.prov, app)
-		return
-	}
-	if e.prov == nil {
-		e.prov = make(map[string][]string)
-	}
-	e.prov[app] = append([]string(nil), notes...)
-}
-
-// Provenance returns the app's reconciliation repair notes.
-func (e *Engine) Provenance(app string) []string {
-	e.provMu.Lock()
-	defer e.provMu.Unlock()
-	return append([]string(nil), e.prov[app]...)
 }
 
 // ---------------------------------------------------------------------------
@@ -275,38 +249,18 @@ func (e *Engine) RetainedDenials(limit int) []RetainedDenialInfo {
 // ---------------------------------------------------------------------------
 // Engine registry
 
-// Engines register under a stable name (the shield's health-provider
-// name) so the /heat and /explain endpoints can address them; processes
-// running several engines side by side (benchmarks, baseline-vs-shield
-// harnesses) expose each under its own name.
-var (
-	engRegMu sync.Mutex
-	engReg   = make(map[string]*Engine)
-)
+// engines holds the engines registered under a stable name (the shield's
+// health-provider name) so the /heat and /explain endpoints can address
+// them; processes running several engines side by side (benchmarks,
+// baseline-vs-shield harnesses) expose each under its own name.
+var engines obs.Providers[*Engine]
 
 // RegisterEngine publishes the engine for the introspection endpoints
 // and returns its unregister function. Registering an existing name
 // replaces it.
 func RegisterEngine(name string, e *Engine) (unregister func()) {
-	engRegMu.Lock()
-	engReg[name] = e
-	engRegMu.Unlock()
-	return func() {
-		engRegMu.Lock()
-		if engReg[name] == e {
-			delete(engReg, name)
-		}
-		engRegMu.Unlock()
-	}
+	return engines.Register(name, e)
 }
 
 // RegisteredEngines snapshots the engine registry.
-func RegisteredEngines() map[string]*Engine {
-	engRegMu.Lock()
-	defer engRegMu.Unlock()
-	out := make(map[string]*Engine, len(engReg))
-	for n, e := range engReg {
-		out[n] = e
-	}
-	return out
-}
+func RegisteredEngines() map[string]*Engine { return engines.Snapshot() }

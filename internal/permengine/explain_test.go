@@ -181,9 +181,11 @@ func TestExplainDenialRetention(t *testing.T) {
 // the deciding term.
 func TestExplainDecidingRepair(t *testing.T) {
 	e := New(nil)
-	e.SetPermissions("m", permlang.MustParse("PERM insert_flow LIMITING MAX_PRIORITY 10").Set())
-	e.SetProvenance("m", []string{
-		"[narrowed] priority bound: manifest requested unbounded priority (repaired: MAX_PRIORITY 10)",
+	e.Activate("m", Grant{
+		Set: permlang.MustParse("PERM insert_flow LIMITING MAX_PRIORITY 10").Set(),
+		Provenance: []string{
+			"[narrowed] priority bound: manifest requested unbounded priority (repaired: MAX_PRIORITY 10)",
+		},
 	})
 	call := insertFlowCall("m", of.IPv4FromOctets(10, 0, 0, 1), []of.Action{of.Output(1)})
 	call.Priority = 200
@@ -199,7 +201,7 @@ func TestExplainDecidingRepair(t *testing.T) {
 	}
 	// RemoveApp clears provenance with the rest of the app state.
 	e.RemoveApp("m")
-	if notes := e.Provenance("m"); notes != nil {
+	if notes := e.Explain(call).Provenance; notes != nil {
 		t.Fatalf("provenance survives RemoveApp: %v", notes)
 	}
 }

@@ -40,12 +40,14 @@ func goldenEngine(t *testing.T) (corrs []uint64, sampledBefore uint64) {
 	// Drain what earlier tests left in the journal, so no event of the
 	// history below is dropped on a full shard.
 	audit.Default().Flush()
-	e.SetPermissions("m", permlang.MustParse(
-		"PERM insert_flow LIMITING MAX_PRIORITY 100 AND ACTION FORWARD AND (OWN_FLOWS OR NOT IP_DST 10.13.0.0 MASK 255.255.0.0)\n"+
-			"PERM read_statistics LIMITING PORT_LEVEL\n"+
-			"PERM visible_topology").Set())
-	e.SetProvenance("m", []string{
-		"[narrowed] priority bound: manifest requested unbounded priority (repaired: MAX_PRIORITY 100)",
+	e.Activate("m", Grant{
+		Set: permlang.MustParse(
+			"PERM insert_flow LIMITING MAX_PRIORITY 100 AND ACTION FORWARD AND (OWN_FLOWS OR NOT IP_DST 10.13.0.0 MASK 255.255.0.0)\n" +
+				"PERM read_statistics LIMITING PORT_LEVEL\n" +
+				"PERM visible_topology").Set(),
+		Provenance: []string{
+			"[narrowed] priority bound: manifest requested unbounded priority (repaired: MAX_PRIORITY 100)",
+		},
 	})
 
 	insert := func(dst of.IPv4, prio uint16, owner string, actions ...of.Action) *core.Call {

@@ -94,14 +94,27 @@ type grant struct {
 	reads stateReads
 }
 
-// compiled is an app's permission set lowered into one grant per token.
-// The compilation happens once at app load time (§III: "the permission
-// engine compiles the permission manifest into the runtime checking
-// code"), so the per-call hot path is a map lookup and the clause walk:
-// one checker call per clause, where an AND/OR chain is one n-ary
-// checker looping over its terms and each leaf a closure over its filter.
+// Grant is what one activation installs for an app (§VI: the reconciled
+// grant of one release): its permission set, its resource budget (the
+// manifest's BUDGET statements, which the isolation layer enforces as
+// soft quotas) and its reconciliation provenance (the repair notes
+// Explain names a denial's deciding term against). It is installed
+// whole: Activate replaces every part of the app's previous grant.
+type Grant struct {
+	Set        *core.Set
+	Budget     core.Budget
+	Provenance []string
+}
+
+// compiled is an app's active Grant with its permission set lowered into
+// one grant per token. The compilation happens once at app load time
+// (§III: "the permission engine compiles the permission manifest into
+// the runtime checking code"), so the per-call hot path is a map lookup
+// and the clause walk: one checker call per clause, where an AND/OR
+// chain is one n-ary checker looping over its terms and each leaf a
+// closure over its filter.
 type compiled struct {
-	set    *core.Set
+	Grant
 	grants map[core.Token]*grant
 }
 
@@ -300,6 +313,7 @@ func nary(and bool, terms []checker) checker {
 type probe struct {
 	ex     *Explanation  // Explain: the decision path being recorded
 	leaves []LeafExplain // Explain: leaves of the clause being evaluated
+	app    *compiled     // Explain: the app's grant the call was decided on
 }
 
 func (p *probe) explaining() bool { return p != nil && p.ex != nil }
@@ -340,11 +354,6 @@ type Engine struct {
 	// denialRing retains recent denied calls for /explain?corr= forensics
 	// (explain.go).
 	denialRing denialRing
-
-	// provMu guards prov, the per-app reconciliation provenance notes
-	// /explain cross-references (explain.go).
-	provMu sync.Mutex
-	prov   map[string][]string
 }
 
 // New builds an engine. state may be nil for stateless micro-benchmarks.
@@ -355,12 +364,14 @@ func New(state StateProvider) *Engine {
 	return &Engine{state: state, apps: make(map[string]*compiled)}
 }
 
-// SetPermissions installs (or replaces) an app's permission set,
-// compiling it to checking code: each filter expression is lowered once,
-// outside the lock. The set must not be mutated afterwards.
-func (e *Engine) SetPermissions(app string, set *core.Set) {
-	c := &compiled{set: set, grants: make(map[core.Token]*grant, set.Len())}
-	for _, p := range set.Permissions() {
+// Activate installs (or replaces) an app's whole grant in one write,
+// compiling its set to checking code: each filter expression is lowered
+// once, outside the lock. A reader sees the previous grant or this one,
+// never parts of both. Neither the set nor the provenance may be mutated
+// afterwards.
+func (e *Engine) Activate(app string, g Grant) {
+	c := &compiled{Grant: g, grants: make(map[core.Token]*grant, g.Set.Len())}
+	for _, p := range g.Set.Permissions() {
 		c.grants[p.Token] = newGrant(p.Filter)
 	}
 	e.mu.Lock()
@@ -368,13 +379,17 @@ func (e *Engine) SetPermissions(app string, set *core.Set) {
 	e.apps[app] = c
 }
 
-// RemoveApp drops an app's permissions (and any reconciliation
-// provenance) entirely.
+// SetPermissions activates a grant of the set alone: no budget, no
+// provenance.
+func (e *Engine) SetPermissions(app string, set *core.Set) {
+	e.Activate(app, Grant{Set: set})
+}
+
+// RemoveApp drops an app's grant entirely.
 func (e *Engine) RemoveApp(app string) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	delete(e.apps, app)
-	e.mu.Unlock()
-	e.SetProvenance(app, nil)
 }
 
 // Permissions returns the app's current permission set.
@@ -385,7 +400,18 @@ func (e *Engine) Permissions(app string) (*core.Set, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.set, true
+	return c.Set, true
+}
+
+// Budget returns the budget of the app's active grant, zero when it has
+// none.
+func (e *Engine) Budget(app string) core.Budget {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if c, ok := e.apps[app]; ok {
+		return c.Budget
+	}
+	return core.Budget{}
 }
 
 // HasToken reports whether the app holds the token in any form — the
@@ -396,7 +422,7 @@ func (e *Engine) HasToken(app string, token core.Token) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	c, ok := e.apps[app]
-	return ok && c.set.Has(token)
+	return ok && c.Set.Has(token)
 }
 
 // unresolved names the stateful attributes of a call that the engine
@@ -511,6 +537,7 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 		}
 	}
 	if p.explaining() {
+		p.app = c
 		return reason, detail
 	}
 	if p != nil {

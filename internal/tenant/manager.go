@@ -13,12 +13,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdnshield/internal/core"
 	"sdnshield/internal/durable"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/jobs"
 	"sdnshield/internal/market"
 	"sdnshield/internal/obs"
+	"sdnshield/internal/permengine"
 )
 
 // State is a tenant's lifecycle state.
@@ -800,18 +800,10 @@ func ScopedRuntime(rt market.Runtime, tenant string) market.Runtime {
 	return &scopedRuntime{rt: rt, prefix: tenant + "/"}
 }
 
-func (s *scopedRuntime) SetPermissions(app string, set *core.Set) {
-	s.rt.SetPermissions(s.prefix+app, set)
+func (s *scopedRuntime) Activate(app string, g permengine.Grant) {
+	s.rt.Activate(s.prefix+app, g)
 }
 
 func (s *scopedRuntime) AppHealth(app string) (isolation.Health, bool) {
 	return s.rt.AppHealth(s.prefix + app)
-}
-
-func (s *scopedRuntime) SetBudget(app string, b core.Budget) {
-	s.rt.SetBudget(s.prefix+app, b)
-}
-
-func (s *scopedRuntime) SetProvenance(app string, notes []string) {
-	s.rt.SetProvenance(s.prefix+app, notes)
 }

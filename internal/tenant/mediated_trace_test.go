@@ -13,6 +13,7 @@ import (
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/permengine"
 	"sdnshield/internal/permlang"
 )
 
@@ -57,7 +58,7 @@ func TestMediatedTracesAreAttributedToTheirTenant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ScopedRuntime(shield, "alpha").SetPermissions("sensor", permlang.MustParse("PERM visible_topology").Set())
+	ScopedRuntime(shield, "alpha").Activate("sensor", permengine.Grant{Set: permlang.MustParse("PERM visible_topology").Set()})
 	app := &hostedApp{name: "alpha/sensor"}
 	if err := shield.Launch(app); err != nil {
 		t.Fatal(err)

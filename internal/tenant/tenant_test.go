@@ -14,6 +14,7 @@ import (
 	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/obs"
+	"sdnshield/internal/permengine"
 )
 
 func TestParseID(t *testing.T) {
@@ -664,50 +665,40 @@ type recordingRuntime struct {
 	budgets map[string]core.Budget
 }
 
-func (r *recordingRuntime) SetPermissions(app string, set *core.Set) {
+func (r *recordingRuntime) Activate(app string, g permengine.Grant) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.perms == nil {
 		r.perms = map[string]*core.Set{}
+		r.budgets = map[string]core.Budget{}
 	}
-	r.perms[app] = set
+	r.perms[app] = g.Set
+	r.budgets[app] = g.Budget
 }
 
 func (r *recordingRuntime) AppHealth(app string) (isolation.Health, bool) {
 	return isolation.Running, true
 }
 
-func (r *recordingRuntime) SetBudget(app string, b core.Budget) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.budgets == nil {
-		r.budgets = map[string]core.Budget{}
-	}
-	r.budgets[app] = b
-}
-
-func (r *recordingRuntime) SetProvenance(string, []string) {}
-
 func TestScopedRuntimeNamespacing(t *testing.T) {
 	rec := &recordingRuntime{}
 	rt := ScopedRuntime(rec, "acme")
-	rt.SetPermissions("sensor", core.NewSet())
+	rt.Activate("sensor", permengine.Grant{Set: core.NewSet(), Budget: core.Budget{CPUMillisPerSec: 5}})
 	rec.mu.Lock()
 	_, scoped := rec.perms["acme/sensor"]
 	_, bare := rec.perms["sensor"]
 	rec.mu.Unlock()
 	if !scoped || bare {
-		t.Fatalf("SetPermissions namespacing: scoped=%v bare=%v", scoped, bare)
+		t.Fatalf("Activate namespacing: scoped=%v bare=%v", scoped, bare)
 	}
 	if _, ok := rt.AppHealth("sensor"); !ok {
 		t.Fatal("AppHealth did not pass through")
 	}
-	// Budget passthrough when the underlying runtime accounts budgets.
-	rt.SetBudget("sensor", core.Budget{CPUMillisPerSec: 5})
+	// The grant's budget passes through with its set.
 	rec.mu.Lock()
 	b, ok := rec.budgets["acme/sensor"]
 	rec.mu.Unlock()
 	if !ok || b.CPUMillisPerSec != 5 {
-		t.Fatalf("SetBudget namespacing: %v %v", b, ok)
+		t.Fatalf("budget namespacing: %v %v", b, ok)
 	}
 }
