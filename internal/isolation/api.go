@@ -103,7 +103,8 @@ type API interface {
 
 	// --- events ---
 
-	// Subscribe registers an event handler. The kind's token is required;
+	// Subscribe registers an event handler, decided like a listing:
+	// without the kind's token it is denied, as one audited decision;
 	// each delivered event additionally passes the app's filters, and
 	// packet-in payloads are stripped without read_payload.
 	Subscribe(kind controller.EventKind, fn controller.Handler) error
@@ -113,6 +114,7 @@ type API interface {
 	// HasPermission probes a token without side effects, so apps can
 	// degrade gracefully instead of crashing on denials (§III).
 	HasPermission(token core.Token) bool
-	// Transaction opens an atomic API-call transaction (§VI-B2).
+	// Transaction opens an atomic API-call transaction (§VI-B2), whose
+	// Commit is one mediated call.
 	Transaction() *Tx
 }

@@ -34,10 +34,13 @@ func (s *Shield) do(c *Container, op *mediatedOp, org controller.Origin, fn func
 
 // TestCallRacingStopNeverPanics: callers hammering a handle while the
 // shield stops get their call's real result or ErrShieldStopped — never a
-// send on the closed KSD queue, never a wait that does not end.
+// send on the closed KSD queue, never a wait that does not end. So does a
+// transaction committer: a commit in flight when Stop begins is decided
+// before Stop returns.
 func TestCallRacingStopNeverPanics(t *testing.T) {
+	errDecidedLate := errors.New("planned call decided after Stop returned")
 	for round := 0; round < 200; round++ {
-		k := controller.New(nil, nil)
+		b, k := wire(t, 1, nil)
 		s := NewShield(k, noQuotaLoop())
 		grant(t, s, "caller", "PERM visible_topology")
 		if err := s.Launch(app("caller", func(API) error { return nil })); err != nil {
@@ -52,7 +55,7 @@ func TestCallRacingStopNeverPanics(t *testing.T) {
 		var wg sync.WaitGroup
 		var calls atomic.Int64
 		flowing := make(chan struct{})
-		errs := make(chan error, 4)
+		errs := make(chan error, 5)
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
@@ -72,8 +75,40 @@ func TestCallRacingStopNeverPanics(t *testing.T) {
 				}
 			}()
 		}
+		// The committer's planned call is decided slowly, so a commit is
+		// in flight when Stop begins.
+		var stopReturned atomic.Bool
+		deciding := make(chan struct{}, 1)
+		slow := *opInsertFlow
+		slow.decide = func(*request) error {
+			select {
+			case deciding <- struct{}{}:
+			default:
+			}
+			time.Sleep(2 * time.Millisecond)
+			if stopReturned.Load() {
+				return errDecidedLate
+			}
+			return nil
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				tx := api.Transaction()
+				tx.plan(&slow, args{dpid: 1, spec: controller.FlowSpec{Priority: 1}})
+				if err := tx.Commit(); err != nil {
+					if !errors.Is(err, ErrShieldStopped) {
+						errs <- err
+					}
+					return
+				}
+			}
+		}()
 		<-flowing
+		<-deciding
 		s.Stop()
+		stopReturned.Store(true)
 		finished := make(chan struct{})
 		go func() { wg.Wait(); close(finished) }()
 		select {
@@ -86,6 +121,7 @@ func TestCallRacingStopNeverPanics(t *testing.T) {
 			t.Fatalf("round %d: call racing Stop failed with %v, want ErrShieldStopped", round, err)
 		}
 		k.Stop()
+		b.Net.Stop()
 	}
 }
 
@@ -300,11 +336,19 @@ func TestNewShieldStartsNoGoroutines(t *testing.T) {
 
 // TestDeputySlotsBoundCalls: with two slots, two of five callers run
 // their effects and the other three wait, counted as the queue depth
-// /health reports; once released every call completes and the queue is
-// empty.
+// /health reports, and so does a transaction's commit; once released
+// every call completes and the queue is empty.
 func TestDeputySlotsBoundCalls(t *testing.T) {
 	s := NewShield(controller.New(nil, nil), noQuotaLoop()) // two slots
 	t.Cleanup(func() { s.Stop(); s.Kernel().Stop() })
+	grant(t, s, "txer", "PERM insert_flow")
+	if err := s.Launch(app("txer", func(API) error { return nil })); err != nil {
+		t.Fatal(err)
+	}
+	txer, err := AttackerHandle(s, "txer")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const callers = 5
 	op := newMediatedOp("slot_probe")
 	entered, release, errs := make(chan struct{}, callers), make(chan struct{}), make(chan error, callers)
@@ -328,9 +372,22 @@ func TestDeputySlotsBoundCalls(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	committed := make(chan error, 1)
+	go func() {
+		committed <- txer.Transaction().InsertFlow(1, controller.FlowSpec{Match: of.NewMatch(), Priority: 1}).
+			InsertFlow(1, controller.FlowSpec{Match: of.NewMatch(), Priority: 2}).Commit()
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.HealthSnapshot().QueueDepth != callers-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth = %d, want %d: a tx commit does not wait for a slot", s.HealthSnapshot().QueueDepth, callers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	select {
 	case <-entered:
 		t.Fatal("a third effect runs while two slots are held")
+	case err := <-committed:
+		t.Fatalf("a tx committed (%v) while two slots are held", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	free()
@@ -338,6 +395,11 @@ func TestDeputySlotsBoundCalls(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The kernel has no switch 1: the commit's own result, once it ran.
+	var txErr *TxError
+	if err := <-committed; !errors.As(err, &txErr) || txErr.Stage != "apply" {
+		t.Fatalf("commit after release = %v, want its apply failure on the missing switch", err)
 	}
 	if snap := s.HealthSnapshot(); snap.QueueDepth != 0 || snap.KSDWorkers != 2 {
 		t.Fatalf("after release: queue depth %d, ksd_workers %d; want 0, 2", snap.QueueDepth, snap.KSDWorkers)

@@ -31,6 +31,29 @@ func newEnv(t *testing.T, switches int) *testEnv {
 // kernel's side, passed through wrap (nil: none).
 func newEnvOver(t *testing.T, switches int, wrap func(of.DPID, of.Conn) of.Conn) *testEnv {
 	t.Helper()
+	return newEnvWith(t, switches, wrap, Config{KSDWorkers: 2, EventQueueSize: 64})
+}
+
+// newEnvWith builds a linear network of switches, a kernel wired to it
+// through wrap (nil: none) and a shield of cfg over it, all stopped when
+// the test ends.
+func newEnvWith(t *testing.T, switches int, wrap func(of.DPID, of.Conn) of.Conn, cfg Config) *testEnv {
+	t.Helper()
+	b, k := wire(t, switches, wrap)
+	s := NewShield(k, cfg)
+	t.Cleanup(func() {
+		s.Stop()
+		k.Stop()
+		b.Net.Stop()
+	})
+	return &testEnv{built: b, kernel: k, shield: s}
+}
+
+// wire builds a linear network of switches and a kernel that has
+// accepted each, its control connection passed through wrap (nil: none).
+// The caller stops both.
+func wire(t *testing.T, switches int, wrap func(of.DPID, of.Conn) of.Conn) (*netsim.Built, *controller.Kernel) {
+	t.Helper()
 	b, err := netsim.Linear(switches)
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +71,7 @@ func newEnvOver(t *testing.T, switches int, wrap func(of.DPID, of.Conn) of.Conn)
 			t.Fatal(err)
 		}
 	}
-	s := NewShield(k, Config{KSDWorkers: 2, EventQueueSize: 64})
-	t.Cleanup(func() {
-		s.Stop()
-		k.Stop()
-		b.Net.Stop()
-	})
-	return &testEnv{built: b, kernel: k, shield: s}
+	return b, k
 }
 
 // funcApp adapts a closure into an App.

@@ -21,9 +21,9 @@ import (
 // call it builds: the token, the attributes the op's filters read, the
 // stateful ones check resolves — and its kernel effect, both plain
 // functions of a pooled request (shield.go) holding the call's own
-// arguments. mediate is the one routine every op runs; Tx guards its
-// batch with the same decisions, and the event table at the end does the
-// same for deliveries.
+// arguments. mediate is the one routine every op runs, a transaction's
+// commit and an event subscription included; the event table at the end
+// describes deliveries the same way.
 
 // mediatedOp is one operation's row. Its histogram is resolved once, so
 // the caller's latency observation does no map lookup.
@@ -86,6 +86,8 @@ var (
 	opHostReadFile  = opRow("host_read_file", false, (*request).checkFile, (*request).hostReadFile)
 	opHostWriteFile = opRow("host_write_file", false, (*request).checkFile, (*request).hostWriteFile)
 	opHostExec      = opRow("host_exec", false, (*request).checkExec, (*request).hostExec)
+	opSubscribe     = opRow("subscribe", false, (*request).checkSubscribe, (*request).subscribe)
+	opTx            = opRow("tx", false, (*request).decideTx, (*request).commit)
 )
 
 // shieldedAPI is the mediated API implementation, one op-table row per
@@ -134,15 +136,15 @@ func (a *shieldedAPI) engine() *permengine.Engine { return a.shield.engine }
 
 // mediate is the one mediation routine every op runs. The gates (admit)
 // come first, under the app's view, read once per call, and fail fast
-// without taking a deputy slot. Then the call's correlation ID is minted,
-// so its check and every switch-side effect share it, and it crosses the
-// KSD hop.
+// without taking a deputy slot. Then the call takes the correlation ID it
+// brings (a transaction's) or a new one, so its check and every
+// switch-side effect share it, and it crosses the KSD hop.
 func (a *shieldedAPI) mediate(r *request) error {
 	r.virt = a.container.virt.Load()
 	if err := a.admit(r.op, r.dpid, r.virt); err != nil {
 		return err
 	}
-	r.org = controller.Origin{App: a.name, Corr: audit.NextCorr()}
+	r.org = controller.Origin{App: a.name, Corr: cmp.Or(r.corr, audit.NextCorr())}
 	return a.shield.hop(r)
 }
 
@@ -270,14 +272,18 @@ func (r *request) mutate() error {
 }
 
 // lay appends to batch the kernel mutations of one call of a mutating op:
-// the call itself, or its expansion behind the virtual big switch virt.
+// the call itself, or its expansion behind the virtual big switch virt,
+// which addresses no physical switch.
 func lay(batch []controller.Mutation, op *mediatedOp, in *args, virt *translator) ([]controller.Mutation, error) {
-	batch = append(batch, controller.Mutation{Op: op.kind, DPID: in.dpid, Spec: in.spec, Strict: in.strict,
-		BufferID: in.bufferID, InPort: in.port, Packet: in.pkt})
-	if virt == nil {
-		return batch, nil
+	m := controller.Mutation{Op: op.kind, DPID: in.dpid, Spec: in.spec, Strict: in.strict,
+		BufferID: in.bufferID, InPort: in.port, Packet: in.pkt}
+	switch {
+	case virt == nil:
+		return append(batch, m), nil
+	case in.dpid != bigSwitchDPID:
+		return batch, virt.outside()
 	}
-	return virt.lay(batch[:len(batch)-1], batch[len(batch)-1])
+	return virt.lay(batch, m)
 }
 
 // checkAffected is modify's and delete's decision: one call per resident
@@ -654,7 +660,21 @@ func (s *Shield) allowEvent(c *Container, ev controller.Event) bool {
 }
 
 func (a *shieldedAPI) Subscribe(kind controller.EventKind, fn controller.Handler) error {
-	return a.container.subscribe(kind, fn)
+	return a.call(opSubscribe, args{kind: kind, handler: fn})
+}
+
+// checkSubscribe is §VIII's loading-time access control, a listing's.
+func (r *request) checkSubscribe() error {
+	token, ok := eventToken(r.kind)
+	if !ok {
+		return fmt.Errorf("isolation: unknown event kind %v", r.kind)
+	}
+	return r.listed(core.Call{Token: token})
+}
+
+func (r *request) subscribe() error {
+	r.a.container.subscribe(r.kind, r.handler)
+	return nil
 }
 
 func (a *shieldedAPI) HasPermission(token core.Token) bool {
@@ -664,3 +684,22 @@ func (a *shieldedAPI) HasPermission(token core.Token) bool {
 func (a *shieldedAPI) Transaction() *Tx {
 	return &Tx{app: a.name, kernel: a.shield.kernel, shield: a}
 }
+
+// decideTx hands every planned call of the transaction r commits r's
+// origin and view: one corr and one sampling decision for all. Behind the
+// virtual big switch, where decisions read no table, it decides them all
+// before any is laid; on a physical switch commit decides each as the
+// guard of its mutation, on the tables the earlier calls left.
+func (r *request) decideTx() error {
+	for i, s := range r.tx.steps {
+		if s.org, s.virt = r.org, r.virt; r.virt != nil {
+			if err := s.op.decide(s); err != nil {
+				return r.tx.abort(i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// commit is a transaction's effect: its planned calls as one kernel batch.
+func (r *request) commit() error { return r.tx.apply(r.org, r.virt, r.virt == nil) }

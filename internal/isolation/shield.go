@@ -206,6 +206,10 @@ type args struct {
 	path     string
 	value    interface{}
 	data     []byte
+	kind     controller.EventKind
+	handler  controller.Handler
+	tx       *Tx
+	corr     uint64 // the corr a call brings: a transaction's, minted at plan
 }
 
 var requests = sync.Pool{New: func() any { return new(request) }}
@@ -213,7 +217,8 @@ var requests = sync.Pool{New: func() any { return new(request) }}
 // request takes a request for one call of op from the pool and copies the
 // arguments in, on the caller: the match by value (nil as the match-all
 // it stands for), the actions into the inline array (nil stays nil), an
-// inline packet into a clone the packet-out sent will carry.
+// inline packet into a clone the packet-out sent will carry. A planned
+// transaction call is a request too (on the monolith, of a nil a).
 func (a *shieldedAPI) request(op *mediatedOp, in args) *request {
 	r := requests.Get().(*request)
 	r.a, r.op, r.args = a, op, in
@@ -321,11 +326,11 @@ func (s *Shield) hop(r *request) error {
 	return err
 }
 
-// protect runs r's op — its decision, then its effect; a physical switch
-// mutation's effect decides under the kernel's lock — shielding the
-// caller from it: a panic inside a mediated call becomes an error for the
-// caller (and is counted on the engine) instead of unwinding its
-// goroutine with the slot held.
+// protect runs r's op — its decision, then its effect; on a physical
+// switch a mutation's or transaction's effect decides under the kernel's
+// lock — shielding the caller from it: a panic inside a mediated call
+// becomes an error for the caller (and is counted on the engine) instead
+// of unwinding its goroutine with the slot held.
 func (s *Shield) protect(r *request) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -605,18 +610,10 @@ func (c *Container) safeHandle(fn controller.Handler, ev controller.Event) (pani
 	return false
 }
 
-// subscribe wires an app handler: loading-time token check, kernel
+// subscribe wires an app handler whose subscription was decided: kernel
 // subscription (once per kind) with per-event permission filtering and
 // payload redaction, and queued delivery into the container.
-func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) error {
-	token, ok := eventToken(kind)
-	if !ok {
-		return fmt.Errorf("isolation: unknown event kind %v", kind)
-	}
-	// Loading-time access control (§VIII): no token, no wiring at all.
-	if !c.shield.engine.HasToken(c.name, token) {
-		return &permengine.DeniedError{App: c.name, Token: token, Detail: "event subscription"}
-	}
+func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) {
 	c.hmu.Lock()
 	defer c.hmu.Unlock()
 	c.handlers[kind] = append(slices.Clip(c.handlers[kind]), fn)
@@ -643,7 +640,6 @@ func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) 
 		})
 		c.kernels[kind] = id
 	}
-	return nil
 }
 
 // redactEvent strips packet payloads from apps without read_payload.

@@ -2,40 +2,20 @@ package isolation
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdnshield/internal/controller"
-	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
 )
 
 // newEnvCfg is newEnv with a caller-supplied shield configuration.
 func newEnvCfg(t *testing.T, switches int, cfg Config) *testEnv {
 	t.Helper()
-	b, err := netsim.Linear(switches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := controller.New(b.Topo, nil)
-	for _, sw := range b.Net.Switches() {
-		ctrlSide, swSide := of.Pipe()
-		if err := sw.Start(swSide); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.AcceptSwitch(ctrlSide); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := NewShield(k, cfg)
-	t.Cleanup(func() {
-		s.Stop()
-		k.Stop()
-		b.Net.Stop()
-	})
-	return &testEnv{built: b, kernel: k, shield: s}
+	return newEnvWith(t, switches, nil, cfg)
 }
 
 func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -181,7 +161,8 @@ func TestSupervisorRecoversOneOffPanic(t *testing.T) {
 
 // TestKSDSurvivesPanicInMediatedCall: a panic inside the closure a deputy
 // runs must surface as an error to the caller, be counted on the engine,
-// and leave the KSD pool fully operational.
+// and leave the KSD pool fully operational. A panic in the decision of a
+// transaction's planned call is one inside its commit, a mediated call.
 func TestKSDSurvivesPanicInMediatedCall(t *testing.T) {
 	env := newEnv(t, 1)
 	err := env.shield.do(nil, newMediatedOp("test_panic"), controller.Origin{}, func(controller.Origin) error { panic("kaboom") })
@@ -190,6 +171,24 @@ func TestKSDSurvivesPanicInMediatedCall(t *testing.T) {
 	}
 	if n := env.shield.Engine().APIPanics(); n != 1 {
 		t.Errorf("APIPanics = %d, want 1", n)
+	}
+	boom := *opInsertFlow
+	boom.decide = func(*request) error { panic("kaboom") }
+	tx := launchAPI(t, env, "txpanic", "PERM insert_flow").Transaction()
+	tx.plan(&boom, args{dpid: env.kernel.Topology().SwitchIDs()[0]})
+	err = func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("commit unwound its caller: %v", p)
+			}
+		}()
+		return tx.Commit()
+	}()
+	if err == nil || !strings.Contains(err.Error(), "panic in mediated API call") {
+		t.Fatalf("commit whose planned call's decision panics: err = %v, want mediated-call panic error", err)
+	}
+	if n := env.shield.Engine().APIPanics(); n != 2 {
+		t.Errorf("APIPanics after the commit's panic = %d, want 2", n)
 	}
 	// The pool still serves requests — every worker, not just one.
 	for i := 0; i < 8; i++ {

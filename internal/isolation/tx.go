@@ -40,23 +40,17 @@ func (e *TxError) Unwrap() error { return e.Cause }
 // whole group back: every shadow table ends with the rules, owners and
 // actions it started with (a reinstalled rule at the end of its priority
 // run, as on the switch). The undo is the kernel's (Kernel.Apply),
-// unchecked: the pre-transaction state grants nothing new. The plan copies
-// the match, actions and packet it is given, so an app reusing them
-// before Commit changes neither what is checked nor what is applied.
+// unchecked: the pre-transaction state grants nothing new. A planned call
+// is a request, which owns its arguments from plan on, so an app reusing
+// them before Commit changes neither what is checked nor what is applied.
 type Tx struct {
 	app    string
 	kernel *controller.Kernel
-	// shield's op decisions and gates guard the calls; nil on the
-	// monolith, whose transactions only provide atomic rollback.
+	// shield mediates the commit; nil on the monolith, whose transactions
+	// only provide atomic rollback.
 	shield *shieldedAPI
-	steps  []step
+	steps  []*request
 	corr   uint64
-}
-
-// step is one planned call: the op and its arguments.
-type step struct {
-	op *mediatedOp
-	in args
 }
 
 // plan adds one call, minting the transaction's correlation ID on the
@@ -67,63 +61,50 @@ func (t *Tx) plan(op *mediatedOp, in args) *Tx {
 	if t.corr == 0 {
 		t.corr = audit.NextCorr()
 	}
-	t.steps = append(t.steps, step{op: op, in: in})
+	t.steps = append(t.steps, t.shield.request(op, in))
 	return t
 }
 
 // Len returns the number of planned calls.
 func (t *Tx) Len() int { return len(t.steps) }
 
-// Commit lays every planned call into one kernel batch, each guarded by
-// its op's decision on the tables as the earlier calls left them (behind
-// the virtual big switch, where decisions read no table, all are decided
-// first). A denial aborts before anything is sent; a call that cannot be
-// laid or applied fails the batch, which the kernel takes back. Either
-// way the app gets a *TxError naming the failed call (§VI-B2).
+// Commit runs the planned calls as one mediated call of op tx under the
+// transaction's corr, each decided by its op's decision (decideTx), and
+// on the monolith unchecked. A denial aborts before anything is sent; a
+// call that cannot be laid or applied fails the batch, which the kernel
+// takes back. Either way the app gets a *TxError naming the failed call
+// (§VI-B2).
 func (t *Tx) Commit() error {
-	var virt *translator
-	if t.shield != nil {
-		virt = t.shield.container.virt.Load()
+	if t.shield == nil {
+		return t.apply(controller.Origin{App: t.app, Corr: t.corr}, nil, false)
 	}
-	decide := func(i int) error { // unnumbered: neither measured nor heat-walked
-		r := t.shield.request(t.steps[i].op, t.steps[i].in)
-		defer r.put()
-		r.org.Corr, r.virt = t.corr, virt
-		return r.op.decide(r)
-	}
-	if virt != nil {
-		for i := range t.steps {
-			if err := decide(i); err != nil {
-				return t.abort(i, err)
-			}
-		}
-	}
+	return t.shield.call(opTx, args{tx: t, corr: t.corr})
+}
+
+// apply lays every planned call into one kernel batch under org, behind
+// the virtual big switch virt if set, and applies it; if guarded, each
+// call's decision guards it on the tables as the earlier calls left them
+// (a physical call lays one mutation).
+func (t *Tx) apply(org controller.Origin, virt *translator, guarded bool) error {
 	var batch []controller.Mutation
 	ends := make([]int, len(t.steps)) // one past each call's last mutation
-	for i := range t.steps {
-		s := &t.steps[i]
+	for i, s := range t.steps {
 		var err error
-		if t.shield != nil {
-			err = t.shield.admit(s.op, s.in.dpid, virt)
-		}
-		if err == nil {
-			batch, err = lay(batch, s.op, &s.in, virt)
-		}
-		if err != nil {
+		if batch, err = lay(batch, s.op, &s.args, virt); err != nil {
 			return t.rollback(i, err)
 		}
 		ends[i] = len(batch)
 	}
 	denied := false
 	var guard func(int) error
-	if t.shield != nil && virt == nil {
-		guard = func(i int) error { // a physical call lays one mutation
-			err := decide(i)
+	if guarded {
+		guard = func(i int) error {
+			err := t.steps[i].op.decide(t.steps[i])
 			denied = err != nil
 			return err
 		}
 	}
-	n, err := t.kernel.Apply(controller.Origin{App: t.app, Corr: t.corr}, batch, guard)
+	n, err := t.kernel.Apply(org, batch, guard)
 	switch {
 	case denied:
 		return t.abort(n, err)
@@ -175,19 +156,16 @@ func (t *Tx) audit(v audit.Verdict, detail string) {
 
 // InsertFlow plans a flow insertion.
 func (t *Tx) InsertFlow(dpid of.DPID, spec controller.FlowSpec) *Tx {
-	spec.Match, spec.Actions = orAny(spec.Match).Clone(), of.CloneActions(spec.Actions)
 	return t.plan(opInsertFlow, args{dpid: dpid, spec: spec})
 }
 
 // DeleteFlow plans a flow deletion.
 func (t *Tx) DeleteFlow(dpid of.DPID, match *of.Match, priority uint16, strict bool) *Tx {
-	match = orAny(match).Clone()
 	return t.plan(opDeleteFlow, args{dpid: dpid, spec: controller.FlowSpec{Match: match, Priority: priority}, strict: strict})
 }
 
 // SendPacketOut plans a packet injection. A packet-out cannot be taken
 // back; place it last, so no later failure has one to undo.
 func (t *Tx) SendPacketOut(dpid of.DPID, bufferID uint32, inPort uint16, actions []of.Action, pkt *of.Packet) *Tx {
-	actions, pkt = of.CloneActions(actions), pkt.Clone()
 	return t.plan(opPacketOut, args{dpid: dpid, bufferID: bufferID, port: inPort, spec: controller.FlowSpec{Actions: actions}, pkt: pkt})
 }

@@ -13,6 +13,9 @@ import (
 // maxStreamWait caps /audit/stream long-poll duration.
 const maxStreamWait = 30 * time.Second
 
+// DefaultLimit caps an /audit answer whose query names no ?limit=.
+const DefaultLimit = 1000
+
 // Handler serves the journal over HTTP:
 //
 //	/audit        — retained events as JSON, filterable by ?app=, ?kind=,
@@ -35,7 +38,7 @@ func Handler(j *Journal) http.Handler {
 			return
 		}
 		if f.Limit == 0 {
-			f.Limit = 1000
+			f.Limit = DefaultLimit
 		}
 		events := j.Query(f)
 		if events == nil {

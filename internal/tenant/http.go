@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"cmp"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -169,19 +170,29 @@ func (t *Tenant) buildMux() http.Handler {
 
 	// The tenant's audit slice. The Tenant filter is forced server-side;
 	// ?app= matches both the market's plain app names and the runtime's
-	// namespaced "tenant/app" form.
+	// namespaced "tenant/app" form, and ?limit= keeps the most recent of
+	// the matches, audit.DefaultLimit by default as on the shared /audit.
 	mux.HandleFunc("/audit", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		f := audit.Filter{Tenant: id}
+		// Match the shared audit surface: a malformed filter is a refusal,
+		// never a silent widening to the whole slice.
 		if c := q.Get("corr"); c != "" {
 			v, err := strconv.ParseUint(c, 10, 64)
 			if err != nil {
-				// Match the shared audit surface: a malformed filter is a
-				// refusal, never a silent widening to the whole slice.
 				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad corr: " + err.Error()})
 				return
 			}
 			f.Corr = v
+		}
+		limit := audit.DefaultLimit
+		if ls := q.Get("limit"); ls != "" {
+			n, err := strconv.Atoi(ls)
+			if err != nil || n < 0 {
+				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad limit"})
+				return
+			}
+			limit = cmp.Or(n, limit)
 		}
 		events := audit.Default().Query(f)
 		if app := q.Get("app"); app != "" {
@@ -194,10 +205,8 @@ func (t *Tenant) buildMux() http.Handler {
 			}
 			events = kept
 		}
-		if ls := q.Get("limit"); ls != "" {
-			if n, err := strconv.Atoi(ls); err == nil && n > 0 && n < len(events) {
-				events = events[len(events)-n:]
-			}
+		if len(events) > limit {
+			events = events[len(events)-limit:]
 		}
 		if events == nil {
 			events = []audit.Event{}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sdnshield/internal/market"
+	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
 )
 
@@ -183,6 +184,36 @@ func TestScopedHTTPSurface(t *testing.T) {
 	// tenant's whole audit slice.
 	if w = do(t, scoped, "GET", "/t/acme/audit?corr=abc", nil, nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad corr = %d, want 400: %s", w.Code, w.Body.String())
+	}
+	// So is a malformed or negative limit, as on the shared /audit, and
+	// without one the slice is capped at the shared default.
+	for _, l := range []string{"abc", "-1"} {
+		if w = do(t, scoped, "GET", "/t/acme/audit?limit="+l, nil, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("limit=%s = %d, want 400: %s", l, w.Code, w.Body.String())
+		}
+	}
+	for i := 0; i <= audit.DefaultLimit; i++ {
+		audit.Emit(audit.Event{Kind: audit.KindApp, App: "flood", Tenant: "acme"})
+		if i%256 == 0 {
+			audit.Default().Flush() // no shard fills and drops
+		}
+	}
+	audit.Default().Flush()
+	count := func(path string) int {
+		t.Helper()
+		var slice struct {
+			Count int `json:"count"`
+		}
+		if w := do(t, scoped, "GET", path, nil, nil); w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &slice) != nil {
+			t.Fatalf("%s = %d: %s", path, w.Code, w.Body.String())
+		}
+		return slice.Count
+	}
+	if n := count("/t/acme/audit"); n != audit.DefaultLimit {
+		t.Errorf("unlimited scoped audit returned %d events, want the default cap %d", n, audit.DefaultLimit)
+	}
+	if n := count("/t/acme/audit?app=flood&limit=3"); n != 3 {
+		t.Errorf("limit=3 returned %d events", n)
 	}
 
 	// Suspension closes the whole scoped surface.
