@@ -92,8 +92,16 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS) \
 		$(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(TRACE),-trace $(TRACE))
 
+# attacksim runs Table I (§IX-B1) clean, then under the duplicate and the
+# delay fault plans on fault seeds 1-3. Each run prints the whole table and
+# exits non-zero if an attack gets past SDNShield or a row goes unmeasured.
+# The drop plan stays out: it still loses handshakes (ROADMAP item 3).
 attacksim:
 	$(GO) run ./cmd/attacksim -v
+	for seed in 1 2 3; do \
+		$(GO) run ./cmd/attacksim -fault-dup 0.2 -fault-seed $$seed || exit 1; \
+		$(GO) run ./cmd/attacksim -fault-delay-ms 5 -fault-seed $$seed || exit 1; \
+	done
 
 # loc prints the non-test Go lines of every package of both modules (all
 # of a package directory's .go files but its _test.go ones), then the total.

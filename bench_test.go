@@ -29,7 +29,7 @@ import (
 // iteration and reports how many attacks each runtime stopped.
 func BenchmarkTable1Effectiveness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		outcomes, err := bench.RunEffectiveness()
+		outcomes, err := bench.RunEffectiveness(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

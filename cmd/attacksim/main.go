@@ -4,9 +4,12 @@
 // security policy), and reports the outcome of each. The -fault-* flags
 // layer a seeded fault-injection plan over every switch's control
 // connection, validating that the outcomes hold under degraded transport.
+// A row the harness cannot measure under a plan reads "harness failure";
+// the table still prints whole, and the command exits non-zero.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -60,14 +63,15 @@ func run(args []string) error {
 		}
 	}
 
-	outcomes, err := bench.RunEffectivenessFaulty(wrap)
-	if err != nil {
-		return err
-	}
+	// A row the harness could not measure is in the table and in err.
+	outcomes, err := bench.RunEffectiveness(wrap)
 	if *verbose {
 		for _, o := range outcomes {
 			status := "BLOCKED"
-			if o.Succeeded {
+			switch {
+			case o.Err != nil:
+				status = "HARNESS FAILURE"
+			case o.Succeeded:
 				status = "SUCCEEDED"
 			}
 			fmt.Printf("class %d on %-10s %-9s (denied steps: %d, launch denied: %v)\n  %s\n",
@@ -77,12 +81,12 @@ func run(args []string) error {
 	}
 	fmt.Println(bench.FormatTable1(outcomes))
 
-	// Exit non-zero if SDNShield failed to stop any attack — the
-	// regression signal.
+	// Exit non-zero if a row went unmeasured or SDNShield failed to stop
+	// any attack — the regression signals.
 	for _, o := range outcomes {
 		if o.Runtime == "sdnshield" && o.Succeeded {
-			return fmt.Errorf("SDNShield failed to block class %d", o.Class)
+			err = errors.Join(err, fmt.Errorf("SDNShield failed to block class %d", o.Class))
 		}
 	}
-	return nil
+	return err
 }

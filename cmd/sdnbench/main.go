@@ -79,11 +79,11 @@ func run(args []string) error {
 
 	if want("table1") {
 		ran = true
-		outcomes, err := bench.RunEffectiveness()
+		outcomes, err := bench.RunEffectiveness(nil)
+		fmt.Println(bench.FormatTable1(outcomes))
 		if err != nil {
 			return fmt.Errorf("table1: %w", err)
 		}
-		fmt.Println(bench.FormatTable1(outcomes))
 	}
 	if want("fig5") {
 		ran = true

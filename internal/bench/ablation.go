@@ -79,7 +79,7 @@ func ablationCompiledVsInterpreted() []AblationRow {
 func ablationKSDSlots() ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, slots := range []int{1, 2, 4, 8} {
-		env, err := newScenarioEnv(2, true, isolation.Config{KSDWorkers: slots})
+		env, err := newScenarioEnv(2, "sdnshield", isolation.Config{KSDWorkers: slots})
 		if err != nil {
 			return nil, err
 		}

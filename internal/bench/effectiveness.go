@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"sdnshield/internal/apps"
 	"sdnshield/internal/apps/malicious"
 	"sdnshield/internal/controller"
+	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
@@ -15,8 +17,8 @@ import (
 	"sdnshield/internal/reconcile"
 )
 
-// AttackOutcome is one row of the Table I effectiveness experiment: how
-// one attack class fared on one runtime.
+// AttackOutcome is one cell pair of Table I: how one attack class fared
+// on one runtime.
 type AttackOutcome struct {
 	Class     int
 	Attack    string
@@ -26,6 +28,10 @@ type AttackOutcome struct {
 	DeniedSteps uint64
 	// LaunchDenied reports the app could not even initialize.
 	LaunchDenied bool
+	// Err is the harness failure (network wiring, an app launch, a
+	// data-plane probe) that kept the attack from being measured; the
+	// fields above are then meaningless.
+	Err error
 }
 
 // attackerIP is where the Class 2 drop box listens.
@@ -46,19 +52,129 @@ ASSERT EITHER { PERM network_access } OR { PERM insert_flow }
 ASSERT APP untrusted <= boundary
 `
 
-// attackEnv is one fresh network + controller + runtimes.
+// attacker is a proof-of-concept malicious app: it ships an over-broad
+// manifest and counts the attack steps the permission engine denied.
+type attacker interface {
+	isolation.App
+	RequestedPermissions() string
+	Denied() uint64
+}
+
+// attack is one row of Table I.
+type attack struct {
+	name     string
+	switches int
+	firewall bool // the attack targets the firewall, launched beside L2
+	// The paper's literature cells for the class.
+	trafficIsolation, stateAnalysis string
+	// app builds the attacker against the network's hosts.
+	app func(hosts []*netsim.Host) attacker
+	// strike drives the attack (launched reports whether the attacker
+	// initialized) and reads off the data plane whether it succeeded.
+	strike func(e *attackEnv, app attacker, launched bool) (bool, error)
+}
+
+const attackWait = 300 * time.Millisecond
+
+// attacks are Table I's rows, one proof-of-concept app per attack class.
+var attacks = []attack{
+	{
+		// Sniff packet-ins, inject TCP RSTs into HTTP sessions. Success: a
+		// victim host receives a forged RST.
+		name: "intrusion to data plane (TCP RST injection)", switches: 2,
+		trafficIsolation: "partial", stateAnalysis: "no",
+		app: func([]*netsim.Host) attacker { return malicious.NewRSTInjector("") },
+		strike: func(e *attackEnv, _ attacker, _ bool) (bool, error) {
+			e.warmUp()
+			h1, h2 := e.built.Hosts[0], e.built.Hosts[1]
+			// An HTTP session between the victims.
+			h1.SendTCP(h2, 45000, 80, of.TCPFlagSYN, []byte("GET /"))
+			h2.SendTCP(h1, 80, 45000, of.TCPFlagACK, []byte("200 OK"))
+			gotRST := func(h *netsim.Host) bool {
+				_, ok := h.WaitFor(func(p *of.Packet) bool {
+					return p.IPProto == of.IPProtoTCP && p.TCPFlags&of.TCPFlagRST != 0
+				}, attackWait)
+				return ok
+			}
+			return gotRST(h1) || gotRST(h2), nil
+		},
+	},
+	{
+		// Dump topology/config to a remote attacker. Success: the
+		// attacker's drop box received data.
+		name: "information leakage (topology exfiltration)", switches: 3,
+		trafficIsolation: "no", stateAnalysis: "no",
+		app: func([]*netsim.Host) attacker { return malicious.NewLeaker("", attackerIP, 80) },
+		strike: func(e *attackEnv, app attacker, launched bool) (bool, error) {
+			dropBox := e.kernel.HostOS().RegisterEndpoint(attackerIP, 80)
+			if launched {
+				//nolint:errcheck // denial is the expected shielded outcome
+				app.(*malicious.Leaker).Exfiltrate()
+			}
+			return len(dropBox.Received()) > 0, nil
+		},
+	},
+	{
+		// Divert h1→h2 traffic through the attacker's host h3. Success: h3
+		// observes a packet addressed to h2.
+		name: "rule manipulation (man-in-the-middle reroute)", switches: 3,
+		trafficIsolation: "partial", stateAnalysis: "partial",
+		app: func(h []*netsim.Host) attacker {
+			return malicious.NewRouteHijacker("", h[0].IP(), h[1].IP(), h[2].IP())
+		},
+		strike: func(e *attackEnv, app attacker, launched bool) (bool, error) {
+			h1, h2, h3 := e.built.Hosts[0], e.built.Hosts[1], e.built.Hosts[2]
+			e.warmUp()
+			if launched {
+				//nolint:errcheck // success is read off the data plane
+				app.(*malicious.RouteHijacker).Hijack()
+			}
+			e.barrier()
+			h3.ClearInbox()
+			h1.SendTCP(h2, 46000, 80, of.TCPFlagSYN, []byte("secret"))
+			_, diverted := h3.WaitFor(func(p *of.Packet) bool { return p.IPDst == h2.IP() }, attackWait)
+			return diverted, nil
+		},
+	},
+	{
+		// Evade the firewall's port-22 ACL by dynamic-flow tunneling.
+		// Success: h2 receives port-22 traffic despite the ACL.
+		name: "attacking other apps (dynamic-flow tunneling)", switches: 2, firewall: true,
+		trafficIsolation: "no", stateAnalysis: "partial",
+		app: func(h []*netsim.Host) attacker { return malicious.NewTunneler("", h[0].IP(), h[1].IP(), 22) },
+		strike: func(e *attackEnv, app attacker, launched bool) (bool, error) {
+			h1, h2 := e.built.Hosts[0], e.built.Hosts[1]
+			e.warmUp()
+			e.barrier()
+			// Sanity: the firewall does block port 22 without the tunnel.
+			h1.SendTCP(h2, 47000, 22, of.TCPFlagSYN, nil)
+			if _, leaked := h2.WaitFor(func(p *of.Packet) bool { return p.TPDst == 22 }, 100*time.Millisecond); leaked {
+				return false, fmt.Errorf("firewall baseline broken: port 22 passed without tunnel")
+			}
+			if launched {
+				//nolint:errcheck // success is read off the data plane
+				app.(*malicious.Tunneler).Establish()
+			}
+			e.barrier()
+			h2.ClearInbox()
+			h1.SendTCP(h2, 47001, 22, of.TCPFlagSYN, []byte("ssh"))
+			_, smuggled := h2.WaitFor(func(p *of.Packet) bool { return p.TPDst == 22 }, attackWait)
+			return smuggled, nil
+		},
+	},
+}
+
+// attackEnv is one fresh netsim network under a kernel with both runtimes.
 type attackEnv struct {
-	built  *netsim.Built
-	kernel *controller.Kernel
-	shield *isolation.Shield
-	mono   *isolation.Monolith
+	controlPlane
+	built *netsim.Built
 }
 
 // FaultWrap decorates a switch's controller-side connection, typically
 // with a faults.Wrap plan; nil leaves the connection clean.
 type FaultWrap func(dpid of.DPID, ctrl of.Conn) of.Conn
 
-func newAttackEnv(switches int, wrap FaultWrap) (*attackEnv, error) {
+func newAttackEnv(switches int, runtime string, wrap FaultWrap) (*attackEnv, error) {
 	b, err := netsim.Linear(switches)
 	if err != nil {
 		return nil, err
@@ -68,58 +184,22 @@ func newAttackEnv(switches int, wrap FaultWrap) (*attackEnv, error) {
 		_, err := k.AcceptSwitch(conn)
 		return err
 	}, wrap); err != nil {
+		k.Stop()
+		b.Net.Stop()
 		return nil, err
 	}
-	return &attackEnv{
-		built:  b,
-		kernel: k,
-		shield: isolation.NewShield(k, isolation.Config{}),
-		mono:   isolation.NewMonolith(k),
-	}, nil
+	return &attackEnv{controlPlane: newControlPlane(k, runtime, isolation.Config{}), built: b}, nil
 }
 
 func (e *attackEnv) close() {
-	e.shield.Stop()
-	e.kernel.Stop()
+	e.stop()
 	e.built.Net.Stop()
 }
 
-// launchSupport starts the forwarding substrate (and optionally the
-// firewall) on the chosen runtime with their legitimate manifests.
-func (e *attackEnv) launchSupport(shielded bool, withFirewall bool) error {
-	l2 := apps.NewL2Switch("l2switch")
-	var fw *apps.Firewall
-	if withFirewall {
-		fw = apps.NewFirewall("firewall", []uint16{22})
-	}
-	if shielded {
-		e.shield.SetPermissions("l2switch", permlang.MustParse(l2.RequiredPermissions()).Set())
-		if fw != nil {
-			e.shield.SetPermissions("firewall", permlang.MustParse(fw.RequiredPermissions()).Set())
-		}
-		if fw != nil {
-			if err := e.shield.Launch(fw); err != nil {
-				return err
-			}
-		}
-		return e.shield.Launch(l2)
-	}
-	if fw != nil {
-		if err := e.mono.Launch(fw); err != nil {
-			return err
-		}
-	}
-	return e.mono.Launch(l2)
-}
-
-// launchAttacker reconciles the attacker's requested manifest against the
-// security policy and launches it; on the baseline it launches with full
-// privileges, as a monolithic controller would.
-func (e *attackEnv) launchAttacker(shielded bool, app isolation.App, requested string) (launchErr error, err error) {
-	if !shielded {
-		return e.mono.Launch(app), nil
-	}
-	manifest, err := permlang.Parse(requested)
+// reconciled repairs an attacker's requested manifest against
+// securityPolicy; its Reconciled set is what SDNShield grants.
+func reconciled(app attacker) (*reconcile.Result, error) {
+	manifest, err := permlang.Parse(app.RequestedPermissions())
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +209,7 @@ func (e *attackEnv) launchAttacker(shielded bool, app isolation.App, requested s
 	}
 	engine := reconcile.New()
 	engine.RegisterApp("untrusted", manifest.Set())
-	res, err := engine.Reconcile("untrusted", manifest, policy)
-	if err != nil {
-		return nil, err
-	}
-	e.shield.SetPermissions(app.Name(), res.Reconciled)
-	return e.shield.Launch(app), nil
+	return engine.Reconcile("untrusted", manifest, policy)
 }
 
 // barrier synchronizes with every switch so previously issued flow-mods
@@ -157,188 +232,62 @@ func (e *attackEnv) warmUp() {
 	}
 }
 
-const attackWait = 300 * time.Millisecond
-
-// RunEffectiveness reproduces the §IX-B1 experiment: the four
-// proof-of-concept attacks on the baseline controller and on
-// SDNShield-enabled one with reconciled Scenario 1 permissions.
-func RunEffectiveness() ([]AttackOutcome, error) {
-	return RunEffectivenessFaulty(nil)
-}
-
-// RunEffectivenessFaulty is RunEffectiveness with a fault-injection layer
-// on every switch's control connection, so the attack outcomes can be
-// validated under degraded transport too.
-func RunEffectivenessFaulty(wrap FaultWrap) ([]AttackOutcome, error) {
+// RunEffectiveness reproduces the §IX-B1 experiment: every Table I attack
+// on the baseline controller, then on the SDNShield-enabled one with the
+// attacker's manifest reconciled against securityPolicy. A non-nil wrap
+// layers faults over every switch's control connection, so the outcomes
+// can be validated under degraded transport too. Every row reports an
+// outcome; one the harness could not measure carries its failure in Err,
+// and the returned error joins those failures.
+func RunEffectiveness(wrap FaultWrap) ([]AttackOutcome, error) {
 	var out []AttackOutcome
-	for _, shielded := range []bool{false, true} {
-		runtime := "baseline"
-		if shielded {
-			runtime = "sdnshield"
-		}
-		for class := 1; class <= 4; class++ {
-			outcome, err := runAttackClass(class, shielded, wrap)
-			if err != nil {
-				return nil, fmt.Errorf("class %d on %s: %w", class, runtime, err)
+	var failures []error
+	for _, runtime := range runtimes {
+		for i, a := range attacks {
+			o := AttackOutcome{Class: i + 1, Attack: a.name, Runtime: runtime}
+			if err := a.run(&o, wrap); err != nil {
+				o.Err = err
+				failures = append(failures, fmt.Errorf("class %d on %s: %w", o.Class, runtime, err))
 			}
-			outcome.Runtime = runtime
-			out = append(out, outcome)
+			out = append(out, o)
 		}
 	}
-	return out, nil
+	return out, errors.Join(failures...)
 }
 
-func runAttackClass(class int, shielded bool, wrap FaultWrap) (AttackOutcome, error) {
-	switch class {
-	case 1:
-		return runRSTInjection(shielded, wrap)
-	case 2:
-		return runLeak(shielded, wrap)
-	case 3:
-		return runHijack(shielded, wrap)
-	case 4:
-		return runTunnel(shielded, wrap)
-	default:
-		return AttackOutcome{}, fmt.Errorf("unknown attack class %d", class)
-	}
-}
-
-// runRSTInjection: Class 1 — sniff packet-ins, inject TCP RSTs into HTTP
-// sessions. Success: a victim host receives a forged RST.
-func runRSTInjection(shielded bool, wrap FaultWrap) (AttackOutcome, error) {
-	outcome := AttackOutcome{Class: 1, Attack: "intrusion to data plane (TCP RST injection)"}
-	env, err := newAttackEnv(2, wrap)
+// run measures the attack on o.Runtime: a fresh network, the L2 substrate
+// (and the firewall) under their own manifests, the attacker under its
+// reconciled one, then the strike.
+func (a attack) run(o *AttackOutcome, wrap FaultWrap) error {
+	e, err := newAttackEnv(a.switches, o.Runtime, wrap)
 	if err != nil {
-		return outcome, err
+		return err
 	}
-	defer env.close()
-	if err := env.launchSupport(shielded, false); err != nil {
-		return outcome, err
+	defer e.close()
+	if a.firewall {
+		fw := apps.NewFirewall("firewall", []uint16{22})
+		if err := e.launch(fw, manifest(fw)); err != nil {
+			return err
+		}
 	}
-	attacker := malicious.NewRSTInjector("")
-	launchErr, err := env.launchAttacker(shielded, attacker, attacker.RequestedPermissions())
-	if err != nil {
-		return outcome, err
+	l2 := apps.NewL2Switch("l2switch")
+	if err := e.launch(l2, manifest(l2)); err != nil {
+		return err
 	}
-	outcome.LaunchDenied = launchErr != nil
-
-	env.warmUp()
-	h1, h2 := env.built.Hosts[0], env.built.Hosts[1]
-	// An HTTP session between the victims.
-	h1.SendTCP(h2, 45000, 80, of.TCPFlagSYN, []byte("GET /"))
-	h2.SendTCP(h1, 80, 45000, of.TCPFlagACK, []byte("200 OK"))
-
-	gotRST := func(h *netsim.Host) bool {
-		_, ok := h.WaitFor(func(p *of.Packet) bool {
-			return p.IPProto == of.IPProtoTCP && p.TCPFlags&of.TCPFlagRST != 0
-		}, attackWait)
-		return ok
+	app := a.app(e.built.Hosts)
+	var set *core.Set // the baseline grants everything
+	if o.Runtime == "sdnshield" {
+		res, err := reconciled(app)
+		if err != nil {
+			return err
+		}
+		set = res.Reconciled
 	}
-	outcome.Succeeded = gotRST(h1) || gotRST(h2)
-	outcome.DeniedSteps = attacker.Denied()
-	return outcome, nil
-}
-
-// runLeak: Class 2 — dump topology/config to a remote attacker. Success:
-// the attacker's drop box received data.
-func runLeak(shielded bool, wrap FaultWrap) (AttackOutcome, error) {
-	outcome := AttackOutcome{Class: 2, Attack: "information leakage (topology exfiltration)"}
-	env, err := newAttackEnv(3, wrap)
-	if err != nil {
-		return outcome, err
-	}
-	defer env.close()
-	dropBox := env.kernel.HostOS().RegisterEndpoint(attackerIP, 80)
-	if err := env.launchSupport(shielded, false); err != nil {
-		return outcome, err
-	}
-	attacker := malicious.NewLeaker("", attackerIP, 80)
-	launchErr, err := env.launchAttacker(shielded, attacker, attacker.RequestedPermissions())
-	if err != nil {
-		return outcome, err
-	}
-	outcome.LaunchDenied = launchErr != nil
-	if launchErr == nil {
-		//nolint:errcheck // denial is the expected shielded outcome
-		attacker.Exfiltrate()
-	}
-	outcome.Succeeded = len(dropBox.Received()) > 0
-	outcome.DeniedSteps = attacker.Denied()
-	return outcome, nil
-}
-
-// runHijack: Class 3 — divert h1→h2 traffic through the attacker's host
-// h3. Success: h3 observes a packet addressed to h2.
-func runHijack(shielded bool, wrap FaultWrap) (AttackOutcome, error) {
-	outcome := AttackOutcome{Class: 3, Attack: "rule manipulation (man-in-the-middle reroute)"}
-	env, err := newAttackEnv(3, wrap)
-	if err != nil {
-		return outcome, err
-	}
-	defer env.close()
-	if err := env.launchSupport(shielded, false); err != nil {
-		return outcome, err
-	}
-	h1, h2, h3 := env.built.Hosts[0], env.built.Hosts[1], env.built.Hosts[2]
-	attacker := malicious.NewRouteHijacker("", h1.IP(), h2.IP(), h3.IP())
-	launchErr, err := env.launchAttacker(shielded, attacker, attacker.RequestedPermissions())
-	if err != nil {
-		return outcome, err
-	}
-	outcome.LaunchDenied = launchErr != nil
-
-	env.warmUp()
-	if launchErr == nil {
-		//nolint:errcheck
-		attacker.Hijack()
-	}
-	env.barrier()
-	h3.ClearInbox()
-	h1.SendTCP(h2, 46000, 80, of.TCPFlagSYN, []byte("secret"))
-	_, diverted := h3.WaitFor(func(p *of.Packet) bool { return p.IPDst == h2.IP() }, attackWait)
-	outcome.Succeeded = diverted
-	outcome.DeniedSteps = attacker.Denied()
-	return outcome, nil
-}
-
-// runTunnel: Class 4 — evade the firewall's port-22 ACL by dynamic-flow
-// tunneling. Success: h2 receives port-22 traffic despite the ACL.
-func runTunnel(shielded bool, wrap FaultWrap) (AttackOutcome, error) {
-	outcome := AttackOutcome{Class: 4, Attack: "attacking other apps (dynamic-flow tunneling)"}
-	env, err := newAttackEnv(2, wrap)
-	if err != nil {
-		return outcome, err
-	}
-	defer env.close()
-	if err := env.launchSupport(shielded, true); err != nil {
-		return outcome, err
-	}
-	h1, h2 := env.built.Hosts[0], env.built.Hosts[1]
-	attacker := malicious.NewTunneler("", h1.IP(), h2.IP(), 22)
-	launchErr, err := env.launchAttacker(shielded, attacker, attacker.RequestedPermissions())
-	if err != nil {
-		return outcome, err
-	}
-	outcome.LaunchDenied = launchErr != nil
-
-	env.warmUp()
-	env.barrier()
-	// Sanity: the firewall does block port 22 without the tunnel.
-	h1.SendTCP(h2, 47000, 22, of.TCPFlagSYN, nil)
-	if _, leaked := h2.WaitFor(func(p *of.Packet) bool { return p.TPDst == 22 }, 100*time.Millisecond); leaked {
-		return outcome, fmt.Errorf("firewall baseline broken: port 22 passed without tunnel")
-	}
-	if launchErr == nil {
-		//nolint:errcheck
-		attacker.Establish()
-	}
-	env.barrier()
-	h2.ClearInbox()
-	h1.SendTCP(h2, 47001, 22, of.TCPFlagSYN, []byte("ssh"))
-	_, smuggled := h2.WaitFor(func(p *of.Packet) bool { return p.TPDst == 22 }, attackWait)
-	outcome.Succeeded = smuggled
-	outcome.DeniedSteps = attacker.Denied()
-	return outcome, nil
+	launchErr := e.launch(app, set)
+	o.LaunchDenied = launchErr != nil
+	o.Succeeded, err = a.strike(e, app, launchErr == nil)
+	o.DeniedSteps = app.Denied()
+	return err
 }
 
 // FormatTable1 renders the outcomes the way Table I reads: per attack
@@ -346,35 +295,25 @@ func runTunnel(shielded bool, wrap FaultWrap) (AttackOutcome, error) {
 // state-analysis columns are the paper's analytical values, reproduced
 // for comparison.
 func FormatTable1(outcomes []AttackOutcome) string {
-	byClass := make(map[int]map[string]AttackOutcome)
-	names := make(map[int]string)
-	for _, o := range outcomes {
-		if byClass[o.Class] == nil {
-			byClass[o.Class] = make(map[string]AttackOutcome)
+	cell := func(class int, runtime string) string {
+		for _, o := range outcomes {
+			if o.Class != class || o.Runtime != runtime {
+				continue
+			}
+			switch {
+			case o.Err != nil:
+				return "harness failure"
+			case o.Succeeded:
+				return "vulnerable"
+			}
+			return "protected"
 		}
-		byClass[o.Class][o.Runtime] = o
-		names[o.Class] = o.Attack
-	}
-	// Literature columns from Table I.
-	trafficIsolation := map[int]string{1: "partial", 2: "no", 3: "partial", 4: "no"}
-	stateAnalysis := map[int]string{1: "no", 2: "no", 3: "partial", 4: "partial"}
-
-	mark := func(o AttackOutcome, ok bool) string {
-		if !ok {
-			return "?"
-		}
-		if o.Succeeded {
-			return "vulnerable"
-		}
-		return "protected"
+		return "?"
 	}
 	t := NewTable("Table I: attack protection coverage (measured: baseline & SDNShield; literature: others)",
 		"class", "attack", "baseline", "traffic-isolation*", "state-analysis*", "sdnshield")
-	for class := 1; class <= 4; class++ {
-		base, okB := byClass[class]["baseline"]
-		shield, okS := byClass[class]["sdnshield"]
-		t.AddRow(class, names[class], mark(base, okB),
-			trafficIsolation[class], stateAnalysis[class], mark(shield, okS))
+	for i, a := range attacks {
+		t.AddRow(i+1, a.name, cell(i+1, "baseline"), a.trafficIsolation, a.stateAnalysis, cell(i+1, "sdnshield"))
 	}
 	return t.String()
 }

@@ -31,10 +31,10 @@ func RunFig6(switchCounts []int, rounds int) ([]Fig6Row, error) {
 			if scenario == "alto-te" && n < 2 {
 				continue
 			}
-			for _, shielded := range []bool{false, true} {
-				row, err := runFig6Cell(scenario, n, shielded, rounds)
+			for _, runtime := range runtimes {
+				row, err := runFig6Cell(scenario, n, runtime, rounds)
 				if err != nil {
-					return nil, fmt.Errorf("fig6 %s n=%d shielded=%v: %w", scenario, n, shielded, err)
+					return nil, fmt.Errorf("fig6 %s n=%d on %s: %w", scenario, n, runtime, err)
 				}
 				out = append(out, row)
 			}
@@ -43,13 +43,13 @@ func RunFig6(switchCounts []int, rounds int) ([]Fig6Row, error) {
 	return out, nil
 }
 
-func runFig6Cell(scenario string, nSwitches int, shielded bool, rounds int) (Fig6Row, error) {
-	env, err := newScenarioEnv(nSwitches, shielded, isolation.Config{})
+func runFig6Cell(scenario string, nSwitches int, runtime string, rounds int) (Fig6Row, error) {
+	env, err := newScenarioEnv(nSwitches, runtime, isolation.Config{})
 	if err != nil {
 		return Fig6Row{}, err
 	}
 	defer env.close()
-	row := Fig6Row{Scenario: scenario, Switches: nSwitches, Runtime: env.runtimeName()}
+	row := Fig6Row{Scenario: scenario, Switches: nSwitches, Runtime: runtime}
 
 	samples := make([]time.Duration, 0, rounds)
 	switch scenario {
@@ -111,10 +111,10 @@ type Fig7Row struct {
 func RunFig7(switchCounts []int, duration time.Duration) ([]Fig7Row, error) {
 	var out []Fig7Row
 	for _, n := range switchCounts {
-		for _, shielded := range []bool{false, true} {
-			row, err := runFig7Cell(n, shielded, duration)
+		for _, runtime := range runtimes {
+			row, err := runFig7Cell(n, runtime, duration)
 			if err != nil {
-				return nil, fmt.Errorf("fig7 n=%d shielded=%v: %w", n, shielded, err)
+				return nil, fmt.Errorf("fig7 n=%d on %s: %w", n, runtime, err)
 			}
 			out = append(out, row)
 		}
@@ -122,8 +122,8 @@ func RunFig7(switchCounts []int, duration time.Duration) ([]Fig7Row, error) {
 	return out, nil
 }
 
-func runFig7Cell(nSwitches int, shielded bool, duration time.Duration) (Fig7Row, error) {
-	env, err := newScenarioEnv(nSwitches, shielded, isolation.Config{
+func runFig7Cell(nSwitches int, runtime string, duration time.Duration) (Fig7Row, error) {
+	env, err := newScenarioEnv(nSwitches, runtime, isolation.Config{
 		KSDWorkers:   4,
 		EventWorkers: 4,
 	})
@@ -131,7 +131,7 @@ func runFig7Cell(nSwitches int, shielded bool, duration time.Duration) (Fig7Row,
 		return Fig7Row{}, err
 	}
 	defer env.close()
-	row := Fig7Row{Switches: nSwitches, Runtime: env.runtimeName(), Duration: duration}
+	row := Fig7Row{Switches: nSwitches, Runtime: runtime, Duration: duration}
 	if _, err := env.setupL2(); err != nil {
 		return row, err
 	}
@@ -212,7 +212,7 @@ func (o *observerApp) Init(api isolation.API) error {
 	})
 }
 
-func (o *observerApp) manifest() string {
+func (o *observerApp) RequiredPermissions() string {
 	return "PERM pkt_in_event\nPERM read_statistics\n"
 }
 
@@ -222,8 +222,8 @@ func (o *observerApp) manifest() string {
 func RunFig8(appCounts, callCounts []int, rounds int) ([]Fig8Row, error) {
 	var out []Fig8Row
 	for _, apps := range appCounts {
-		for _, shielded := range []bool{false, true} {
-			row, err := runFig8Cell(apps, 1, shielded, rounds)
+		for _, runtime := range runtimes {
+			row, err := runFig8Cell(apps, 1, runtime, rounds)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 apps=%d: %w", apps, err)
 			}
@@ -234,8 +234,8 @@ func RunFig8(appCounts, callCounts []int, rounds int) ([]Fig8Row, error) {
 		if calls == 1 {
 			continue // covered by the apps sweep with apps>=1
 		}
-		for _, shielded := range []bool{false, true} {
-			row, err := runFig8Cell(1, calls, shielded, rounds)
+		for _, runtime := range runtimes {
+			row, err := runFig8Cell(1, calls, runtime, rounds)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 calls=%d: %w", calls, err)
 			}
@@ -245,20 +245,20 @@ func RunFig8(appCounts, callCounts []int, rounds int) ([]Fig8Row, error) {
 	return out, nil
 }
 
-func runFig8Cell(nApps, callsPerEvent int, shielded bool, rounds int) (Fig8Row, error) {
-	env, err := newScenarioEnv(2, shielded, isolation.Config{})
+func runFig8Cell(nApps, callsPerEvent int, runtime string, rounds int) (Fig8Row, error) {
+	env, err := newScenarioEnv(2, runtime, isolation.Config{})
 	if err != nil {
 		return Fig8Row{}, err
 	}
 	defer env.close()
-	row := Fig8Row{Apps: nApps, CallsPerEvent: callsPerEvent, Runtime: env.runtimeName()}
+	row := Fig8Row{Apps: nApps, CallsPerEvent: callsPerEvent, Runtime: runtime}
 
 	if _, err := env.setupL2(); err != nil {
 		return row, err
 	}
 	for i := 0; i < nApps; i++ {
 		obs := &observerApp{name: fmt.Sprintf("observer-%d", i), calls: callsPerEvent}
-		if err := env.launch(obs, obs.manifest()); err != nil {
+		if err := env.launch(obs, manifest(obs)); err != nil {
 			return row, err
 		}
 	}

@@ -7,32 +7,66 @@ import (
 	"sdnshield/internal/apps"
 	"sdnshield/internal/cbench"
 	"sdnshield/internal/controller"
+	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/of"
 	"sdnshield/internal/permlang"
 	"sdnshield/internal/topology"
 )
 
+// runtimes names the two app runtimes every experiment compares, in the
+// order their rows print.
+var runtimes = []string{"baseline", "sdnshield"}
+
+// controlPlane is a kernel with both app runtimes over it, and the one of
+// them that launches apps. Both measurement rigs embed it.
+type controlPlane struct {
+	kernel  *controller.Kernel
+	shield  *isolation.Shield
+	mono    *isolation.Monolith
+	runtime string // one of runtimes; labels result rows
+}
+
+func newControlPlane(k *controller.Kernel, runtime string, cfg isolation.Config) controlPlane {
+	return controlPlane{
+		kernel:  k,
+		shield:  isolation.NewShield(k, cfg),
+		mono:    isolation.NewMonolith(k),
+		runtime: runtime,
+	}
+}
+
+// launch starts app on the selected runtime: SDNShield confines it to
+// set, the baseline runs it with full privileges.
+func (c *controlPlane) launch(app isolation.App, set *core.Set) error {
+	if c.runtime == "baseline" {
+		return c.mono.Launch(app)
+	}
+	c.shield.SetPermissions(app.Name(), set)
+	return c.shield.Launch(app)
+}
+
+func (c *controlPlane) stop() {
+	c.shield.Stop()
+	c.kernel.Stop()
+}
+
+// manifest is the permission set an app's own manifest asks for.
+func manifest(app interface{ RequiredPermissions() string }) *core.Set {
+	return permlang.MustParse(app.RequiredPermissions()).Set()
+}
+
 // scenarioEnv is the Fig. 6–8 measurement rig: a kernel fronted by
 // CBench fake switches, with apps running on the selected runtime.
 type scenarioEnv struct {
-	kernel   *controller.Kernel
-	shield   *isolation.Shield
-	mono     *isolation.Monolith
+	controlPlane
 	switches []*cbench.FakeSwitch
-	shielded bool
 }
 
-func newScenarioEnv(nSwitches int, shielded bool, cfg isolation.Config) (*scenarioEnv, error) {
-	k := controller.New(nil, nil)
-	env := &scenarioEnv{
-		kernel:   k,
-		shielded: shielded,
-		mono:     isolation.NewMonolith(k),
-		shield:   isolation.NewShield(k, cfg),
-	}
+func newScenarioEnv(nSwitches int, runtime string, cfg isolation.Config) (*scenarioEnv, error) {
+	env := &scenarioEnv{controlPlane: newControlPlane(controller.New(nil, nil), runtime, cfg)}
 	for i := 1; i <= nSwitches; i++ {
-		fs, err := cbench.Connect(k, of.DPID(i), 4)
+		fs, err := cbench.Connect(env.kernel, of.DPID(i), 4)
 		if err != nil {
 			env.close()
 			return nil, err
@@ -43,36 +77,17 @@ func newScenarioEnv(nSwitches int, shielded bool, cfg isolation.Config) (*scenar
 }
 
 func (e *scenarioEnv) close() {
-	e.shield.Stop()
-	e.kernel.Stop()
+	e.stop()
 	for _, fs := range e.switches {
 		fs.Close()
 	}
-}
-
-// launch starts an app on the selected runtime, granting its manifest
-// under SDNShield.
-func (e *scenarioEnv) launch(app isolation.App, manifest string) error {
-	if !e.shielded {
-		return e.mono.Launch(app)
-	}
-	e.shield.SetPermissions(app.Name(), permlang.MustParse(manifest).Set())
-	return e.shield.Launch(app)
-}
-
-// runtimeName labels result rows.
-func (e *scenarioEnv) runtimeName() string {
-	if e.shielded {
-		return "sdnshield"
-	}
-	return "baseline"
 }
 
 // setupL2 launches the learning switch and pre-learns the measurement
 // destination on every fake switch so latency probes trigger flow-mods.
 func (e *scenarioEnv) setupL2() (*apps.L2Switch, error) {
 	l2 := apps.NewL2Switch("l2switch")
-	if err := e.launch(l2, l2.RequiredPermissions()); err != nil {
+	if err := e.launch(l2, manifest(l2)); err != nil {
 		return nil, err
 	}
 	for _, fs := range e.switches {
@@ -114,10 +129,10 @@ func (e *scenarioEnv) setupTE() (*apps.Alto, *apps.TrafficEngineer, error) {
 	alto := apps.NewAlto("alto")
 	te := apps.NewTrafficEngineer("te", [][2]of.IPv4{{h1.IP, h2.IP}, {h2.IP, h1.IP}})
 	// TE first so it sees ALTO's initial publication.
-	if err := e.launch(te, te.RequiredPermissions()); err != nil {
+	if err := e.launch(te, manifest(te)); err != nil {
 		return nil, nil, err
 	}
-	if err := e.launch(alto, alto.RequiredPermissions()); err != nil {
+	if err := e.launch(alto, manifest(alto)); err != nil {
 		return nil, nil, err
 	}
 	// Wait until the initial reaction produced flow-mods end to end.

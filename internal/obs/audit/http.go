@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -32,7 +33,7 @@ func Handler(j *Journal) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		f, err := filterFromQuery(r)
+		f, err := ParseFilter(r.URL.Query())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -53,7 +54,7 @@ func Handler(j *Journal) http.Handler {
 		}{"journal", j.Emitted(), j.Drops(), events})
 	})
 	mux.HandleFunc("/audit/stream", func(w http.ResponseWriter, r *http.Request) {
-		f, err := filterFromQuery(r)
+		f, err := ParseFilter(r.URL.Query())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -96,8 +97,10 @@ func Handler(j *Journal) http.Handler {
 	return mux
 }
 
-func filterFromQuery(r *http.Request) (Filter, error) {
-	q := r.URL.Query()
+// ParseFilter reads an /audit query: ?app=, ?kind=, ?verdict=, ?tenant=,
+// ?corr= and ?limit=. A malformed corr or limit is an error, never a
+// silently wider filter.
+func ParseFilter(q url.Values) (Filter, error) {
 	f := Filter{
 		App:     q.Get("app"),
 		Kind:    Kind(q.Get("kind")),

@@ -168,34 +168,22 @@ func (t *Tenant) buildMux() http.Handler {
 	}
 	id := t.ID
 
-	// The tenant's audit slice. The Tenant filter is forced server-side;
-	// ?app= matches both the market's plain app names and the runtime's
-	// namespaced "tenant/app" form, and ?limit= keeps the most recent of
-	// the matches, audit.DefaultLimit by default as on the shared /audit.
+	// The tenant's audit slice, filtered as the shared /audit is. The
+	// Tenant filter is forced server-side, after parsing, so ?tenant=
+	// cannot widen the answer; ?app= matches both the market's plain app
+	// names and the runtime's namespaced "tenant/app" form, and ?limit=
+	// keeps the most recent of those matches, audit.DefaultLimit by
+	// default as on the shared /audit.
 	mux.HandleFunc("/audit", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		f := audit.Filter{Tenant: id}
-		// Match the shared audit surface: a malformed filter is a refusal,
-		// never a silent widening to the whole slice.
-		if c := q.Get("corr"); c != "" {
-			v, err := strconv.ParseUint(c, 10, 64)
-			if err != nil {
-				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad corr: " + err.Error()})
-				return
-			}
-			f.Corr = v
+		f, err := audit.ParseFilter(r.URL.Query())
+		if err != nil {
+			obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			return
 		}
-		limit := audit.DefaultLimit
-		if ls := q.Get("limit"); ls != "" {
-			n, err := strconv.Atoi(ls)
-			if err != nil || n < 0 {
-				obs.WriteJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "bad limit"})
-				return
-			}
-			limit = cmp.Or(n, limit)
-		}
+		app, limit := f.App, cmp.Or(f.Limit, audit.DefaultLimit)
+		f.Tenant, f.App, f.Limit = id, "", 0
 		events := audit.Default().Query(f)
-		if app := q.Get("app"); app != "" {
+		if app != "" {
 			scoped := id + "/" + app
 			kept := events[:0]
 			for _, ev := range events {

@@ -255,6 +255,60 @@ func waitAuditEvent(t *testing.T, scoped http.Handler, tenant, op string) {
 	}
 }
 
+func TestScopedAuditFilters(t *testing.T) {
+	// The scoped /audit honours the shared surface's ?kind= and ?verdict=
+	// and forces its own tenant over any ?tenant= in the query.
+	m := newTestManager(t, Config{Dir: t.TempDir(), PolicySrc: testPolicy})
+	scoped := &scopedHandler{m: m}
+	admin := &adminHandler{m: m}
+	for _, id := range []string{"acme", "bravo"} {
+		if w := do(t, admin, "POST", "/tenants", adminOp{Op: "create", Tenant: id}, nil); w.Code != http.StatusCreated {
+			t.Fatalf("create %s = %d: %s", id, w.Code, w.Body.String())
+		}
+	}
+	// One corr per run keeps the process-wide journal's earlier runs out.
+	corr := audit.NextCorr()
+	audit.Emit(audit.Event{Kind: audit.KindTx, Verdict: audit.VerdictCommit, App: "probe", Tenant: "acme", Corr: corr})
+	audit.Emit(audit.Event{Kind: audit.KindPermission, Verdict: audit.VerdictDeny, App: "probe", Tenant: "acme", Corr: corr})
+	audit.Emit(audit.Event{Kind: audit.KindPermission, Verdict: audit.VerdictAllow, App: "probe", Tenant: "acme", Corr: corr})
+	audit.Emit(audit.Event{Kind: audit.KindTx, Verdict: audit.VerdictDeny, App: "probe", Tenant: "bravo", Corr: corr})
+	audit.Default().Flush()
+
+	query := func(path string) []audit.Event {
+		t.Helper()
+		var slice struct {
+			Tenant string        `json:"tenant"`
+			Count  int           `json:"count"`
+			Events []audit.Event `json:"events"`
+		}
+		w := do(t, scoped, "GET", path, nil, nil)
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &slice) != nil || slice.Count != len(slice.Events) {
+			t.Fatalf("%s = %d: %s", path, w.Code, w.Body.String())
+		}
+		return slice.Events
+	}
+	base := fmt.Sprintf("/t/acme/audit?app=probe&corr=%d", corr)
+	for _, c := range []struct {
+		path    string
+		keep    func(audit.Event) bool
+		matches int
+	}{
+		{base + "&kind=tx", func(ev audit.Event) bool { return ev.Kind == audit.KindTx }, 1},
+		{base + "&verdict=deny", func(ev audit.Event) bool { return ev.Verdict == audit.VerdictDeny }, 1},
+		{base + "&tenant=bravo", func(audit.Event) bool { return true }, 3},
+	} {
+		events := query(c.path)
+		if len(events) != c.matches {
+			t.Errorf("%s returned %d events, want %d: %+v", c.path, len(events), c.matches, events)
+		}
+		for _, ev := range events {
+			if ev.Tenant != "acme" || !c.keep(ev) {
+				t.Errorf("%s returned an event outside its filter: %+v", c.path, ev)
+			}
+		}
+	}
+}
+
 // TestTraceHeaderCannotHijack pins the trace-ownership boundary: the
 // X-Sdnshield-Trace header is client-controlled, so replaying another
 // tenant's (sequential, enumerable) trace ID must neither transfer
