@@ -35,8 +35,10 @@ race:
 # runs with -short, which shrinks its model test's seed range instead of
 # skipping it. The allocation budgets (TestMediatedCallAllocs) run in
 # every core-count pass and skip under -race (the raceEnabled build-tag
-# constant), where the detector itself allocates.
-RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/controller ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs ./internal/durable
+# constant), where the detector itself allocates. handoff is the queue
+# under of.Pipe and the container event queue; of, cbench and netsim
+# drive it from both ends of a pipe.
+RACE_PKGS ?= ./internal/permengine ./internal/isolation ./internal/controller ./internal/market ./internal/obs/... ./internal/tenant ./internal/jobs ./internal/durable ./internal/handoff ./internal/of ./internal/cbench ./internal/netsim
 race-matrix:
 	for procs in 1 2 4 8; do \
 		GOMAXPROCS=$$procs $(GO) test -count=1 -shuffle=on ./... || exit 1; \
@@ -56,9 +58,10 @@ check: fmt-check vet race
 # batch sizes), the hosted-tenant call (Tenant.Do) on an idle and a
 # shared shard, the engine's check of an insert against 1 024
 # resident rules under grants that read no stateful value, the owner or
-# the rule count, and the market's verdict-cache miss and hit and a
-# Submit + Upgrade that keeps its manifest. BENCHTIME, when set, comes
-# last and overrides each line's own -benchtime.
+# the rule count, the market's verdict-cache miss and hit and a
+# Submit + Upgrade that keeps its manifest, and one of.Pipe hop on one
+# goroutine and a ping-pong across two. BENCHTIME, when set, comes last
+# and overrides each line's own -benchtime.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ $(BENCHTIME) ./internal/obs/
@@ -66,6 +69,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/tenant/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permengine/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/of/
 
 # bench-smoke runs every bench benchmark once, so CI sees that each still
 # compiles and runs; the timings it prints mean nothing.
@@ -95,7 +99,7 @@ bench-compare:
 # attacksim runs Table I (§IX-B1) clean, then under the duplicate and the
 # delay fault plans on fault seeds 1-3. Each run prints the whole table and
 # exits non-zero if an attack gets past SDNShield or a row goes unmeasured.
-# The drop plan stays out: it still loses handshakes (ROADMAP item 3).
+# The drop plan stays out: it still loses handshakes (ROADMAP item 22).
 attacksim:
 	$(GO) run ./cmd/attacksim -v
 	for seed in 1 2 3; do \

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -148,6 +149,9 @@ type subscription struct {
 	fn Handler
 }
 
+// subTable holds the subscriptions per event kind, in subscription order.
+type subTable map[EventKind][]subscription
+
 // Kernel is the trusted controller core.
 type Kernel struct {
 	topo *topology.Topology
@@ -161,10 +165,10 @@ type Kernel struct {
 	switches map[of.DPID]*swHandle
 
 	// subs is copy-on-write: Subscribe and Unsubscribe publish a new
-	// slice under subMu, so emit iterates the one it read without copying.
-	subMu   sync.RWMutex
-	subs    map[EventKind][]subscription
-	nextSub int
+	// table under subMu, so emit reads the current one without a lock.
+	subMu   sync.Mutex
+	subs    atomic.Pointer[subTable]
+	nextSub int // guarded by subMu
 
 	modelMu sync.RWMutex
 	model   map[string]interface{}
@@ -188,15 +192,16 @@ func New(topo *topology.Topology, host *hostsim.HostOS, cfg ...KernelConfig) *Ke
 		c = cfg[0]
 	}
 	c.fill()
-	return &Kernel{
+	k := &Kernel{
 		topo:     topo,
 		host:     host,
 		cfg:      c,
 		jrand:    rand.New(rand.NewSource(c.Seed)),
 		switches: make(map[of.DPID]*swHandle),
-		subs:     make(map[EventKind][]subscription),
 		model:    make(map[string]interface{}),
 	}
+	k.subs.Store(&subTable{})
+	return k
 }
 
 // Config returns the kernel's resolved session configuration.
@@ -211,44 +216,9 @@ func (k *Kernel) HostOS() *hostsim.HostOS { return k.host }
 // AcceptSwitch performs the OpenFlow handshake on a fresh control
 // connection, registers the switch and starts its receive loop.
 func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
-	if err := conn.Send(&of.Hello{Header: of.Header{Xid: 1}}); err != nil {
-		return 0, fmt.Errorf("hello: %w", err)
-	}
-	if err := conn.Send(&of.FeaturesRequest{Header: of.Header{Xid: 2}}); err != nil {
-		return 0, fmt.Errorf("features request: %w", err)
-	}
-	// The deadline must bound the Recv itself, not just the loop: a
-	// switch that goes silent mid-handshake would otherwise block
-	// AcceptSwitch forever.
-	var features *of.FeaturesReply
-	type recvRes struct {
-		msg of.Message
-		err error
-	}
-	recvCh := make(chan recvRes, 1)
-	recv := func() {
-		m, err := conn.Recv()
-		recvCh <- recvRes{msg: m, err: err}
-	}
-	go recv()
-	timer := time.NewTimer(k.cfg.RequestTimeout)
-	defer timer.Stop()
-	for features == nil {
-		select {
-		case <-timer.C:
-			conn.Close() // unblock the pending reader
-			return 0, ErrTimeout
-		case r := <-recvCh:
-			if r.err != nil {
-				return 0, fmt.Errorf("handshake: %w", r.err)
-			}
-			if m, ok := r.msg.(*of.FeaturesReply); ok {
-				features = m
-			} else {
-				// Symmetric hello / pre-handshake noise is ignored.
-				go recv()
-			}
-		}
+	features, err := k.handshake(conn)
+	if err != nil {
+		return 0, err
 	}
 
 	h := &swHandle{
@@ -289,6 +259,79 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 		go k.probeLoop(h)
 	}
 	return features.DPID, nil
+}
+
+// handshake sends Hello and FeaturesRequest and waits for the switch's
+// FeaturesReply under the request retry policy: an attempt that sees no
+// reply within RequestTimeout is sent again, both messages under fresh
+// xids, after the backoff, up to MaxRetries times, and ErrTimeout comes
+// only when the last attempt has timed out too. A reply to any attempt
+// is accepted; Hellos, replies under other xids and anything else the
+// switch sends before its features are ignored.
+func (k *Kernel) handshake(conn of.Conn) (*of.FeaturesReply, error) {
+	// The deadline must bound the Recv itself, not just the loop: a
+	// switch that goes silent mid-handshake would otherwise block
+	// AcceptSwitch forever. One reader goroutine at a time owns Recv.
+	type recvRes struct {
+		msg of.Message
+		err error
+	}
+	recvCh := make(chan recvRes, 1)
+	recv := func() {
+		m, err := conn.Recv()
+		recvCh <- recvRes{msg: m, err: err}
+	}
+	// Attempt n sends Hello with xid 2n+1 and FeaturesRequest with 2n+2,
+	// so the clean path sends xids 1 and 2.
+	attempts := 0
+	send := func() error {
+		xid := uint32(2*attempts + 1)
+		attempts++
+		if err := conn.Send(&of.Hello{Header: of.Header{Xid: xid}}); err != nil {
+			return fmt.Errorf("hello: %w", err)
+		}
+		if err := conn.Send(&of.FeaturesRequest{Header: of.Header{Xid: xid + 1}}); err != nil {
+			return fmt.Errorf("features request: %w", err)
+		}
+		return nil
+	}
+	if err := send(); err != nil {
+		return nil, err
+	}
+	go recv()
+	timer := time.NewTimer(k.cfg.RequestTimeout)
+	defer timer.Stop()
+	backingOff := false
+	for {
+		select {
+		case <-timer.C:
+			switch {
+			case backingOff:
+				if err := send(); err != nil {
+					conn.Close() // unblock the pending reader
+					return nil, err
+				}
+				timer.Reset(k.cfg.RequestTimeout)
+			case attempts > k.cfg.MaxRetries:
+				conn.Close() // unblock the pending reader
+				mRequestTimeouts.Inc()
+				return nil, ErrTimeout
+			default:
+				mRetries.Inc()
+				timer.Reset(k.backoff(attempts))
+			}
+			backingOff = !backingOff
+		case r := <-recvCh:
+			if r.err != nil {
+				return nil, fmt.Errorf("handshake: %w", r.err)
+			}
+			m, ok := r.msg.(*of.FeaturesReply)
+			if ok && m.Xid%2 == 0 && m.Xid <= uint32(2*attempts) {
+				return m, nil
+			}
+			go recv()
+		}
+	}
 }
 
 // Stop closes every switch connection and waits for the receive loops.
@@ -476,10 +519,7 @@ func (k *Kernel) dispatch(h *swHandle, msg of.Message) {
 
 // emit fans an event out to its subscribers, in subscription order.
 func (k *Kernel) emit(ev Event) {
-	k.subMu.RLock()
-	subs := k.subs[ev.Kind]
-	k.subMu.RUnlock()
-	for _, s := range subs {
+	for _, s := range (*k.subs.Load())[ev.Kind] {
 		s.fn(ev)
 	}
 }
@@ -489,7 +529,9 @@ func (k *Kernel) Subscribe(kind EventKind, fn Handler) int {
 	k.subMu.Lock()
 	defer k.subMu.Unlock()
 	k.nextSub++
-	k.subs[kind] = append(slices.Clip(k.subs[kind]), subscription{k.nextSub, fn})
+	subs := maps.Clone(*k.subs.Load())
+	subs[kind] = append(slices.Clip(subs[kind]), subscription{k.nextSub, fn})
+	k.subs.Store(&subs)
 	return k.nextSub
 }
 
@@ -497,7 +539,9 @@ func (k *Kernel) Subscribe(kind EventKind, fn Handler) int {
 func (k *Kernel) Unsubscribe(kind EventKind, id int) {
 	k.subMu.Lock()
 	defer k.subMu.Unlock()
-	k.subs[kind] = slices.DeleteFunc(slices.Clone(k.subs[kind]), func(s subscription) bool { return s.id == id })
+	subs := maps.Clone(*k.subs.Load())
+	subs[kind] = slices.DeleteFunc(slices.Clone(subs[kind]), func(s subscription) bool { return s.id == id })
+	k.subs.Store(&subs)
 }
 
 // request sends msg and blocks for the reply carrying the same xid,

@@ -3,6 +3,7 @@ package isolation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"sdnshield/internal/controller"
 	"sdnshield/internal/core"
 	"sdnshield/internal/flowtable"
+	"sdnshield/internal/handoff"
 	"sdnshield/internal/hostsim"
 	"sdnshield/internal/obs"
 	"sdnshield/internal/obs/audit"
@@ -26,9 +28,10 @@ type Config struct {
 	// mediated calls run at once, each on its caller's goroutine (§VI-A's
 	// parallel deputies). Default 4.
 	KSDWorkers int
-	// EventQueueSize is the per-app event queue depth. Events beyond it
-	// are dropped (and counted) rather than blocking the kernel. Default
-	// 1024.
+	// EventQueueSize is the per-app event queue depth. While the queue is
+	// full the kernel's dispatch of a further event waits for the app to
+	// take one, unless DropOnFullQueue is set, when the event is dropped
+	// and counted instead. Default 1024.
 	EventQueueSize int
 	// EventWorkers is the number of event-delivery goroutines per app
 	// container — the paper's model of apps spawning worker threads that
@@ -360,17 +363,17 @@ func (s *Shield) Launch(app App) error {
 		return fmt.Errorf("isolation: app %q already launched", name)
 	}
 	c := &Container{
-		name:     name,
-		shield:   s,
-		app:      app,
-		events:   make(chan controller.Event, s.cfg.EventQueueSize),
-		handlers: make(map[controller.EventKind][]controller.Handler),
-		kernels:  make(map[controller.EventKind]int),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		metrics:  newAppCounters(name),
+		name:    name,
+		shield:  s,
+		app:     app,
+		events:  handoff.New[controller.Event](s.cfg.EventQueueSize),
+		kernels: make(map[controller.EventKind]int),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		metrics: newAppCounters(name),
 	}
 	c.virt.Store(virtFor(s, name))
+	c.handlers.Store(&handlerTable{})
 	s.containers[name] = c
 	s.mu.Unlock()
 	registerAppGauges(c)
@@ -483,13 +486,15 @@ type Container struct {
 	// set at Launch and on every Activate.
 	virt atomic.Pointer[translator]
 
-	events chan controller.Event
+	// events carries the app's filtered events from the kernel's
+	// dispatchers to the container's event workers; Stop closes it.
+	events *handoff.Queue[controller.Event]
 
-	// handlers' slices are copy-on-write: subscribe and unhookAll publish
-	// new ones under hmu, so deliver iterates the one it read uncopied.
+	// handlers is copy-on-write: subscribe and unhookAll publish a new
+	// table under hmu, so deliver reads the current one without a lock.
 	hmu      sync.Mutex
-	handlers map[controller.EventKind][]controller.Handler
-	kernels  map[controller.EventKind]int // kernel subscription ids
+	handlers atomic.Pointer[handlerTable]
+	kernels  map[controller.EventKind]int // kernel subscription ids; guarded by hmu
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -534,13 +539,16 @@ func (c *Container) DroppedEvents() uint64 { return c.dropped.Load() }
 // Panics reports how many app panics the container absorbed.
 func (c *Container) Panics() uint64 { return c.panics.Load() }
 
-// Stop terminates the container's event loops.
+// Stop terminates the container's event loops: a loop past its current
+// event starts no handler, and an enqueuer waiting on a full queue
+// returns.
 func (c *Container) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stop)
 		c.health.Store(int32(Stopped))
 		// Unhook kernel subscriptions so no further events arrive.
 		c.unhookAll()
+		c.events.Close()
 	})
 	<-c.done
 	c.workers.Wait()
@@ -561,35 +569,38 @@ func (c *Container) safeInit(app App, api API) (err error) {
 // eventLoop delivers queued events to the app's handlers on a container
 // goroutine, absorbing panics. A panicking handler hands the
 // container to the supervisor (restart with backoff, quarantine past the
-// panic budget); while the container is not Running, queued events drain
-// without delivery.
+// panic budget); while the container is restarting or quarantined,
+// queued events drain without delivery. The loop ends once the container
+// is stopped.
 func (c *Container) eventLoop() {
 	c.res.goroutines.Add(1)
 	defer c.res.goroutines.Add(-1)
 	for {
-		select {
-		case <-c.stop:
+		ev, ok := c.events.Get()
+		if !ok {
 			return
-		case ev := <-c.events:
-			if c.Health() != Running {
-				c.dropped.Add(1)
-				c.metrics.dropped.Inc()
-				continue
-			}
+		}
+		switch c.Health() {
+		case Running:
 			if c.deliver(ev) {
 				c.onPanic()
 			}
+		case Stopped:
+			return
+		default:
+			c.dropped.Add(1)
+			c.metrics.dropped.Inc()
 		}
 	}
 }
 
+// handlerTable holds an app's handlers per event kind.
+type handlerTable map[controller.EventKind][]controller.Handler
+
 // deliver fans one event out to the registered handlers, reporting
 // whether any of them panicked.
 func (c *Container) deliver(ev controller.Event) (panicked bool) {
-	c.hmu.Lock()
-	handlers := c.handlers[ev.Kind]
-	c.hmu.Unlock()
-	for _, fn := range handlers {
+	for _, fn := range (*c.handlers.Load())[ev.Kind] {
 		if c.safeHandle(fn, ev) {
 			panicked = true
 		}
@@ -616,26 +627,22 @@ func (c *Container) safeHandle(fn controller.Handler, ev controller.Event) (pani
 func (c *Container) subscribe(kind controller.EventKind, fn controller.Handler) {
 	c.hmu.Lock()
 	defer c.hmu.Unlock()
-	c.handlers[kind] = append(slices.Clip(c.handlers[kind]), fn)
+	handlers := maps.Clone(*c.handlers.Load())
+	handlers[kind] = append(slices.Clip(handlers[kind]), fn)
+	c.handlers.Store(&handlers)
 	if _, wired := c.kernels[kind]; !wired {
 		id := c.shield.kernel.Subscribe(kind, func(ev controller.Event) {
 			if !c.shield.allowEvent(c, ev) {
 				return
 			}
 			ev = c.shield.redactEvent(c.name, ev)
-			if c.shield.cfg.DropOnFullQueue {
-				select {
-				case c.events <- ev:
-				case <-c.stop:
-				default:
-					c.dropped.Add(1)
-					c.metrics.dropped.Inc()
-				}
-				return
-			}
-			select {
-			case c.events <- ev:
-			case <-c.stop:
+			if !c.shield.cfg.DropOnFullQueue {
+				// ErrClosed: the container stopped and the event has no
+				// receiver.
+				_ = c.events.Put(ev)
+			} else if c.events.TryPut(ev) == handoff.ErrFull {
+				c.dropped.Add(1)
+				c.metrics.dropped.Inc()
 			}
 		})
 		c.kernels[kind] = id

@@ -188,5 +188,5 @@ func (c *Container) unhookAll() {
 		c.shield.kernel.Unsubscribe(kind, id)
 	}
 	c.kernels = make(map[controller.EventKind]int)
-	c.handlers = make(map[controller.EventKind][]controller.Handler)
+	c.handlers.Store(&handlerTable{})
 }

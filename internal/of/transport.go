@@ -5,6 +5,9 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
+
+	"sdnshield/internal/handoff"
 )
 
 // Conn is a bidirectional OpenFlow message channel between one switch and
@@ -23,14 +26,17 @@ type Conn interface {
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("of: connection closed")
 
-// chanConn is one endpoint of an in-memory connection pair.
-type chanConn struct {
-	out chan<- Message
-	in  <-chan Message
+// pipeDepth is how many messages one direction of a Pipe holds before a
+// Send waits for the reader: the depth of a switch's socket buffer.
+const pipeDepth = 256
 
-	closeOnce sync.Once
-	closed    chan struct{}
-	peerDone  chan struct{}
+// pipeEnd is one endpoint of an in-memory connection pair: it receives
+// from in and sends into out, its peer's in. Closing either end closes
+// both queues, so the peer drains what was sent before the close and
+// then sees ErrClosed.
+type pipeEnd struct {
+	in, out *handoff.Queue[Message]
+	closed  atomic.Bool // this end was closed: Recv stops draining
 }
 
 // Pipe returns two connected in-memory endpoints. Messages sent on one are
@@ -38,57 +44,38 @@ type chanConn struct {
 // it preserves the asynchronous message-passing structure the paper's
 // architecture measures, without socket noise in micro-benchmarks.
 func Pipe() (Conn, Conn) {
-	ab := make(chan Message, 256)
-	ba := make(chan Message, 256)
-	aClosed := make(chan struct{})
-	bClosed := make(chan struct{})
-	a := &chanConn{out: ab, in: ba, closed: aClosed, peerDone: bClosed}
-	b := &chanConn{out: ba, in: ab, closed: bClosed, peerDone: aClosed}
-	return a, b
+	ab := handoff.New[Message](pipeDepth)
+	ba := handoff.New[Message](pipeDepth)
+	return &pipeEnd{in: ba, out: ab}, &pipeEnd{in: ab, out: ba}
 }
 
-// Send implements Conn.
-func (c *chanConn) Send(msg Message) error {
-	// Check for closure first: with a buffered out channel the send case
-	// below could win a select race against an already-closed endpoint.
-	select {
-	case <-c.closed:
+// Send implements Conn. It waits while the peer has pipeDepth messages
+// unread and fails with ErrClosed once either end is closed.
+func (c *pipeEnd) Send(msg Message) error {
+	if c.out.Put(msg) != nil {
 		return ErrClosed
-	case <-c.peerDone:
-		return ErrClosed
-	default:
 	}
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peerDone:
-		return ErrClosed
-	case c.out <- msg:
-		return nil
-	}
+	return nil
 }
 
-// Recv implements Conn.
-func (c *chanConn) Recv() (Message, error) {
-	select {
-	case <-c.closed:
+// Recv implements Conn. After the peer's Close it returns what the peer
+// sent before closing, then ErrClosed; after this end's Close, ErrClosed.
+func (c *pipeEnd) Recv() (Message, error) {
+	if c.closed.Load() {
 		return nil, ErrClosed
-	case msg := <-c.in:
-		return msg, nil
-	case <-c.peerDone:
-		// Drain anything the peer sent before closing.
-		select {
-		case msg := <-c.in:
-			return msg, nil
-		default:
-			return nil, ErrClosed
-		}
 	}
+	msg, ok := c.in.Get()
+	if !ok {
+		return nil, ErrClosed
+	}
+	return msg, nil
 }
 
 // Close implements Conn.
-func (c *chanConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
+func (c *pipeEnd) Close() error {
+	c.closed.Store(true)
+	c.in.Close()
+	c.out.Close()
 	return nil
 }
 
@@ -130,6 +117,6 @@ func (c *netConn) Recv() (Message, error) {
 func (c *netConn) Close() error { return c.conn.Close() }
 
 var (
-	_ Conn = (*chanConn)(nil)
+	_ Conn = (*pipeEnd)(nil)
 	_ Conn = (*netConn)(nil)
 )
