@@ -135,3 +135,38 @@ func TestHandshakeCleanPathMessages(t *testing.T) {
 		t.Fatalf("clean handshake sent %v, want Hello xid 1 and FeaturesRequest xid 2", got)
 	}
 }
+
+// TestSessionXidsAboveHandshake: with enough retries for handshake xids
+// to reach past 100, session requests still start above the last
+// handshake xid, so a late FeaturesReply cannot answer a live request.
+func TestSessionXidsAboveHandshake(t *testing.T) {
+	const retries = 60
+	k := New(nil, nil, KernelConfig{MaxRetries: retries})
+	defer k.Stop()
+	ctrl, sw := of.Pipe()
+	barriers := make(chan uint32, 1)
+	go func() {
+		for {
+			msg, err := sw.Recv()
+			if err != nil {
+				return
+			}
+			switch m := msg.(type) {
+			case *of.FeaturesRequest:
+				_ = sw.Send(&of.FeaturesReply{Header: of.Header{Xid: m.Xid}, DPID: 4})
+			case *of.BarrierRequest:
+				barriers <- m.Xid
+				_ = sw.Send(&of.BarrierReply{Header: of.Header{Xid: m.Xid}})
+			}
+		}
+	}()
+	if _, err := k.AcceptSwitch(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Barrier(4); err != nil {
+		t.Fatal(err)
+	}
+	if xid := <-barriers; xid <= 2*(retries+1) {
+		t.Fatalf("barrier xid %d within the handshake range 1..%d", xid, 2*(retries+1))
+	}
+}

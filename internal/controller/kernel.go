@@ -233,7 +233,9 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 		done:            make(chan struct{}),
 		dispatchDone:    make(chan struct{}),
 	}
-	h.xid.Store(100)
+	// Session xids start above every handshake xid, so a late or
+	// duplicated handshake reply never matches a live request.
+	h.xid.Store(max(100, uint32(2*(k.cfg.MaxRetries+1))))
 
 	k.mu.Lock()
 	if _, dup := k.switches[features.DPID]; dup {
@@ -263,11 +265,12 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 
 // handshake sends Hello and FeaturesRequest and waits for the switch's
 // FeaturesReply under the request retry policy: an attempt that sees no
-// reply within RequestTimeout is sent again, both messages under fresh
-// xids, after the backoff, up to MaxRetries times, and ErrTimeout comes
-// only when the last attempt has timed out too. A reply to any attempt
-// is accepted; Hellos, replies under other xids and anything else the
-// switch sends before its features are ignored.
+// reply within RequestTimeout is sent again after the backoff, up to
+// MaxRetries times, and ErrTimeout comes only when the last attempt has
+// timed out too. Attempt n sends xids 2n+1 and 2n+2, so the clean path
+// sends xids 1 and 2 and a resend carries fresh ones. Any FeaturesReply
+// completes the handshake; Hellos and anything else the switch sends
+// before its features are ignored.
 func (k *Kernel) handshake(conn of.Conn) (*of.FeaturesReply, error) {
 	// The deadline must bound the Recv itself, not just the loop: a
 	// switch that goes silent mid-handshake would otherwise block
@@ -281,57 +284,51 @@ func (k *Kernel) handshake(conn of.Conn) (*of.FeaturesReply, error) {
 		m, err := conn.Recv()
 		recvCh <- recvRes{msg: m, err: err}
 	}
-	// Attempt n sends Hello with xid 2n+1 and FeaturesRequest with 2n+2,
-	// so the clean path sends xids 1 and 2.
-	attempts := 0
-	send := func() error {
-		xid := uint32(2*attempts + 1)
-		attempts++
-		if err := conn.Send(&of.Hello{Header: of.Header{Xid: xid}}); err != nil {
-			return fmt.Errorf("hello: %w", err)
+	// wait returns the FeaturesReply that arrives within d, nil if none
+	// does.
+	wait := func(d time.Duration) (*of.FeaturesReply, error) {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		for {
+			select {
+			case <-timer.C:
+				return nil, nil
+			case r := <-recvCh:
+				if r.err != nil {
+					return nil, fmt.Errorf("handshake: %w", r.err)
+				}
+				if m, ok := r.msg.(*of.FeaturesReply); ok {
+					return m, nil
+				}
+				go recv()
+			}
 		}
-		if err := conn.Send(&of.FeaturesRequest{Header: of.Header{Xid: xid + 1}}); err != nil {
-			return fmt.Errorf("features request: %w", err)
-		}
-		return nil
-	}
-	if err := send(); err != nil {
-		return nil, err
 	}
 	go recv()
-	timer := time.NewTimer(k.cfg.RequestTimeout)
-	defer timer.Stop()
-	backingOff := false
-	for {
-		select {
-		case <-timer.C:
-			switch {
-			case backingOff:
-				if err := send(); err != nil {
-					conn.Close() // unblock the pending reader
-					return nil, err
-				}
-				timer.Reset(k.cfg.RequestTimeout)
-			case attempts > k.cfg.MaxRetries:
-				conn.Close() // unblock the pending reader
-				mRequestTimeouts.Inc()
-				return nil, ErrTimeout
-			default:
-				mRetries.Inc()
-				timer.Reset(k.backoff(attempts))
-			}
-			backingOff = !backingOff
-		case r := <-recvCh:
-			if r.err != nil {
-				return nil, fmt.Errorf("handshake: %w", r.err)
-			}
-			m, ok := r.msg.(*of.FeaturesReply)
-			if ok && m.Xid%2 == 0 && m.Xid <= uint32(2*attempts) {
-				return m, nil
-			}
-			go recv()
+	for attempt := 0; attempt <= k.cfg.MaxRetries; attempt++ {
+		xid := uint32(2*attempt + 1)
+		if err := conn.Send(&of.Hello{Header: of.Header{Xid: xid}}); err != nil {
+			conn.Close() // unblock the pending reader
+			return nil, fmt.Errorf("hello: %w", err)
+		}
+		if err := conn.Send(&of.FeaturesRequest{Header: of.Header{Xid: xid + 1}}); err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("features request: %w", err)
+		}
+		if m, err := wait(k.cfg.RequestTimeout); m != nil || err != nil {
+			return m, err
+		}
+		if attempt == k.cfg.MaxRetries {
+			break
+		}
+		mRetries.Inc()
+		if m, err := wait(k.backoff(attempt + 1)); m != nil || err != nil {
+			return m, err
 		}
 	}
+	conn.Close()
+	mRequestTimeouts.Inc()
+	return nil, ErrTimeout
 }
 
 // Stop closes every switch connection and waits for the receive loops.

@@ -149,7 +149,8 @@ func BenchmarkPipeHop(b *testing.B) {
 	defer y.Close()
 	msg := &BarrierRequest{}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		if err := x.Send(msg); err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,8 @@ func BenchmarkPipePingPong(b *testing.B) {
 	}()
 	msg := &BarrierRequest{}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		if err := x.Send(msg); err != nil {
 			b.Fatal(err)
 		}
