@@ -60,8 +60,10 @@ check: fmt-check vet race
 # resident rules under grants that read no stateful value, the owner or
 # the rule count, the market's verdict-cache miss and hit and a
 # Submit + Upgrade that keeps its manifest, and one of.Pipe hop on one
-# goroutine and a ping-pong across two. BENCHTIME, when set, comes last
-# and overrides each line's own -benchtime.
+# goroutine and a ping-pong across two; then the mediated insert from
+# parallel threads of one app at 1, 2 and 4 procs, whose ns/op shows
+# whether calls share a lock. BENCHTIME, when set, comes last and
+# overrides each line's own -benchtime.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ $(BENCHTIME) ./internal/obs/
@@ -70,6 +72,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permengine/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/of/
+	$(GO) test -bench=MediatedCallParallel -benchmem -cpu 1,2,4 -run=^$$ $(BENCHTIME) .
 
 # bench-smoke runs every bench benchmark once, so CI sees that each still
 # compiles and runs; the timings it prints mean nothing.

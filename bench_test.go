@@ -11,15 +11,18 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdnshield/internal/bench"
+	"sdnshield/internal/cbench"
 	"sdnshield/internal/controller"
 	"sdnshield/internal/core"
 	"sdnshield/internal/isolation"
 	"sdnshield/internal/obs/audit"
 	"sdnshield/internal/obs/span"
+	"sdnshield/internal/of"
 	"sdnshield/internal/permengine"
 	"sdnshield/internal/permlang"
 )
@@ -206,6 +209,49 @@ func BenchmarkMediatedCall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMediatedCallParallel times an allowed mediated InsertFlow that
+// replaces the caller's own rule in place, from b.RunParallel: every
+// goroutine is a thread of one app, each on one of four switches with a
+// rule of its own, so what the calls share is the app, the deputy slots,
+// the engine and the kernel — run it at -cpu 1,2,4 to see them scale.
+func BenchmarkMediatedCallParallel(b *testing.B) {
+	const switches = 4
+	k := controller.New(nil, nil)
+	shield := isolation.NewShield(k, isolation.Config{})
+	b.Cleanup(func() {
+		shield.Stop()
+		k.Stop()
+	})
+	for dpid := of.DPID(1); dpid <= switches; dpid++ {
+		fs, err := cbench.Connect(k, dpid, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { fs.Close() })
+	}
+	shield.SetPermissions("obsprobe", permlang.MustParse("PERM insert_flow LIMITING ACTION FORWARD\n").Set())
+	if err := shield.Launch(obsProbeApp{}); err != nil {
+		b.Fatal(err)
+	}
+	api, err := isolation.AttackerHandle(shield, "obsprobe")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var threads atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := threads.Add(1)
+		dpid := of.DPID(1 + n%switches)
+		spec := controller.FlowSpec{Match: of.NewMatch().Set(of.FieldTPDst, n), Priority: 10, Actions: []of.Action{of.Output(2)}}
+		for pb.Next() {
+			if err := api.InsertFlow(dpid, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // instruments are the process-wide switches on the mediated call path

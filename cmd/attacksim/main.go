@@ -55,12 +55,7 @@ func run(args []string) error {
 			cfg.DelayProb = 0.2
 			cfg.MaxDelay = time.Duration(*faultDelayMS) * time.Millisecond
 		}
-		seed := *faultSeed
-		wrap = func(dpid of.DPID, ctrl of.Conn) of.Conn {
-			// Per-switch seeds keep schedules independent yet reproducible
-			// for a given -fault-seed.
-			return faults.Wrap(ctrl, faults.NewRandom(seed+int64(dpid), cfg))
-		}
+		wrap = faultWrap(cfg, *faultSeed)
 	}
 
 	// A row the harness could not measure is in the table and in err.
@@ -89,4 +84,15 @@ func run(args []string) error {
 		}
 	}
 	return err
+}
+
+// faultWrap layers cfg's random plan over every switch connection, each
+// seeded from (seed, row, dpid): every Table I row replays a schedule of
+// its own, reproducible for a given -fault-seed, and a row's baseline
+// and SDNShield runs replay the same one.
+func faultWrap(cfg faults.RandomConfig, seed int64) bench.FaultWrap {
+	return func(row int, dpid of.DPID, ctrl of.Conn) of.Conn {
+		plan := seed*1_000_003 + int64(row)*1_009 + int64(dpid) // distinct per (row, switch)
+		return faults.Wrap(ctrl, faults.NewRandom(plan, cfg))
+	}
 }

@@ -170,20 +170,26 @@ type attackEnv struct {
 	built *netsim.Built
 }
 
-// FaultWrap decorates a switch's controller-side connection, typically
-// with a faults.Wrap plan; nil leaves the connection clean.
-type FaultWrap func(dpid of.DPID, ctrl of.Conn) of.Conn
+// FaultWrap decorates a switch's controller-side connection in the
+// network of one Table I row (its attack class, 1-based), typically with
+// a faults.Wrap plan; nil leaves the connection clean. A row's baseline
+// and SDNShield networks are wrapped under the same row.
+type FaultWrap func(row int, dpid of.DPID, ctrl of.Conn) of.Conn
 
-func newAttackEnv(switches int, runtime string, wrap FaultWrap) (*attackEnv, error) {
+func newAttackEnv(row, switches int, runtime string, wrap FaultWrap) (*attackEnv, error) {
 	b, err := netsim.Linear(switches)
 	if err != nil {
 		return nil, err
+	}
+	var wrapSwitch func(of.DPID, of.Conn) of.Conn
+	if wrap != nil {
+		wrapSwitch = func(dpid of.DPID, ctrl of.Conn) of.Conn { return wrap(row, dpid, ctrl) }
 	}
 	k := controller.New(b.Topo, nil)
 	if err := b.Wire(func(conn of.Conn) error {
 		_, err := k.AcceptSwitch(conn)
 		return err
-	}, wrap); err != nil {
+	}, wrapSwitch); err != nil {
 		k.Stop()
 		b.Net.Stop()
 		return nil, err
@@ -259,7 +265,7 @@ func RunEffectiveness(wrap FaultWrap) ([]AttackOutcome, error) {
 // (and the firewall) under their own manifests, the attacker under its
 // reconciled one, then the strike.
 func (a attack) run(o *AttackOutcome, wrap FaultWrap) error {
-	e, err := newAttackEnv(a.switches, o.Runtime, wrap)
+	e, err := newAttackEnv(o.Class, a.switches, o.Runtime, wrap)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestTable1ReportsHarnessFailures(t *testing.T) {
 	// The first network's first switch refuses its handshake: that row is
 	// a named harness failure and the other seven are still measured.
 	refused := false
-	outcomes, err := RunEffectiveness(func(_ of.DPID, conn of.Conn) of.Conn {
+	outcomes, err := RunEffectiveness(func(_ int, _ of.DPID, conn of.Conn) of.Conn {
 		if refused {
 			return conn
 		}
@@ -125,7 +126,7 @@ func TestAttackEnvStopsWhatItStartedOnWireFailure(t *testing.T) {
 	// The second switch refuses its handshake after the first was
 	// accepted: the kernel and every started netsim switch must stop.
 	before := runtime.NumGoroutine()
-	_, err := newAttackEnv(3, "baseline", func(dpid of.DPID, conn of.Conn) of.Conn {
+	_, err := newAttackEnv(1, 3, "baseline", func(_ int, dpid of.DPID, conn of.Conn) of.Conn {
 		if dpid == 2 {
 			return refusingConn{conn}
 		}
@@ -138,5 +139,34 @@ func TestAttackEnvStopsWhatItStartedOnWireFailure(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("wiring failure left %d goroutines running", runtime.NumGoroutine()-before)
 		}
+	}
+}
+
+// TestFaultWrapSeesEachRow: a recording wrap sees every switch of every
+// row's network under that row, in the baseline's and in SDNShield's run
+// alike — what lets a fault plan give each row its own schedule and a
+// row's two runs the same one.
+func TestFaultWrapSeesEachRow(t *testing.T) {
+	type wrapped struct {
+		row  int
+		dpid of.DPID
+	}
+	var got []wrapped
+	if _, err := RunEffectiveness(func(row int, dpid of.DPID, conn of.Conn) of.Conn {
+		got = append(got, wrapped{row, dpid})
+		return conn
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want []wrapped
+	for range runtimes {
+		for i, a := range attacks {
+			for dpid := 1; dpid <= a.switches; dpid++ {
+				want = append(want, wrapped{i + 1, of.DPID(dpid)})
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("wrapped (row, dpid) in order %v, want %v", got, want)
 	}
 }

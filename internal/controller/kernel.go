@@ -152,6 +152,9 @@ type subscription struct {
 // subTable holds the subscriptions per event kind, in subscription order.
 type subTable map[EventKind][]subscription
 
+// switchMap holds the connected switches' sessions by DPID.
+type switchMap map[of.DPID]*swHandle
+
 // Kernel is the trusted controller core.
 type Kernel struct {
 	topo *topology.Topology
@@ -161,8 +164,11 @@ type Kernel struct {
 	jmu   sync.Mutex
 	jrand *rand.Rand // backoff jitter, seeded for reproducibility
 
-	mu       sync.RWMutex
-	switches map[of.DPID]*swHandle
+	// switches is copy-on-write: AcceptSwitch and teardown publish a new
+	// map under mu, so Apply and handle read the current one without a
+	// lock.
+	mu       sync.Mutex
+	switches atomic.Pointer[switchMap]
 
 	// subs is copy-on-write: Subscribe and Unsubscribe publish a new
 	// table under subMu, so emit reads the current one without a lock.
@@ -193,13 +199,13 @@ func New(topo *topology.Topology, host *hostsim.HostOS, cfg ...KernelConfig) *Ke
 	}
 	c.fill()
 	k := &Kernel{
-		topo:     topo,
-		host:     host,
-		cfg:      c,
-		jrand:    rand.New(rand.NewSource(c.Seed)),
-		switches: make(map[of.DPID]*swHandle),
-		model:    make(map[string]interface{}),
+		topo:  topo,
+		host:  host,
+		cfg:   c,
+		jrand: rand.New(rand.NewSource(c.Seed)),
+		model: make(map[string]interface{}),
 	}
+	k.switches.Store(&switchMap{})
 	k.subs.Store(&subTable{})
 	return k
 }
@@ -238,11 +244,13 @@ func (k *Kernel) AcceptSwitch(conn of.Conn) (of.DPID, error) {
 	h.xid.Store(max(100, uint32(2*(k.cfg.MaxRetries+1))))
 
 	k.mu.Lock()
-	if _, dup := k.switches[features.DPID]; dup {
+	if _, dup := (*k.switches.Load())[features.DPID]; dup {
 		k.mu.Unlock()
 		return 0, fmt.Errorf("controller: switch %v already connected", features.DPID)
 	}
-	k.switches[features.DPID] = h
+	switches := maps.Clone(*k.switches.Load())
+	switches[features.DPID] = h
+	k.switches.Store(&switches)
 	k.mu.Unlock()
 
 	k.topo.AddSwitch(features.DPID, features.Ports)
@@ -336,12 +344,11 @@ func (k *Kernel) Stop() {
 	if k.closed.Swap(true) {
 		return
 	}
-	k.mu.Lock()
-	handles := make([]*swHandle, 0, len(k.switches))
-	for _, h := range k.switches {
+	switches := *k.switches.Load()
+	handles := make([]*swHandle, 0, len(switches))
+	for _, h := range switches {
 		handles = append(handles, h)
 	}
-	k.mu.Unlock()
 	for _, h := range handles {
 		h.conn.Close()
 		<-h.done
@@ -357,9 +364,7 @@ func (k *Kernel) Switches() []topology.SwitchInfo { return k.topo.Switches() }
 
 // handle is a connected switch's session, nil for an unknown DPID.
 func (k *Kernel) handle(dpid of.DPID) *swHandle {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.switches[dpid]
+	return (*k.switches.Load())[dpid]
 }
 
 func unknownSwitch(dpid of.DPID) error { return fmt.Errorf("%w: %v", ErrUnknownSwitch, dpid) }
@@ -417,11 +422,13 @@ func (k *Kernel) teardown(h *swHandle) {
 		return
 	}
 	k.mu.Lock()
-	if k.switches[h.dpid] != h {
+	if (*k.switches.Load())[h.dpid] != h {
 		k.mu.Unlock()
 		return
 	}
-	delete(k.switches, h.dpid)
+	switches := maps.Clone(*k.switches.Load())
+	delete(switches, h.dpid)
+	k.switches.Store(&switches)
 	k.mu.Unlock()
 	k.topo.RemoveSwitch(h.dpid)
 	k.emit(Event{Kind: EventTopology, TopoChange: &TopoChange{What: "switch-removed", DPID: h.dpid}})
@@ -688,16 +695,14 @@ type Mutation struct {
 func (k *Kernel) Apply(org Origin, batch []Mutation, guard func(i int) error) (n int, err error) {
 	start := org.start()
 	hs, log := make([]*swHandle, 0, 1), make([]applied, 0, 1) // a batch of one on the stack
-	k.mu.RLock()
+	switches := *k.switches.Load()
 	for i := range batch {
-		h, ok := k.switches[batch[i].DPID]
+		h, ok := switches[batch[i].DPID]
 		if !ok {
-			k.mu.RUnlock()
 			return i, unknownSwitch(batch[i].DPID)
 		}
 		hs = append(hs, h)
 	}
-	k.mu.RUnlock()
 	locked := hs
 	if len(hs) > 1 {
 		locked = slices.Clone(hs)

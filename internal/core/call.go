@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"sdnshield/internal/of"
 )
@@ -146,19 +147,26 @@ func (c *Call) FieldValue(f of.Field) (value, mask uint64, ok bool) {
 }
 
 // String renders a concise description for permission-denied errors.
-func (c *Call) String() string {
-	s := fmt.Sprintf("%s[%s]", c.Token, c.App)
+func (c *Call) String() string { return string(c.AppendTo(make([]byte, 0, 256))) }
+
+// AppendTo appends the call to b as String renders it: token[app], then
+// whichever of the switch, the match, the actions and the host endpoint
+// the call carries.
+func (c *Call) AppendTo(b []byte) []byte {
+	b = append(append(b, c.Token.String()...), '[')
+	b = append(append(b, c.App...), ']')
 	if c.HasDPID {
-		s += fmt.Sprintf(" dpid=%d", uint64(c.DPID))
+		b = strconv.AppendUint(append(b, " dpid="...), uint64(c.DPID), 10)
 	}
 	if c.Match != nil {
-		s += " " + c.Match.String()
+		b = of.AppendMatch(append(b, ' '), c.Match)
 	}
 	if len(c.Actions) > 0 {
-		s += " actions=" + of.ActionsString(c.Actions)
+		b = of.AppendActions(append(b, " actions="...), c.Actions)
 	}
 	if c.HasHostIP {
-		s += fmt.Sprintf(" host=%s:%d", c.HostIP, c.HostPort)
+		b = of.AppendIPv4(append(b, " host="...), c.HostIP)
+		b = strconv.AppendUint(append(b, ':'), uint64(c.HostPort), 10)
 	}
-	return s
+	return b
 }

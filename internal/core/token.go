@@ -44,7 +44,8 @@ const (
 // NumTokens is the number of distinct permission tokens.
 const NumTokens = int(tokenSentinel) - 1
 
-var tokenNames = map[Token]string{
+// tokenNames spells each token, indexed by Token.
+var tokenNames = [...]string{
 	TokenReadFlowTable:   "read_flow_table",
 	TokenInsertFlow:      "insert_flow",
 	TokenModifyFlow:      "modify_flow",
@@ -63,41 +64,39 @@ var tokenNames = map[Token]string{
 	TokenProcessRuntime:  "process_runtime",
 }
 
-// tokenAliases maps alternative spellings used in the paper's examples to
-// canonical tokens (§V uses network_access and send_packet_out; the
-// monitoring template uses read_topology).
-var tokenAliases = map[string]Token{
-	"network_access":  TokenHostNetwork,
-	"send_packet_out": TokenSendPktOut,
-	"read_topology":   TokenVisibleTopology,
-	"packet_in_event": TokenPktInEvent,
-	"modify_rule":     TokenModifyFlow,
-}
-
 // String returns the canonical permission-language spelling of the token.
 func (t Token) String() string {
-	if s, ok := tokenNames[t]; ok {
-		return s
+	if t.Valid() {
+		return tokenNames[t]
 	}
 	return fmt.Sprintf("token(%d)", uint8(t))
 }
 
 // Valid reports whether t names a defined token.
-func (t Token) Valid() bool {
-	_, ok := tokenNames[t]
-	return ok
-}
+func (t Token) Valid() bool { return t >= TokenReadFlowTable && t < tokenSentinel }
 
-// ParseToken resolves a token name, accepting the paper's alias spellings.
+// ParseToken resolves a token name, trimmed and in any case, accepting
+// the paper's alias spellings: network_access and send_packet_out (§V),
+// read_topology (the monitoring template), packet_in_event and
+// modify_rule.
 func ParseToken(name string) (Token, bool) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	for t, s := range tokenNames {
-		if s == name {
+	for t := TokenReadFlowTable; t < tokenSentinel; t++ {
+		if tokenNames[t] == name {
 			return t, true
 		}
 	}
-	if t, ok := tokenAliases[name]; ok {
-		return t, true
+	switch name {
+	case "network_access":
+		return TokenHostNetwork, true
+	case "send_packet_out":
+		return TokenSendPktOut, true
+	case "read_topology":
+		return TokenVisibleTopology, true
+	case "packet_in_event":
+		return TokenPktInEvent, true
+	case "modify_rule":
+		return TokenModifyFlow, true
 	}
 	return 0, false
 }

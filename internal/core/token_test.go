@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestParseToken(t *testing.T) {
 	tests := []struct {
@@ -75,6 +79,57 @@ func TestTokenClassification(t *testing.T) {
 		}
 		if tok.Kind() == 0 {
 			t.Errorf("%v has no action kind", tok)
+		}
+	}
+}
+
+// TestTokenNames covers every token and alias: a name parses trimmed and
+// in any case, an alias to its token, and an undefined token renders as
+// token(n) and is not Valid.
+func TestTokenNames(t *testing.T) {
+	canonical := map[Token]string{
+		TokenReadFlowTable: "read_flow_table", TokenInsertFlow: "insert_flow", TokenModifyFlow: "modify_flow",
+		TokenDeleteFlow: "delete_flow", TokenFlowEvent: "flow_event", TokenVisibleTopology: "visible_topology",
+		TokenModifyTopology: "modify_topology", TokenTopologyEvent: "topology_event",
+		TokenReadStatistics: "read_statistics", TokenErrorEvent: "error_event", TokenReadPayload: "read_payload",
+		TokenSendPktOut: "send_pkt_out", TokenPktInEvent: "pkt_in_event", TokenHostNetwork: "host_network",
+		TokenFileSystem: "file_system", TokenProcessRuntime: "process_runtime",
+	}
+	aliases := map[string]Token{
+		"network_access": TokenHostNetwork, "send_packet_out": TokenSendPktOut,
+		"read_topology": TokenVisibleTopology, "packet_in_event": TokenPktInEvent, "modify_rule": TokenModifyFlow,
+	}
+	if len(canonical) != NumTokens {
+		t.Fatalf("table covers %d tokens, NumTokens is %d", len(canonical), NumTokens)
+	}
+	parses := func(in string, want Token) {
+		t.Helper()
+		if got, ok := ParseToken(in); !ok || got != want {
+			t.Errorf("ParseToken(%q) = (%v,%v), want (%v,true)", in, got, ok, want)
+		}
+	}
+	for tok, name := range canonical {
+		if tok.String() != name || !tok.Valid() {
+			t.Errorf("Token(%d): String %q, Valid %v; want %q, true", tok, tok.String(), tok.Valid(), name)
+		}
+		parses(name, tok)
+		parses(" \t"+strings.ToUpper(name)+"\n", tok)
+		parses(strings.ToUpper(name[:1])+name[1:], tok)
+	}
+	for name, tok := range aliases {
+		parses(name, tok)
+		parses(" "+strings.ToUpper(name)+" ", tok)
+	}
+	// Case-insensitivity is Unicode lower-casing: İ lower-cases to i.
+	parses("İnsert_flow", TokenInsertFlow)
+	for _, in := range []string{"", "nonsense", "insert-flow", "insert_flows"} {
+		if got, ok := ParseToken(in); ok {
+			t.Errorf("ParseToken(%q) = %v, want unknown", in, got)
+		}
+	}
+	for _, tok := range []Token{0, tokenSentinel, 255} {
+		if want := fmt.Sprintf("token(%d)", uint8(tok)); tok.String() != want || tok.Valid() {
+			t.Errorf("Token(%d): String %q, Valid %v; want %q, false", tok, tok.String(), tok.Valid(), want)
 		}
 	}
 }

@@ -44,9 +44,9 @@ type HealthSnapshot struct {
 // denial-rate anomaly verdict. Apps are sorted by name for stable output.
 func (s *Shield) HealthSnapshot() HealthSnapshot {
 	snap := HealthSnapshot{
-		Stopped:    s.stopped.Load(),
+		Stopped:    s.adm.stopped(),
 		KSDWorkers: s.cfg.KSDWorkers,
-		QueueDepth: int(s.blocked.Load()),
+		QueueDepth: s.adm.waiting(),
 	}
 	containers := s.launched()
 	det := audit.DefaultDetector()

@@ -153,7 +153,7 @@ func (a *shieldedAPI) mediate(r *request) error {
 // behind the virtual big switch (its view virt) addresses no physical
 // switch.
 func (a *shieldedAPI) admit(op *mediatedOp, dpid of.DPID, virt *translator) error {
-	if a.shield.stopped.Load() {
+	if a.shield.adm.stopped() {
 		return ErrShieldStopped
 	}
 	if a.container.Health() == Quarantined {

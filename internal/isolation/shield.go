@@ -101,14 +101,10 @@ type Shield struct {
 	engine *permengine.Engine
 	cfg    Config
 
-	// slots holds a token per running mediated call, blocked counts the
-	// callers waiting for one; gate, held shared from a caller's stopped
-	// check through its inflight.Add, orders calls before Stop's wait.
-	slots    chan struct{}
-	blocked  atomic.Int64
-	gate     sync.RWMutex
-	inflight sync.WaitGroup
-	stopped  atomic.Bool
+	// adm is the KSD slot pool and the stop gate in one word: a call
+	// holds a slot from admission to return, and Stop waits for every
+	// admitted call to leave.
+	adm *admission
 
 	mu         sync.Mutex
 	containers map[string]*Container
@@ -127,7 +123,7 @@ func NewShield(kernel *controller.Kernel, cfg Config) *Shield {
 		kernel:     kernel,
 		engine:     permengine.New(kernel),
 		cfg:        cfg,
-		slots:      make(chan struct{}, cfg.KSDWorkers),
+		adm:        newAdmission(cfg.KSDWorkers),
 		containers: make(map[string]*Container),
 	}
 	s.unregisterHealth = registerHealth(s)
@@ -244,8 +240,8 @@ func (r *request) put() {
 
 // hop runs r on its caller's goroutine under a deputy slot (§VI-A's KSD):
 // the capability is the API value, not the thread, so a deputy is a slot,
-// not a goroutine. A call that finds every slot taken blocks on the send
-// behind the callers already waiting, in order: they are the KSD queue.
+// not a goroutine. A call that finds every slot taken waits behind the
+// callers already waiting, in order: they are the KSD queue (admission).
 // The call's one sampling decision, its ordinal among its app's calls (the
 // count /apps reports), is taken first and travels in r.org to the engine
 // and the kernel; a request without a container is not numbered and so
@@ -263,17 +259,9 @@ func (r *request) put() {
 // (/trace/<corr>, /traces). Every decided call, sampled or not, leaves its
 // permission event in the audit journal under the same corr.
 //
-// A call racing Stop either passes its stopped check, and then completes
-// before Stop returns, or returns ErrShieldStopped.
+// A call racing Stop is either admitted, and then completes before Stop
+// returns, or returns ErrShieldStopped.
 func (s *Shield) hop(r *request) error {
-	s.gate.RLock()
-	if s.stopped.Load() {
-		s.gate.RUnlock()
-		return ErrShieldStopped
-	}
-	s.inflight.Add(1)
-	s.gate.RUnlock()
-	defer s.inflight.Done()
 	c := r.a.container
 	if c != nil {
 		r.org.Sample = obs.NewSample(c.res.calls.Add(1))
@@ -287,12 +275,8 @@ func (s *Shield) hop(r *request) error {
 	if nth != 0 {
 		enq = time.Now()
 	}
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		mKSDQueueDepth.Set(s.blocked.Add(1))
-		s.slots <- struct{}{}
-		mKSDQueueDepth.Set(s.blocked.Add(-1))
+	if !s.adm.enter() {
+		return ErrShieldStopped
 	}
 	if nth != 0 {
 		start = time.Now()
@@ -303,7 +287,7 @@ func (s *Shield) hop(r *request) error {
 		allocBefore = heapAllocBytes()
 	}
 	err := s.protect(r)
-	<-s.slots
+	s.adm.leave()
 	if bracket {
 		if delta := heapAllocBytes() - allocBefore; delta > 0 {
 			c.res.allocBytes.Add(delta * allocOneIn)
@@ -353,7 +337,7 @@ func (s *Shield) protect(r *request) (err error) {
 // goroutine with a mediated API handle. Panics in Init or handlers are
 // contained (the container dies, the controller survives).
 func (s *Shield) Launch(app App) error {
-	if s.stopped.Load() {
+	if s.adm.stopped() {
 		return ErrShieldStopped
 	}
 	name := app.Name()
@@ -444,7 +428,7 @@ func (s *Shield) removeContainer(name string) {
 // Stop terminates every container and waits for the mediated calls in
 // flight.
 func (s *Shield) Stop() {
-	if s.stopped.Swap(true) {
+	if !s.adm.stop() {
 		return
 	}
 	s.mu.Lock()
@@ -461,10 +445,8 @@ func (s *Shield) Stop() {
 	for _, c := range containers {
 		c.Stop()
 	}
-	// Calls past their stopped check are counted in flight; all finish.
-	s.gate.Lock()
-	s.gate.Unlock()
-	s.inflight.Wait()
+	// Every admitted call finishes, the ones waiting for a slot included.
+	s.adm.wait()
 	if s.unregisterHealth != nil {
 		s.unregisterHealth()
 	}

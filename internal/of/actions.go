@@ -2,7 +2,7 @@ package of
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // ActionType discriminates the flow actions this substrate supports.
@@ -57,40 +57,52 @@ func Flood() Action { return Action{Type: ActionFlood} }
 func SetField(f Field, v uint64) Action { return Action{Type: ActionSetField, Field: f, Value: v} }
 
 // String renders the action for logs.
-func (a Action) String() string {
+func (a Action) String() string { return string(appendAction(make([]byte, 0, 24), a)) }
+
+// appendAction appends a to dst as String renders it.
+func appendAction(dst []byte, a Action) []byte {
 	switch a.Type {
 	case ActionOutput:
 		switch a.Port {
 		case PortController:
-			return "output:CONTROLLER"
+			return append(dst, "output:CONTROLLER"...)
 		case PortFlood:
-			return "output:FLOOD"
+			return append(dst, "output:FLOOD"...)
 		case PortInPort:
-			return "output:IN_PORT"
+			return append(dst, "output:IN_PORT"...)
 		default:
-			return fmt.Sprintf("output:%d", a.Port)
+			return strconv.AppendUint(append(dst, "output:"...), uint64(a.Port), 10)
 		}
 	case ActionDrop:
-		return "drop"
+		return append(dst, "drop"...)
 	case ActionFlood:
-		return "flood"
+		return append(dst, "flood"...)
 	case ActionSetField:
-		return fmt.Sprintf("set(%s=%x)", a.Field, a.Value)
+		dst = append(append(append(dst, "set("...), a.Field.String()...), '=')
+		return append(strconv.AppendUint(dst, a.Value, 16), ')')
 	default:
-		return a.Type.String()
+		return append(dst, a.Type.String()...)
 	}
 }
 
 // ActionsString renders an action list compactly.
 func ActionsString(actions []Action) string {
+	return string(AppendActions(make([]byte, 0, 32), actions))
+}
+
+// AppendActions appends the action list to dst as ActionsString renders
+// it: "drop" when empty, else the actions comma-separated.
+func AppendActions(dst []byte, actions []Action) []byte {
 	if len(actions) == 0 {
-		return "drop"
+		return append(dst, "drop"...)
 	}
-	parts := make([]string, len(actions))
 	for i, a := range actions {
-		parts[i] = a.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendAction(dst, a)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // CloneActions deep-copies an action list so callers can hold it across a

@@ -2,6 +2,7 @@ package of
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -33,7 +34,8 @@ var AllFields = []Field{
 	FieldIPProto, FieldIPTOS, FieldTPSrc, FieldTPDst,
 }
 
-var fieldNames = map[Field]string{
+// fieldNames spells each field, indexed by Field.
+var fieldNames = [...]string{
 	FieldInPort:       "IN_PORT",
 	FieldEthSrc:       "ETH_SRC",
 	FieldEthDst:       "ETH_DST",
@@ -50,17 +52,18 @@ var fieldNames = map[Field]string{
 
 // String returns the permission-language spelling of the field.
 func (f Field) String() string {
-	if s, ok := fieldNames[f]; ok {
-		return s
+	if f >= FieldInPort && f <= FieldTPDst {
+		return fieldNames[f]
 	}
 	return fmt.Sprintf("FIELD(%d)", uint8(f))
 }
 
-// ParseField resolves a permission-language field name. The second result
-// reports whether the name is known.
+// ParseField resolves a permission-language field name: a canonical name
+// exactly as spelled, or one of a few common aliases in any case. The
+// second result reports whether the name is known.
 func ParseField(name string) (Field, bool) {
-	for f, s := range fieldNames {
-		if s == name {
+	for f := FieldInPort; f <= FieldTPDst; f++ {
+		if fieldNames[f] == name {
 			return f, true
 		}
 	}
@@ -254,30 +257,42 @@ func (m *Match) Key() string {
 }
 
 // String renders the match for logs and error messages.
-func (m *Match) String() string {
-	fields := m.ConstrainedFields()
-	if len(fields) == 0 {
-		return "match(*)"
-	}
-	parts := make([]string, 0, len(fields))
-	for _, f := range fields {
-		v, mask := m.Get(f)
+func (m *Match) String() string { return string(AppendMatch(make([]byte, 0, 96), m)) }
+
+// AppendMatch appends m to dst as String renders it: "match(*)", or the
+// constrained fields in wire order, IP addresses dotted, MACs in colon
+// hex, other exact values in decimal and other masked values as hex
+// value/mask.
+func AppendMatch(dst []byte, m *Match) []byte {
+	dst = append(dst, "match("...)
+	n := 0
+	for _, f := range AllFields {
+		v, mask := m.values[f], m.masks[f]
+		if mask == 0 {
+			continue
+		}
+		if n++; n > 1 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, f.String()...), '=')
 		switch f {
 		case FieldIPSrc, FieldIPDst:
-			if mask == FullMask(f) {
-				parts = append(parts, fmt.Sprintf("%s=%s", f, IPv4(v)))
-			} else {
-				parts = append(parts, fmt.Sprintf("%s=%s/%s", f, IPv4(v), IPv4(mask)))
+			dst = AppendIPv4(dst, IPv4(v))
+			if mask != FullMask(f) {
+				dst = AppendIPv4(append(dst, '/'), IPv4(mask))
 			}
 		case FieldEthSrc, FieldEthDst:
-			parts = append(parts, fmt.Sprintf("%s=%s", f, MACFromUint64(v)))
+			dst = appendMAC(dst, MACFromUint64(v))
 		default:
 			if mask == FullMask(f) {
-				parts = append(parts, fmt.Sprintf("%s=%d", f, v))
+				dst = strconv.AppendUint(dst, v, 10)
 			} else {
-				parts = append(parts, fmt.Sprintf("%s=%x/%x", f, v, mask))
+				dst = strconv.AppendUint(append(strconv.AppendUint(dst, v, 16), '/'), mask, 16)
 			}
 		}
 	}
-	return "match(" + strings.Join(parts, ",") + ")"
+	if n == 0 {
+		dst = append(dst, '*')
+	}
+	return append(dst, ')')
 }

@@ -1,8 +1,10 @@
 package of
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -316,6 +318,158 @@ func TestPacketFieldRoundTrip(t *testing.T) {
 		p.SetFieldValue(f, want)
 		if got := p.FieldValue(f, 0); got != want {
 			t.Errorf("field %s: got %x, want %x", f, got, want)
+		}
+	}
+}
+
+// TestFieldNames covers every field and alias: a canonical name parses
+// only as spelled, an alias in any case, and an unknown field renders as
+// FIELD(n).
+func TestFieldNames(t *testing.T) {
+	canonical := map[Field]string{
+		FieldInPort: "IN_PORT", FieldEthSrc: "ETH_SRC", FieldEthDst: "ETH_DST", FieldEthType: "ETH_TYPE",
+		FieldVLAN: "VLAN_ID", FieldVLANPriority: "VLAN_PCP", FieldIPSrc: "IP_SRC", FieldIPDst: "IP_DST",
+		FieldIPProto: "IP_PROTO", FieldIPTOS: "IP_TOS", FieldTPSrc: "TCP_SRC", FieldTPDst: "TCP_DST",
+	}
+	if len(canonical) != len(AllFields) {
+		t.Fatalf("table covers %d fields, AllFields lists %d", len(canonical), len(AllFields))
+	}
+	for _, f := range AllFields {
+		name := canonical[f]
+		if f.String() != name {
+			t.Errorf("Field(%d).String() = %q, want %q", f, f.String(), name)
+		}
+		if got, ok := ParseField(name); !ok || got != f {
+			t.Errorf("ParseField(%q) = (%v,%v), want (%v,true)", name, got, ok, f)
+		}
+		for _, miss := range []string{strings.ToLower(name), " " + name, name + " "} {
+			if got, ok := ParseField(miss); ok {
+				t.Errorf("ParseField(%q) = %v: a canonical name matches only as spelled", miss, got)
+			}
+		}
+	}
+	aliases := map[string]Field{
+		"NW_SRC": FieldIPSrc, "NW_DST": FieldIPDst, "UDP_SRC": FieldTPSrc, "TP_SRC": FieldTPSrc,
+		"UDP_DST": FieldTPDst, "TP_DST": FieldTPDst, "DL_SRC": FieldEthSrc, "DL_DST": FieldEthDst,
+		"DL_TYPE": FieldEthType,
+	}
+	for name, f := range aliases {
+		mixed := strings.ToLower(name[:1]) + name[1:]
+		for _, in := range []string{name, strings.ToLower(name), mixed} {
+			if got, ok := ParseField(in); !ok || got != f {
+				t.Errorf("ParseField(%q) = (%v,%v), want (%v,true)", in, got, ok, f)
+			}
+		}
+		if got, ok := ParseField(" " + name); ok {
+			t.Errorf("ParseField(%q) = %v: names are not trimmed", " "+name, got)
+		}
+	}
+	// Alias case-insensitivity is Unicode upper-casing: ſ upper-cases to S.
+	if got, ok := ParseField("dl_ſrc"); !ok || got != FieldEthSrc {
+		t.Errorf(`ParseField("dl_ſrc") = (%v,%v), want (ETH_SRC,true)`, got, ok)
+	}
+	for _, in := range []string{"", "BOGUS", "ip-src"} {
+		if got, ok := ParseField(in); ok {
+			t.Errorf("ParseField(%q) = %v, want unknown", in, got)
+		}
+	}
+	for _, f := range []Field{0, FieldTPDst + 1, 255} {
+		if want := fmt.Sprintf("FIELD(%d)", uint8(f)); f.String() != want {
+			t.Errorf("Field(%d).String() = %q, want %q", f, f.String(), want)
+		}
+	}
+}
+
+// The fmt-based renderers the append forms replaced, kept only as the
+// reference the live ones must match byte for byte.
+
+func refMatch(m *Match) string {
+	fields := m.ConstrainedFields()
+	if len(fields) == 0 {
+		return "match(*)"
+	}
+	parts := make([]string, 0, len(fields))
+	for _, f := range fields {
+		v, mask := m.Get(f)
+		switch f {
+		case FieldIPSrc, FieldIPDst:
+			if mask == FullMask(f) {
+				parts = append(parts, fmt.Sprintf("%s=%s", f, IPv4(v)))
+			} else {
+				parts = append(parts, fmt.Sprintf("%s=%s/%s", f, IPv4(v), IPv4(mask)))
+			}
+		case FieldEthSrc, FieldEthDst:
+			m := MACFromUint64(v)
+			parts = append(parts, fmt.Sprintf("%s=%02x:%02x:%02x:%02x:%02x:%02x", f, m[0], m[1], m[2], m[3], m[4], m[5]))
+		default:
+			if mask == FullMask(f) {
+				parts = append(parts, fmt.Sprintf("%s=%d", f, v))
+			} else {
+				parts = append(parts, fmt.Sprintf("%s=%x/%x", f, v, mask))
+			}
+		}
+	}
+	return "match(" + strings.Join(parts, ",") + ")"
+}
+
+func refAction(a Action) string {
+	switch a.Type {
+	case ActionOutput:
+		switch a.Port {
+		case PortController:
+			return "output:CONTROLLER"
+		case PortFlood:
+			return "output:FLOOD"
+		case PortInPort:
+			return "output:IN_PORT"
+		default:
+			return fmt.Sprintf("output:%d", a.Port)
+		}
+	case ActionDrop:
+		return "drop"
+	case ActionFlood:
+		return "flood"
+	case ActionSetField:
+		return fmt.Sprintf("set(%s=%x)", a.Field, a.Value)
+	default:
+		return a.Type.String()
+	}
+}
+
+// TestRenderMatchesReference: random matches and action lists render as
+// the fmt-based reference does.
+func TestRenderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ports := []uint16{PortController, PortFlood, PortInPort}
+	for i := 0; i < 20000; i++ {
+		m := NewMatch()
+		for _, f := range AllFields {
+			switch rng.Intn(3) {
+			case 1:
+				m.Set(f, rng.Uint64())
+			case 2:
+				m.SetMasked(f, rng.Uint64(), rng.Uint64())
+			}
+		}
+		if got, want := m.String(), refMatch(m); got != want {
+			t.Fatalf("Match.String() = %q, want %q", got, want)
+		}
+		var acts []Action
+		var parts []string
+		for k := rng.Intn(4); k > 0; k-- {
+			port := uint16(rng.Intn(1 << 16))
+			if rng.Intn(4) == 0 {
+				port = ports[rng.Intn(len(ports))]
+			}
+			a := Action{Type: ActionType(rng.Intn(6)), Port: port, Field: Field(rng.Intn(15)), Value: rng.Uint64() >> rng.Intn(64)}
+			acts, parts = append(acts, a), append(parts, refAction(a))
+		}
+		want := strings.Join(parts, ",")
+		if len(acts) == 0 {
+			want = "drop"
+		}
+		if got := ActionsString(acts); got != want {
+			t.Fatalf("ActionsString = %q, want %q", got, want)
 		}
 	}
 }

@@ -74,8 +74,18 @@ func (d DPID) String() string {
 type MAC [6]byte
 
 // String renders the MAC in colon-separated hex.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+func (m MAC) String() string { return string(appendMAC(make([]byte, 0, 17), m)) }
+
+// appendMAC appends m in colon-separated lower-case hex to dst.
+func appendMAC(dst []byte, m MAC) []byte {
+	const hex = "0123456789abcdef"
+	for i, b := range m {
+		if i > 0 {
+			dst = append(dst, ':')
+		}
+		dst = append(dst, hex[b>>4], hex[b&0xf])
+	}
+	return dst
 }
 
 // IsBroadcast reports whether the MAC is the all-ones broadcast address.

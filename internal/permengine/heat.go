@@ -231,20 +231,16 @@ func (e *Engine) HeatSnapshot() HeatProfile {
 		NoManifest:    e.heatNoManifest.Load(),
 		Ungranted:     e.heatUngranted.Load(),
 	}
-	e.mu.RLock()
-	apps := make(map[string]*compiled, len(e.apps))
-	for name, c := range e.apps {
-		apps[name] = c
-	}
-	e.mu.RUnlock()
-	for name, c := range apps {
-		ah := AppHeat{App: name}
+	e.apps.Range(func(name, slot any) bool {
+		c := slot.(*atomic.Pointer[compiled]).Load()
+		ah := AppHeat{App: name.(string)}
 		for tok, g := range c.grants {
 			ah.Tokens = append(ah.Tokens, g.snapshot(tok))
 		}
 		sort.Slice(ah.Tokens, func(i, j int) bool { return ah.Tokens[i].Token < ah.Tokens[j].Token })
 		p.Apps = append(p.Apps, ah)
-	}
+		return true
+	})
 	sort.Slice(p.Apps, func(i, j int) bool { return p.Apps[i].App < p.Apps[j].App })
 	return p
 }

@@ -338,8 +338,12 @@ func (p *probe) clause(g *grant, i int, evaluated, pass bool, took time.Duration
 type Engine struct {
 	state StateProvider
 
-	mu   sync.RWMutex
-	apps map[string]*compiled
+	// apps maps an app's name to its *atomic.Pointer[compiled], which
+	// Activate swaps: a check finds the app's grant without a lock, and
+	// re-activating an app writes one pointer. wmu orders the writers,
+	// so no slot is set while RemoveApp deletes it.
+	wmu  sync.Mutex
+	apps sync.Map
 
 	// calls numbers the checks made outside a mediated call (Check), for
 	// their sampling decision.
@@ -361,22 +365,29 @@ func New(state StateProvider) *Engine {
 	if state == nil {
 		state = nopState{}
 	}
-	return &Engine{state: state, apps: make(map[string]*compiled)}
+	return &Engine{state: state}
 }
 
 // Activate installs (or replaces) an app's whole grant in one write,
 // compiling its set to checking code: each filter expression is lowered
 // once, outside the lock. A reader sees the previous grant or this one,
 // never parts of both. Neither the set nor the provenance may be mutated
-// afterwards.
+// afterwards. The write is the app's alone: its cost does not grow with
+// the number of apps.
 func (e *Engine) Activate(app string, g Grant) {
 	c := &compiled{Grant: g, grants: make(map[core.Token]*grant, g.Set.Len())}
 	for _, p := range g.Set.Permissions() {
 		c.grants[p.Token] = newGrant(p.Filter)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.apps[app] = c
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	if slot, ok := e.apps.Load(app); ok {
+		slot.(*atomic.Pointer[compiled]).Store(c)
+		return
+	}
+	slot := new(atomic.Pointer[compiled])
+	slot.Store(c)
+	e.apps.Store(app, slot)
 }
 
 // SetPermissions activates a grant of the set alone: no budget, no
@@ -387,28 +398,31 @@ func (e *Engine) SetPermissions(app string, set *core.Set) {
 
 // RemoveApp drops an app's grant entirely.
 func (e *Engine) RemoveApp(app string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.apps, app)
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	e.apps.Delete(app)
+}
+
+// compiledFor returns the app's active grant, nil if it has none.
+func (e *Engine) compiledFor(app string) *compiled {
+	if slot, ok := e.apps.Load(app); ok {
+		return slot.(*atomic.Pointer[compiled]).Load()
+	}
+	return nil
 }
 
 // Permissions returns the app's current permission set.
 func (e *Engine) Permissions(app string) (*core.Set, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c, ok := e.apps[app]
-	if !ok {
-		return nil, false
+	if c := e.compiledFor(app); c != nil {
+		return c.Set, true
 	}
-	return c.Set, true
+	return nil, false
 }
 
 // Budget returns the budget of the app's active grant, zero when it has
 // none.
 func (e *Engine) Budget(app string) core.Budget {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if c, ok := e.apps[app]; ok {
+	if c := e.compiledFor(app); c != nil {
 		return c.Budget
 	}
 	return core.Budget{}
@@ -419,10 +433,8 @@ func (e *Engine) Budget(app string) core.Budget {
 // loading-time access control (§VIII: OSGi-style checks when an app is
 // wired to a service it has no token for at all).
 func (e *Engine) HasToken(app string, token core.Token) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c, ok := e.apps[app]
-	return ok && c.Set.Has(token)
+	c := e.compiledFor(app)
+	return c != nil && c.Set.Has(token)
 }
 
 // unresolved names the stateful attributes of a call that the engine
@@ -533,7 +545,7 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 		e.resolve(call, open, read)
 		if !g.walk(call, p) {
 			e.resolve(call, open, open&^read)
-			reason, detail = ReasonFilterRejected, "filter rejected call "+call.String()
+			reason, detail = ReasonFilterRejected, rejectedDetail(call)
 		}
 	}
 	if p.explaining() {
@@ -551,6 +563,14 @@ func (e *Engine) decide(call *core.Call, p *probe) (reason, detail string) {
 	return reason, detail
 }
 
+// rejectedDetail is a filter denial's detail: the call as it rendered
+// when denied, built in one buffer.
+func rejectedDetail(call *core.Call) string {
+	const prefix = "filter rejected call "
+	var buf [256]byte
+	return string(call.AppendTo(append(buf[:0], prefix...)))
+}
+
 // Filter returns the app's grant for one token as a pure predicate, for
 // keeping the visible rows of a listing. It is taken once per listing and
 // runs the same clause walk as Check with none of its effects: no
@@ -566,10 +586,7 @@ func (e *Engine) Filter(app string, token core.Token) func(*core.Call) bool {
 // grantFor finds the app's compiled set and, in it, the grant for the
 // token. Either is nil when missing.
 func (e *Engine) grantFor(app string, token core.Token) (c *compiled, g *grant) {
-	e.mu.RLock()
-	c = e.apps[app]
-	e.mu.RUnlock()
-	if c != nil {
+	if c = e.compiledFor(app); c != nil {
 		g = c.grants[token]
 	}
 	return c, g

@@ -238,3 +238,29 @@ func TestDecisionsLandInJournal(t *testing.T) {
 		t.Fatalf("denials = %+v", denials)
 	}
 }
+
+// TestDenialFormatsOnce: a filter denial renders its detail in one
+// buffer — the detail string and the DeniedError are the check's only
+// allocations — and the detail names the call as Call.String does.
+func TestDenialFormatsOnce(t *testing.T) {
+	prev := audit.SetEnabled(true)
+	t.Cleanup(func() {
+		audit.Default().Flush()
+		audit.SetEnabled(prev)
+	})
+	e := New(nil)
+	e.SetPermissions("app", permlang.MustParse("PERM insert_flow LIMITING IP_DST 10.0.0.0 MASK 255.0.0.0").Set())
+	call := core.Call{App: "app", Token: core.TokenInsertFlow, HasDPID: true, DPID: 2, Priority: 7, HasPriority: true,
+		Match: of.NewMatch().Set(of.FieldIPDst, uint64(of.IPv4FromOctets(192, 168, 1, 1))), Actions: []of.Action{of.Output(1)},
+		HasFlowOwner: true, HasRuleCount: true}
+	var denied *DeniedError
+	if err := e.Check(&call); !errors.As(err, &denied) {
+		t.Fatalf("Check = %v, want a denial", err)
+	}
+	if want := "filter rejected call " + call.String(); denied.Detail != want {
+		t.Errorf("detail %q, want %q", denied.Detail, want)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = e.Check(&call) }); n != 2 {
+		t.Errorf("a denied check allocates %v times, want 2 (its detail and its error)", n)
+	}
+}
