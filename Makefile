@@ -54,8 +54,9 @@ check: fmt-check vet race
 # bench runs the paper's benchmarks at the repo root (one per table and
 # figure of §IX, plus the mediated call and reconciliation), the obs
 # instrument micro-benchmarks, each instrument enabled vs disabled, the
-# audit journal's emit and drain (whose ns/event must stay flat across
-# batch sizes), the hosted-tenant call (Tenant.Do) on an idle and a
+# audit journal's drain (whose ns/event must stay flat across batch sizes)
+# and its emit at 1, 2 and 4 procs (read drops/op beside ns/op: an emit
+# that drops is cheap), the hosted-tenant call (Tenant.Do) on an idle and a
 # shared shard, the engine's check of an insert against 1 024
 # resident rules under grants that read no stateful value, the owner or
 # the rule count, the market's verdict-cache miss and hit and a
@@ -67,7 +68,8 @@ check: fmt-check vet race
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) .
 	$(GO) test -bench=. -benchtime=1000000x -run=^$$ $(BENCHTIME) ./internal/obs/
-	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/obs/audit/
+	$(GO) test -bench=JournalDrain -benchmem -run=^$$ $(BENCHTIME) ./internal/obs/audit/
+	$(GO) test -bench=JournalEmit -benchmem -cpu 1,2,4 -run=^$$ $(BENCHTIME) ./internal/obs/audit/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/tenant/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permengine/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
@@ -99,13 +101,14 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS) \
 		$(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(TRACE),-trace $(TRACE))
 
-# attacksim runs Table I (§IX-B1) clean, then under the duplicate and the
-# delay fault plans on fault seeds 1-3. Each run prints the whole table and
-# exits non-zero if an attack gets past SDNShield or a row goes unmeasured.
-# The drop plan stays out: it still loses handshakes (ROADMAP item 22).
+# attacksim runs Table I (§IX-B1) clean, then under the drop, the
+# duplicate and the delay fault plans on fault seeds 1-3. Each run prints
+# the whole table and exits non-zero if an attack gets past SDNShield or a
+# row goes unmeasured.
 attacksim:
 	$(GO) run ./cmd/attacksim -v
 	for seed in 1 2 3; do \
+		$(GO) run ./cmd/attacksim -fault-drop 0.2 -fault-seed $$seed || exit 1; \
 		$(GO) run ./cmd/attacksim -fault-dup 0.2 -fault-seed $$seed || exit 1; \
 		$(GO) run ./cmd/attacksim -fault-delay-ms 5 -fault-seed $$seed || exit 1; \
 	done

@@ -5,7 +5,9 @@
 // layer a seeded fault-injection plan over every switch's control
 // connection, validating that the outcomes hold under degraded transport.
 // A row the harness cannot measure under a plan reads "harness failure";
-// the table still prints whole, and the command exits non-zero.
+// the table still prints whole, and the command exits non-zero. Under a
+// plan a baseline cell can read "protected" only because the attack's own
+// messages were lost; the legend under the table says so.
 package main
 
 import (
@@ -75,6 +77,10 @@ func run(args []string) error {
 		fmt.Println()
 	}
 	fmt.Println(bench.FormatTable1(outcomes))
+	if wrap != nil {
+		fmt.Println("Under a fault plan a baseline cell can read \"protected\" because the attack's own\n" +
+			"messages were lost, not because anything stopped it; only the sdnshield column is the claim.")
+	}
 
 	// Exit non-zero if a row went unmeasured or SDNShield failed to stop
 	// any attack — the regression signals.

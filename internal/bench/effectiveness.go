@@ -176,6 +176,12 @@ type attackEnv struct {
 // and SDNShield networks are wrapped under the same row.
 type FaultWrap func(row int, dpid of.DPID, ctrl of.Conn) of.Conn
 
+// attackKernel is the session policy of every Table I kernel: a lost
+// handshake or barrier is re-sent within a quarter second, up to six
+// times, so a row's network comes up and synchronizes under the drop
+// plan instead of failing after one 5 s timeout.
+var attackKernel = controller.KernelConfig{RequestTimeout: 250 * time.Millisecond, MaxRetries: 6}
+
 func newAttackEnv(row, switches int, runtime string, wrap FaultWrap) (*attackEnv, error) {
 	b, err := netsim.Linear(switches)
 	if err != nil {
@@ -185,7 +191,7 @@ func newAttackEnv(row, switches int, runtime string, wrap FaultWrap) (*attackEnv
 	if wrap != nil {
 		wrapSwitch = func(dpid of.DPID, ctrl of.Conn) of.Conn { return wrap(row, dpid, ctrl) }
 	}
-	k := controller.New(b.Topo, nil)
+	k := controller.New(b.Topo, nil, attackKernel)
 	if err := b.Wire(func(conn of.Conn) error {
 		_, err := k.AcceptSwitch(conn)
 		return err

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sdnshield/internal/faults"
 	"sdnshield/internal/netsim"
 	"sdnshield/internal/of"
 )
@@ -168,5 +169,29 @@ func TestFaultWrapSeesEachRow(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("wrapped (row, dpid) in order %v, want %v", got, want)
+	}
+}
+
+// TestAttackRowMeasuredUnderDrop runs one Table I row with a fifth of
+// every switch connection's messages dropped, on a fixed schedule per
+// switch: the row's kernels re-send lost handshakes and barriers, so
+// both runtimes' networks come up and the row is measured, and
+// SDNShield still blocks the attack.
+func TestAttackRowMeasuredUnderDrop(t *testing.T) {
+	const row = 3
+	wrap := func(row int, dpid of.DPID, conn of.Conn) of.Conn {
+		seed := 1_000_003 + int64(row)*1_009 + int64(dpid)
+		return faults.Wrap(conn, faults.NewRandom(seed, faults.RandomConfig{Drop: 0.2}))
+	}
+	a := attacks[row-1]
+	for _, rt := range runtimes {
+		o := AttackOutcome{Class: row, Attack: a.name, Runtime: rt}
+		if err := a.run(&o, wrap); err != nil {
+			t.Errorf("class %d on %s under drop: %v", row, rt, err)
+			continue
+		}
+		if rt == "sdnshield" && o.Succeeded {
+			t.Errorf("class %d got past SDNShield under drop: %+v", row, o)
+		}
 	}
 }

@@ -17,7 +17,7 @@ var (
 	mEmitted = obs.Default().Counter("sdnshield_audit_events_total",
 		"Audit events accepted into the journal.")
 	mDropped = obs.Default().Counter("sdnshield_audit_dropped_events_total",
-		"Audit events dropped because a journal shard was full (backpressure).")
+		"Audit events dropped because every journal shard was full (backpressure).")
 )
 
 // JournalConfig tunes a Journal. Zero values select defaults.
@@ -25,8 +25,10 @@ type JournalConfig struct {
 	// Shards is the number of producer-side buffers (rounded up to a
 	// power of two). Default: GOMAXPROCS rounded up, capped at 8.
 	Shards int
-	// ShardBuffer is each shard's capacity in events; a full shard drops
-	// (and counts) instead of blocking the producer. Default 1024.
+	// ShardBuffer is each shard's capacity in events; an event that finds
+	// its home shard full spills to the next ones, and one that finds
+	// every shard full is dropped (and counted) instead of blocking the
+	// producer. Default 1024.
 	ShardBuffer int
 	// History is the drained, queryable ring's capacity. Default 8192.
 	History int
@@ -62,9 +64,9 @@ type jshard struct {
 }
 
 // Journal is a bounded MPSC event pipeline: many producers Emit into
-// striped buffers without ever blocking; one drain goroutine cuts every
-// buffer at once and merges the runs in sequence order into a queryable
-// history ring and the consumers.
+// buffers striped by P without ever blocking; one drain goroutine cuts
+// every buffer at once and merges the runs in sequence order into a
+// queryable history ring and the consumers.
 type Journal struct {
 	cfg     JournalConfig
 	enabled atomic.Bool
@@ -156,15 +158,16 @@ func (j *Journal) Enabled() bool { return j.enabled.Load() }
 func (j *Journal) SetEnabled(v bool) bool { return j.enabled.Swap(v) }
 
 // Emitted reports how many events were accepted into the journal: every
-// event Emit numbered, less the ones a full shard dropped. Drops are read
-// first: an event is numbered before it can be dropped, so the difference
-// never goes below zero.
+// event Emit numbered, less the ones it dropped with every shard full.
+// Drops are read first: an event is numbered before it can be dropped,
+// so the difference never goes below zero.
 func (j *Journal) Emitted() uint64 {
 	drops := j.Drops()
 	return j.LastSeq() - drops
 }
 
-// Drops reports how many events were dropped on full shards.
+// Drops reports how many events were dropped because every shard was
+// full.
 func (j *Journal) Drops() uint64 { return j.drops.Load() }
 
 // SinkErrors reports failed file-sink writes.
@@ -173,11 +176,6 @@ func (j *Journal) SinkErrors() uint64 { return j.sinkErrs.Load() }
 // LastSeq returns the sequence number of the most recently emitted event
 // (drained or not). Stream clients use it as their initial cursor.
 func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
-
-// shard picks the caller's stripe off obs's stack-address hash.
-func (j *Journal) shard() *jshard {
-	return &j.shards[(obs.StackHash()>>56)&j.mask]
-}
 
 // TenantOf attributes an app to its tenant. Multi-tenant managers
 // namespace app names "tenant/app" (market app names themselves cannot
@@ -190,12 +188,24 @@ func TenantOf(app string) string {
 	return DefaultTenant()
 }
 
-// Emit appends an event. It never blocks: a full shard increments the
-// drop counter and the event is lost (bounded memory beats a stalled
-// mediated call). Seq is stamped here, under the shard lock, so each
-// shard holds its events in sequence order and a drain's cut holds every
-// numbered event that was not dropped. Emit reads no clock: the drain
-// stamps Time when the emitter left it zero.
+// paceEvery is the emitter's pacing period: after each paceEvery-th
+// event appended to a shard, the emitter yields its P once, right after
+// its notify. A notify wakes the drain goroutine into the emitter's
+// runnext slot, where it waits for the emitter's time slice (up to 10
+// ms) to end; a busy emitter overflows its shard well before that. The
+// yield lets the drain run without waiting on anything: Emit still never
+// blocks.
+const paceEvery = 128
+
+// Emit appends an event. It never blocks: the event goes to its home
+// shard, the shard of the caller's P (obs.Stripe); when that one is full
+// it spills to the next shards in turn, and when every shard is full the
+// drop counter is incremented and the event is lost (bounded memory
+// beats a stalled mediated call). Seq is stamped under the lock of the
+// shard that stores the event, and only then, so each shard holds its
+// events in sequence order and a drain's cut holds every numbered event
+// that was not dropped. Emit reads no clock: the drain stamps Time when
+// the emitter left it zero.
 func (j *Journal) Emit(ev Event) {
 	if !j.enabled.Load() {
 		return
@@ -203,28 +213,38 @@ func (j *Journal) Emit(ev Event) {
 	if ev.Tenant == "" {
 		ev.Tenant = TenantOf(ev.App)
 	}
-	sh := j.shard()
-	sh.mu.Lock()
-	ev.Seq = j.seq.Add(1)
-	if len(sh.buf) == j.cfg.ShardBuffer {
+	home := uint64(obs.Stripe())
+	for k := range uint64(len(j.shards)) {
+		sh := &j.shards[(home+k)&j.mask]
+		sh.mu.Lock()
+		if len(sh.buf) == j.cfg.ShardBuffer {
+			sh.mu.Unlock()
+			continue
+		}
+		ev.Seq = j.seq.Add(1)
+		if len(sh.buf) == cap(sh.buf) {
+			// A spare starts empty and grows on demand, up to the bound.
+			grown := make([]Event, len(sh.buf), min(max(2*len(sh.buf), 64), j.cfg.ShardBuffer))
+			copy(grown, sh.buf)
+			sh.buf = grown
+		}
+		sh.buf = append(sh.buf, ev)
+		n := len(sh.buf)
 		sh.mu.Unlock()
-		j.drops.Add(1)
-		mDropped.Inc()
+		mEmitted.Inc()
+		select {
+		case j.notify <- struct{}{}:
+		default:
+		}
+		if n%paceEvery == 0 {
+			runtime.Gosched()
+		}
 		return
 	}
-	if len(sh.buf) == cap(sh.buf) {
-		// A spare starts empty and grows on demand, up to the bound.
-		grown := make([]Event, len(sh.buf), min(max(2*len(sh.buf), 64), j.cfg.ShardBuffer))
-		copy(grown, sh.buf)
-		sh.buf = grown
-	}
-	sh.buf = append(sh.buf, ev)
-	sh.mu.Unlock()
-	mEmitted.Inc()
-	select {
-	case j.notify <- struct{}{}:
-	default:
-	}
+	// Numbered before counted, so Emitted never goes below zero.
+	j.seq.Add(1)
+	j.drops.Add(1)
+	mDropped.Inc()
 }
 
 // AddConsumer registers a callback invoked for every drained event, in

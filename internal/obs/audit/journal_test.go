@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -222,5 +223,67 @@ func TestNextCorrIsUniqueAndNonzero(t *testing.T) {
 	a, b := NextCorr(), NextCorr()
 	if a == 0 || b == 0 || a == b {
 		t.Fatalf("bad corr ids: %d %d", a, b)
+	}
+}
+
+// TestJournalTightEmitterKeepsEveryEvent runs one emitter that never
+// blocks on one P beside the drain goroutine. The emitter's notifies
+// wake the drain onto the emitter's own P, where it waits for the
+// emitter to yield; the emitter's pacing yield lets it run before the
+// shard overflows, so none of 64 shards' worth of events is dropped.
+func TestJournalTightEmitterKeepsEveryEvent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	j := NewJournal(JournalConfig{})
+	j.Start()
+	defer j.Stop()
+	n := 64 * j.cfg.ShardBuffer
+	for i := 0; i < n; i++ {
+		j.Emit(Event{Kind: KindPermission, Verdict: VerdictAllow})
+	}
+	j.Flush()
+	if d := j.Drops(); d != 0 {
+		t.Fatalf("a tight emitter on one P lost %d of %d events", d, n)
+	}
+}
+
+// TestJournalSpillsBeforeDropping fills the home shard of an unstarted
+// journal: the next events land in the other shard, none is dropped
+// until both are full, and a drain returns them all in Seq order.
+func TestJournalSpillsBeforeDropping(t *testing.T) {
+	// One P: the emitter's home shard is stripe 0's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const per = 16
+	j := NewJournal(JournalConfig{Shards: 2, ShardBuffer: per, History: 4 * per})
+	for i := 0; i < per; i++ {
+		j.Emit(Event{Kind: KindFault})
+	}
+	if got := len(j.shards[0].buf); got != per {
+		t.Fatalf("home shard holds %d events, want %d", got, per)
+	}
+	for i := 0; i < per; i++ {
+		j.Emit(Event{Kind: KindFault})
+		if d := j.Drops(); d != 0 {
+			t.Fatalf("dropped %d events with the other shard holding %d of %d", d, len(j.shards[1].buf), per)
+		}
+	}
+	if got := len(j.shards[1].buf); got != per {
+		t.Fatalf("spill shard holds %d events, want %d", got, per)
+	}
+	j.Emit(Event{Kind: KindFault})
+	if d := j.Drops(); d != 1 {
+		t.Fatalf("drops = %d with both shards full, want 1", d)
+	}
+	j.DrainNow()
+	got := j.Query(Filter{})
+	if len(got) != 2*per {
+		t.Fatalf("drained %d events, want %d", len(got), 2*per)
+	}
+	for i, ev := range got {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("drained event %d has seq %d, want %d", i, ev.Seq, i+1)
+		}
+	}
+	if j.Emitted() != 2*per || j.LastSeq() != 2*per+1 {
+		t.Fatalf("emitted %d of %d numbered, want %d of %d", j.Emitted(), j.LastSeq(), 2*per, 2*per+1)
 	}
 }

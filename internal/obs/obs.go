@@ -8,8 +8,8 @@
 // The paper's evaluation (§IX, Figures 5–8) is entirely about overhead on
 // the mediated call path, so the instrumentation is designed to be cheap
 // enough to leave on in production: increments are lock-free atomic adds
-// striped across cache-line-padded shards (per-CPU-ish striping keyed off
-// the caller's goroutine stack), histograms use fixed exponential bucket
+// striped across cache-line-padded shards (one per P, Go's per-CPU
+// scheduler slot: Stripe), histograms use fixed exponential bucket
 // bounds compared as integer nanoseconds, and clock reads are sampled. A
 // single process-wide switch
 // (SetEnabled(false)) turns every instrument into a near-free no-op; the
@@ -24,7 +24,6 @@ package obs
 import (
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
 // enabled gates every instrument. Default on: the whole point of the
@@ -51,8 +50,7 @@ func SetEnabled(v bool) bool { return enabled.Swap(v) }
 
 // nShards is the number of stripes every sharded instrument carries,
 // sized to the machine's parallelism (rounded up to a power of two,
-// capped at 64) so concurrent writers on different Ps rarely collide on a
-// cache line.
+// capped at 64) so each P writes a cache line of its own.
 var (
 	nShards   = shardCount()
 	shardMask = uint64(nShards - 1)
@@ -78,22 +76,8 @@ type pad64 struct {
 	_ [56]byte
 }
 
-// StackHash is the stripe hint of every sharded structure in the repo.
-// Go exposes no goroutine or CPU id, so the hint is the address of a
-// stack variable: distinct goroutines live on distinct stacks, and a
-// fibonacci-style multiply spreads the entropy into the high bits, which
-// is where callers take their shard index from (shift, then mask). The
-// same goroutine keeps hitting the same shard (good locality); different
-// goroutines spread out.
-func StackHash() uint64 {
-	var b byte
-	h := uint64(uintptr(unsafe.Pointer(&b)))
-	h ^= h >> 12
-	return h * 0x9e3779b97f4a7c15
-}
-
-// shardIndex picks the caller's stripe of an obs instrument.
-func shardIndex() uint64 { return (StackHash() >> 56) & shardMask }
+// shardIndex picks the caller's stripe of an obs instrument: its P's.
+func shardIndex() uint64 { return uint64(Stripe()) & shardMask }
 
 // ---------------------------------------------------------------------------
 // Latency sampling

@@ -58,9 +58,9 @@ func heatBracketIdx(ns int64) int {
 	return heatBracketCount - 1
 }
 
-// heatPad is one cache-line-padded counter cell for the per-token
-// allow/deny totals.
-type heatPad struct {
+// padCount is one cache-line-padded counter cell: a stripe of a grant's
+// allow/deny totals, or of the engine's count of checks (Engine.calls).
+type padCount struct {
 	v atomic.Uint64
 	_ [56]byte
 }
@@ -68,8 +68,8 @@ type heatPad struct {
 // heatSlab is one grant's sampled counters: the allow/deny totals and,
 // per clause, the evaluation counts and latency brackets.
 type heatSlab struct {
-	allow   [heatShards]heatPad
-	deny    [heatShards]heatPad
+	allow   [heatShards]padCount
+	deny    [heatShards]padCount
 	clauses int
 	cells   []atomic.Uint64 // heatShards × clauses × heatCells, shard-major
 }
@@ -125,9 +125,9 @@ func heatWalks(s obs.Sample) bool {
 	return s.OneIn(heatOneIn) && heatEnabled.Load() && obs.On()
 }
 
-// heatShard picks the caller's stripe off obs's stack-address hash.
+// heatShard picks the caller's stripe: its P's (obs.Stripe).
 func heatShard() int {
-	return int(obs.StackHash()>>62) & (heatShards - 1)
+	return obs.Stripe() & (heatShards - 1)
 }
 
 // ---------------------------------------------------------------------------

@@ -346,8 +346,10 @@ type Engine struct {
 	apps sync.Map
 
 	// calls numbers the checks made outside a mediated call (Check), for
-	// their sampling decision.
-	calls     atomic.Uint64
+	// their sampling decision: one count per P's stripe (obs.Stripe), so
+	// parallel checkers share no cache line, and each stripe samples one
+	// in N of its own checks.
+	calls     [checkStripes]padCount
 	apiPanics atomic.Uint64
 
 	// Heat-profile denial counters for calls that never reach a compiled
@@ -486,11 +488,15 @@ func (e *Engine) resolve(call *core.Call, open, read stateReads) {
 	}
 }
 
+// checkStripes is the number of Check's count stripes (Engine.calls).
+const checkStripes = 8
+
 // Check mediates one API call made outside a mediated call (probes,
-// tests, offline tools): CheckSampled, numbered by the engine's own count
-// of such checks.
+// tests, offline tools): CheckSampled, numbered by the engine's count of
+// such checks on the caller's stripe.
 func (e *Engine) Check(call *core.Call) error {
-	return e.CheckSampled(call, obs.NewSample(e.calls.Add(1)))
+	n := e.calls[obs.Stripe()&(checkStripes-1)].v.Add(1)
+	return e.CheckSampled(call, obs.NewSample(n))
 }
 
 // CheckSampled mediates one API call under its call's sampling decision
