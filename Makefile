@@ -60,8 +60,10 @@ check: fmt-check vet race
 # shared shard, the engine's check of an insert against 1 024
 # resident rules under grants that read no stateful value, the owner or
 # the rule count, the market's verdict-cache miss and hit and a
-# Submit + Upgrade that keeps its manifest, and one of.Pipe hop on one
-# goroutine and a ping-pong across two; then the mediated insert from
+# Submit + Upgrade that keeps its manifest, one of.Pipe hop on one
+# goroutine and a ping-pong across two, Algorithm 1's admission check at
+# the small, medium and large manifest shapes and the large manifest's
+# canonical rendering; then the mediated insert from
 # parallel threads of one app at 1, 2 and 4 procs, whose ns/op shows
 # whether calls share a lock. BENCHTIME, when set, comes last and
 # overrides each line's own -benchtime.
@@ -74,6 +76,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permengine/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/of/
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/core/
 	$(GO) test -bench=MediatedCallParallel -benchmem -cpu 1,2,4 -run=^$$ $(BENCHTIME) .
 
 # bench-smoke runs every bench benchmark once, so CI sees that each still
@@ -123,8 +126,9 @@ loc:
 
 # fuzz-smoke runs the native fuzz targets briefly — enough for CI to
 # catch parser panics (manifest, policy, IPv4), round-trip regressions on
-# mutated market packages, replay of damaged logs and a market lifecycle
-# whose runtime drifts from its active release, without the cost of a
+# mutated market packages, replay of damaged logs, a market lifecycle
+# whose runtime drifts from its active release and an Algorithm 1 verdict
+# that strays from the materialised clause product, without the cost of a
 # long fuzzing campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -135,3 +139,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTenantID -fuzztime=$(FUZZTIME) ./internal/tenant/
 	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/market/
 	$(GO) test -run=^$$ -fuzz=FuzzParseIPv4 -fuzztime=$(FUZZTIME) ./internal/of/
+	$(GO) test -run=^$$ -fuzz=FuzzIncludes -fuzztime=$(FUZZTIME) ./internal/core/

@@ -236,6 +236,22 @@ func ExprEqual(a, b Expr) bool {
 	}
 }
 
+// exprLeaves counts the leaves and macro references of e.
+func exprLeaves(e Expr) int {
+	switch v := e.(type) {
+	case nil:
+		return 0
+	case *Not:
+		return exprLeaves(v.X)
+	case *And:
+		return exprLeaves(v.L) + exprLeaves(v.R)
+	case *Or:
+		return exprLeaves(v.L) + exprLeaves(v.R)
+	default:
+		return 1
+	}
+}
+
 // ExprString renders an expression, mapping nil to "*" (unrestricted).
 func ExprString(e Expr) string { return string(AppendExpr(nil, e)) }
 

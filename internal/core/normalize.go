@@ -43,16 +43,6 @@ func ToCNF(e Expr) ([]Clause, error) {
 	return normalToCNF(e, false)
 }
 
-// ToDNF converts an expression into disjunctive normal form: a slice of
-// conjunctive clauses. A nil expression yields a DNF with a single empty
-// clause (the always-true conjunction).
-func ToDNF(e Expr) ([]Clause, error) {
-	if e == nil {
-		return []Clause{{}}, nil
-	}
-	return normalToDNF(e, false)
-}
-
 // normalToCNF computes CNF of e (negated when neg), pushing negation to
 // the leaves (NNF) on the way down.
 func normalToCNF(e Expr, neg bool) ([]Clause, error) {
@@ -101,59 +91,6 @@ func cnfOfOr(left, right Expr, neg bool) ([]Clause, error) {
 		return nil, err
 	}
 	r, err := normalToCNF(right, neg)
-	if err != nil {
-		return nil, err
-	}
-	return boundedCross(l, r)
-}
-
-// normalToDNF computes DNF of e (negated when neg).
-func normalToDNF(e Expr, neg bool) ([]Clause, error) {
-	switch v := e.(type) {
-	case *Leaf:
-		return []Clause{{Literal{F: v.F, Neg: neg}}}, nil
-	case *MacroRef:
-		return nil, fmt.Errorf("core: unresolved macro %q in expression", v.Name)
-	case *Not:
-		return normalToDNF(v.X, !neg)
-	case *Or:
-		if neg { // ¬(L∨R) = ¬L ∧ ¬R
-			return dnfOfAnd(v.L, v.R, true)
-		}
-		l, err := normalToDNF(v.L, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err := normalToDNF(v.R, false)
-		if err != nil {
-			return nil, err
-		}
-		return boundedConcat(l, r)
-	case *And:
-		if neg { // ¬(L∧R) = ¬L ∨ ¬R
-			l, err := normalToDNF(v.L, true)
-			if err != nil {
-				return nil, err
-			}
-			r, err := normalToDNF(v.R, true)
-			if err != nil {
-				return nil, err
-			}
-			return boundedConcat(l, r)
-		}
-		return dnfOfAnd(v.L, v.R, false)
-	default:
-		return nil, fmt.Errorf("core: unknown expression type %T", e)
-	}
-}
-
-// dnfOfAnd distributes (L ∧ R) over the DNFs of the operands.
-func dnfOfAnd(left, right Expr, neg bool) ([]Clause, error) {
-	l, err := normalToDNF(left, neg)
-	if err != nil {
-		return nil, err
-	}
-	r, err := normalToDNF(right, neg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Permission is one granted privilege: a token optionally refined by a
 // filter expression. A nil Filter grants the token unconditionally.
@@ -234,8 +237,21 @@ func (s *Set) Equal(other *Set) (bool, error) {
 // String renders the set as a permission manifest.
 func (s *Set) String() string { return string(s.appendManifest(nil, s.order)) }
 
+// Estimates of a rendered manifest's size, which appendManifest grows
+// its buffer to once: a line's "PERM <token> LIMITING " and a leaf with
+// its operator and parentheses (an IP_DST prefix predicate needs ≈ 38).
+const (
+	manifestLineBytes = 32
+	manifestLeafBytes = 40
+)
+
 // appendManifest renders the grants of tokens, in that order, one per line.
 func (s *Set) appendManifest(dst []byte, tokens []Token) []byte {
+	size := 0
+	for _, t := range tokens {
+		size += manifestLineBytes + manifestLeafBytes*exprLeaves(s.filters[t])
+	}
+	dst = slices.Grow(dst, size)
 	for i, t := range tokens {
 		if i > 0 {
 			dst = append(dst, '\n')

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,23 @@ func TestIPv4Formatting(t *testing.T) {
 	}
 	if ip.InSubnet(IPv4FromOctets(10, 14, 0, 0), PrefixMask(16)) {
 		t.Error("10.13.0.7 should not be in 10.14.0.0/16")
+	}
+}
+
+// TestAppendIPv4EveryOctet renders every octet value in every position
+// against strconv's decimal rendering.
+func TestAppendIPv4EveryOctet(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		o := strconv.Itoa(v)
+		for pos := 0; pos < 4; pos++ {
+			octets := [4]byte{1, 20, 255, 0}
+			want := [4]string{"1", "20", "255", "0"}
+			octets[pos], want[pos] = byte(v), o
+			ip := IPv4FromOctets(octets[0], octets[1], octets[2], octets[3])
+			if got := string(AppendIPv4([]byte("x"), ip)); got != "x"+strings.Join(want[:], ".") {
+				t.Fatalf("AppendIPv4(%d.%d.%d.%d) = %q", octets[0], octets[1], octets[2], octets[3], got)
+			}
+		}
 	}
 }
 

@@ -148,7 +148,14 @@ func AppendIPv4(dst []byte, ip IPv4) []byte {
 		if shift < 24 {
 			dst = append(dst, '.')
 		}
-		dst = strconv.AppendUint(dst, uint64(byte(ip>>shift)), 10)
+		switch b := byte(ip >> shift); {
+		case b >= 100:
+			dst = append(dst, '0'+b/100, '0'+b/10%10, '0'+b%10)
+		case b >= 10:
+			dst = append(dst, '0'+b/10, '0'+b%10)
+		default:
+			dst = append(dst, '0'+b)
+		}
 	}
 	return dst
 }
