@@ -19,6 +19,10 @@ import (
 // the extension of a clause, so a prefix that satisfies every left
 // clause, or is unsatisfiable, decides all of its completions and its
 // subtree is skipped. The verdicts are those of the clause product.
+//
+// The left operand's CNF comes from the same walk: by De Morgan it is
+// the DNF of its negation with every literal negated, which ToCNF emits
+// unpruned.
 
 // literalIncludes reports whether the behaviour set of literal a includes
 // that of literal x. Only same-dimension literals are comparable.
@@ -74,7 +78,8 @@ func Includes(a, b Expr) (bool, error) {
 	if a == nil {
 		return true, nil
 	}
-	cnfA, err := ToCNF(a)
+	var stack walkStack
+	cnfA, err := stack.toCNF(a)
 	if err != nil {
 		return false, err
 	}
@@ -96,9 +101,7 @@ func Includes(a, b Expr) (bool, error) {
 	if w.open == 0 || b == nil { // a nil b's DNF is the one empty conjunction
 		return w.open == 0, nil
 	}
-	var prefix [16]Literal
-	var rest [16]conjunct
-	return w.walk(b, false, prefix[:0], rest[:0]), nil
+	return w.walk(b, false, stack.prefix[:0], stack.rest[:0]), nil
 }
 
 // dnfSize counts the clauses of the DNF of e (of ¬e when neg) without
@@ -148,9 +151,23 @@ type conjunct struct {
 	neg bool
 }
 
+// walkStack holds a walk's clause prefix and pending conjuncts on its
+// caller's stack. A clause holds a literal per disjunct of the
+// disjunction it came from (19 in the ablation's boundary); a wider one,
+// or deeper nesting, grows them onto the heap.
+type walkStack struct {
+	prefix [32]Literal
+	rest   [32]conjunct
+}
+
 // dnfWalk is the state of one depth-first walk of a right operand's DNF
-// against the left operand's CNF.
+// against the left operand's CNF, or of one emitting a CNF.
 type dnfWalk struct {
+	// cnf, when set, receives every clause with its literals negated and
+	// nothing pruned: the walk of ¬e emits the CNF of e (ToCNF), and its
+	// verdicts are all true. It is a pointer so that appending to it
+	// leaves the walk's buffers on their caller's stack.
+	cnf  *[]Clause
 	left []Clause
 	// mark[c] is the depth of the prefix literal that first satisfied
 	// left clause c, 0 while none has, -1 when c admits everything.
@@ -192,6 +209,9 @@ func (w *dnfWalk) walk(e Expr, neg bool, prefix []Literal, rest []conjunct) bool
 // prefix by the clause product's rule: a negated total literal is empty
 // by itself, and an earlier positive total literal contradicts nothing.
 func (w *dnfWalk) push(x Literal, prefix []Literal, rest []conjunct) bool {
+	if w.cnf != nil {
+		return w.emit(x, prefix, rest)
+	}
 	if x.Neg && x.F.Total() {
 		return true // every completion is empty, included in anything
 	}
@@ -228,11 +248,18 @@ func (w *dnfWalk) push(x Literal, prefix []Literal, rest []conjunct) bool {
 	return ok
 }
 
-// Equivalent reports mutual inclusion of two filter expressions.
-func Equivalent(a, b Expr) (bool, error) {
-	ab, err := Includes(a, b)
-	if err != nil || !ab {
-		return false, err
+// emit is push for a walk that emits a CNF: it negates x, prunes
+// nothing and copies each complete clause out.
+func (w *dnfWalk) emit(x Literal, prefix []Literal, rest []conjunct) bool {
+	x.Neg = !x.Neg
+	if n := len(rest); n > 0 {
+		c := rest[n-1]
+		w.walk(c.e, c.neg, append(prefix, x), rest[:n-1])
+		rest[n-1] = c // the walk may have appended over it
+		return true
 	}
-	return Includes(b, a)
+	clause := make(Clause, len(prefix)+1)
+	clause[copy(clause, prefix)] = x
+	*w.cnf = append(*w.cnf, clause)
+	return true
 }

@@ -109,19 +109,6 @@ func TestIncludesWithNegation(t *testing.T) {
 	}
 }
 
-func TestEquivalent(t *testing.T) {
-	a := &Or{L: NewLeaf(NewOwnerFilter(true)), R: NewLeaf(ipDstFilter(10, 13, 0, 0, 16))}
-	b := &Or{L: NewLeaf(ipDstFilter(10, 13, 0, 0, 16)), R: NewLeaf(NewOwnerFilter(true))}
-	eq, err := Equivalent(a, b)
-	if err != nil || !eq {
-		t.Errorf("commuted disjunction should be equivalent: (%v,%v)", eq, err)
-	}
-	eq, err = Equivalent(a, NewLeaf(NewOwnerFilter(true)))
-	if err != nil || eq {
-		t.Errorf("strictly wider expression is not equivalent: (%v,%v)", eq, err)
-	}
-}
-
 // --- property-based checks of Algorithm 1 --------------------------------
 
 // filterPool is a diverse set of singleton filters for random expressions.

@@ -2,10 +2,12 @@ package core
 
 import "fmt"
 
-// The materialised Algorithm 1, kept as the oracle of the streamed walk
-// in compare.go: the right operand's whole DNF as clause lists, then
-// every (left clause, right clause) pair. Includes must return its
-// verdicts and its errors.
+// The materialised Algorithm 1, kept as the oracle of the walk in
+// compare.go: a recursive builder of whole normal forms as clause lists
+// (the right operand's DNF, and the left operand's CNF as the flipped
+// DNF of its negation), then every (left clause, right clause) pair.
+// Includes must return its verdicts and its errors, and ToCNF its
+// clauses.
 
 // ToDNF converts an expression into disjunctive normal form: a slice of
 // conjunctive clauses. A nil expression yields a DNF with a single empty
@@ -70,6 +72,46 @@ func dnfOfAnd(left, right Expr, neg bool) ([]Clause, error) {
 	return boundedCross(l, r)
 }
 
+func boundedConcat(l, r []Clause) ([]Clause, error) {
+	if len(l)+len(r) > maxClauses {
+		return nil, ErrExprTooLarge
+	}
+	out := make([]Clause, 0, len(l)+len(r))
+	out = append(out, l...)
+	return append(out, r...), nil
+}
+
+func boundedCross(l, r []Clause) ([]Clause, error) {
+	if len(l)*len(r) > maxClauses {
+		return nil, ErrExprTooLarge
+	}
+	out := make([]Clause, 0, len(l)*len(r))
+	for _, a := range l {
+		for _, b := range r {
+			merged := make(Clause, 0, len(a)+len(b))
+			merged = append(merged, a...)
+			merged = append(merged, b...)
+			out = append(out, merged)
+		}
+	}
+	return out, nil
+}
+
+// materialisedCNF is the oracle's CNF of e, by De Morgan the DNF of ¬e
+// with every literal negated. A nil expression yields an empty CNF.
+func materialisedCNF(e Expr) ([]Clause, error) {
+	if e == nil {
+		return nil, nil
+	}
+	cnf, err := normalToDNF(e, true)
+	for _, clause := range cnf {
+		for i := range clause {
+			clause[i].Neg = !clause[i].Neg
+		}
+	}
+	return cnf, err
+}
+
 // conjUnsatisfiable reports whether a conjunctive clause is empty
 // (contains contradictory literals). Conservative: false when unsure.
 func conjUnsatisfiable(x Clause) bool {
@@ -119,7 +161,7 @@ func includesMaterialised(a, b Expr) (bool, error) {
 	if a == nil {
 		return true, nil
 	}
-	cnfA, err := ToCNF(a)
+	cnfA, err := materialisedCNF(a)
 	if err != nil {
 		return false, err
 	}

@@ -192,10 +192,10 @@ func (f *WildcardFilter) Equal(other Filter) bool {
 
 // String implements Filter.
 func (f *WildcardFilter) String() string {
-	if f.field == of.FieldIPSrc || f.field == of.FieldIPDst {
-		return fmt.Sprintf("WILDCARD %s %s", f.field, of.IPv4(f.required))
-	}
-	return fmt.Sprintf("WILDCARD %s %d", f.field, f.required)
+	var buf [48]byte
+	dst := append(append(append(buf[:0], "WILDCARD "...), f.field.String()...), ' ')
+	ip := f.field == of.FieldIPSrc || f.field == of.FieldIPDst
+	return string(appendFieldValue(dst, ip, f.required))
 }
 
 // ---------------------------------------------------------------------------
@@ -492,10 +492,12 @@ func (f *PriorityFilter) Equal(other Filter) bool {
 
 // String implements Filter.
 func (f *PriorityFilter) String() string {
+	name := "MIN_PRIORITY "
 	if f.isMax {
-		return fmt.Sprintf("MAX_PRIORITY %d", f.bound)
+		name = "MAX_PRIORITY "
 	}
-	return fmt.Sprintf("MIN_PRIORITY %d", f.bound)
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], name...), uint64(f.bound), 10))
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +550,7 @@ func (f *TableSizeFilter) Equal(other Filter) bool {
 
 // String implements Filter.
 func (f *TableSizeFilter) String() string {
-	return fmt.Sprintf("MAX_RULE_COUNT %d", f.maxRules)
+	return "MAX_RULE_COUNT " + strconv.Itoa(f.maxRules)
 }
 
 // ---------------------------------------------------------------------------

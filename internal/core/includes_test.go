@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,45 @@ func TestIncludesMatchesMaterialised(t *testing.T) {
 		if verdicts[key] < pairs/100 {
 			t.Errorf("only %d of %d pairs ended %q: the generator no longer exercises that outcome", verdicts[key], pairs, key)
 		}
+	}
+}
+
+// agreeWithNegatedDNF fails t unless ToCNF(e) returns the oracle's CNF,
+// the flipped DNF of ¬e, clause for clause and literal for literal, and
+// its error.
+func agreeWithNegatedDNF(t testing.TB, e Expr) {
+	t.Helper()
+	got, gotErr := ToCNF(e)
+	want, wantErr := materialisedCNF(e)
+	if !slices.EqualFunc(got, want, slices.Equal[Clause]) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("ToCNF(%s) = %v, %v; the flipped DNF of its negation is %v, %v",
+			ExprString(e), got, gotErr, want, wantErr)
+	}
+}
+
+func TestToCNFMatchesNegatedDNF(t *testing.T) {
+	r := rand.New(rand.NewSource(50))
+	pool := differentialPool()
+	for i := 0; i < 50_000; i++ {
+		a, b := randomPair(r, pool)
+		agreeWithNegatedDNF(t, a)
+		agreeWithNegatedDNF(t, b)
+	}
+}
+
+func TestToCNFAllocsFlatInWidth(t *testing.T) {
+	// The CNF of an n-way disjunction is one clause of n literals: its
+	// allocations must not grow with n.
+	allocs := func(n int) float64 {
+		leaves := make([]Expr, n)
+		for i := range leaves {
+			leaves[i] = NewLeaf(ipDstFilter(10, byte(i), 0, 0, 16))
+		}
+		e := OrAll(leaves...)
+		return testing.AllocsPerRun(100, func() { _, _ = ToCNF(e) })
+	}
+	if narrow, wide := allocs(4), allocs(19); narrow != wide {
+		t.Fatalf("ToCNF allocates %v times for a 4-way disjunction and %v for a 19-way one", narrow, wide)
 	}
 }
 
@@ -262,6 +302,7 @@ func FuzzIncludes(f *testing.F) {
 		a, rest := decodeExpr(data, pool, 10)
 		b, _ := decodeExpr(rest, pool, 10)
 		agreeWithMaterialised(t, a, b)
+		agreeWithNegatedDNF(t, a)
 	})
 }
 

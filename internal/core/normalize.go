@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Literal is a possibly-negated singleton filter — the atom of the CNF and
 // DNF normal forms Algorithm 1 operates on.
@@ -37,87 +34,24 @@ const maxClauses = 1 << 14
 // disjunctive clauses. A nil expression yields an empty CNF (no
 // constraint, always true).
 func ToCNF(e Expr) ([]Clause, error) {
+	var stack walkStack
+	return stack.toCNF(e)
+}
+
+// toCNF emits the CNF of e through the walk Includes streams its right
+// operand with. By De Morgan it is the DNF of ¬e with every literal
+// negated, so the walk runs over ¬e and prunes nothing; dnfSize bounds
+// its clauses and returns the errors of building them.
+func (s *walkStack) toCNF(e Expr) ([]Clause, error) {
 	if e == nil {
 		return nil, nil
 	}
-	return normalToCNF(e, false)
-}
-
-// normalToCNF computes CNF of e (negated when neg), pushing negation to
-// the leaves (NNF) on the way down.
-func normalToCNF(e Expr, neg bool) ([]Clause, error) {
-	switch v := e.(type) {
-	case *Leaf:
-		return []Clause{{Literal{F: v.F, Neg: neg}}}, nil
-	case *MacroRef:
-		return nil, fmt.Errorf("core: unresolved macro %q in expression", v.Name)
-	case *Not:
-		return normalToCNF(v.X, !neg)
-	case *And:
-		if neg { // ¬(L∧R) = ¬L ∨ ¬R
-			return cnfOfOr(v.L, v.R, true)
-		}
-		l, err := normalToCNF(v.L, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err := normalToCNF(v.R, false)
-		if err != nil {
-			return nil, err
-		}
-		return boundedConcat(l, r)
-	case *Or:
-		if neg { // ¬(L∨R) = ¬L ∧ ¬R
-			l, err := normalToCNF(v.L, true)
-			if err != nil {
-				return nil, err
-			}
-			r, err := normalToCNF(v.R, true)
-			if err != nil {
-				return nil, err
-			}
-			return boundedConcat(l, r)
-		}
-		return cnfOfOr(v.L, v.R, false)
-	default:
-		return nil, fmt.Errorf("core: unknown expression type %T", e)
-	}
-}
-
-// cnfOfOr distributes (L ∨ R) over the CNFs of the operands.
-func cnfOfOr(left, right Expr, neg bool) ([]Clause, error) {
-	l, err := normalToCNF(left, neg)
+	n, err := dnfSize(e, true)
 	if err != nil {
 		return nil, err
 	}
-	r, err := normalToCNF(right, neg)
-	if err != nil {
-		return nil, err
-	}
-	return boundedCross(l, r)
-}
-
-func boundedConcat(l, r []Clause) ([]Clause, error) {
-	if len(l)+len(r) > maxClauses {
-		return nil, ErrExprTooLarge
-	}
-	out := make([]Clause, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...), nil
-}
-
-func boundedCross(l, r []Clause) ([]Clause, error) {
-	if len(l)*len(r) > maxClauses {
-		return nil, ErrExprTooLarge
-	}
-	out := make([]Clause, 0, len(l)*len(r))
-	for _, a := range l {
-		for _, b := range r {
-			merged := make(Clause, 0, len(a)+len(b))
-			merged = append(merged, a...)
-			merged = append(merged, b...)
-			out = append(out, merged)
-		}
-	}
-	return out, nil
+	cnf := make([]Clause, 0, n)
+	w := dnfWalk{cnf: &cnf}
+	w.walk(e, true, s.prefix[:0], s.rest[:0])
+	return cnf, nil
 }

@@ -17,19 +17,6 @@ import (
 	"sdnshield/internal/policylang"
 )
 
-// TruncateSide selects which operand of a violated mutual exclusion is
-// revoked.
-type TruncateSide int
-
-// Truncation preferences.
-const (
-	// TruncateSecond revokes the second operand's permissions, matching
-	// the paper's Scenario 1 (insert_flow, the second operand, is cut).
-	TruncateSecond TruncateSide = iota
-	// TruncateFirst revokes the first operand's permissions instead.
-	TruncateFirst
-)
-
 // ViolationKind classifies constraint violations.
 type ViolationKind int
 
@@ -99,25 +86,12 @@ type Result struct {
 // holds a registry of already-approved app permissions so that policies
 // can reference them with APP bindings.
 type Engine struct {
-	truncate TruncateSide
-	apps     map[string]*core.Set
-}
-
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithTruncateSide selects the mutual-exclusion repair preference.
-func WithTruncateSide(side TruncateSide) Option {
-	return func(e *Engine) { e.truncate = side }
+	apps map[string]*core.Set
 }
 
 // New builds a reconciliation engine.
-func New(opts ...Option) *Engine {
-	e := &Engine{apps: make(map[string]*core.Set)}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+func New() *Engine {
+	return &Engine{apps: make(map[string]*core.Set)}
 }
 
 // RegisterApp records an app's (already reconciled) permissions so that
@@ -312,12 +286,9 @@ func (e *Engine) checkExclusive(ev *env, c *policylang.AssertExclusive, result *
 	if len(heldA) == 0 || len(heldB) == 0 {
 		return
 	}
-	// Violated: the app holds permissions from both sides. Truncate.
-	cut := heldB
-	if e.truncate == TruncateFirst {
-		cut = heldA
-	}
-	for _, t := range cut {
+	// Violated: the app holds permissions from both sides. Truncate the
+	// second, as the paper's Scenario 1 cuts insert_flow.
+	for _, t := range heldB {
 		ev.working.Revoke(t)
 	}
 	result.Violations = append(result.Violations, Violation{
@@ -325,7 +296,7 @@ func (e *Engine) checkExclusive(ev *env, c *policylang.AssertExclusive, result *
 		Constraint: c.String(),
 		Detail: fmt.Sprintf("app holds %s and %s simultaneously",
 			tokenList(heldA), tokenList(heldB)),
-		Repair: "revoked " + tokenList(cut),
+		Repair: "revoked " + tokenList(heldB),
 	})
 }
 

@@ -98,21 +98,6 @@ func TestScenario1Reconciliation(t *testing.T) {
 	}
 }
 
-func TestTruncatePreference(t *testing.T) {
-	manifest := permlang.MustParse(scenario1Manifest)
-	policy := policylang.MustParse(scenario1Policy)
-	res, err := New(WithTruncateSide(TruncateFirst)).Reconcile("monitor", manifest, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reconciled.Has(core.TokenHostNetwork) {
-		t.Error("TruncateFirst must revoke network_access instead")
-	}
-	if !res.Reconciled.Has(core.TokenInsertFlow) {
-		t.Error("insert_flow survives under TruncateFirst")
-	}
-}
-
 func TestMutualExclusionNotHeld(t *testing.T) {
 	manifest := permlang.MustParse("PERM read_statistics\nPERM flow_event")
 	policy := policylang.MustParse(`ASSERT EITHER { PERM network_access } OR { PERM insert_flow }`)
