@@ -63,7 +63,9 @@ check: fmt-check vet race
 # Submit + Upgrade that keeps its manifest, one of.Pipe hop on one
 # goroutine and a ping-pong across two, Algorithm 1's admission check at
 # the small, medium and large manifest shapes and the large manifest's
-# canonical rendering; then the mediated insert from
+# canonical rendering, the parse of manifests of those three shapes
+# (MB/s and allocs/op) and of the benchmark's site policy; then the
+# mediated insert from
 # parallel threads of one app at 1, 2 and 4 procs, whose ns/op shows
 # whether calls share a lock. BENCHTIME, when set, comes last and
 # overrides each line's own -benchtime.
@@ -77,6 +79,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/market/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/of/
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/core/
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/permlang/
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCHTIME) ./internal/policylang/
 	$(GO) test -bench=MediatedCallParallel -benchmem -cpu 1,2,4 -run=^$$ $(BENCHTIME) .
 
 # bench-smoke runs every bench benchmark once, so CI sees that each still

@@ -177,6 +177,12 @@ func (fs *FakeSwitch) SendPortStatus(port uint16, up bool) error {
 
 // WaitResponse blocks for the next flow-mod or packet-out, up to timeout.
 func (fs *FakeSwitch) WaitResponse(timeout time.Duration) (of.Message, error) {
+	// A queued response needs no timer.
+	select {
+	case msg := <-fs.responses:
+		return msg, nil
+	default:
+	}
 	// Stopped on return: a time.After timer would stay on the heap until
 	// it fired, one per response waited for.
 	timer := time.NewTimer(timeout)

@@ -608,19 +608,37 @@ func (k *Kernel) backoff(attempt int) time.Duration {
 	return d
 }
 
+// waiter is one synchronous request's reply slot and timer, pooled across
+// round trips.
+type waiter struct {
+	ch    chan of.Message
+	timer *time.Timer
+}
+
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan of.Message, 1), timer: t}
+}}
+
 // requestOnce performs one send/wait round trip. Reusing the message's
 // xid across attempts is deliberate: a late reply to an earlier attempt
 // satisfies the current one, and surplus replies are dropped by the
 // dispatcher.
+//
+// Only a waiter whose reply arrived goes back to the pool. After a
+// timeout, a disconnect or a failed send, recvLoop may have taken the
+// waiter's channel from the pending map already and still send on it,
+// and that late reply would land in the next request's channel.
 func (k *Kernel) requestOnce(h *swHandle, msg of.Message, timeout time.Duration) (of.Message, error) {
 	select {
 	case <-h.closed:
 		return nil, ErrSwitchDisconnected
 	default:
 	}
-	ch := make(chan of.Message, 1)
+	w := waiters.Get().(*waiter)
 	h.mu.Lock()
-	h.pending[msg.XID()] = ch
+	h.pending[msg.XID()] = w.ch
 	h.mu.Unlock()
 	unregister := func() {
 		h.mu.Lock()
@@ -631,15 +649,24 @@ func (k *Kernel) requestOnce(h *swHandle, msg of.Message, timeout time.Duration)
 		unregister()
 		return nil, fmt.Errorf("%w: %v", ErrSwitchDisconnected, err)
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	w.timer.Reset(timeout)
 	select {
-	case reply := <-ch:
+	case reply := <-w.ch:
+		if !w.timer.Stop() {
+			// It fired meanwhile: drain the tick so the next Reset
+			// starts clean.
+			select {
+			case <-w.timer.C:
+			default:
+			}
+		}
+		waiters.Put(w)
 		return reply, nil
 	case <-h.closed:
+		w.timer.Stop()
 		unregister()
 		return nil, ErrSwitchDisconnected
-	case <-timer.C:
+	case <-w.timer.C:
 		unregister()
 		return nil, ErrTimeout
 	}

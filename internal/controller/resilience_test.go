@@ -299,3 +299,52 @@ func TestInsertFlowUndoesShadowOnSendFailure(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnknownSwitch", err)
 	}
 }
+
+// TestLateReplyStaysOutOfNextRequest: recvLoop takes a reply's channel
+// from the pending map before it sends, so a reply can reach a request's
+// channel after the request timed out. That channel must not serve the
+// next request, or the next request would return the stale reply.
+func TestLateReplyStaysOutOfNextRequest(t *testing.T) {
+	k := New(nil, nil, KernelConfig{RequestTimeout: time.Second})
+	defer k.Stop()
+	sw := acceptFake(t, k, 42)
+	h := (*k.switches.Load())[42]
+
+	// The switch answers only the second request.
+	go func() {
+		for {
+			msg, err := sw.Recv()
+			if err != nil {
+				return
+			}
+			if msg.XID() == 1002 {
+				_ = sw.Send(&of.EchoReply{Header: of.Header{Xid: 1002}})
+			}
+		}
+	}()
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := k.requestOnce(h, &of.EchoRequest{Header: of.Header{Xid: 1001}}, 30*time.Millisecond)
+		errCh <- err
+	}()
+	var late chan of.Message
+	waitFor(t, time.Second, "the first request to register", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		late = h.pending[1001]
+		return late != nil
+	})
+	if err := <-errCh; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first request: err = %v, want ErrTimeout", err)
+	}
+	late <- &of.EchoReply{Header: of.Header{Xid: 1001}} // as recvLoop would, late
+
+	reply, err := k.requestOnce(h, &of.EchoRequest{Header: of.Header{Xid: 1002}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.XID() != 1002 {
+		t.Fatalf("second request got the reply to xid %d", reply.XID())
+	}
+}

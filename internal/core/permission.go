@@ -40,10 +40,10 @@ func NewSet() *Set {
 	return &Set{filters: make(map[Token]Expr)}
 }
 
-// NewSetOf builds a set from a list of permissions (convenience for tests
-// and examples).
+// NewSetOf builds a set from a list of permissions, granted in order,
+// sized for them.
 func NewSetOf(perms ...Permission) *Set {
-	s := NewSet()
+	s := &Set{filters: make(map[Token]Expr, len(perms)), order: make([]Token, 0, len(perms))}
 	for _, p := range perms {
 		s.Grant(p.Token, p.Filter)
 	}

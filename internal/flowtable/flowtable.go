@@ -39,6 +39,9 @@ type Entry struct {
 	Packets uint64
 	Bytes   uint64
 
+	// installedAt and lastHit are what Expire reads: the clock is read
+	// only for a rule with a hard or idle timeout, and lastHit moves on
+	// a hit only under an idle timeout.
 	installedAt time.Time
 	lastHit     time.Time
 
@@ -131,8 +134,10 @@ func (t *Table) Swap(in *Entry) (prev Entry, replaced bool, err error) {
 	key := exactKey(e.Priority, &values, &masks)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
-	e.installedAt, e.lastHit = now, now
+	if e.HardTimeout > 0 || e.IdleTimeout > 0 {
+		now := t.now()
+		e.installedAt, e.lastHit = now, now
+	}
 	e.Actions = of.CloneActions(e.Actions)
 
 	if old := t.findExact(key, e.Priority, e.Match); old != nil {
@@ -249,7 +254,9 @@ func (t *Table) Lookup(pkt *of.Packet, inPort uint16, size uint64) (*Entry, bool
 		if e.Match.MatchesPacket(pkt, inPort) {
 			e.Packets++
 			e.Bytes += size
-			e.lastHit = t.now()
+			if e.IdleTimeout > 0 {
+				e.lastHit = t.now()
+			}
 			return e.Clone(), true
 		}
 	}

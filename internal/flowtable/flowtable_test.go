@@ -211,6 +211,41 @@ func TestTimeouts(t *testing.T) {
 	}
 }
 
+// TestClockReadOnlyForTimedRules counts the table clock's reads: inserting
+// and hitting a rule without a timeout reads it never, a rule with a hard
+// timeout reads it at insert, and one with an idle timeout at insert and
+// on every hit.
+func TestClockReadOnlyForTimedRules(t *testing.T) {
+	reads := 0
+	clock := func() time.Time { reads++; return time.Unix(1000, 0) }
+	tbl := New(0, WithClock(clock))
+	pkt := func(a byte) *of.Packet { return tcpPkt(of.IPv4FromOctets(a, 1, 1, 1), 80) }
+
+	mustAdd(t, tbl, Entry{Match: ipDstMatch(10, 0, 0, 0, 8), Priority: 1})
+	mustAdd(t, tbl, Entry{Match: ipDstMatch(10, 0, 0, 0, 8), Priority: 1, Owner: "a"}) // replace
+	for i := 0; i < 3; i++ {
+		if _, ok := tbl.Lookup(pkt(10), 1, 1); !ok {
+			t.Fatal("miss")
+		}
+	}
+	if reads != 0 {
+		t.Fatalf("%d clock reads for a rule without a timeout, want 0", reads)
+	}
+
+	mustAdd(t, tbl, Entry{Match: ipDstMatch(11, 0, 0, 0, 8), Priority: 1, HardTimeout: 30})
+	tbl.Lookup(pkt(11), 1, 1)
+	if reads != 1 {
+		t.Fatalf("%d clock reads for a hard-timeout rule inserted and hit once, want 1", reads)
+	}
+
+	mustAdd(t, tbl, Entry{Match: ipDstMatch(12, 0, 0, 0, 8), Priority: 1, IdleTimeout: 10})
+	tbl.Lookup(pkt(12), 1, 1)
+	tbl.Lookup(pkt(12), 1, 1)
+	if reads != 4 {
+		t.Fatalf("%d clock reads after an idle-timeout rule's insert and two hits, want 4", reads)
+	}
+}
+
 func TestStats(t *testing.T) {
 	tbl := New(0)
 	mustAdd(t, tbl, Entry{Match: ipDstMatch(10, 0, 0, 0, 8), Priority: 1, Cookie: 42})

@@ -313,7 +313,15 @@ func sameEntry(a, b *Entry) bool {
 		reflect.DeepEqual(a.Actions, b.Actions) && a.Cookie == b.Cookie && a.Owner == b.Owner &&
 		a.IdleTimeout == b.IdleTimeout && a.HardTimeout == b.HardTimeout &&
 		a.Packets == b.Packets && a.Bytes == b.Bytes &&
-		a.installedAt.Equal(b.installedAt) && a.lastHit.Equal(b.lastHit)
+		sameStamps(a, b)
+}
+
+// sameStamps compares the times Expire reads: the install time of a rule
+// with a hard timeout and the last hit of one with an idle timeout. The
+// table stamps no other rule, the model stamps every rule.
+func sameStamps(a, b *Entry) bool {
+	return (a.HardTimeout == 0 || a.installedAt.Equal(b.installedAt)) &&
+		(a.IdleTimeout == 0 || a.lastHit.Equal(b.lastHit))
 }
 
 func sameEntries(a, b []*Entry) bool {

@@ -130,7 +130,13 @@ func Sign(r Release, priv ed25519.PrivateKey) *SignedRelease {
 // VerifySignature checks the package's signature under the given vendor
 // key.
 func (sr *SignedRelease) VerifySignature(pub ed25519.PublicKey) bool {
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, sr.Canonical(), sr.Sig)
+	return sr.verifyCanonical(pub, sr.Canonical())
+}
+
+// verifyCanonical is VerifySignature over canon, the release's canonical
+// encoding the caller already built.
+func (sr *SignedRelease) verifyCanonical(pub ed25519.PublicKey, canon []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, canon, sr.Sig)
 }
 
 // ---------------------------------------------------------------------------

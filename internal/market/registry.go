@@ -138,8 +138,10 @@ func (r *Registry) Submit(sr *SignedRelease) (Digest, error) {
 // the async install it feeds, and any follower pulls all share one
 // trace ID. corr 0 means untraced.
 func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) {
-	digest := sr.Digest()
-	version, manifest, err := r.vet(sr)
+	// One canonical encoding serves the digest and the signature check.
+	canon := sr.Canonical()
+	digest := Digest(sha256.Sum256(canon))
+	version, manifest, err := r.vet(sr, canon)
 	if err != nil {
 		mSubmitRejects.Inc()
 		if audit.On() {
@@ -189,11 +191,12 @@ func (r *Registry) SubmitTraced(sr *SignedRelease, corr uint64) (Digest, error) 
 }
 
 // vet runs the provenance checks without touching the store and returns
-// the parsed version and manifest. The manifest is nil, and not parsed,
+// the parsed version and manifest; canon is the release's canonical
+// encoding. The manifest is nil, and not parsed,
 // when a stored release of the same app carries byte-identical manifest
 // text: that text parsed when its release was submitted, and the parse
 // is deterministic.
-func (r *Registry) vet(sr *SignedRelease) (Version, *permlang.Manifest, error) {
+func (r *Registry) vet(sr *SignedRelease, canon []byte) (Version, *permlang.Manifest, error) {
 	r.mu.RLock()
 	pub, ok := r.keys[sr.Vendor]
 	seen := r.hasManifestLocked(sr.Name, sr.Manifest)
@@ -201,7 +204,7 @@ func (r *Registry) vet(sr *SignedRelease) (Version, *permlang.Manifest, error) {
 	if !ok {
 		return Version{}, nil, fmt.Errorf("%w: %q", ErrUnknownVendor, sr.Vendor)
 	}
-	if !sr.VerifySignature(pub) {
+	if !sr.verifyCanonical(pub, canon) {
 		return Version{}, nil, ErrBadSignature
 	}
 	version, err := ParseVersion(sr.Version)

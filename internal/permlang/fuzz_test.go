@@ -76,30 +76,35 @@ func TestParsePrintFixpoint(t *testing.T) {
 	}
 }
 
+// marketCorpus holds the manifests the app-market ships in signed
+// release packages (examples/appstore and the market tests).
+var marketCorpus = []string{
+	// l2switch@1.0.0 — the canonical learning-switch release.
+	"PERM pkt_in_event\nPERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS\nPERM send_pkt_out LIMITING FROM_PKT_IN\n",
+	// tenant-monitor@1.0.0 — stub macros plus an admin IP range.
+	"PERM visible_topology LIMITING LocalTopo\nPERM read_statistics\nPERM network_access LIMITING AdminRange\nPERM insert_flow\n",
+	// load-balancer@1.0.0 — wildcard flows, port-level statistics.
+	"PERM pkt_in_event\nPERM insert_flow LIMITING WILDCARD IP_DST 255.255.255.0\nPERM send_pkt_out LIMITING FROM_PKT_IN\nPERM read_statistics LIMITING PORT_LEVEL\n",
+	// The repaired-boundary shape the market e2e test exercises.
+	"PERM pkt_in_event\nPERM read_statistics\nPERM insert_flow LIMITING IP_DST 10.1.0.0 MASK 255.255.0.0\n",
+	// Degenerate but legal inputs.
+	"",
+	"# only a comment\n",
+}
+
 // FuzzParseManifest is the native fuzz target behind `make fuzz-smoke`.
-// The seeds extend fuzzCorpus with the manifests the app-market ships in
-// signed release packages (examples/appstore and the market tests), so
-// coverage-guided mutation starts from what a hostile vendor would
-// actually upload. The contract under fuzz: the parser never panics, and
-// anything it accepts survives a render → reparse round trip.
+// The seeds extend fuzzCorpus with marketCorpus, so coverage-guided
+// mutation starts from what a hostile vendor would actually upload. The
+// contract under fuzz: the parser never panics, it accepts and rejects
+// what the oracle does (the same tree and rendering, or the same
+// SyntaxError), and anything it accepts survives a render → reparse
+// round trip.
 func FuzzParseManifest(f *testing.F) {
-	marketCorpus := []string{
-		// l2switch@1.0.0 — the canonical learning-switch release.
-		"PERM pkt_in_event\nPERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS\nPERM send_pkt_out LIMITING FROM_PKT_IN\n",
-		// tenant-monitor@1.0.0 — stub macros plus an admin IP range.
-		"PERM visible_topology LIMITING LocalTopo\nPERM read_statistics\nPERM network_access LIMITING AdminRange\nPERM insert_flow\n",
-		// load-balancer@1.0.0 — wildcard flows, port-level statistics.
-		"PERM pkt_in_event\nPERM insert_flow LIMITING WILDCARD IP_DST 255.255.255.0\nPERM send_pkt_out LIMITING FROM_PKT_IN\nPERM read_statistics LIMITING PORT_LEVEL\n",
-		// The repaired-boundary shape the market e2e test exercises.
-		"PERM pkt_in_event\nPERM read_statistics\nPERM insert_flow LIMITING IP_DST 10.1.0.0 MASK 255.255.0.0\n",
-		// Degenerate but legal inputs.
-		"",
-		"# only a comment\n",
-	}
 	for _, s := range append(append([]string(nil), fuzzCorpus...), marketCorpus...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkOracle(t, src)
 		m, err := Parse(src)
 		if err != nil {
 			return

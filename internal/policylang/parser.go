@@ -10,6 +10,7 @@ import (
 // Parse parses a complete security policy.
 func Parse(src string) (*Policy, error) {
 	inner, err := permlang.NewParser(src)
+	defer inner.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -251,18 +252,14 @@ func (p *parser) parsePermPrimary() (PermExpr, error) {
 		if err := p.p.Next(); err != nil {
 			return nil, err
 		}
-		set := core.NewSet()
-		for p.isKeyword("PERM") {
-			perm, err := p.p.ParsePermStatement()
-			if err != nil {
-				return nil, err
-			}
-			set.Grant(perm.Token, perm.Filter)
+		perms, err := p.p.ParsePermStatements()
+		if err != nil {
+			return nil, err
 		}
 		if p.p.Tok().Kind != permlang.TokRBrace {
 			return nil, p.errorf("expected '}' or PERM in permission block")
 		}
-		return &PermLit{Set: set}, p.p.Next()
+		return &PermLit{Set: core.NewSetOf(perms...)}, p.p.Next()
 
 	case p.isKeyword("APP"):
 		if err := p.p.Next(); err != nil {

@@ -251,3 +251,40 @@ ASSERT EITHER { PERM host_network } OR { PERM insert_flow }
 		t.Errorf("got %d bindings, %d constraints", len(pol.Bindings()), len(pol.Constraints()))
 	}
 }
+
+// TestParseBacktracksThroughSave: a '(' opening a permission expression
+// is first tried as a parenthesized assertion; that attempt parses the
+// permission block (and places its filter nodes), fails at ')', and
+// Restore rewinds so the comparison parses the block again. The second
+// parse must build the block's filter afresh and the rest of the
+// assertion must parse from where the first attempt began.
+func TestParseBacktracksThroughSave(t *testing.T) {
+	src := "LET c = { PERM read_statistics }\n" +
+		"ASSERT ({ PERM insert_flow LIMITING IP_DST 10.0.0.0 MASK 255.0.0.0 OR OWN_FLOWS } MEET b) <= c AND (a <= c)"
+	pol, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "LET c = { PERM read_statistics }\n" +
+		"ASSERT (({ PERM insert_flow LIMITING (IP_DST 10.0.0.0 MASK 255.0.0.0 OR OWN_FLOWS) } MEET b) <= c AND a <= c)"
+	if got := pol.String(); got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+	and, ok := pol.Statements[1].(*AssertBool).Expr.(*BoolAnd)
+	if !ok {
+		t.Fatalf("assertion = %T, want a BoolAnd", pol.Statements[1].(*AssertBool).Expr)
+	}
+	cmp, ok := and.L.(*CmpExpr)
+	if !ok || cmp.Op != CmpLe {
+		t.Fatalf("left = %#v, want a <= comparison", and.L)
+	}
+	meet, ok := cmp.L.(*PermMeet)
+	if !ok {
+		t.Fatalf("compared = %T, want a MEET", cmp.L)
+	}
+	lit := meet.L.(*PermLit)
+	filter, ok := lit.Set.FilterFor(core.TokenInsertFlow)
+	if !ok || filter == nil || filter.String() != "(IP_DST 10.0.0.0 MASK 255.0.0.0 OR OWN_FLOWS)" {
+		t.Errorf("block filter = %v", filter)
+	}
+}
